@@ -20,7 +20,6 @@ import os
 import random
 import sys
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import List, Optional
 
 from . import __version__
@@ -59,12 +58,31 @@ def _default_seed() -> int:
     return int(os.environ.get(ENV_SEED, "0"))
 
 
-def _load_json(spec: str):
+def _load_json(spec: str) -> dict:
+    """A JSON object given inline or as a file path."""
     spec = spec.strip()
     if spec.startswith("{") or spec.startswith("["):
-        return json.loads(spec)
-    with open(spec) as fh:
-        return json.load(fh)
+        obj = json.loads(spec)
+    else:
+        with open(spec) as fh:
+            obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"payload must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _ambient_from(obj: dict) -> SymplecticData:
+    n = obj["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return SymplecticData.canonical(n)
+
+
+def _list_from(obj: dict, key: str) -> list:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON list, got {type(value).__name__}")
+    return value
 
 
 def _emit(payload: dict, config: RunConfig) -> None:
@@ -84,10 +102,9 @@ def _emit(payload: dict, config: RunConfig) -> None:
     print(text)
 
 
-def _parse_args_payload(obj) -> tuple:
-    n = int(obj["n"])
-    ambient = SymplecticData.canonical(n)
-    args = [WeylElement(Poly.from_json(a), ambient) for a in obj["args"]]
+def _parse_args_payload(obj: dict) -> tuple:
+    ambient = _ambient_from(obj)
+    args = [WeylElement(Poly.from_json(a), ambient) for a in _list_from(obj, "args")]
     return ambient, args
 
 
@@ -102,10 +119,16 @@ def _parse_group_spec(obj):
 
 
 def _scalar_from(obj) -> Scalar:
-    if isinstance(obj, int):
+    """An int, a string "p" or "p/q", or the JSON scalar form."""
+    if type(obj) is int:
         return Scalar.of(obj)
     if isinstance(obj, str):
-        return Scalar(Fraction(obj))
+        num, sep, den = obj.partition("/")
+        try:
+            num, den = int(num), int(den) if sep else 1
+        except ValueError:
+            raise ValueError(f"cannot parse scalar from {obj!r}") from None
+        return Scalar.rational(num, den)
     if isinstance(obj, dict):
         return Scalar.from_json(obj)
     raise ValueError(f"cannot parse scalar from {obj!r}")
@@ -193,7 +216,7 @@ def run_verify_all(seed: int, samples: int, max_degree: int) -> List[dict]:
                                            max_degree=2))
     pairm = pair_chain(taum, twisted_cycle(sym1, minus, truncation=8))
     suites.append(_suite("twisted-minus", repm.checked + 1,
-                         repm.passed + (pairm == Scalar(Fraction(1, 2))),
+                         repm.passed + (pairm == Scalar.rational(1, 2)),
                          {"pairing": str(pairm)}))
 
     # Higher-spin preset: dimensions and the degree-two smash cocycle.
@@ -236,11 +259,10 @@ def cmd_verify_all(ns) -> int:
 
 def cmd_star(ns) -> int:
     payload = _load_json(ns.payload)
-    n = int(payload["n"])
-    ambient = SymplecticData.canonical(n)
+    ambient = _ambient_from(payload)
     a = WeylElement(Poly.from_json(payload["a"]), ambient)
     b = WeylElement(Poly.from_json(payload["b"]), ambient)
-    config = RunConfig("star", n=n, out=ns.out, format=ns.format)
+    config = RunConfig("star", n=ambient.n, out=ns.out, format=ns.format)
     _emit({"result": star(a, b).to_json()}, config)
     return 0
 
@@ -262,10 +284,16 @@ def cmd_descent_eval(ns) -> int:
             _, preset_amb, labels, element = _parse_group_spec(spec)
             if preset_amb.n != ambient.n:
                 raise ValueError("twist preset dimension does not match args")
+            if element is None:
+                raise ValueError("twist preset must name an element")
             gen = make_zeta_g(ambient, element)
         else:
-            entries = [_scalar_from(x) for x in spec["diag"]]
-            gen = make_zeta_g(ambient, GroupElement.diagonal(entries, "g"))
+            entries = [_scalar_from(x) for x in _list_from(spec, "diag")]
+            if len(entries) != 2 * ambient.n:
+                raise ValueError(f"diag must have {2 * ambient.n} entries")
+            g = GroupElement.diagonal(entries, "g")
+            g.check_symplectic(ambient)
+            gen = make_zeta_g(ambient, g)
     else:
         gen = make_zeta(ambient)
     budget = None if ns.budget == "auto" else int(ns.budget)
@@ -298,10 +326,10 @@ def cmd_smash_theta(ns) -> int:
     gamma_spec = _load_json(ns.gamma)
     values = {labels[name]: _scalar_from(v) for name, v in gamma_spec.items()}
     gamma = ClassFunction(group, values)
-    payload = _load_json(ns.args)
-    raw_args = payload["args"]
     smash_args = []
-    for entry in raw_args:
+    for entry in _list_from(_load_json(ns.args), "args"):
+        if not isinstance(entry, dict):
+            raise ValueError(f"smash argument must map group labels to polynomials, got {entry!r}")
         terms = {labels[g]: WeylElement(Poly.from_json(p), ambient)
                  for g, p in entry.items()}
         smash_args.append(SmashElement(group, ambient, terms))

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -108,7 +107,7 @@ class GaussianGenerator:
         term = Poly.one()
         k = 0
         while 2 * k <= degree:
-            acc = acc + term.scale(Scalar(Fraction(1, factorial(k))))
+            acc = acc + term.scale(Scalar.rational(1, factorial(k)))
             term = term * self.quad
             k += 1
         acc = acc.truncate(degree)
@@ -151,7 +150,7 @@ def make_zeta_g(ambient: SymplecticData, g) -> GaussianGenerator:
 
     # Prefactor: wedge power k, over k!, of sum_{i<j} w_ij u^i u^j with
     # u = (dz - dz^g)/2 expressed through dz.
-    half = Scalar(Fraction(1, 2))
+    half = Scalar.rational(1, 2)
     u_rows = []
     for i in range(size):
         row = []
@@ -205,7 +204,7 @@ def make_zeta_g(ambient: SymplecticData, g) -> GaussianGenerator:
                 else:
                     nxt[idx] = add
         pieces = nxt
-    scale = Scalar(Fraction(1, factorial(k)))
+    scale = Scalar.rational(1, factorial(k))
     prefactor = FormElement(
         {idx: Poly.const(c * scale) for idx, c in pieces.items()},
         ambient)

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InsufficientExpansionError
 from .linalg import mat_mul, mat_transpose
 from .poly import Poly, T, Y
-from .scalars import I, ONE, Scalar
+from .scalars import I, Scalar
 from .weyl import SymplecticData, WeylElement
 
 Pair = Tuple[int, int]
@@ -45,40 +44,40 @@ WMono = Tuple[Tuple[Pair, int], ...]
 
 def simplex_moment(exponents: Sequence[int]) -> Scalar:
     """Exact integral of u_1^a1 ... u_m^am over 0 <= u_1 <= ... <= u_m <= 1."""
-    value = Fraction(1)
+    den = 1
     prefix = 0
     for k, a in enumerate(exponents, start=1):
         prefix += a
-        value /= prefix + k
-    return Scalar(value)
+        den *= prefix + k
+    return Scalar.rational(1, den)
 
 
-def _u_poly_pow(base: Dict[Tuple[int, ...], Fraction], power: int,
-                nvars: int) -> Dict[Tuple[int, ...], Fraction]:
-    out = {(0,) * nvars: Fraction(1)}
+def _u_poly_pow(base: Dict[Tuple[int, ...], int], power: int,
+                nvars: int) -> Dict[Tuple[int, ...], int]:
+    out = {(0,) * nvars: 1}
     for _ in range(power):
-        nxt: Dict[Tuple[int, ...], Fraction] = {}
+        nxt: Dict[Tuple[int, ...], int] = {}
         for m1, c1 in out.items():
             for m2, c2 in base.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                nxt[m] = nxt.get(m, Fraction(0)) + c1 * c2
+                nxt[m] = nxt.get(m, 0) + c1 * c2
         out = {m: c for m, c in nxt.items() if c}
     return out
 
 
-def _linear_factor(i: int, j: int, nvars: int) -> Dict[Tuple[int, ...], Fraction]:
+def _linear_factor(i: int, j: int, nvars: int) -> Dict[Tuple[int, ...], int]:
     """1 + 2 u_i - 2 u_j as a u-polynomial (u_0 = 0 is absent)."""
     zero = (0,) * nvars
-    out = {zero: Fraction(1)}
+    out = {zero: 1}
     if i >= 1:
         m = tuple(1 if k == i - 1 else 0 for k in range(nvars))
-        out[m] = out.get(m, Fraction(0)) + 2
+        out[m] = out.get(m, 0) + 2
     m = tuple(1 if k == j - 1 else 0 for k in range(nvars))
-    out[m] = out.get(m, Fraction(0)) - 2
+    out[m] = out.get(m, 0) - 2
     return {m: c for m, c in out.items() if c}
 
 
-def _integrate_u_poly(poly: Dict[Tuple[int, ...], Fraction]) -> Scalar:
+def _integrate_u_poly(poly: Dict[Tuple[int, ...], int]) -> Scalar:
     total = Scalar.of(0)
     for m, c in poly.items():
         total = total + simplex_moment(m).scale_fraction(c)
@@ -122,20 +121,20 @@ def ffs_build(n: int, degree_budget: int) -> FFSSymbol:
     coeffs = []
     for mono in _w_monomials(pairs, weights, max_order):
         total_order = sum(c for _, c in mono)
-        upoly: Dict[Tuple[int, ...], Fraction] = {(0,) * m: Fraction(1)}
+        upoly: Dict[Tuple[int, ...], int] = {(0,) * m: 1}
         denom = 1
         for (i, j), count in mono:
             upoly_factor = _u_poly_pow(_linear_factor(i, j, m), count, m)
-            nxt: Dict[Tuple[int, ...], Fraction] = {}
+            nxt: Dict[Tuple[int, ...], int] = {}
             for m1, c1 in upoly.items():
                 for m2, c2 in upoly_factor.items():
                     key = tuple(a + b for a, b in zip(m1, m2))
-                    nxt[key] = nxt.get(key, Fraction(0)) + c1 * c2
+                    nxt[key] = nxt.get(key, 0) + c1 * c2
             upoly = {k: c for k, c in nxt.items() if c}
             denom *= factorial(count)
         coeff = _integrate_u_poly(upoly)
         coeff = coeff * (I ** total_order)
-        coeff = coeff.scale_fraction(Fraction(1, denom))
+        coeff = coeff.scale_fraction(1, denom)
         if not coeff.is_zero():
             coeffs.append((mono, coeff))
     return FFSSymbol(n, degree_budget, tuple(coeffs))
@@ -255,9 +254,7 @@ def _apply_operator(op_poly: Poly, args: Sequence[WeylElement],
             if c is None:
                 dead = True
                 break
-            for e in alpha.values():
-                c = c.scale_fraction(Fraction(factorial(e)))
-            value = value * c
+            value = value * c.scale_fraction(prod(map(factorial, alpha.values())))
         if not dead:
             out = out + Poly.monomial(output, value)
     return out
@@ -285,10 +282,10 @@ def _operator_for(ambient: SymplecticData, mono: WMono) -> Poly:
 def ffs_apply(symbol: FFSSymbol, args: Sequence[WeylElement],
               d_out: Optional[int] = None) -> WeylElement:
     """Evaluate the cocycle on 2n arguments; exact polynomial output."""
-    ambient = args[0].ambient
     m = 2 * symbol.n
     if len(args) != m:
         raise ValueError(f"expected {m} arguments, got {len(args)}")
+    ambient = args[0].ambient
     if any(a.truncation is not None for a in args):
         raise InsufficientExpansionError("arguments must be exact polynomials")
     degrees = [a.degree() for a in args]
@@ -337,7 +334,7 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
         for op_mono, op_coeff in op.terms.items():
             output = []
             alphas: Dict[int, list] = {mu: [] for mu in range(1, m + 1)}
-            weight = ONE
+            weight = 1
             ok = True
             for bank, idx, exp in op_mono:
                 if idx <= m:
@@ -345,7 +342,7 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
                 else:
                     mu, j = divmod(idx - 1, m)
                     alphas[mu].append((Y, j + 1, exp))
-                    weight = weight.scale_fraction(Fraction(factorial(exp)))
+                    weight *= factorial(exp)
             key_parts = []
             for mu in range(1, m + 1):
                 part = tuple(sorted(alphas[mu], key=lambda t: t[1]))
@@ -356,7 +353,7 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
             if not ok:
                 continue
             key = tuple(key_parts)
-            add = Poly.monomial(output, coeff * op_coeff * weight)
+            add = Poly.monomial(output, (coeff * op_coeff).scale_fraction(weight))
             prev = table.get(key)
             table[key] = add if prev is None else prev + add
     return {k: p for k, p in table.items() if not p.is_zero()}
@@ -385,11 +382,11 @@ def ffs_hypercube_n1(args: Sequence[WeylElement],
     Expands exp(i [ W01 (1 - 2 t0 t1) + W02 (1 - 2 t0) + W12 (1 - 2 t0 + 2 t0 t1) ])
     against the Jacobian factor t0, integrating each t-monomial exactly.
     """
+    if len(args) != 2:
+        raise ValueError("expected 2 arguments")
     ambient = args[0].ambient
     if ambient.n != 1:
         raise ValueError("the unit-square route is specific to n = 1")
-    if len(args) != 2:
-        raise ValueError("expected 2 arguments")
     degrees = [a.degree() for a in args]
     total = sum(degrees)
 
@@ -417,7 +414,7 @@ def ffs_hypercube_n1(args: Sequence[WeylElement],
                 coeff = tpoly.integrate_unit(1).integrate_unit(2).constant_term()
                 order = m01 + m02 + m12
                 coeff = coeff * (I ** order)
-                coeff = coeff.scale_fraction(Fraction(1, denom))
+                coeff = coeff.scale_fraction(1, denom)
                 if coeff.is_zero():
                     continue
                 mono = tuple((pair, c) for pair, c in sorted(counts.items()) if c)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -307,7 +306,7 @@ def theta_element(ambient: SymplecticData, g: GroupElement,
     term = Poly.one()
     k = 0
     while 2 * k <= truncation:
-        acc = acc + term.scale(Scalar(Fraction(1, factorial(k))))
+        acc = acc + term.scale(Scalar.rational(1, factorial(k)))
         term = term * exponent
         k += 1
     return WeylElement(acc.truncate(truncation), ambient, truncation)

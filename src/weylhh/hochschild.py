@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -286,7 +285,7 @@ def wedge_eval(f: Cochain, args: Sequence[WeylElement]):
         if sign < 0:
             term = _scale_value(term, Scalar.of(-1))
         total = term if total is None else total + term
-    return _scale_value(total, Scalar.of(Fraction(1, factorial(p))))
+    return _scale_value(total, Scalar.rational(1, factorial(p)))
 
 
 def _perm_sign(perm: Sequence[int]) -> int:

@@ -18,7 +18,6 @@ polynomials always produce byte-identical JSON.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar
@@ -85,6 +84,15 @@ def _mono_degree(m: Mono) -> int:
 
 def _mono_key(m: Mono) -> tuple:
     return (_mono_degree(m), tuple((_BANK_ORDER[b], i, e) for b, i, e in m))
+
+
+def _exp_from_json(e) -> Tuple[str, int, int]:
+    if (isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
+            and e[0] in _BANK_ORDER
+            and all(type(x) is int and x >= 1 for x in e[1:])):
+        return e[0], e[1], e[2]
+    raise ValueError(
+        f"exponent entry must be [bank, index >= 1, exponent >= 1], got {e!r}")
 
 
 class Poly:
@@ -231,7 +239,7 @@ class Poly:
         for m, c in self.terms.items():
             for pos, (b, i, e) in enumerate(m):
                 if b == bank and i == index:
-                    nc = c * Scalar.rational(e)
+                    nc = c if e == 1 else c.scale_fraction(e)
                     rest = m[:pos] + ((b, i, e - 1),) + m[pos + 1:]
                     nm = _mono_sorted(rest)
                     s = out.get(nm)
@@ -282,7 +290,7 @@ class Poly:
                     e_var = e
                 else:
                     rest.append((b, i, e))
-            nc = c * Scalar(Fraction(1, e_var + 1))
+            nc = c.scale_fraction(1, e_var + 1)
             nm = _mono_sorted(rest)
             s = out.get(nm)
             nc = nc if s is None else s + nc
@@ -388,13 +396,19 @@ class Poly:
         ]}
 
     @staticmethod
-    def from_json(obj: dict) -> "Poly":
-        out = Poly()
+    def from_json(obj) -> "Poly":
+        """Parse the JSON form, summing repeated monomials; ValueError if malformed."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
+            raise ValueError(f"polynomial must be {{'terms': [...]}}, got {obj!r}")
+        out: Dict[Mono, Scalar] = {}
         for t in obj["terms"]:
-            coeff = Scalar.from_json(t["coeff"])
-            mono = [(str(b), int(i), int(e)) for b, i, e in t["exps"]]
-            out = out + Poly.monomial(mono, coeff)
-        return out
+            if not isinstance(t, dict) or not isinstance(t.get("exps"), list):
+                raise ValueError(f"term must be {{'coeff': ..., 'exps': [...]}}, got {t!r}")
+            coeff = Scalar.from_json(t.get("coeff"))
+            m = _mono_sorted(_exp_from_json(e) for e in t["exps"])
+            s = out.get(m)
+            out[m] = coeff if s is None else s + coeff
+        return Poly({m: c for m, c in out.items() if not c.is_zero()})
 
     def __str__(self) -> str:
         if not self.terms:

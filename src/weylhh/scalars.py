@@ -1,66 +1,153 @@
 """Exact Gaussian-rational scalars.
 
-A scalar is re + im*i with both parts arbitrary-precision rationals.  This is
-the coefficient field for every other module; nothing downstream touches
-floating point.  Fractions keep themselves in lowest terms with positive
-denominators, so no extra normalization pass is needed.
+A scalar is (re_num + im_num*i) / den, stored as the integer triple
+(re_num, im_num, den) in canonical form:
+
+    den > 0  and  gcd(re_num, im_num, den) == 1.
+
+Every value has exactly one such triple (zero is (0, 0, 1)), so equality and
+hashing are those of the triple: structural, with no normalisation at compare
+time.  Each operation does plain integer arithmetic and restores the form with
+one three-way gcd; it builds no Fractions.  `.re` and `.im` hand out the parts
+as Fractions for readers; the JSON form reduces each part on its own, exactly
+as a Fraction prints.
+
+This is the coefficient field for every other module; nothing downstream
+touches floating point.  Values are immutable tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 RationalLike = Union[int, Fraction]
 
-_F0 = Fraction(0)
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Scalar:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+def _reduced(re: int, im: int, den: int) -> "Scalar":
+    """The canonical triple of (re + im*i)/den, for den > 0."""
+    if den == 1:
+        return _new(Scalar, (re, im, 1))
+    g = gcd(re, im, den)
+    if g == 1:
+        return _new(Scalar, (re, im, den))
+    return _new(Scalar, (re // g, im // g, den // g))
+
+
+def _canonical(re: int, im: int, den: int) -> "Scalar":
+    if den == 0:
+        raise ValueError("zero denominator")
+    if den < 0:
+        re, im, den = -re, -im, -den
+    return _reduced(re, im, den)
+
+
+def _rational_parts(x) -> tuple:
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    raise ValueError(f"scalar part must be an int or a Fraction, got {x!r}")
+
+
+def _json_integer(x) -> int:
+    if isinstance(x, str) or type(x) is int:
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise ValueError(f"scalar part {x!r} is not an integer")
+
+
+def _json_fraction(part) -> tuple:
+    if not isinstance(part, list) or len(part) != 2:
+        raise ValueError(f"scalar part must be [numerator, denominator], got {part!r}")
+    num, den = _json_integer(part[0]), _json_integer(part[1])
+    if den == 0:
+        raise ValueError(f"zero denominator in scalar part {part!r}")
+    return num, den
+
+
+def _unordered(self, other):
+    return NotImplemented
+
+
+class Scalar(tuple):
+    """(re_num + im_num*i) / den as its canonical integer triple."""
+
+    __slots__ = ()
+
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0) -> "Scalar":
+        rn, rd = _rational_parts(re)
+        in_, id_ = _rational_parts(im)
+        return _reduced(rn * id_, in_ * rd, rd * id_)
 
     @staticmethod
     def of(re: RationalLike = 0, im: RationalLike = 0) -> "Scalar":
-        return Scalar(Fraction(re), Fraction(im))
+        return Scalar(re, im)
 
     @staticmethod
     def rational(num: int, den: int = 1) -> "Scalar":
-        return Scalar(Fraction(num, den))
+        if not isinstance(num, int) or not isinstance(den, int):
+            raise ValueError(f"rational({num!r}, {den!r}) needs integers")
+        return _canonical(num, 0, den)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self[0], self[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self[1], self[2])
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
+        a1, b1, d1 = self
+        a2, b2, d2 = other
+        if d1 == d2:
+            return _reduced(a1 + a2, b1 + b2, d1)
+        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
+        a1, b1, d1 = self
+        a2, b2, d2 = other
+        if d1 == d2:
+            return _reduced(a1 - a2, b1 - b2, d1)
+        return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        a, b, d = self
+        return _new(Scalar, (-a, -b, d))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        a1, b1, d1 = self
+        a2, b2, d2 = other
         # Purely real/imaginary factors dominate in practice; skip the dead
-        # Fraction work for them.
-        if self.im.numerator == 0:
-            if other.im.numerator == 0:
-                return Scalar(self.re * other.re, _F0)
-            return Scalar(self.re * other.re, self.re * other.im)
-        if other.im.numerator == 0:
-            return Scalar(self.re * other.re, self.im * other.re)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        # products for them.
+        if b1:
+            if b2:
+                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            else:
+                re, im = a1 * a2, b1 * a2
+        else:
+            re, im = a1 * a2, a1 * b2
+        # _reduced, inlined: this is the hottest call in the package.
+        d = d1 * d2
+        if d == 1:
+            return _new(Scalar, (re, im, 1))
+        g = gcd(re, im, d)
+        if g == 1:
+            return _new(Scalar, (re, im, d))
+        return _new(Scalar, (re // g, im // g, d // g))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        norm = other.re * other.re + other.im * other.im
+        a1, b1, d1 = self
+        a2, b2, d2 = other
+        norm = a2 * a2 + b2 * b2
         if norm == 0:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                        d1 * norm)
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
@@ -74,40 +161,62 @@ class Scalar:
             k >>= 1
         return out
 
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+    # Tuple repetition and ordering mean nothing for a field element.
+    __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
-    def scale_fraction(self, f: Fraction) -> "Scalar":
-        return Scalar(self.re * f, self.im * f)
+    def conjugate(self) -> "Scalar":
+        a, b, d = self
+        return _new(Scalar, (a, -b, d))
+
+    def scale_fraction(self, f: RationalLike, den: int = 1) -> "Scalar":
+        """self * f / den for an int or Fraction f and an int den.
+
+        The one rational scaling path: callers scaling by k or 1/k! pass
+        integers and no Fraction is built.
+        """
+        a, b, d = self
+        num = f.numerator
+        den *= f.denominator
+        if den > 0:
+            return _reduced(a * num, b * num, d * den)
+        if den == 0:
+            raise ZeroDivisionError("scaling by 1/0")
+        return _reduced(-a * num, -b * num, -d * den)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self[0] == 0 and self[1] == 0
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self[0] != 0 or self[1] != 0
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
+    def __reduce__(self):
+        return (Scalar, (self.re, self.im))
+
     def to_json(self) -> dict:
-        return {
-            "re": [str(self.re.numerator), str(self.re.denominator)],
-            "im": [str(self.im.numerator), str(self.im.denominator)],
-        }
+        a, b, d = self
+        g, h = gcd(a, d), gcd(b, d)
+        return {"re": [str(a // g), str(d // g)],
+                "im": [str(b // h), str(d // h)]}
 
     @staticmethod
-    def from_json(obj: dict) -> "Scalar":
-        re = Fraction(int(obj["re"][0]), int(obj["re"][1]))
-        im = Fraction(int(obj["im"][0]), int(obj["im"][1]))
-        return Scalar(re, im)
+    def from_json(obj) -> "Scalar":
+        if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
+            raise ValueError(f"scalar must be {{'re': [n, d], 'im': [n, d]}}, got {obj!r}")
+        rn, rd = _json_fraction(obj["re"])
+        in_, id_ = _json_fraction(obj["im"])
+        return _canonical(rn * id_, in_ * rd, rd * id_)
 
 
 ZERO = Scalar.of(0)

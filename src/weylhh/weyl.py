@@ -269,7 +269,7 @@ def _star_kernel(p: Poly, q: Poly, sym: SymplecticData, right_z: bool) -> Poly:
                 if cq.is_zero():
                     break
                 order += 1
-                cc = cc * I / Scalar.rational(order)
+                cc = (cc * I).scale_fraction(1, order)
                 stack.append((j + 1, cp, cq, cc))
     return Poly(acc)
 

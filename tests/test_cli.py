@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from weylhh.cli import main
 
 Y1 = {"terms": [{"coeff": {"re": ["1", "1"], "im": ["0", "1"]},
@@ -128,4 +130,57 @@ def test_text_and_json_agree(capsys):
 def test_usage_error_exit_code(capsys):
     code, _ = run(capsys, "smash", "dims", "--group",
                   json.dumps({"preset": "unknown"}))
+    assert code == 2
+
+
+# -- malformed input exits 2 (usage error), never 1 (a failed identity) --------
+
+def _poly(exps, coeff=None):
+    return {"terms": [{"coeff": coeff or {"re": ["1", "1"], "im": ["0", "1"]},
+                       "exps": exps}]}
+
+
+EMPTY = {"terms": []}
+
+
+@pytest.mark.parametrize("payload", [
+    # zero denominator in a coefficient
+    '{"n":1,"a":{"terms":[{"coeff":{"re":["1","0"],"im":["0","1"]},'
+    '"exps":[["Y",1,1]]}]},"b":{"terms":[]}}',
+    # negative exponent, index 0, a bank other than Y or Z
+    json.dumps({"n": 1, "a": _poly([["Y", 1, -2]]), "b": Y1}),
+    json.dumps({"n": 1, "a": _poly([["Y", 0, 1]]), "b": Y1}),
+    json.dumps({"n": 1, "a": _poly([["T", 1, 1]]), "b": Y1}),
+    # n below 1, a top-level list
+    json.dumps({"n": 0, "a": EMPTY, "b": EMPTY}),
+    json.dumps([{"n": 1, "a": Y1, "b": Y2}]),
+])
+def test_star_rejects_malformed_payload(capsys, payload):
+    assert main(["star", payload]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("payload", [
+    json.dumps({"n": 0, "args": []}),
+    json.dumps({"n": 1, "args": [_poly([["Y", 1, -2]]), Y2]}),
+    json.dumps([Y1, Y2]),
+    json.dumps({"n": 1, "args": Y1}),
+    json.dumps({"n": 1, "args": []}),
+])
+def test_ffs_eval_rejects_malformed_args(capsys, payload):
+    assert main(["ffs", "eval", "--args", payload]) == 2
+
+
+@pytest.mark.parametrize("twist", [
+    '{"diag":["1/0","1"]}', '{"diag":["1.5","1"]}', '{"diag":"-1"}',
+    # not symplectic; wrong size; a preset without an element
+    '{"diag":["2","2"]}', '{"diag":["-1","-1","-1","-1"]}',
+    '{"preset":"higher-spin-4d"}',
+])
+def test_descent_twist_rejects_malformed_spec(capsys, twist):
+    n = 2 if "preset" in twist else 1
+    args = [Y1] * (2 * n)
+    code = main(["descent", "eval", "--args", json.dumps({"n": n, "args": args}),
+                 "--twist", twist])
     assert code == 2

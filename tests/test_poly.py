@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from weylhh.poly import Poly, T, Y, Z
 from weylhh.scalars import ONE, Scalar
 
@@ -131,3 +133,30 @@ def test_no_zero_terms_stored():
     assert p.terms == {}
     q = y(1) + y(2)
     assert all(not c.is_zero() for c in q.terms.values())
+
+
+def test_from_json_merges_repeated_monomials():
+    c = {"re": ["1", "2"], "im": ["0", "1"]}
+    minus = {"re": ["-1", "2"], "im": ["0", "1"]}
+    obj = {"terms": [{"coeff": c, "exps": [["Y", 1, 1]]},
+                     {"coeff": c, "exps": [["Z", 2, 1], ["Y", 1, 1]]},
+                     {"coeff": c, "exps": [["Y", 1, 1]]},
+                     {"coeff": minus, "exps": [["Y", 1, 1], ["Z", 2, 1]]}]}
+    assert Poly.from_json(obj) == Poly.monomial([(Y, 1, 1)])
+
+
+@pytest.mark.parametrize("exps", [
+    [["Y", 1, -2]], [["Y", 1, 0]], [["Y", 0, 1]], [["Y", -3, 1]],
+    [["X", 1, 1]], [[["Y"], 1, 1]], [["Y", 1]], [["Y", 1, 1.5]], [["Y", "1", 1]],
+])
+def test_from_json_rejects_bad_exponents(exps):
+    coeff = {"re": ["1", "1"], "im": ["0", "1"]}
+    with pytest.raises(ValueError):
+        Poly.from_json({"terms": [{"coeff": coeff, "exps": exps}]})
+
+
+@pytest.mark.parametrize("obj", [[], {"terms": {}}, {"terms": [[]]},
+                                 {"terms": [{"exps": []}]}])
+def test_from_json_rejects_bad_shapes(obj):
+    with pytest.raises(ValueError):
+        Poly.from_json(obj)
