@@ -138,8 +138,9 @@ def _scalar_from(obj) -> Scalar:
 
 
 def _suite(name: str, checked: int, passed: int, detail=None) -> dict:
+    # A suite that checked nothing proved nothing: it is not ok.
     out = {"name": name, "checked": checked, "passed": passed,
-           "ok": checked == passed}
+           "ok": checked > 0 and checked == passed}
     if detail is not None:
         out["detail"] = detail
     return out
@@ -354,6 +355,16 @@ def cmd_simplex_fuzz(ns) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low (usage error otherwise)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylhh",
@@ -363,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run every verification suite")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--samples", type=_int_at_least(1), default=25)
+    p.add_argument("--degree", type=_int_at_least(0), default=3)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify_all)
 
@@ -409,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     x_sub = p.add_subparsers(dest="simplex_command", required=True)
     pf = x_sub.add_parser("fuzz")
     pf.add_argument("--dim", type=int, choices=(2, 4), required=True)
-    pf.add_argument("--count", type=int, default=100)
+    pf.add_argument("--count", type=_int_at_least(1), default=100)
     pf.add_argument("--seed", type=int, default=_default_seed())
     pf.add_argument("--report")
     pf.set_defaults(fn=cmd_simplex_fuzz)

@@ -16,7 +16,12 @@ budget it was built for.
 Applying the symbol happens on disjoint variable copies: argument mu lives
 on Y-bank indices mu*2n + 1 .. mu*2n + 2n, the output on indices 1..2n, and
 a product of derivative symbols evaluated at y_mu = 0 turns into exponent
-bookkeeping against the argument coefficients.
+bookkeeping against the argument coefficients.  Each symbol monomial's
+operator is built once, its monomials packed into ints (one bit field per
+variable, so a product adds keys) and grouped by their per-slot derivative
+multi-index alpha, which pairs only with the argument terms y^alpha_mu
+(weighted by alpha_mu!).  ffs_apply combines only argument terms of the right
+degree and looks their summed key up; monomial_table reads the index itself.
 
 A second, independent route for n = 1 integrates over the unit square after
 the substitution u_1 = t_0 t_1, u_2 = t_0 (Jacobian t_0); the two must agree
@@ -35,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InsufficientExpansionError
 from .linalg import mat_mul, mat_transpose
 from .poly import Poly, T, Y
-from .scalars import I, Scalar
+from .scalars import I, ONE, Scalar
 from .weyl import SymplecticData, WeylElement
 
 Pair = Tuple[int, int]
@@ -224,59 +229,137 @@ def _pair_operator(sym: SymplecticData, i: int, j: int) -> Poly:
     return out
 
 
-def _apply_operator(op_poly: Poly, args: Sequence[WeylElement],
-                    sym: SymplecticData) -> Poly:
-    """Contract an operator polynomial against the argument coefficients.
-
-    A monomial of op_poly splits into the output-y part (indices <= 2n) and,
-    per argument copy mu, a derivative multi-index alpha_mu; it contributes
-    prod_mu alpha_mu! * coeff_{alpha_mu}(a_mu) times the output monomial.
-    """
-    m = 2 * sym.n
-    out = Poly.zero()
-    for mono, coeff in op_poly.terms.items():
-        output = []
-        alphas: Dict[int, Dict[int, int]] = {}
-        for bank, idx, exp in mono:
-            if idx <= m:
-                output.append((bank, idx, exp))
-            else:
-                mu, j = divmod(idx - 1, m)
-                alphas.setdefault(mu, {})[j + 1] = exp
-        value = coeff
-        dead = False
-        for mu, arg in enumerate(args, start=1):
-            alpha = alphas.get(mu, {})
-            target = tuple(sorted(
-                ((Y, j, e) for j, e in alpha.items()),
-                key=lambda t: t[1]))
-            c = arg.poly.terms.get(target)
-            if c is None:
-                dead = True
-                break
-            value = value * c.scale_fraction(prod(map(factorial, alpha.values())))
-        if not dead:
-            out = out + Poly.monomial(output, value)
-    return out
+# Packed monomials: Y-bank variable idx (the output at 1..2n, copy mu at
+# mu*2n + 1 .. mu*2n + 2n) owns bits [(idx - 1) * _BITS, idx * _BITS) of one
+# int, so multiplying two monomials is adding their keys.
+_BITS = 8
+_FIELD = 1 << _BITS
 
 
-_op_cache: Dict[tuple, Poly] = {}
+def _pack(mono) -> int:
+    return sum(e << ((idx - 1) * _BITS) for _, idx, e in mono)
 
 
-def _operator_for(ambient: SymplecticData, mono: WMono) -> Poly:
+def _unpack(key: int) -> tuple:
+    """The Y monomial of a key packed from index 1; inverse of _pack."""
+    exps = []
+    while key:
+        exps.append(key & (_FIELD - 1))
+        key >>= _BITS
+    return tuple((Y, idx, e) for idx, e in enumerate(exps, start=1) if e)
+
+
+class PackedOperator:
+    """An operator indexed by the packed copy part of its monomials (their
+    per-slot derivative multi-index): terms maps it to the flat tuple
+    (output key, coeff, output key, coeff, ...)."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Dict[int, tuple]):
+        self.terms = terms
+
+
+def _times(base: Dict[int, tuple], factor: Poly, m: int) -> Dict[int, tuple]:
+    """Grouped product of a packed operator with an operator polynomial."""
+    packed = [(_pack(mono), c) for mono, c in factor.terms.items()]
+    terms: Dict[int, Scalar] = {}
+    for copy_key, flat in base.items():
+        for key0, c0 in zip(flat[::2], flat[1::2]):
+            key0 += copy_key
+            for k, c in packed:
+                k += key0
+                c = c0 * c
+                prev = terms.get(k)
+                terms[k] = c if prev is None else prev + c
+    out_mask = (1 << (m * _BITS)) - 1
+    groups: Dict[int, list] = {}
+    for k, c in terms.items():
+        if c:
+            out = k & out_mask
+            groups.setdefault(k - out, []).extend((out, c))
+    return {k: tuple(v) for k, v in groups.items()}
+
+
+_op_cache: Dict[tuple, PackedOperator] = {}
+
+
+def _operator_for(ambient: SymplecticData, mono: WMono) -> PackedOperator:
     """det(p_1..p_2n) times the W factors of a symbol monomial, cached."""
     key = (ambient, mono)
     op = _op_cache.get(key)
     if op is None:
+        # No exponent of the operator exceeds the symbol order + 1; a field
+        # that reached _FIELD would carry into its neighbour.
+        order = sum(c for _, c in mono)
+        if order + 1 >= _FIELD:
+            raise ValueError(f"symbol order {order} overflows the "
+                             f"{_BITS}-bit exponent fields")
         if mono:
             head = mono[:-1]
             pair, count = mono[-1]
             reduced = head + ((pair, count - 1),) if count > 1 else head
-            op = _operator_for(ambient, reduced) * _pair_operator(ambient, *pair)
+            base = _operator_for(ambient, reduced).terms
+            factor = _pair_operator(ambient, *pair)
         else:
-            op = _det_operator(ambient)
+            base = {0: (0, ONE)}
+            factor = _det_operator(ambient)
+        op = PackedOperator(_times(base, factor, 2 * ambient.n))
         _op_cache[key] = op
     return op
+
+
+def _slot_degrees(mono: WMono, m: int) -> List[int]:
+    """The derivative degree every operator term for mono has on each slot."""
+    need = [1] * m
+    for (i, j), count in mono:
+        if i:
+            need[i - 1] += count
+        need[j - 1] += count
+    return need
+
+
+def _slot_terms(args: Sequence[WeylElement]) -> List[Dict[int, list]]:
+    """Per argument, its terms by degree as (key on its copy, coeff * alpha!)."""
+    m = len(args)
+    slots = []
+    for mu, arg in enumerate(args, start=1):
+        shift = mu * m * _BITS
+        by_degree: Dict[int, list] = {}
+        for mono, c in arg.poly.terms.items():
+            exps = [e for _, _, e in mono]
+            by_degree.setdefault(sum(exps), []).append(
+                (_pack(mono) << shift, c.scale_fraction(prod(map(factorial, exps)))))
+        slots.append(by_degree)
+    return slots
+
+
+def _contract(slots: List[Dict[int, list]], ambient: SymplecticData,
+              mono: WMono, coeff: Scalar, acc: Dict[int, Scalar]) -> None:
+    """Add coeff times the operator for mono, applied to the slot terms, to acc.
+
+    Only argument terms of the operator's per-slot degrees are combined; no
+    operator is built when some slot has none.
+    """
+    terms = [slot.get(d) for slot, d in zip(slots, _slot_degrees(mono, len(slots)))]
+    if None in terms:
+        return
+    index = _operator_for(ambient, mono).terms
+    for combo in itertools.product(*terms):
+        flat = index.get(sum(k for k, _ in combo))
+        if flat is None:
+            continue
+        value = coeff
+        for _, c in combo:
+            value = value * c
+        for out, c in zip(flat[::2], flat[1::2]):
+            c = value * c
+            prev = acc.get(out)
+            acc[out] = c if prev is None else prev + c
+
+
+def _output_poly(acc: Dict[int, Scalar]) -> Poly:
+    return Poly({_unpack(k): c for k, c in acc.items() if c})
 
 
 def ffs_apply(symbol: FFSSymbol, args: Sequence[WeylElement],
@@ -293,17 +376,11 @@ def ffs_apply(symbol: FFSSymbol, args: Sequence[WeylElement],
         raise InsufficientExpansionError(
             f"symbol built for total degree {symbol.budget}, "
             f"arguments have total degree {sum(degrees)}")
-    result = Poly.zero()
+    slots = _slot_terms(args)
+    acc: Dict[int, Scalar] = {}
     for mono, coeff in symbol.coeffs:
-        consumption = [0] * (m + 1)
-        for (i, j), count in mono:
-            if i >= 1:
-                consumption[i] += count
-            consumption[j] += count
-        if any(consumption[mu] + 1 > degrees[mu - 1] for mu in range(1, m + 1)):
-            continue
-        op = _operator_for(ambient, mono)
-        result = result + _apply_operator(op, args, ambient).scale(coeff)
+        _contract(slots, ambient, mono, coeff, acc)
+    result = _output_poly(acc)
     if d_out is not None and result.degree() > d_out:
         raise InsufficientExpansionError(
             f"result degree {result.degree()} exceeds requested bound {d_out}")
@@ -314,49 +391,35 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
                    slot_degree: int) -> Dict[tuple, Poly]:
     """Values on every tuple of basis monomials with per-slot degree bound.
 
-    One pass over the operator terms fills the whole table: an operator term
-    pairs nonzero only with the argument tuple whose slots are exactly its
-    per-copy derivative monomials, contributing the term's coefficient times
-    the factorials of the exponents.  Absent keys mean the value is zero;
+    A read of the operator index: the packed copy key of an operator group is
+    the one tuple of basis monomials (one per slot) the group pairs with, and
+    it contributes the symbol coefficient times each output term, times the
+    factorials of the copy exponents.  Absent keys mean the value is zero;
     ffs_apply on the same tuple agrees entry by entry.
     """
     m = 2 * symbol.n
-    table: Dict[tuple, Poly] = {}
+    rows: Dict[int, Dict[int, Scalar]] = {}
     for mono, coeff in symbol.coeffs:
-        consumption = [0] * (m + 1)
-        for (i, j), count in mono:
-            if i >= 1:
-                consumption[i] += count
-            consumption[j] += count
-        if any(consumption[mu] + 1 > slot_degree for mu in range(1, m + 1)):
+        if max(_slot_degrees(mono, m)) > slot_degree:
             continue
-        op = _operator_for(ambient, mono)
-        for op_mono, op_coeff in op.terms.items():
-            output = []
-            alphas: Dict[int, list] = {mu: [] for mu in range(1, m + 1)}
-            weight = 1
-            ok = True
-            for bank, idx, exp in op_mono:
-                if idx <= m:
-                    output.append((bank, idx, exp))
-                else:
-                    mu, j = divmod(idx - 1, m)
-                    alphas[mu].append((Y, j + 1, exp))
-                    weight *= factorial(exp)
-            key_parts = []
-            for mu in range(1, m + 1):
-                part = tuple(sorted(alphas[mu], key=lambda t: t[1]))
-                if sum(e for _, _, e in part) > slot_degree:
-                    ok = False
-                    break
-                key_parts.append(part)
-            if not ok:
-                continue
-            key = tuple(key_parts)
-            add = Poly.monomial(output, (coeff * op_coeff).scale_fraction(weight))
-            prev = table.get(key)
-            table[key] = add if prev is None else prev + add
-    return {k: p for k, p in table.items() if not p.is_zero()}
+        for copy_key, flat in _operator_for(ambient, mono).terms.items():
+            row = rows.setdefault(copy_key, {})
+            for out, c in zip(flat[::2], flat[1::2]):
+                c = coeff * c
+                prev = row.get(out)
+                row[out] = c if prev is None else prev + c
+    slot_mask = (1 << (m * _BITS)) - 1
+    table: Dict[tuple, Poly] = {}
+    while rows:  # popping frees each row as its table entry is made
+        copy_key, row = rows.popitem()
+        key = tuple(_unpack((copy_key >> (mu * m * _BITS)) & slot_mask)
+                    for mu in range(1, m + 1))
+        weight = prod(factorial(e) for part in key for _, _, e in part)
+        poly = _output_poly({out: c.scale_fraction(weight)
+                             for out, c in row.items()})
+        if poly:
+            table[key] = poly
+    return table
 
 
 def ffs_cocycle(sym: SymplecticData, budget_hint: int = 0):
@@ -397,7 +460,8 @@ def ffs_hypercube_n1(args: Sequence[WeylElement],
         (0, 2): Poly.one() - t0.scale(Scalar.of(2)),
         (1, 2): Poly.one() - t0.scale(Scalar.of(2)) + (t0 * t1).scale(Scalar.of(2)),
     }
-    result = Poly.zero()
+    slots = _slot_terms(args)
+    acc: Dict[int, Scalar] = {}
     max_order = max(0, total - 2)
     for m01 in range(max_order + 1):
         for m02 in range(max_order + 1 - m01):
@@ -418,8 +482,8 @@ def ffs_hypercube_n1(args: Sequence[WeylElement],
                 if coeff.is_zero():
                     continue
                 mono = tuple((pair, c) for pair, c in sorted(counts.items()) if c)
-                op = _operator_for(ambient, mono)
-                result = result + _apply_operator(op, args, ambient).scale(coeff)
+                _contract(slots, ambient, mono, coeff, acc)
+    result = _output_poly(acc)
     if d_out is not None and result.degree() > d_out:
         raise InsufficientExpansionError(
             f"result degree {result.degree()} exceeds requested bound {d_out}")

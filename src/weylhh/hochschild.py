@@ -210,7 +210,6 @@ class SampleSpec:
     count: int
     max_degree: int
     group: object = None
-    stratified: bool = True
 
 
 @dataclass

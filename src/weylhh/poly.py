@@ -18,7 +18,7 @@ polynomials always produce byte-identical JSON.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -319,14 +319,6 @@ class Poly:
             if not nc.is_zero():
                 out = out + Poly.monomial(rest, nc)
         return out
-
-    def map_coeffs(self, fn: Callable[[Scalar], Scalar]) -> "Poly":
-        out = {}
-        for m, c in self.terms.items():
-            nc = fn(c)
-            if not nc.is_zero():
-                out[m] = nc
-        return Poly(out)
 
     def flip_signs(self, banks: Sequence[str]) -> "Poly":
         """Substitute v -> -v for every variable of the given banks."""

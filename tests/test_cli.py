@@ -184,3 +184,35 @@ def test_descent_twist_rejects_malformed_spec(capsys, twist):
     code = main(["descent", "eval", "--args", json.dumps({"n": n, "args": args}),
                  "--twist", twist])
     assert code == 2
+
+
+# -- sizes: a count below 1 or a degree below 0 is a usage error -----------------
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all", "--samples", "-3", "--degree", "1"],
+    ["verify-all", "--samples", "0"],
+    ["verify-all", "--degree", "-1"],
+    ["simplex", "fuzz", "--dim", "2", "--count", "-5"],
+    ["simplex", "fuzz", "--dim", "2", "--count", "0"],
+])
+def test_negative_sizes_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_smallest_sizes_check_every_suite(capsys):
+    code, out = run(capsys, "--format", "json", "verify-all",
+                    "--samples", "1", "--degree", "0")
+    payload = json.loads(out)
+    assert code == 0 and payload["ok"]
+    assert all(s["checked"] > 0 for s in payload["suites"])
+
+
+def test_suite_that_checked_nothing_is_not_ok():
+    from weylhh.cli import _suite
+
+    assert not _suite("empty", 0, 0)["ok"]
+    assert _suite("one", 1, 1)["ok"]
+    assert not _suite("failed", 2, 1)["ok"]

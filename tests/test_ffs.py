@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
+from weylhh import ffs
 from weylhh.errors import InsufficientExpansionError
 from weylhh.ffs import (cached_symbol, ffs_apply, ffs_build, ffs_cocycle,
                         ffs_hypercube_n1, simplex_moment)
@@ -170,3 +172,111 @@ def test_flipped_convention_is_detected(sym1):
     y2 = WeylElement.generator(2, flipped)
     comm = star(y1, y2) - star(y2, y1)
     assert comm.poly == Poly.const(Scalar.of(0, -2))
+
+
+# -- the operator index against a term-by-term reference -----------------------
+
+
+def reference_apply(symbol, args):
+    """The cocycle by walking every term of the operator Poly products.
+
+    Independent of the packed index: each operator is det(p_1..p_2n) times
+    its pair factors as a Poly, and each of its terms is matched against the
+    argument coefficients, weighted by the factorials of its copy exponents.
+    """
+    ambient = args[0].ambient
+    m = 2 * ambient.n
+    degrees = [a.degree() for a in args]
+    out = Poly.zero()
+    for mono, coeff in symbol.coeffs:
+        need = [1] * (m + 1)  # need[0], the output, is not read
+        for (i, j), count in mono:
+            need[i] += count
+            need[j] += count
+        if any(need[mu] > degrees[mu - 1] for mu in range(1, m + 1)):
+            continue
+        op = ffs._det_operator(ambient)
+        for pair, count in mono:
+            for _ in range(count):
+                op = op * ffs._pair_operator(ambient, *pair)
+        for op_mono, op_coeff in op.terms.items():
+            output = [t for t in op_mono if t[1] <= m]
+            alphas = {mu: [] for mu in range(1, m + 1)}
+            for _, idx, e in op_mono:
+                if idx > m:
+                    mu, j = divmod(idx - 1, m)
+                    alphas[mu].append((Y, j + 1, e))
+            value = coeff * op_coeff
+            for mu, arg in enumerate(args, start=1):
+                c = arg.poly.terms.get(tuple(alphas[mu]))
+                if c is None:
+                    break
+                weight = prod(factorial(e) for _, _, e in alphas[mu])
+                value = value * c.scale_fraction(weight)
+            else:
+                out = out + Poly.monomial(output, value)
+    return WeylElement(out, ambient)
+
+
+def _oracle_tuples(rng, sym, count, max_degree, terms):
+    """Seeded mixed-degree tuples, plus tuples with a constant or a zero slot."""
+    m = 2 * sym.n
+    tuples = [[random_weyl(rng, sym, max_degree, terms) for _ in range(m)]
+              for _ in range(count)]
+    for special in (WeylElement.const(Scalar.of(2, -1), sym), WeylElement.zero(sym)):
+        tup = [random_weyl(rng, sym, max_degree, terms) for _ in range(m)]
+        tup[rng.randrange(m)] = special
+        tuples.append(tup)
+    return tuples
+
+
+def test_apply_matches_reference_contraction_n1(sym1):
+    rng = random.Random(101)
+    skew = SymplecticData.from_pi(1, [[Scalar.of(0), Scalar.of(2)],
+                                      [Scalar.of(-2), Scalar.of(0)]])
+    symbol = cached_symbol(1, 8)
+    nonzero = 0
+    for sym in (sym1, skew):
+        for args in _oracle_tuples(rng, sym, 12, 4, terms=4):
+            value = ffs_apply(symbol, args)
+            assert value == reference_apply(symbol, args)
+            nonzero += not value.is_zero()
+    for args in _oracle_tuples(rng, sym1, 12, 4, terms=4):
+        assert ffs_hypercube_n1(args) == reference_apply(symbol, args)
+    assert nonzero >= 12
+
+
+def test_apply_matches_reference_contraction_n2(sym2):
+    rng = random.Random(202)
+    symbol = cached_symbol(2, 8)
+    nonzero = 0
+    for args in _oracle_tuples(rng, sym2, 8, 2, terms=8):
+        value = ffs_apply(symbol, args)
+        assert value == reference_apply(symbol, args)
+        nonzero += not value.is_zero()
+    assert nonzero >= 4
+
+
+def test_operator_cache_contract():
+    # The benchmark tracer reads ffs._op_cache by identity, counts its
+    # entries and sums len(op.terms) over its values.
+    cache = ffs._op_cache
+    before = len(cache)
+    sym = SymplecticData.from_pi(1, [[Scalar.of(0), Scalar.of(3)],
+                                     [Scalar.of(-3), Scalar.of(0)]])
+    y1 = WeylElement.generator(1, sym)
+    y2 = WeylElement.generator(2, sym)
+    ffs_apply(cached_symbol(1, 4), [y1 + y2, y2])
+    assert ffs._op_cache is cache
+    new = [(key, op) for key, op in cache.items() if key[0] == sym]
+    assert len(cache) == before + len(new) and new
+    assert all(isinstance(mono, tuple) for (_, mono), _ in new)
+    assert sum(len(op.terms) for _, op in new) > 0
+
+
+def test_packed_field_overflow_is_refused(sym1):
+    before = len(ffs._op_cache)
+    mono = (((1, 2), ffs._FIELD - 1),)
+    with pytest.raises(ValueError, match="overflows"):
+        ffs._operator_for(sym1, mono)
+    assert len(ffs._op_cache) == before
