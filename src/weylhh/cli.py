@@ -6,6 +6,7 @@ Exit codes separate the interesting failure modes for CI:
     1  a mathematical identity failed (a theorem-level assertion broke)
     2  usage or configuration error
     3  expansion order / truncation budget insufficient
+    4  internal error (any other exception; traceback on stderr)
 
 Reports embed the artifact version and the full run configuration (seeds,
 degree bounds, budgets actually used) so any run can be reproduced from its
@@ -19,6 +20,7 @@ import json
 import os
 import random
 import sys
+import traceback
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
@@ -439,6 +441,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (WeylhhError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -5,11 +5,13 @@ coefficients in Y and Z.  The product combines the wedge of dz factors with
 a one-sided star: left derivatives act on y only, right derivatives on both
 y and z, so a polynomial left factor always terminates the expansion.
 
-The contraction homotopy s is the radial one: strip a dz index, substitute
-z -> t z, weigh by t^(q-1) and integrate t over [0, 1].  Together with the
-exterior differential d it satisfies s d + d s = id - p, where p projects a
-form onto the z-constant part of its 0-form component.  s also squares to
-zero.  The Hochschild-degree sign of the cochain-level differential lives in
+The contraction homotopy s is the radial one, computed in closed form: the
+integral over t in [0, 1] of z -> t z weighted by t^(q-1) sends a term of
+z-degree k in a q-form to 1/(k+q) times itself, and one dz index is stripped
+and re-enters as a z factor with the alternating sign.  No integration
+variable is ever introduced.  Together with the exterior differential d, s
+satisfies s d + d s = id - p, where p projects a form onto the z-constant
+part of its 0-form component.  s also squares to zero.  The Hochschild-degree sign of the cochain-level differential lives in
 the hochschild module; everything here is degree-agnostic.
 
 Truncation bookkeeping: a form with truncation D stores exactly the terms of
@@ -23,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import AmbientMismatchError, BudgetError, TContaminationError
-from .poly import Poly, T, Y, Z, fresh_t_index
+from .poly import Mono, Poly, T, Y, Z, _mono_mul
 from .scalars import ONE, Scalar
 from .weyl import SymplecticData, WeylElement, _min_trunc, _star_kernel
 
@@ -279,33 +281,33 @@ def ext_d(a: FormElement) -> FormElement:
 
 
 def homotopy_s(a: FormElement) -> FormElement:
-    """Radial contraction homotopy; zero on 0-forms.
+    """Radial contraction homotopy in closed form; zero on 0-forms.
 
-    Implemented through the T bank exactly as the z-scaling integral: the
-    coefficient of a q-form is taken at z -> t z, weighted by t^(q-1) and
-    integrated over the unit interval, while one dz index is stripped and
-    re-enters as a z factor with the alternating sign.
+    A term of z-degree k in a q-form gets the weight 1/(k+q), the value of
+    the unit-interval integral of t^(k+q-1).  Stripping the r-th dz index
+    (counted from 0) multiplies it by that z variable with sign (-1)^r.
     """
-    out: Dict[DzIndex, Poly] = {}
+    out: Dict[DzIndex, Dict[Mono, Scalar]] = {}
     for idx, poly in a.components.items():
         q = len(idx)
         if q == 0:
             continue
-        tvar = fresh_t_index()
-        tpoly = Poly.variable(T, tvar)
-        scaled = poly.subst_scale(Z, tpoly)
-        scaled = scaled * Poly.monomial([(T, tvar, q - 1)])
-        integrated = scaled.integrate_unit(tvar)
-        if integrated.has_bank(T):
-            raise TContaminationError("integration parameter survived homotopy")
-        for r, stripped in enumerate(idx):
-            rest = idx[:r] + idx[r + 1:]
-            term = integrated * Poly.variable(Z, stripped)
-            if r % 2:
-                term = -term
-            out[rest] = out.get(rest, Poly.zero()) + term
+        targets = [(out.setdefault(idx[:r] + idx[r + 1:], {}), ((Z, i, 1),), r % 2)
+                   for r, i in enumerate(idx)]
+        for m, c in poly.terms.items():
+            w = c.scale_fraction(1, q + sum(e for b, _, e in m if b == Z))
+            for acc, zvar, odd in targets:
+                nm = _mono_mul(m, zvar)
+                add = -w if odd else w
+                prev = acc.get(nm)
+                if prev is not None:
+                    add = prev + add
+                    if add.is_zero():
+                        del acc[nm]
+                        continue
+                acc[nm] = add
     t = None if a.truncation is None else a.truncation + 1
-    return FormElement(out, a.ambient, t)
+    return FormElement({i: Poly(terms) for i, terms in out.items()}, a.ambient, t)
 
 
 def proj_p(a: FormElement) -> FormElement:

@@ -79,7 +79,6 @@ def mat_rank(a) -> int:
     rows = [list(r) for r in a]
     n_rows, n_cols = len(rows), len(rows[0])
     rank = 0
-    pivot_col = 0
     for col in range(n_cols):
         pivot_row = None
         for r in range(rank, n_rows):
@@ -96,7 +95,6 @@ def mat_rank(a) -> int:
                 for c in range(col, n_cols):
                     rows[r][c] = rows[r][c] - factor * rows[rank][c]
         rank += 1
-        pivot_col = col
         if rank == n_rows:
             break
     return rank

@@ -9,7 +9,9 @@ Three variable banks exist:
 
 A monomial is a sorted tuple of (bank, index, exponent) triples; a polynomial
 is a map from monomials to nonzero Scalar coefficients.  Values are treated
-as immutable after construction and are safe to share across threads.
+as immutable after construction, so one value may be read from several
+threads; the package's memo caches (ffs `_symbol_cache` and `_op_cache`,
+`GaussianGenerator._expansions`, each `SuffixCache`) are unsynchronised.
 
 Serialization uses a graded-lex term order over (bank, index) so that equal
 polynomials always produce byte-identical JSON.
@@ -17,7 +19,6 @@ polynomials always produce byte-identical JSON.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar
@@ -29,13 +30,6 @@ T = "T"
 _BANK_ORDER = {Y: 0, Z: 1, T: 2}
 
 Mono = Tuple[Tuple[str, int, int], ...]
-
-_t_counter = itertools.count(1)
-
-
-def fresh_t_index() -> int:
-    """Allocate a new T-bank index from the monotone counter."""
-    return next(_t_counter)
 
 
 def _mono_sorted(triples: Iterable[Tuple[str, int, int]]) -> Mono:
@@ -235,49 +229,17 @@ class Poly:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, bank: str, index: int) -> "Poly":
+        """Partial derivative; lowering one exponent keeps the monomial canonical."""
         out: Dict[Mono, Scalar] = {}
         for m, c in self.terms.items():
             for pos, (b, i, e) in enumerate(m):
-                if b == bank and i == index:
-                    nc = c if e == 1 else c.scale_fraction(e)
-                    rest = m[:pos] + ((b, i, e - 1),) + m[pos + 1:]
-                    nm = _mono_sorted(rest)
-                    s = out.get(nm)
-                    out[nm] = nc if s is None else s + nc
+                if i == index and b == bank:
+                    if e == 1:
+                        out[m[:pos] + m[pos + 1:]] = c
+                    else:
+                        out[m[:pos] + ((b, i, e - 1),) + m[pos + 1:]] = c.scale_fraction(e)
                     break
-        return Poly({m: c for m, c in out.items() if not c.is_zero()})
-
-    def subst_scale(self, bank: str, factor: "Poly") -> "Poly":
-        """Replace every bank-variable v by factor*v (factor a T-bank poly)."""
-        if any(b != T for m in factor.terms for b, _, _ in m):
-            raise ValueError("scaling factor must live in the T bank")
-        single = None
-        if len(factor.terms) == 1:
-            (mono, coeff), = factor.terms.items()
-            if len(mono) == 1 and mono[0][2] == 1 and coeff == ONE:
-                single = mono[0][:2]
-        if single is not None:
-            fbank, fidx = single
-            out: Dict[Mono, Scalar] = {}
-            for m, c in self.terms.items():
-                d = sum(e for b, _, e in m if b == bank)
-                if d:
-                    m = _mono_mul(m, ((fbank, fidx, d),))
-                prev = out.get(m)
-                c = c if prev is None else prev + c
-                if c.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = c
-            return Poly(out)
-        result = Poly()
-        powers: Dict[int, Poly] = {0: Poly.one()}
-        for m, c in self.terms.items():
-            d = sum(e for b, _, e in m if b == bank)
-            if d not in powers:
-                powers[d] = factor ** d
-            result = result + (powers[d] * Poly({m: c}))
-        return result
+        return Poly(out)
 
     def integrate_unit(self, index: int, bank: str = T) -> "Poly":
         """Exact integral of the bank[index] variable over [0, 1]."""

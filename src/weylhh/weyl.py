@@ -76,18 +76,6 @@ class SymplecticData:
             raise ValueError("pi must be nondegenerate")
 
 
-def omega_pairing(sym: SymplecticData, u: Sequence[Poly], v: Sequence[Poly]) -> Poly:
-    """omega_{jk} u^j v^k for component vectors of polynomials (1-based lists)."""
-    out = Poly.zero()
-    size = 2 * sym.n
-    for j in range(size):
-        for k in range(size):
-            c = sym.omega[j][k]
-            if not c.is_zero():
-                out = out + (u[j] * v[k]).scale(c)
-    return out
-
-
 class WeylElement:
     """A polynomial (or truncated series) in the Y bank over a fixed ambient."""
 

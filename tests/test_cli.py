@@ -133,6 +133,19 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    import weylhh.cli
+
+    def broken(ns):
+        raise RuntimeError("kernel bug")
+
+    monkeypatch.setattr(weylhh.cli, "cmd_star", broken)
+    code = main(["star", json.dumps({"n": 1, "a": Y1, "b": Y2})])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: kernel bug" in err
+
+
 # -- malformed input exits 2 (usage error), never 1 (a failed identity) --------
 
 def _poly(exps, coeff=None):

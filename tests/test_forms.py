@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from weylhh.errors import BudgetError
 from weylhh.forms import (FormElement, ext_d, form_involution, form_star,
                           homotopy_s, proj_p, wedge_merge)
-from weylhh.poly import Poly, Y, Z
+from weylhh.poly import Poly, T, Y, Z
 from weylhh.sampling import random_form, random_weyl
 from weylhh.scalars import ONE, Scalar
 from weylhh.weyl import SymplecticData, WeylElement
@@ -155,3 +156,51 @@ def test_t_contamination_guard(sym1):
     leaked = Poly.monomial([(T, 1, 1), (Z, 1, 1)])
     with pytest.raises(TContaminationError):
         FormElement({(): leaked}, sym1)
+
+
+def _radial_reference(a: FormElement) -> FormElement:
+    """The radial integral done through a T variable: strip the r-th dz index,
+    scale z -> t z, weight by t^(q-1), integrate t over [0, 1], multiply by
+    that z with sign (-1)^r."""
+    out = {}
+    for idx, poly in a.components.items():
+        q = len(idx)
+        if q == 0:
+            continue
+        scaled = Poly.zero()
+        for m, c in poly.terms.items():
+            k = sum(e for b, _, e in m if b == Z)
+            scaled = scaled + Poly.monomial(list(m) + [(T, 1, k + q - 1)], c)
+        integrated = scaled.integrate_unit(1)
+        for r, stripped in enumerate(idx):
+            term = integrated * Poly.variable(Z, stripped)
+            rest = idx[:r] + idx[r + 1:]
+            out[rest] = out.get(rest, Poly.zero()) + (-term if r % 2 else term)
+    t = None if a.truncation is None else a.truncation + 1
+    return FormElement(out, a.ambient, t)
+
+
+@st.composite
+def forms(draw):
+    n = draw(st.sampled_from((1, 2)))
+    size = 2 * n
+    sym = SymplecticData.canonical(n)
+    var = st.tuples(st.sampled_from((Y, Z)), st.integers(1, size))
+    term = st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                     st.lists(var, max_size=4))
+    components = {}
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(st.integers(1, size))
+        idx = tuple(sorted(draw(st.sets(st.integers(1, size), min_size=q, max_size=q))))
+        poly = Poly.zero()
+        for re, im, factors in draw(st.lists(term, min_size=1, max_size=4)):
+            poly = poly + Poly.monomial([(b, i, 1) for b, i in factors],
+                                        Scalar.of(re, im))
+        components[idx] = components.get(idx, Poly.zero()) + poly
+    truncation = draw(st.none() | st.integers(2, 5))
+    return FormElement(components, sym, truncation)
+
+
+@given(forms())
+def test_homotopy_matches_radial_integral(a):
+    assert homotopy_s(a) == _radial_reference(a)

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from weylhh.poly import Poly, T, Y, Z
+from weylhh.poly import Poly, T, Y, Z, _mono_sorted
 from weylhh.scalars import ONE, Scalar
 
 
@@ -32,18 +33,6 @@ def test_diff():
     assert (y(1) * Poly.variable(Z, 1)).diff(Z, 2).is_zero()
     t = Poly.monomial([(T, 1, 2), (T, 2, 1)])
     assert t.diff(T, 1) == Poly.monomial([(T, 1, 1), (T, 2, 1)], Scalar.of(2))
-
-
-def test_subst_scale():
-    t0 = Poly.variable(T, 1)
-    assert Poly.variable(Z, 1).subst_scale(Z, t0) == Poly.monomial([(T, 1, 1), (Z, 1, 1)])
-    p = Poly.monomial([(Z, 1, 2), (Y, 1, 1)])
-    assert p.subst_scale(Z, t0) == Poly.monomial([(T, 1, 2), (Z, 1, 2), (Y, 1, 1)])
-    q = y(1) + Poly.variable(Z, 1) + Poly.variable(Z, 2)
-    t01 = Poly.monomial([(T, 1, 1), (T, 2, 1)])
-    assert q.subst_scale(Z, t01) == (y(1)
-                                     + Poly.monomial([(T, 1, 1), (T, 2, 1), (Z, 1, 1)])
-                                     + Poly.monomial([(T, 1, 1), (T, 2, 1), (Z, 2, 1)]))
 
 
 def test_integrate_unit():
@@ -83,6 +72,29 @@ def test_derivatives_commute_sampled():
         a = _random_poly(rng)
         assert a.diff(Y, 1).diff(Z, 2) == a.diff(Z, 2).diff(Y, 1)
         assert a.diff(Y, 1).diff(Y, 2) == a.diff(Y, 2).diff(Y, 1)
+
+
+_var = st.tuples(st.sampled_from((Y, Z, T)), st.integers(1, 3))
+_polys = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                            st.lists(st.tuples(_var, st.integers(1, 3)), max_size=4)),
+                  max_size=5)
+
+
+@given(_polys, _var)
+def test_diff_returns_canonical_monomials(terms, var):
+    p = Poly.zero()
+    for re, im, factors in terms:
+        p = p + Poly.monomial([(b, i, e) for (b, i), e in factors], Scalar.of(re, im))
+    bank, index = var
+    got = p.diff(bank, index)
+    assert all(_mono_sorted(m) == m for m in got.terms)
+    want = Poly.zero()
+    for m, c in p.terms.items():
+        e = dict(((b, i), x) for b, i, x in m).get(var, 0)
+        if e:
+            lowered = [(b, i, x - 1 if (b, i) == var else x) for b, i, x in m]
+            want = want + Poly.monomial(lowered, c.scale_fraction(e))
+    assert got == want
 
 
 def test_fundamental_theorem_in_t():

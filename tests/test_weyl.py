@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from weylhh.errors import AmbientMismatchError, BudgetError
 from weylhh.poly import Poly, Y
@@ -166,3 +167,36 @@ def test_weyl_json_roundtrip(rng):
     a = random_weyl(rng, sym, 3)
     assert WeylElement.from_json(a.to_json()) == a
     assert a.to_json()["n"] == 1
+
+
+@st.composite
+def weyl_triples(draw):
+    """Three polynomials of degree <= 3 over one ambient, n = 1 or 2."""
+    n = draw(st.sampled_from((1, 2)))
+    sym = SymplecticData.canonical(n)
+    term = st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                     st.lists(st.integers(1, 2 * n), max_size=3))
+
+    def element():
+        poly = Poly.zero()
+        for re, im, factors in draw(st.lists(term, max_size=4)):
+            poly = poly + Poly.monomial([(Y, i, 1) for i in factors],
+                                        Scalar.of(re, im))
+        return WeylElement(poly, sym)
+
+    return element(), element(), element()
+
+
+@given(weyl_triples(), st.integers(-3, 3), st.integers(-3, 3))
+def test_star_bilinear(abc, re, im):
+    a, b, c = abc
+    k = Scalar.of(re, im)
+    assert star(a + b, c) == star(a, c) + star(b, c)
+    assert star(a, b + c) == star(a, b) + star(a, c)
+    assert star(a.scale(k), b) == star(a, b).scale(k) == star(a, b.scale(k))
+
+
+@given(weyl_triples())
+def test_star_associative(abc):
+    a, b, c = abc
+    assert star(star(a, b), c) == star(a, star(b, c))
