@@ -28,7 +28,8 @@ from . import __version__
 from .errors import BudgetError, WeylhhError
 from .poly import Poly
 from .scalars import Scalar
-from .weyl import SymplecticData, WeylElement, bform, involution, star
+from .weyl import (SymplecticData, WeylElement, ambient_from_json, bform,
+                   involution, star)
 from .forms import ext_d, homotopy_s, proj_p
 from .hochschild import SampleSpec, pair_chain, verify_cocycle
 from .ffs import cached_symbol, ffs_apply, ffs_cocycle, ffs_hypercube_n1
@@ -73,13 +74,6 @@ def _load_json(spec: str) -> dict:
     return obj
 
 
-def _ambient_from(obj: dict) -> SymplecticData:
-    n = obj["n"]
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return SymplecticData.canonical(n)
-
-
 def _list_from(obj: dict, key: str) -> list:
     value = obj[key]
     if not isinstance(value, list):
@@ -105,7 +99,7 @@ def _emit(payload: dict, config: RunConfig) -> None:
 
 
 def _parse_args_payload(obj: dict) -> tuple:
-    ambient = _ambient_from(obj)
+    ambient = ambient_from_json(obj)
     args = [WeylElement(Poly.from_json(a), ambient) for a in _list_from(obj, "args")]
     return ambient, args
 
@@ -262,7 +256,7 @@ def cmd_verify_all(ns) -> int:
 
 def cmd_star(ns) -> int:
     payload = _load_json(ns.payload)
-    ambient = _ambient_from(payload)
+    ambient = ambient_from_json(payload)
     a = WeylElement(Poly.from_json(payload["a"]), ambient)
     b = WeylElement(Poly.from_json(payload["b"]), ambient)
     config = RunConfig("star", n=ambient.n, out=ns.out, format=ns.format)

@@ -103,15 +103,8 @@ class GaussianGenerator:
         cached = self._expansions.get(degree)
         if cached is not None:
             return cached
-        acc = Poly.zero()
-        term = Poly.one()
-        k = 0
-        while 2 * k <= degree:
-            acc = acc + term.scale(Scalar.rational(1, factorial(k)))
-            term = term * self.quad
-            k += 1
-        acc = acc.truncate(degree)
-        comps = {idx: acc * p for idx, p in self.prefactor.components.items()}
+        series = self.quad.exp_quadratic(degree)
+        comps = {idx: series * p for idx, p in self.prefactor.components.items()}
         out = FormElement(comps, self.ambient, truncation=degree)
         self._expansions[degree] = out
         return out
@@ -222,19 +215,15 @@ def auto_budget(args: Sequence[WeylElement], n: int) -> int:
     return sum(a.degree() for a in args) + 2 * n + DEFAULT_BUDGET_MARGIN
 
 
-def _prune_for_final(form: FormElement, remaining_degrees: Sequence[int],
-                     target: int) -> FormElement:
-    """Drop terms that cannot reach the z = 0 projection within the target.
+def _prune(form: FormElement, z_cap: int, total_cap: int) -> FormElement:
+    """Keep the terms of z-degree <= z_cap and (y, z)-degree <= total_cap.
 
-    Every z present (plus one more per remaining homotopy) must be consumed
-    by the remaining arguments' derivative orders, which also bounds how far
-    the y-degree can come down; see SuffixCache._prune for the counting.
+    Callers take z_cap as the number of z's the arguments still to come can
+    consume: every z present, plus one per remaining contraction homotopy,
+    must be used up by their star derivatives before the closing z = 0
+    projection, and those derivatives also bound how far the y-degree can
+    come down, so total_cap is the certified target plus z_cap.
     """
-    r = len(remaining_degrees)
-    z_cap = sum(remaining_degrees) - r
-    total_cap = target + z_cap
-    if z_cap < 0:
-        return FormElement({}, form.ambient, form.truncation)
     comps = {}
     for idx, poly in form.components.items():
         kept = {}
@@ -254,10 +243,13 @@ def _chain_value(gen: GaussianGenerator, args: Sequence[WeylElement],
                  degree: int) -> WeylElement:
     degrees = [a.degree() for a in args]
     target = degree + len(args) - sum(degrees)
-    value = _prune_for_final(gen.expand(degree), degrees, target)
+    # With args[:k] still to come, each consumes at most its degree less one
+    # beyond the z its homotopy adds.
+    z_caps = [sum(degrees[:k]) - k for k in range(len(args) + 1)]
+    value = _prune(gen.expand(degree), z_caps[-1], target + z_caps[-1])
     for k in range(len(args) - 1, -1, -1):
         value = form_star(args[k], homotopy_s(value))
-        value = _prune_for_final(value, degrees[:k], target)
+        value = _prune(value, z_caps[k], target + z_caps[k])
     if not value.is_homogeneous(0) and not value.is_zero():
         raise AssertionError("descent value failed to land in form degree 0")
     poly = value.component(()).set_bank_zero(Z)
@@ -343,42 +335,22 @@ class SuffixCache:
             raise BudgetError("budget below the worst-case argument degree")
         self._cache: Dict[tuple, FormElement] = {}
         self._final: Dict[tuple, Poly] = {}
-
-    def _prune(self, form: FormElement, consumed: int) -> FormElement:
-        """Drop terms that cannot reach the certified final value.
-
-        With r argument slots still to come, each contraction homotopy adds a
-        z that the remaining star derivatives (at most slot_degree per slot)
-        must consume before the closing z = 0 projection, so surviving terms
-        obey z <= (slot-1) r and y + z <= target + (slot-1) r.
-        """
-        r = self.arity - consumed
-        z_cap = (self.slot_degree - 1) * r
-        total_cap = self.target + z_cap
-        comps = {}
-        for idx, poly in form.components.items():
-            kept = {}
-            for mono, c in poly.terms.items():
-                z_deg = sum(e for b, _, e in mono if b == Z)
-                if z_deg > z_cap:
-                    continue
-                if z_deg + sum(e for b, _, e in mono if b == Y) > total_cap:
-                    continue
-                kept[mono] = c
-            if kept:
-                comps[idx] = Poly(kept)
-        return FormElement(comps, form.ambient, form.truncation)
+        # The pruning caps of a tail of c arguments: the r = arity - c slots
+        # still to come consume at most slot_degree - 1 z's each beyond the
+        # one their homotopy adds.
+        self._caps = [((slot_degree - 1) * r, self.target + (slot_degree - 1) * r)
+                      for r in range(self.arity, -1, -1)]
 
     def tail(self, args: Sequence[WeylElement]) -> FormElement:
         if not args:
-            return self._prune(self.gen.expand(self.budget), 0)
+            return _prune(self.gen.expand(self.budget), *self._caps[0])
         key = tuple(a.key() for a in args)
         got = self._cache.get(key)
         if got is None:
             if args[0].degree() > self.slot_degree:
                 raise BudgetError("argument degree exceeds the cache's slot bound")
             got = form_star(args[0], homotopy_s(self.tail(args[1:])))
-            got = self._prune(got, len(args))
+            got = _prune(got, *self._caps[len(args)])
             self._cache[key] = got
         return got
 
@@ -399,8 +371,7 @@ class SuffixCache:
             })
             self._final[key] = contracted
         prod = _star_kernel(head.poly, contracted, self.gen.ambient, right_z=True)
-        poly = prod.set_bank_zero(Z).truncate(self.target)
-        return WeylElement(poly, self.gen.ambient, self.target)
+        return WeylElement(prod.set_bank_zero(Z), self.gen.ambient, self.target)
 
 
 # -- the audited trace --------------------------------------------------------

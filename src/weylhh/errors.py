@@ -22,10 +22,6 @@ class InsufficientExpansionError(BudgetError):
     pass
 
 
-class TContaminationError(WeylhhError):
-    """An integration parameter escaped the operation that allocated it."""
-
-
 class DegenerateSimplexError(WeylhhError):
     """Simplex degenerate or origin on a facet; the value is undefined there."""
 

@@ -25,9 +25,12 @@ degree and looks their summed key up; monomial_table reads the index itself.
 
 A second, independent route for n = 1 integrates over the unit square after
 the substitution u_1 = t_0 t_1, u_2 = t_0 (Jacobian t_0); the two must agree
-exactly.  The square-route prefactor is written det(p_1, p_2), which is the
-same bilinear prefactor expressed in the sign convention fixed by
-omega . pi = id.
+exactly.  Both routes expand the exponential over integer polynomials keyed
+by exponent tuples (in u_1 .. u_2n, or in t_0, t_1), multiplied by _u_mul,
+and integrate each monomial in closed form: the simplex moment, or
+1/((a+1)(b+1)) for t_0^a t_1^b over the square.  The square-route prefactor
+is written det(p_1, p_2), which is the same bilinear prefactor expressed in
+the sign convention fixed by omega . pi = id.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from math import factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InsufficientExpansionError
-from .linalg import mat_mul, mat_transpose
-from .poly import Poly, T, Y
+from .linalg import mat_mul, mat_transpose, perm_sign
+from .poly import Poly, Y
 from .scalars import I, ONE, Scalar
 from .weyl import SymplecticData, WeylElement
 
@@ -57,17 +60,15 @@ def simplex_moment(exponents: Sequence[int]) -> Scalar:
     return Scalar.rational(1, den)
 
 
-def _u_poly_pow(base: Dict[Tuple[int, ...], int], power: int,
-                nvars: int) -> Dict[Tuple[int, ...], int]:
-    out = {(0,) * nvars: 1}
-    for _ in range(power):
-        nxt: Dict[Tuple[int, ...], int] = {}
-        for m1, c1 in out.items():
-            for m2, c2 in base.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                nxt[m] = nxt.get(m, 0) + c1 * c2
-        out = {m: c for m, c in nxt.items() if c}
-    return out
+def _u_mul(p1: Dict[Tuple[int, ...], int],
+           p2: Dict[Tuple[int, ...], int]) -> Dict[Tuple[int, ...], int]:
+    """Product of two integer polynomials keyed by exponent tuples."""
+    out: Dict[Tuple[int, ...], int] = {}
+    for m1, c1 in p1.items():
+        for m2, c2 in p2.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def _linear_factor(i: int, j: int, nvars: int) -> Dict[Tuple[int, ...], int]:
@@ -129,13 +130,9 @@ def ffs_build(n: int, degree_budget: int) -> FFSSymbol:
         upoly: Dict[Tuple[int, ...], int] = {(0,) * m: 1}
         denom = 1
         for (i, j), count in mono:
-            upoly_factor = _u_poly_pow(_linear_factor(i, j, m), count, m)
-            nxt: Dict[Tuple[int, ...], int] = {}
-            for m1, c1 in upoly.items():
-                for m2, c2 in upoly_factor.items():
-                    key = tuple(a + b for a, b in zip(m1, m2))
-                    nxt[key] = nxt.get(key, 0) + c1 * c2
-            upoly = {k: c for k, c in nxt.items() if c}
+            factor = _linear_factor(i, j, m)
+            for _ in range(count):
+                upoly = _u_mul(upoly, factor)
             denom *= factorial(count)
         coeff = _integrate_u_poly(upoly)
         coeff = coeff * (I ** total_order)
@@ -169,7 +166,7 @@ def _det_operator(sym: SymplecticData) -> Poly:
     m = 2 * sym.n
     out = Poly.zero()
     for perm in itertools.permutations(range(1, m + 1)):
-        sign = _perm_sign_tuple(perm)
+        sign = perm_sign(perm)
         term = Poly.one()
         for mu, row in enumerate(perm, start=1):
             filt = Poly.zero()
@@ -184,16 +181,6 @@ def _det_operator(sym: SymplecticData) -> Poly:
             term = -term
         out = out + term
     return out
-
-
-def _perm_sign_tuple(perm: Sequence[int]) -> int:
-    swaps = 0
-    items = list(perm)
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            if items[a] > items[b]:
-                swaps += 1
-    return -1 if swaps % 2 else 1
 
 
 def _pair_operator(sym: SymplecticData, i: int, j: int) -> Poly:
@@ -443,7 +430,8 @@ def ffs_hypercube_n1(args: Sequence[WeylElement],
     """Same two-argument cocycle via iterated integrals over the unit square.
 
     Expands exp(i [ W01 (1 - 2 t0 t1) + W02 (1 - 2 t0) + W12 (1 - 2 t0 + 2 t0 t1) ])
-    against the Jacobian factor t0, integrating each t-monomial exactly.
+    against the Jacobian factor t0 with the same integer polynomials as
+    ffs_build, integrating each t0^a t1^b over the square as 1/((a+1)(b+1)).
     """
     if len(args) != 2:
         raise ValueError("expected 2 arguments")
@@ -453,12 +441,11 @@ def ffs_hypercube_n1(args: Sequence[WeylElement],
     degrees = [a.degree() for a in args]
     total = sum(degrees)
 
-    t0 = Poly.variable(T, 1)
-    t1 = Poly.variable(T, 2)
+    # Exponent tuples (a, b) of t0^a t1^b.
     lin = {
-        (0, 1): Poly.one() - (t0 * t1).scale(Scalar.of(2)),
-        (0, 2): Poly.one() - t0.scale(Scalar.of(2)),
-        (1, 2): Poly.one() - t0.scale(Scalar.of(2)) + (t0 * t1).scale(Scalar.of(2)),
+        (0, 1): {(0, 0): 1, (1, 1): -2},
+        (0, 2): {(0, 0): 1, (1, 0): -2},
+        (1, 2): {(0, 0): 1, (1, 0): -2, (1, 1): 2},
     }
     slots = _slot_terms(args)
     acc: Dict[int, Scalar] = {}
@@ -470,12 +457,15 @@ def ffs_hypercube_n1(args: Sequence[WeylElement],
                 consumption = [0, m01 + m12, m02 + m12]
                 if any(consumption[mu] + 1 > degrees[mu - 1] for mu in (1, 2)):
                     continue
-                tpoly = t0
+                tpoly = {(1, 0): 1}
                 denom = 1
                 for pair, c in counts.items():
-                    tpoly = tpoly * (lin[pair] ** c)
+                    for _ in range(c):
+                        tpoly = _u_mul(tpoly, lin[pair])
                     denom *= factorial(c)
-                coeff = tpoly.integrate_unit(1).integrate_unit(2).constant_term()
+                coeff = Scalar.of(0)
+                for (a, b), c in tpoly.items():
+                    coeff = coeff + Scalar.rational(c, (a + 1) * (b + 1))
                 order = m01 + m02 + m12
                 coeff = coeff * (I ** order)
                 coeff = coeff.scale_fraction(1, denom)

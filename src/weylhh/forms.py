@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-from .errors import AmbientMismatchError, BudgetError, TContaminationError
-from .poly import Mono, Poly, T, Y, Z, _mono_mul
+from .errors import AmbientMismatchError, BudgetError
+from .linalg import perm_sign
+from .poly import Mono, Poly, Y, Z, _mono_mul
 from .scalars import ONE, Scalar
-from .weyl import SymplecticData, WeylElement, _min_trunc, _star_kernel
+from .weyl import (SymplecticData, WeylElement, _min_trunc, _star_kernel,
+                   ambient_from_json, truncation_from_json)
 
 DzIndex = Tuple[int, ...]
 
@@ -41,13 +43,7 @@ def wedge_merge(i1: DzIndex, i2: DzIndex) -> Optional[Tuple[int, DzIndex]]:
     if set(i1) & set(i2):
         return None
     merged = i1 + i2
-    swaps = 0
-    items = list(merged)
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            if items[a] > items[b]:
-                swaps += 1
-    return (-1) ** swaps, tuple(sorted(items))
+    return perm_sign(merged), tuple(sorted(merged))
 
 
 class FormElement:
@@ -59,10 +55,8 @@ class FormElement:
         for idx, poly in components.items():
             if list(idx) != sorted(set(idx)):
                 raise ValueError("dz indices must be strictly increasing")
-            if idx and max(idx) > 2 * ambient.n:
-                raise ValueError("dz index exceeds 2n")
-            if poly.has_bank(T):
-                raise TContaminationError("form coefficient still carries a T variable")
+            if idx and (idx[0] < 1 or idx[-1] > 2 * ambient.n):
+                raise ValueError(f"dz indices must lie in 1..2n, got {idx}")
             if truncation is not None:
                 poly = poly.truncate(truncation)
             if not poly.is_zero():
@@ -201,12 +195,19 @@ class FormElement:
 
     @staticmethod
     def from_json(obj: dict, ambient: Optional[SymplecticData] = None) -> "FormElement":
-        amb = ambient or SymplecticData.canonical(int(obj["n"]))
-        comps = {
-            tuple(int(i) for i in c["dz"]): Poly.from_json(c["poly"])
-            for c in obj["components"]
-        }
-        return FormElement(comps, amb, obj.get("truncation"))
+        """Parse the JSON form; ValueError if malformed."""
+        amb = ambient or ambient_from_json(obj)
+        if not isinstance(obj.get("components"), list):
+            raise ValueError(f"form must hold a 'components' list, got {obj!r}")
+        comps: Dict[DzIndex, Poly] = {}
+        for c in obj["components"]:
+            dz = c.get("dz") if isinstance(c, dict) else None
+            if not isinstance(dz, list) or any(type(i) is not int for i in dz):
+                raise ValueError(
+                    f"component must be {{'dz': [int, ...], 'poly': ...}}, got {c!r}")
+            poly = Poly.from_json(c.get("poly"))
+            comps[tuple(dz)] = comps.get(tuple(dz), Poly.zero()) + poly
+        return FormElement(comps, amb, truncation_from_json(obj))
 
 
 def _same_ambient(a, b) -> None:
@@ -241,7 +242,6 @@ def form_star(a, b) -> FormElement:
                 continue
             sign, idx = merged
             prod = _star_kernel(p1, p2, a.ambient, right_z=True)
-            prod = prod.truncate(out_trunc)
             if sign < 0:
                 prod = -prod
             out[idx] = out.get(idx, Poly.zero()) + prod

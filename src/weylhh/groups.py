@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -215,7 +214,11 @@ class SmashElement:
         return SmashElement(self.group, self.ambient, out)
 
     def __sub__(self, other: "SmashElement") -> "SmashElement":
-        return self + other.scale(Scalar.of(-1))
+        return self + (-other)
+
+    def __neg__(self) -> "SmashElement":
+        return SmashElement(self.group, self.ambient,
+                            {g: -a for g, a in self.terms.items()})
 
     def scale(self, c: Scalar) -> "SmashElement":
         return SmashElement(self.group, self.ambient,
@@ -302,14 +305,7 @@ def theta_element(ambient: SymplecticData, g: GroupElement,
     if exponent.is_zero():
         # Reflection-only sectors: the series terminates, the element is exact.
         return WeylElement.one(ambient)
-    acc = Poly.zero()
-    term = Poly.one()
-    k = 0
-    while 2 * k <= truncation:
-        acc = acc + term.scale(Scalar.rational(1, factorial(k)))
-        term = term * exponent
-        k += 1
-    return WeylElement(acc.truncate(truncation), ambient, truncation)
+    return WeylElement(exponent.exp_quadratic(truncation), ambient, truncation)
 
 
 def theta_equation_defects(ambient: SymplecticData, g: GroupElement,

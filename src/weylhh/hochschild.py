@@ -29,7 +29,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import AmbientMismatchError
 from .forms import ext_d, form_involution, form_star, homotopy_s
-from .scalars import ONE, Scalar
+from .linalg import perm_sign
+from .scalars import Scalar
 from .weyl import SymplecticData, WeylElement, bform, involution, star
 
 DUAL = "dual"
@@ -123,31 +124,11 @@ def _arg_mul(a, b):
     return a * b
 
 
-def _scale_value(value, c: Scalar):
-    return value.scale(c)
-
-
 def hochschild_d(f: Cochain) -> Cochain:
-    """Full differential; arity goes up by one."""
-    p = f.arity
-
-    def ev(*args):
-        total = _left_mul(f.kind, args[0], f(*args[1:]))
-        for k in range(1, p + 1):
-            merged = args[:k - 1] + (_arg_mul(args[k - 1], args[k]),) + args[k + 1:]
-            term = f(*merged)
-            if k % 2:
-                total = total - term
-            else:
-                total = total + term
-        last = _right_mul(f.kind, f(*args[:-1]), f.twist.right(args[-1]))
-        if p % 2:
-            total = total + last
-        else:
-            total = total - last
-        return total
-
-    return Cochain(p + 1, f.ambient, f.kind, f.twist, ev,
+    """Full differential d1 + d2; arity goes up by one."""
+    d1, d2 = hochschild_d1(f), hochschild_d2(f)
+    return Cochain(f.arity + 1, f.ambient, f.kind, f.twist,
+                   lambda *args: d1.fn(*args) + d2.fn(*args),
                    normalized=f.normalized, label=f"d({f.label})")
 
 
@@ -169,11 +150,14 @@ def hochschild_d2(f: Cochain) -> Cochain:
         for k in range(1, p + 1):
             merged = args[:k - 1] + (_arg_mul(args[k - 1], args[k]),) + args[k + 1:]
             term = f(*merged)
-            term = _scale_value(term, Scalar.of(-1) if k % 2 else ONE)
-            total = term if total is None else total + term
+            if total is None:
+                total = -term
+            else:
+                total = total - term if k % 2 else total + term
         last = _right_mul(f.kind, f(*args[:-1]), f.twist.right(args[-1]))
-        last = _scale_value(last, ONE if p % 2 else Scalar.of(-1))
-        return last if total is None else total + last
+        if total is None:
+            return -last
+        return total + last if p % 2 else total - last
 
     return Cochain(p + 1, f.ambient, f.kind, f.twist, ev,
                    normalized=f.normalized, label=f"d2({f.label})")
@@ -279,29 +263,11 @@ def wedge_eval(f: Cochain, args: Sequence[WeylElement]):
         raise AmbientMismatchError("chain arity does not match cochain arity")
     total = None
     for perm in itertools.permutations(range(p)):
-        sign = _perm_sign(perm)
         term = f(*[args[i] for i in perm])
-        if sign < 0:
-            term = _scale_value(term, Scalar.of(-1))
+        if perm_sign(perm) < 0:
+            term = -term
         total = term if total is None else total + term
-    return _scale_value(total, Scalar.rational(1, factorial(p)))
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return total.scale(Scalar.rational(1, factorial(p)))
 
 
 def pair_chain(f: Cochain, chain: Chain) -> Scalar:

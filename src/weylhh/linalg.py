@@ -1,10 +1,13 @@
 """Small exact linear algebra over any exact field (Scalar or Fraction).
 
 Entries only need +, -, *, / and truthiness for the zero test; matrices are
-tuples of tuples and never mutated in place.
+tuples of tuples and never mutated in place.  Determinant, rank, inverse and
+solve all read one Gauss-Jordan elimination, row_reduce.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 
 def mat_from_rows(rows) -> tuple:
@@ -43,101 +46,71 @@ def mat_transpose(a) -> tuple:
     return tuple(zip(*a))
 
 
-def mat_det(a):
-    """Determinant by fraction-free-ish Gaussian elimination with division."""
-    n = len(a)
+def row_reduce(a, width=None):
+    """Gauss-Jordan elimination on the first width columns (all by default).
+
+    Columns past width (an augmented right side) are carried along.  Returns
+    (rows, rank, det): the reduced rows, whose first rank rows each hold a
+    pivot 1 with its column zero in every other row; the rank; and, for a
+    square leading block, its determinant (zero when singular).
+    """
     rows = [list(r) for r in a]
+    if not rows:
+        return rows, 0, None
+    n_rows = len(rows)
+    width = len(rows[0]) if width is None else width
+    rank = swaps = 0
     det = None
-    sign_flips = 0
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            zero = rows[0][0] - rows[0][0]
-            return zero
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            sign_flips += 1
-        pivot = rows[col][col]
-        det = pivot if det is None else det * pivot
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] / pivot
-                for c in range(col, n):
-                    rows[r][c] = rows[r][c] - factor * rows[col][c]
-    if sign_flips % 2:
-        det = -det
-    return det
-
-
-def mat_rank(a) -> int:
-    if not a:
-        return 0
-    rows = [list(r) for r in a]
-    n_rows, n_cols = len(rows), len(rows[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(rank, n_rows):
-            if rows[r][col]:
-                pivot_row = r
-                break
+    for col in range(width):
+        pivot_row = next((r for r in range(rank, n_rows) if rows[r][col]), None)
         if pivot_row is None:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, n_rows):
-            if rows[r][col]:
-                factor = rows[r][col] / pivot
-                for c in range(col, n_cols):
-                    rows[r][c] = rows[r][c] - factor * rows[rank][c]
+        if pivot_row != rank:
+            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+            swaps += 1
+        prow = rows[rank]
+        pivot = prow[col]
+        det = pivot if det is None else det * pivot
+        tail = prow[col:] = [x / pivot for x in prow[col:]]
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if factor and r != rank:
+                row[col:] = [x - factor * y for x, y in zip(row[col:], tail)]
         rank += 1
         if rank == n_rows:
             break
-    return rank
+    if rank < width:
+        return rows, rank, rows[0][0] - rows[0][0]
+    return rows, rank, -det if swaps % 2 else det
+
+
+def mat_det(a):
+    return row_reduce(a)[2]
+
+
+def mat_rank(a) -> int:
+    return row_reduce(a)[1]
 
 
 def mat_inverse(a, one, zero) -> tuple:
+    """Inverse of a square matrix; raises ZeroDivisionError when singular."""
     n = len(a)
-    rows = [list(r) + list(row_id) for r, row_id in zip(a, identity(n, one, zero))]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise ZeroDivisionError("singular matrix")
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        pivot = rows[col][col]
-        rows[col] = [x / pivot for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    augmented = [list(r) + list(e) for r, e in zip(a, identity(n, one, zero))]
+    rows, rank, _ = row_reduce(augmented, n)
+    if rank < n:
+        raise ZeroDivisionError("singular matrix")
     return tuple(tuple(r[n:]) for r in rows)
 
 
 def solve(a, rhs):
     """Solve a*x = rhs for square a; raises ZeroDivisionError when singular."""
     n = len(a)
-    rows = [list(r) + [b] for r, b in zip(a, rhs)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise ZeroDivisionError("singular system")
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        pivot = rows[col][col]
-        rows[col] = [x / pivot for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(rows[i][n] for i in range(n))
+    rows, rank, _ = row_reduce([list(r) + [b] for r, b in zip(a, rhs)], n)
+    if rank < n:
+        raise ZeroDivisionError("singular system")
+    return tuple(r[n] for r in rows)
+
+
+def perm_sign(items) -> int:
+    """Sign of the permutation that sorts distinct items: inversion parity."""
+    return -1 if sum(x > y for x, y in combinations(items, 2)) % 2 else 1

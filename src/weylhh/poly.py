@@ -1,11 +1,13 @@
 """Sparse multivariate polynomials over Gaussian rationals, in banked variables.
 
-Three variable banks exist:
+Two variable banks exist:
 
   Y  -- generators of the noncommutative algebra (index 1..2n),
-  Z  -- the auxiliary commuting variables carried by differential forms,
-  T  -- transient integration parameters; a T variable must be integrated
-        out before a value escapes the operation that allocated it.
+  Z  -- the auxiliary commuting variables carried by differential forms.
+
+Every integral the package needs has a closed form (the homotopy weight
+1/(k+q), the simplex and unit-square moments), so no integration variable is
+ever introduced.
 
 A monomial is a sorted tuple of (bank, index, exponent) triples; a polynomial
 is a map from monomials to nonzero Scalar coefficients.  Values are treated
@@ -25,9 +27,8 @@ from .scalars import ONE, ZERO, Scalar
 
 Y = "Y"
 Z = "Z"
-T = "T"
 
-_BANK_ORDER = {Y: 0, Z: 1, T: 2}
+_BANK_ORDER = {Y: 0, Z: 1}
 
 Mono = Tuple[Tuple[str, int, int], ...]
 
@@ -139,14 +140,6 @@ class Poly:
             return 0
         return max(_mono_degree(m) for m in self.terms)
 
-    def degree_in_bank(self, bank: str) -> int:
-        best = 0
-        for m in self.terms:
-            d = sum(e for b, _, e in m if b == bank)
-            if d > best:
-                best = d
-        return best
-
     def has_bank(self, bank: str) -> bool:
         return any(b == bank for m in self.terms for b, _, _ in m)
 
@@ -241,46 +234,10 @@ class Poly:
                     break
         return Poly(out)
 
-    def integrate_unit(self, index: int, bank: str = T) -> "Poly":
-        """Exact integral of the bank[index] variable over [0, 1]."""
-        out: Dict[Mono, Scalar] = {}
-        for m, c in self.terms.items():
-            e_var = 0
-            rest = []
-            for b, i, e in m:
-                if b == bank and i == index:
-                    e_var = e
-                else:
-                    rest.append((b, i, e))
-            nc = c.scale_fraction(1, e_var + 1)
-            nm = _mono_sorted(rest)
-            s = out.get(nm)
-            nc = nc if s is None else s + nc
-            if nc.is_zero():
-                out.pop(nm, None)
-            else:
-                out[nm] = nc
-        return Poly(out)
-
     def set_bank_zero(self, bank: str) -> "Poly":
         """Evaluate all variables of the bank at 0."""
         return Poly({m: c for m, c in self.terms.items()
                      if not any(b == bank for b, _, _ in m)})
-
-    def set_var(self, bank: str, index: int, value: Scalar) -> "Poly":
-        out = Poly()
-        for m, c in self.terms.items():
-            e_var = 0
-            rest = []
-            for b, i, e in m:
-                if b == bank and i == index:
-                    e_var = e
-                else:
-                    rest.append((b, i, e))
-            nc = c * (value ** e_var) if e_var else c
-            if not nc.is_zero():
-                out = out + Poly.monomial(rest, nc)
-        return out
 
     def flip_signs(self, banks: Sequence[str]) -> "Poly":
         """Substitute v -> -v for every variable of the given banks."""
@@ -337,6 +294,15 @@ class Poly:
     def homogeneous_part(self, degree: int) -> "Poly":
         return Poly({m: c for m, c in self.terms.items()
                      if _mono_degree(m) == degree})
+
+    def exp_quadratic(self, degree: int) -> "Poly":
+        """exp(self) through total degree `degree`, for self homogeneous of
+        degree 2: the sum of self^k / k! over 2k <= degree."""
+        acc = term = Poly.one()
+        for k in range(1, degree // 2 + 1):
+            term = (term * self).scale(Scalar.rational(1, k))
+            acc = acc + term
+        return acc
 
     # -- serialization -----------------------------------------------------
 

@@ -27,31 +27,29 @@ from .errors import DegenerateSimplexError, NonGenericConfigError
 Point = Tuple[Fraction, ...]
 
 
-def _det_fractions(cols: Sequence[Sequence[Fraction]]) -> Fraction:
-    matrix = tuple(tuple(cols[j][i] for j in range(len(cols)))
-                   for i in range(len(cols[0])))
-    return linalg.mat_det(matrix)
-
-
 def delta(points: Sequence[Point]) -> int:
-    """Characteristic value of the oriented simplex spanned by the points."""
+    """Characteristic value of the oriented simplex spanned by the points.
+
+    One elimination of M = [points as columns; a row of ones], augmented by
+    the right side (0, .., 0, 1), gives both the barycentric coordinates of
+    the origin and det M, which is (-1)^dim times the determinant of the
+    edges v_k - v_0.
+    """
     dim = len(points[0])
     if len(points) != dim + 1:
         raise ValueError(f"need {dim + 1} points in dimension {dim}")
-    rows = [tuple(p[i] for p in points) for i in range(dim)]
-    rows.append(tuple(Fraction(1) for _ in points))
-    rhs = [Fraction(0)] * dim + [Fraction(1)]
-    try:
-        bary = linalg.solve(tuple(rows), tuple(rhs))
-    except ZeroDivisionError:
+    rows = [[p[i] for p in points] + [Fraction(0)] for i in range(dim)]
+    rows.append([Fraction(1)] * (dim + 2))
+    reduced, rank, det = linalg.row_reduce(rows, dim + 1)
+    if rank <= dim:
         raise DegenerateSimplexError("degenerate simplex")
+    bary = [r[-1] for r in reduced]
     if any(b == 0 for b in bary):
         raise DegenerateSimplexError("origin lies on a facet")
     if any(b < 0 for b in bary):
         return 0
-    edges = [tuple(p[i] - points[0][i] for i in range(dim)) for p in points[1:]]
-    det = _det_fractions(edges)
-    return 1 if det > 0 else -1
+    sign = 1 if det > 0 else -1
+    return -sign if dim % 2 else sign
 
 
 def delta_w(w: Point, points: Sequence[Point]) -> int:

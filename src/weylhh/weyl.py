@@ -83,7 +83,7 @@ class WeylElement:
 
     def __init__(self, poly: Poly, ambient: SymplecticData,
                  truncation: Optional[int] = None):
-        if poly.has_bank(Z) or poly.has_bank("T"):
+        if poly.has_bank(Z):
             raise ValueError("WeylElement must involve only Y-bank variables")
         if poly.max_index(Y) > 2 * ambient.n:
             raise ValueError("variable index exceeds 2n")
@@ -132,7 +132,7 @@ class WeylElement:
         if truncation is None:
             return self
         t = truncation if self.truncation is None else min(self.truncation, truncation)
-        return WeylElement(self.poly.truncate(t), self.ambient, t)
+        return WeylElement(self.poly, self.ambient, t)
 
     def apply_matrix(self, matrix) -> "WeylElement":
         """Linear substitution y_j -> sum_k matrix[j][k] y_k."""
@@ -177,8 +177,24 @@ class WeylElement:
 
     @staticmethod
     def from_json(obj: dict, ambient: Optional[SymplecticData] = None) -> "WeylElement":
-        amb = ambient or SymplecticData.canonical(int(obj["n"]))
-        return WeylElement(Poly.from_json(obj), amb, obj.get("truncation"))
+        amb = ambient or ambient_from_json(obj)
+        return WeylElement(Poly.from_json(obj), amb, truncation_from_json(obj))
+
+
+def ambient_from_json(obj) -> SymplecticData:
+    """The canonical ambient named by a payload's "n"; ValueError unless an int >= 1."""
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return SymplecticData.canonical(n)
+
+
+def truncation_from_json(obj: dict) -> Optional[int]:
+    """A payload's "truncation": absent, null or an int; ValueError otherwise."""
+    t = obj.get("truncation")
+    if t is not None and type(t) is not int:
+        raise ValueError(f"truncation must be an integer or null, got {t!r}")
+    return t
 
 
 def _check_ambient(a, b) -> None:
@@ -207,7 +223,7 @@ def star(a: WeylElement, b: WeylElement) -> WeylElement:
     if out_trunc is not None and out_trunc < 0:
         raise BudgetError("truncation too small for this star product")
     prod = _star_kernel(a.poly, b.poly, a.ambient, right_z=False)
-    return WeylElement(prod.truncate(out_trunc), a.ambient, out_trunc)
+    return WeylElement(prod, a.ambient, out_trunc)
 
 
 def _star_kernel(p: Poly, q: Poly, sym: SymplecticData, right_z: bool) -> Poly:
@@ -280,24 +296,11 @@ def bform(a: WeylElement, b: WeylElement) -> Scalar:
 
 def gram_rank_upto(sym: SymplecticData, max_degree: int) -> Tuple[int, int]:
     """Exact rank of the B-Gram matrix on monomials of total degree <= bound."""
-    size = 2 * sym.n
-    monos = []
-    for total in range(max_degree + 1):
-        for exps in _exponents(size, total):
-            monos.append(WeylElement(
-                Poly.monomial([(Y, i + 1, e) for i, e in enumerate(exps) if e]),
-                sym))
+    from .sampling import monomials_upto
+
+    monos = monomials_upto(sym, max_degree)
     gram = tuple(
         tuple(bform(m1, m2) for m2 in monos)
         for m1 in monos
     )
     return linalg.mat_rank(gram), len(monos)
-
-
-def _exponents(nvars: int, total: int):
-    if nvars == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _exponents(nvars - 1, total - head):
-            yield (head,) + rest

@@ -29,28 +29,17 @@ def test_simplex_moments():
 
 
 def test_moment_matches_brute_force_iterated_integration():
-    # independent oracle: expand via the T bank and integrate iteratively
-    from weylhh.poly import T
-
+    # independent oracle: integrate u_1 from 0 to u_2, ..., u_m from 0 to 1,
+    # carrying the exponent that each inner integral hands to the next
+    # variable (int_0^x u^e du = x^(e+1)/(e+1)).
     def brute(exps):
-        m = len(exps)
-        poly = Poly.monomial([(T, k + 1, e) for k, e in enumerate(exps) if e])
-        # integrate u_1 from 0 to u_2, ..., u_m from 0 to 1
-        for k in range(1, m):
-            # int_0^{u_{k+1}} u_k^e du_k: raise exponent, then substitute
-            lifted = Poly.zero()
-            for mono, c in poly.terms.items():
-                e = 0
-                rest = []
-                for b, i, ex in mono:
-                    if b == T and i == k:
-                        e = ex
-                    else:
-                        rest.append((b, i, ex))
-                lifted = lifted + Poly.monomial(
-                    rest + [(T, k + 1, e + 1)], c * halves(1, e + 1))
-            poly = lifted
-        return poly.integrate_unit(len(exps)).constant_term()
+        value = Fraction(1)
+        carried = 0
+        for e in exps:
+            t_exponent = e + carried
+            value /= t_exponent + 1
+            carried = t_exponent + 1
+        return Scalar.of(value)
 
     rng = random.Random(3)
     for _ in range(20):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from weylhh.errors import BudgetError
 from weylhh.forms import (FormElement, ext_d, form_involution, form_star,
                           homotopy_s, proj_p, wedge_merge)
-from weylhh.poly import Poly, T, Y, Z
+from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import random_form, random_weyl
 from weylhh.scalars import ONE, Scalar
 from weylhh.weyl import SymplecticData, WeylElement
@@ -147,31 +147,47 @@ def test_apply_matrix_wedge_signs(sym1):
 def test_form_json_roundtrip(sym1, rng):
     f = random_form(rng, sym1, 3)
     assert FormElement.from_json(f.to_json()) == f
+    truncated = f.restrict(2)
+    assert FormElement.from_json(truncated.to_json()) == truncated
 
 
-def test_t_contamination_guard(sym1):
-    from weylhh.errors import TContaminationError
-    from weylhh.poly import T
+_ONE_POLY = {"terms": [{"coeff": {"re": ["1", "1"], "im": ["0", "1"]}, "exps": []}]}
 
-    leaked = Poly.monomial([(T, 1, 1), (Z, 1, 1)])
-    with pytest.raises(TContaminationError):
-        FormElement({(): leaked}, sym1)
+
+@pytest.mark.parametrize("obj", [
+    {"n": 1.9, "components": [], "truncation": None},
+    {"n": 0, "components": [], "truncation": None},
+    {"n": 1, "components": [{"dz": [0, 1], "poly": _ONE_POLY}], "truncation": None},
+    {"n": 1, "components": [{"dz": [-3], "poly": _ONE_POLY}], "truncation": None},
+    {"n": 1, "components": [{"dz": [3], "poly": _ONE_POLY}], "truncation": None},
+    {"n": 1, "components": [{"dz": ["1"], "poly": _ONE_POLY}], "truncation": None},
+    {"n": 1, "components": [], "truncation": "x"},
+    {"n": 1, "components": {}, "truncation": None},
+])
+def test_form_from_json_rejects_malformed(obj):
+    with pytest.raises(ValueError):
+        FormElement.from_json(obj)
+
+
+def _unit_interval_integral(t_exponent):
+    """int_0^1 t^e dt = [t^(e+1) / (e+1)] from 0 to 1."""
+    return Fraction(1, t_exponent + 1)
 
 
 def _radial_reference(a: FormElement) -> FormElement:
-    """The radial integral done through a T variable: strip the r-th dz index,
-    scale z -> t z, weight by t^(q-1), integrate t over [0, 1], multiply by
-    that z with sign (-1)^r."""
+    """The radial integral with an explicit t exponent: strip the r-th dz
+    index, scale z -> t z (t to the z-degree), weight by t^(q-1), integrate t
+    over [0, 1], multiply by that z with sign (-1)^r."""
     out = {}
     for idx, poly in a.components.items():
         q = len(idx)
         if q == 0:
             continue
-        scaled = Poly.zero()
+        integrated = Poly.zero()
         for m, c in poly.terms.items():
-            k = sum(e for b, _, e in m if b == Z)
-            scaled = scaled + Poly.monomial(list(m) + [(T, 1, k + q - 1)], c)
-        integrated = scaled.integrate_unit(1)
+            t_exponent = sum(e for b, _, e in m if b == Z) + q - 1
+            weight = Scalar.of(_unit_interval_integral(t_exponent))
+            integrated = integrated + Poly.monomial(list(m), c * weight)
         for r, stripped in enumerate(idx):
             term = integrated * Poly.variable(Z, stripped)
             rest = idx[:r] + idx[r + 1:]

@@ -1,0 +1,148 @@
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from weylhh import linalg
+from weylhh.errors import DegenerateSimplexError
+from weylhh.scalars import ONE, ZERO, Scalar
+from weylhh.simplex import delta, random_config
+
+
+def _cycle_sign(perm):
+    """(-1)^(n - number of cycles), counted by walking each cycle."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def _leibniz_det(a):
+    n = len(a)
+    total = None
+    for perm in itertools.permutations(range(n)):
+        term = a[0][perm[0]]
+        for i in range(1, n):
+            term = term * a[i][perm[i]]
+        if _cycle_sign(perm) < 0:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def _scalar(rng):
+    return Scalar.of(_fraction(rng), _fraction(rng))
+
+
+FIELDS = [
+    pytest.param(_fraction, Fraction(1), Fraction(0), id="fraction"),
+    pytest.param(_scalar, ONE, ZERO, id="scalar"),
+]
+
+
+def _matrix(rng, entry, rows, cols):
+    return tuple(tuple(entry(rng) for _ in range(cols)) for _ in range(rows))
+
+
+@pytest.mark.parametrize("entry, one, zero", FIELDS)
+def test_det_matches_leibniz(entry, one, zero):
+    rng = random.Random(1)
+    for size in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            a = _matrix(rng, entry, size, size)
+            assert linalg.mat_det(a) == _leibniz_det(a)
+    # a repeated row: singular, determinant zero
+    a = _matrix(rng, entry, 3, 3)
+    assert linalg.mat_det((a[0], a[1], a[0])) == zero
+
+
+@pytest.mark.parametrize("entry, one, zero", FIELDS)
+def test_inverse_and_solve(entry, one, zero):
+    rng = random.Random(2)
+    for size in (1, 2, 3, 4):
+        a = _matrix(rng, entry, size, size)
+        if linalg.mat_det(a) == zero:
+            continue
+        inv = linalg.mat_inverse(a, one, zero)
+        assert linalg.mat_mul(a, inv) == linalg.identity(size, one, zero)
+        b = tuple(entry(rng) for _ in range(size))
+        x = linalg.solve(a, b)
+        assert linalg.mat_mul(a, tuple((v,) for v in x)) == tuple((v,) for v in b)
+
+
+@pytest.mark.parametrize("entry, one, zero", FIELDS)
+def test_rank_of_product(entry, one, zero):
+    # U (n x r) and V (r x n) each hold an r x r identity block, so UV has
+    # rank exactly r; shuffling rows and columns keeps the rank.
+    rng = random.Random(3)
+    for n in (2, 3, 4, 5):
+        for r in range(0, n + 1):
+            u = [[one if i == j else zero for j in range(r)] for i in range(r)]
+            u += [[entry(rng) for _ in range(r)] for _ in range(n - r)]
+            v = [[one if i == j else zero for j in range(r)]
+                 + [entry(rng) for _ in range(n - r)] for i in range(r)]
+            if r == 0:
+                prod = [[zero] * n for _ in range(n)]
+            else:
+                prod = [list(row) for row in linalg.mat_mul(u, v)]
+            rng.shuffle(prod)
+            cols = list(range(n))
+            rng.shuffle(cols)
+            prod = tuple(tuple(row[c] for c in cols) for row in prod)
+            assert linalg.mat_rank(prod) == r
+
+
+@pytest.mark.parametrize("entry, one, zero", FIELDS)
+def test_singular_inverse_and_solve_raise(entry, one, zero):
+    rng = random.Random(4)
+    row = tuple(entry(rng) for _ in range(3))
+    other = tuple(entry(rng) for _ in range(3))
+    twice = tuple(x + x for x in row)
+    singular = (row, other, twice)
+    with pytest.raises(ZeroDivisionError):
+        linalg.mat_inverse(singular, one, zero)
+    with pytest.raises(ZeroDivisionError):
+        linalg.solve(singular, (one, zero, one))
+
+
+def test_perm_sign_matches_cycle_count():
+    for n in range(6):
+        for perm in itertools.permutations(range(n)):
+            assert linalg.perm_sign(perm) == _cycle_sign(perm)
+
+
+def test_perm_sign_of_unsorted_items():
+    assert linalg.perm_sign((3, 7)) == 1
+    assert linalg.perm_sign((7, 3)) == -1
+    assert linalg.perm_sign((2, 4, 1, 3)) == -1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_delta_orientation_matches_edge_determinant(dim):
+    rng = random.Random(5 + dim)
+    seen = set()
+    for _ in range(200):
+        points = random_config(rng, dim, dim + 1)
+        try:
+            value = delta(points)
+        except DegenerateSimplexError:
+            continue
+        if value == 0:
+            continue
+        # edges v_k - v_0 as the columns of a matrix
+        edges = tuple(tuple(points[k][i] - points[0][i] for k in range(1, dim + 1))
+                      for i in range(dim))
+        assert value == (1 if _leibniz_det(edges) > 0 else -1)
+        seen.add(value)
+    assert seen == {1, -1}

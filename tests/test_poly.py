@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from weylhh.poly import Poly, T, Y, Z, _mono_sorted
-from weylhh.scalars import ONE, Scalar
+from weylhh.poly import Poly, Y, Z, _mono_sorted
+from weylhh.scalars import Scalar
 
 
 def y(i, e=1):
@@ -19,28 +20,20 @@ def test_trivial_products():
 
 
 def test_schoolbook_square():
-    # (2 z1 + t1 y2)^2 expanded by hand.
-    p = Poly.variable(Z, 1, Scalar.of(2)) + Poly.monomial([(T, 1, 1), (Y, 2, 1)])
+    # (2 z1 + z2 y2)^2 expanded by hand.
+    p = Poly.variable(Z, 1, Scalar.of(2)) + Poly.monomial([(Z, 2, 1), (Y, 2, 1)])
     sq = p * p
     expect = (Poly.monomial([(Z, 1, 2)], Scalar.of(4))
-              + Poly.monomial([(T, 1, 1), (Y, 2, 1), (Z, 1, 1)], Scalar.of(4))
-              + Poly.monomial([(T, 1, 2), (Y, 2, 2)]))
+              + Poly.monomial([(Z, 2, 1), (Y, 2, 1), (Z, 1, 1)], Scalar.of(4))
+              + Poly.monomial([(Z, 2, 2), (Y, 2, 2)]))
     assert sq == expect
 
 
 def test_diff():
     assert y(1, 3).diff(Y, 1) == y(1, 2).scale(Scalar.of(3))
     assert (y(1) * Poly.variable(Z, 1)).diff(Z, 2).is_zero()
-    t = Poly.monomial([(T, 1, 2), (T, 2, 1)])
-    assert t.diff(T, 1) == Poly.monomial([(T, 1, 1), (T, 2, 1)], Scalar.of(2))
-
-
-def test_integrate_unit():
-    assert Poly.monomial([(T, 1, 2)]).integrate_unit(1) == Poly.const(Scalar.of(Fraction(1, 3)))
-    p = Poly.monomial([(Y, 1, 1), (T, 1, 1)]) + Poly.one()
-    assert p.integrate_unit(1) == y(1).scale(Scalar.of(Fraction(1, 2))) + Poly.one()
-    q = Poly.monomial([(T, 1, 3), (T, 2, 2)])
-    assert q.integrate_unit(2).integrate_unit(1) == Poly.const(Scalar.of(Fraction(1, 12)))
+    z = Poly.monomial([(Z, 1, 2), (Z, 2, 1)])
+    assert z.diff(Z, 1) == Poly.monomial([(Z, 1, 1), (Z, 2, 1)], Scalar.of(2))
 
 
 def _random_poly(rng, max_degree=4, nvars=6):
@@ -49,8 +42,8 @@ def _random_poly(rng, max_degree=4, nvars=6):
         deg = rng.randint(0, max_degree)
         exps = {}
         for _ in range(deg):
-            bank, hi = rng.choice([(Y, nvars // 2), (Z, nvars // 2), (T, 2)])
-            idx = rng.randint(1, hi)
+            bank = rng.choice([Y, Z])
+            idx = rng.randint(1, nvars // 2)
             exps[(bank, idx)] = exps.get((bank, idx), 0) + 1
         coeff = Scalar.of(rng.randint(-5, 5), rng.randint(-5, 5))
         out = out + Poly.monomial([(b, i, e) for (b, i), e in exps.items()], coeff)
@@ -74,7 +67,7 @@ def test_derivatives_commute_sampled():
         assert a.diff(Y, 1).diff(Y, 2) == a.diff(Y, 2).diff(Y, 1)
 
 
-_var = st.tuples(st.sampled_from((Y, Z, T)), st.integers(1, 3))
+_var = st.tuples(st.sampled_from((Y, Z)), st.integers(1, 3))
 _polys = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
                             st.lists(st.tuples(_var, st.integers(1, 3)), max_size=4)),
                   max_size=5)
@@ -97,21 +90,9 @@ def test_diff_returns_canonical_monomials(terms, var):
     assert got == want
 
 
-def test_fundamental_theorem_in_t():
-    rng = random.Random(13)
-    for _ in range(60):
-        a = _random_poly(rng)
-        lhs = a.diff(T, 1).integrate_unit(1)
-        rhs = a.set_var(T, 1, ONE) - a.set_var(T, 1, Scalar.of(0))
-        assert lhs == rhs
-
-
 def test_degree_queries():
-    p = Poly.monomial([(Y, 1, 2), (Z, 3, 1)]) + Poly.monomial([(T, 1, 5)])
+    p = Poly.monomial([(Y, 1, 2), (Z, 3, 1)]) + Poly.monomial([(Z, 1, 5)])
     assert p.degree() == 5
-    assert p.degree_in_bank(Y) == 2
-    assert p.degree_in_bank(Z) == 1
-    assert p.degree_in_bank(T) == 5
     assert p.max_index(Z) == 3
 
 
@@ -159,7 +140,7 @@ def test_from_json_merges_repeated_monomials():
 
 @pytest.mark.parametrize("exps", [
     [["Y", 1, -2]], [["Y", 1, 0]], [["Y", 0, 1]], [["Y", -3, 1]],
-    [["X", 1, 1]], [[["Y"], 1, 1]], [["Y", 1]], [["Y", 1, 1.5]], [["Y", "1", 1]],
+    [["X", 1, 1]], [["T", 1, 1]], [[["Y"], 1, 1]], [["Y", 1]], [["Y", 1, 1.5]], [["Y", "1", 1]],
 ])
 def test_from_json_rejects_bad_exponents(exps):
     coeff = {"re": ["1", "1"], "im": ["0", "1"]}
@@ -172,3 +153,21 @@ def test_from_json_rejects_bad_exponents(exps):
 def test_from_json_rejects_bad_shapes(obj):
     with pytest.raises(ValueError):
         Poly.from_json(obj)
+
+
+def test_exp_quadratic_series(monkeypatch):
+    q = (Poly.monomial([(Y, 1, 1), (Z, 2, 1)], Scalar.of(0, 2))
+         + Poly.monomial([(Y, 2, 2)], Scalar.of(Fraction(-1, 3))))
+    for degree in range(0, 8):
+        want = Poly.zero()
+        for k in range(degree // 2 + 1):
+            want = want + (q ** k).scale(Scalar.of(Fraction(1, factorial(k))))
+        assert q.exp_quadratic(degree) == want
+    # q^k / k! is built from the previous term, and the power past the last
+    # kept one is never formed: one product per kept power.
+    products = []
+    plain_mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__",
+                        lambda a, b: products.append(1) or plain_mul(a, b))
+    q.exp_quadratic(7)
+    assert len(products) == 3
