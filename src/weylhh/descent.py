@@ -41,11 +41,12 @@ from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError
-from .forms import FormElement, ext_d, form_star, homotopy_s, wedge_merge
+from .forms import FormElement, ext_d, form_star, homotopy_s, wedge_expand
 from .hochschild import (Cochain, DUAL, FORM, INVOLUTION_TWIST, Report, Twist,
                          constant_cochain, group_twist, hochschild_d)
-from .poly import Poly, Y, Z
-from .scalars import ONE, Scalar
+from .groups import GroupElement
+from .poly import Poly, Y, Z, mono_degree, mono_z_degree
+from .scalars import ZERO, Scalar
 from .weyl import SymplecticData, WeylElement, _star_kernel
 
 DEFAULT_BUDGET_MARGIN = 4
@@ -126,13 +127,11 @@ def make_zeta(ambient: SymplecticData) -> GaussianGenerator:
 
 def make_zeta_g(ambient: SymplecticData, g) -> GaussianGenerator:
     """The g-twisted generator; g is a GroupElement or symplectic matrix."""
-    matrix = getattr(g, "matrix", g)
+    if not isinstance(g, GroupElement):
+        g = GroupElement.from_rows(g)
+    matrix = g.matrix
     size = 2 * ambient.n
-    from .linalg import identity, mat_rank, mat_sub
-    rank = mat_rank(mat_sub(identity(size, ONE, Scalar.of(0)), matrix))
-    if rank % 2:
-        raise ValueError("rank(1 - g) must be even for a symplectic g")
-    k = rank // 2
+    k = g.twist_pairs()
 
     y = _vector(Y, ambient)
     z = _vector(Z, ambient)
@@ -152,58 +151,24 @@ def make_zeta_g(ambient: SymplecticData, g) -> GaussianGenerator:
             if i == l0:
                 c = c + half
             row.append(c)
-        u_rows.append(row)
+        u_rows.append({(l0 + 1,): c for l0, c in enumerate(row) if not c.is_zero()})
     two_form: Dict[Tuple[int, ...], Scalar] = {}
     for i in range(size):
         for j in range(i + 1, size):
             w = ambient.omega[i][j]
             if w.is_zero():
                 continue
-            for a in range(size):
-                ca = u_rows[i][a]
-                if ca.is_zero():
-                    continue
-                for b in range(size):
-                    cb = u_rows[j][b]
-                    if cb.is_zero() or a == b:
-                        continue
-                    coeff = w * ca * cb
-                    idx = (a + 1, b + 1)
-                    if idx[0] > idx[1]:
-                        idx = (idx[1], idx[0])
-                        coeff = -coeff
-                    prev = two_form.get(idx)
-                    coeff = coeff if prev is None else prev + coeff
-                    if coeff.is_zero():
-                        two_form.pop(idx, None)
-                    else:
-                        two_form[idx] = coeff
-    pieces: Dict[Tuple[int, ...], Scalar] = {(): ONE}
-    for _ in range(k):
-        nxt: Dict[Tuple[int, ...], Scalar] = {}
-        for part, coeff in pieces.items():
-            for pair, c in two_form.items():
-                merged = wedge_merge(part, pair)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                add = coeff * c
-                if sign < 0:
-                    add = -add
-                prev = nxt.get(idx)
-                add = add if prev is None else prev + add
-                if add.is_zero():
-                    nxt.pop(idx, None)
-                else:
-                    nxt[idx] = add
-        pieces = nxt
+            for idx, c in wedge_expand([u_rows[i], u_rows[j]]).items():
+                two_form[idx] = two_form.get(idx, ZERO) + w * c
+    two_form = {idx: c for idx, c in two_form.items() if not c.is_zero()}
+    pieces = wedge_expand([two_form] * k)
     scale = Scalar.rational(1, factorial(k))
     prefactor = FormElement(
         {idx: Poly.const(c * scale) for idx, c in pieces.items()},
         ambient)
     if k > 0 and prefactor.is_zero():
         raise ValueError("degenerate twisted prefactor; g is not usable here")
-    label = getattr(g, "label", "") or "g"
+    label = g.label or "g"
     return GaussianGenerator(ambient, quad, prefactor, group_twist(matrix),
                              label=f"zeta_{label}")
 
@@ -228,12 +193,8 @@ def _prune(form: FormElement, z_cap: int, total_cap: int) -> FormElement:
     for idx, poly in form.components.items():
         kept = {}
         for mono, c in poly.terms.items():
-            z_deg = sum(e for b, _, e in mono if b == Z)
-            if z_deg > z_cap:
-                continue
-            if z_deg + sum(e for b, _, e in mono if b == Y) > total_cap:
-                continue
-            kept[mono] = c
+            if mono_z_degree(mono) <= z_cap and mono_degree(mono) <= total_cap:
+                kept[mono] = c
         if kept:
             comps[idx] = Poly(kept)
     return FormElement(comps, form.ambient, form.truncation)
@@ -269,34 +230,20 @@ class DescentTrace:
 
 def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
             budget: Optional[int] = None, check_stability: bool = True,
-            return_trace: bool = False, full_differential: bool = False):
+            return_trace: bool = False):
     """Evaluate the descent cocycle on concrete arguments.
 
     Recomputes at budget+2 and requires the certified parts to agree; a
     mismatch means the budget heuristic was too small for these arguments
     and surfaces as a BudgetError.
-
-    full_differential routes the last step through the complete Hochschild
-    differential of the ladder bottom instead of its first term alone; the
-    two agree after the z = 0 projection (the extra terms have no z-constant
-    part) and the flag exists as an independent cross-check of that fact.
     """
     p = gen.form_degree
     if len(args) != p:
         raise ValueError(f"generator of form degree {p} takes {p} arguments")
     d = auto_budget(args, gen.ambient.n) if budget is None else budget
-
-    def value_at(degree: int) -> WeylElement:
-        if not full_differential:
-            return _chain_value(gen, args, degree)
-        trace = build_trace(gen, degree)
-        form = hochschild_d(trace.xis[-1])(*args).scale(Scalar.of(-1))
-        poly = form.component(()).set_bank_zero(Z)
-        return WeylElement(poly, gen.ambient, form.truncation)
-
-    value = value_at(d)
+    value = _chain_value(gen, args, d)
     if check_stability:
-        recomputed = value_at(d + 2)
+        recomputed = _chain_value(gen, args, d + 2)
         if recomputed.restrict(value.truncation) != value:
             raise BudgetError(
                 f"descent value unstable at budget {d}; rerun with a larger one")
@@ -367,7 +314,7 @@ class SuffixCache:
             zero_part = homotopy_s(self.tail(rest)).component(())
             contracted = Poly({
                 mono: c for mono, c in zero_part.terms.items()
-                if sum(e for b, _, e in mono if b == Z) <= self.slot_degree
+                if mono_z_degree(mono) <= self.slot_degree
             })
             self._final[key] = contracted
         prod = _star_kernel(head.poly, contracted, self.gen.ambient, right_z=True)

@@ -13,15 +13,17 @@ The expansion order needed for a tuple of arguments is therefore bounded by
 their total degree, and the symbol refuses (loudly) to be applied beyond the
 budget it was built for.
 
-Applying the symbol happens on disjoint variable copies: argument mu lives
-on Y-bank indices mu*2n + 1 .. mu*2n + 2n, the output on indices 1..2n, and
-a product of derivative symbols evaluated at y_mu = 0 turns into exponent
-bookkeeping against the argument coefficients.  Each symbol monomial's
-operator is built once, its monomials packed into ints (one bit field per
-variable, so a product adds keys) and grouped by their per-slot derivative
-multi-index alpha, which pairs only with the argument terms y^alpha_mu
-(weighted by alpha_mu!).  ffs_apply combines only argument terms of the right
-degree and looks their summed key up; monomial_table reads the index itself.
+Applying the symbol happens on disjoint variable copies: the output lives
+on y_1..y_2n and argument mu on its own copy of 2n variables (see _copy),
+and a product of derivative symbols evaluated at y_mu = 0 turns into
+exponent bookkeeping against the argument coefficients.  Each symbol
+monomial's operator is built once as a Poly, and one low mask splits each of
+its int monomial keys (see poly) into the output part and the copy part: the
+per-slot derivative multi-index alpha, which pairs only with the argument
+terms y^alpha_mu (weighted by alpha_mu!).  The operator is stored grouped by
+its copy parts.  ffs_apply renames each argument key onto its copy, combines
+only argument terms of the right degree and looks their summed key up;
+monomial_table reads the index itself.
 
 A second, independent route for n = 1 integrates over the unit square after
 the substitution u_1 = t_0 t_1, u_2 = t_0 (Jacobian t_0); the two must agree
@@ -37,12 +39,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, prod
+from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InsufficientExpansionError
 from .linalg import mat_mul, mat_transpose, perm_sign
-from .poly import Poly, Y
+from .poly import Poly, Y, Z, index_mask, mono_degree, mono_factorial, rename
 from .scalars import I, ONE, Scalar
 from .weyl import SymplecticData, WeylElement
 
@@ -156,9 +158,21 @@ def cached_symbol(n: int, degree_budget: int) -> FFSSymbol:
 # -- applying the symbol ------------------------------------------------------
 
 
+def _copy(mu: int, n: int) -> Tuple[str, int]:
+    """The bank and index offset of argument mu's variable copy.
+
+    Copies alternate between the banks, two to each block of 2n indices
+    (copy 1 on z_1..z_2n, copy 2 on y_{2n+1}..y_{4n}, copy 3 on
+    z_{2n+1}..z_{4n}, ...): using both banks halves the index range the
+    operator keys span, and with it their length.
+    """
+    return (Z if mu % 2 else Y), mu // 2 * 2 * n
+
+
 def _copy_var(mu: int, j: int, n: int) -> Tuple[str, int, int]:
-    """Derivative symbol d/dy_mu^j encoded as a Y variable on copy mu."""
-    return (Y, mu * 2 * n + j, 1)
+    """Derivative symbol d/dy_mu^j encoded as a variable on copy mu."""
+    bank, offset = _copy(mu, n)
+    return (bank, offset + j, 1)
 
 
 def _det_operator(sym: SymplecticData) -> Poly:
@@ -216,26 +230,6 @@ def _pair_operator(sym: SymplecticData, i: int, j: int) -> Poly:
     return out
 
 
-# Packed monomials: Y-bank variable idx (the output at 1..2n, copy mu at
-# mu*2n + 1 .. mu*2n + 2n) owns bits [(idx - 1) * _BITS, idx * _BITS) of one
-# int, so multiplying two monomials is adding their keys.
-_BITS = 8
-_FIELD = 1 << _BITS
-
-
-def _pack(mono) -> int:
-    return sum(e << ((idx - 1) * _BITS) for _, idx, e in mono)
-
-
-def _unpack(key: int) -> tuple:
-    """The Y monomial of a key packed from index 1; inverse of _pack."""
-    exps = []
-    while key:
-        exps.append(key & (_FIELD - 1))
-        key >>= _BITS
-    return tuple((Y, idx, e) for idx, e in enumerate(exps, start=1) if e)
-
-
 class PackedOperator:
     """An operator indexed by the packed copy part of its monomials (their
     per-slot derivative multi-index): terms maps it to the flat tuple
@@ -249,22 +243,13 @@ class PackedOperator:
 
 def _times(base: Dict[int, tuple], factor: Poly, m: int) -> Dict[int, tuple]:
     """Grouped product of a packed operator with an operator polynomial."""
-    packed = [(_pack(mono), c) for mono, c in factor.terms.items()]
-    terms: Dict[int, Scalar] = {}
-    for copy_key, flat in base.items():
-        for key0, c0 in zip(flat[::2], flat[1::2]):
-            key0 += copy_key
-            for k, c in packed:
-                k += key0
-                c = c0 * c
-                prev = terms.get(k)
-                terms[k] = c if prev is None else prev + c
-    out_mask = (1 << (m * _BITS)) - 1
+    whole = Poly({copy_key | out: c for copy_key, flat in base.items()
+                  for out, c in zip(flat[::2], flat[1::2])})
+    out_mask = index_mask(m, Y)
     groups: Dict[int, list] = {}
-    for k, c in terms.items():
-        if c:
-            out = k & out_mask
-            groups.setdefault(k - out, []).extend((out, c))
+    for k, c in (whole * factor).terms.items():
+        out = k & out_mask
+        groups.setdefault(k - out, []).extend((out, c))
     return {k: tuple(v) for k, v in groups.items()}
 
 
@@ -276,12 +261,6 @@ def _operator_for(ambient: SymplecticData, mono: WMono) -> PackedOperator:
     key = (ambient, mono)
     op = _op_cache.get(key)
     if op is None:
-        # No exponent of the operator exceeds the symbol order + 1; a field
-        # that reached _FIELD would carry into its neighbour.
-        order = sum(c for _, c in mono)
-        if order + 1 >= _FIELD:
-            raise ValueError(f"symbol order {order} overflows the "
-                             f"{_BITS}-bit exponent fields")
         if mono:
             head = mono[:-1]
             pair, count = mono[-1]
@@ -308,15 +287,14 @@ def _slot_degrees(mono: WMono, m: int) -> List[int]:
 
 def _slot_terms(args: Sequence[WeylElement]) -> List[Dict[int, list]]:
     """Per argument, its terms by degree as (key on its copy, coeff * alpha!)."""
-    m = len(args)
+    n = len(args) // 2
     slots = []
     for mu, arg in enumerate(args, start=1):
-        shift = mu * m * _BITS
+        bank, offset = _copy(mu, n)
         by_degree: Dict[int, list] = {}
         for mono, c in arg.poly.terms.items():
-            exps = [e for _, _, e in mono]
-            by_degree.setdefault(sum(exps), []).append(
-                (_pack(mono) << shift, c.scale_fraction(prod(map(factorial, exps)))))
+            by_degree.setdefault(mono_degree(mono), []).append(
+                (rename(mono, Y, bank, offset), c.scale_fraction(mono_factorial(mono))))
         slots.append(by_degree)
     return slots
 
@@ -333,6 +311,7 @@ def _contract(slots: List[Dict[int, list]], ambient: SymplecticData,
         return
     index = _operator_for(ambient, mono).terms
     for combo in itertools.product(*terms):
+        # Each slot key lives on its own copy's fields, so the sum cannot carry.
         flat = index.get(sum(k for k, _ in combo))
         if flat is None:
             continue
@@ -343,10 +322,6 @@ def _contract(slots: List[Dict[int, list]], ambient: SymplecticData,
             c = value * c
             prev = acc.get(out)
             acc[out] = c if prev is None else prev + c
-
-
-def _output_poly(acc: Dict[int, Scalar]) -> Poly:
-    return Poly({_unpack(k): c for k, c in acc.items() if c})
 
 
 def ffs_apply(symbol: FFSSymbol, args: Sequence[WeylElement],
@@ -367,7 +342,7 @@ def ffs_apply(symbol: FFSSymbol, args: Sequence[WeylElement],
     acc: Dict[int, Scalar] = {}
     for mono, coeff in symbol.coeffs:
         _contract(slots, ambient, mono, coeff, acc)
-    result = _output_poly(acc)
+    result = Poly({k: c for k, c in acc.items() if c})
     if d_out is not None and result.degree() > d_out:
         raise InsufficientExpansionError(
             f"result degree {result.degree()} exceeds requested bound {d_out}")
@@ -395,15 +370,15 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
                 c = coeff * c
                 prev = row.get(out)
                 row[out] = c if prev is None else prev + c
-    slot_mask = (1 << (m * _BITS)) - 1
+    copies = [_copy(mu, symbol.n) for mu in range(1, m + 1)]
+    slot_mask = index_mask(m, Y)
     table: Dict[tuple, Poly] = {}
     while rows:  # popping frees each row as its table entry is made
         copy_key, row = rows.popitem()
-        key = tuple(_unpack((copy_key >> (mu * m * _BITS)) & slot_mask)
-                    for mu in range(1, m + 1))
-        weight = prod(factorial(e) for part in key for _, _, e in part)
-        poly = _output_poly({out: c.scale_fraction(weight)
-                             for out, c in row.items()})
+        key = tuple(rename(copy_key, bank, Y, -offset) & slot_mask
+                    for bank, offset in copies)
+        weight = mono_factorial(copy_key)
+        poly = Poly({out: c.scale_fraction(weight) for out, c in row.items() if c})
         if poly:
             table[key] = poly
     return table
@@ -473,7 +448,7 @@ def ffs_hypercube_n1(args: Sequence[WeylElement],
                     continue
                 mono = tuple((pair, c) for pair, c in sorted(counts.items()) if c)
                 _contract(slots, ambient, mono, coeff, acc)
-    result = _output_poly(acc)
+    result = Poly({k: c for k, c in acc.items() if c})
     if d_out is not None and result.degree() > d_out:
         raise InsufficientExpansionError(
             f"result degree {result.degree()} exceeds requested bound {d_out}")

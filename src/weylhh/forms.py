@@ -26,7 +26,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import AmbientMismatchError, BudgetError
 from .linalg import perm_sign
-from .poly import Mono, Poly, Y, Z, _mono_mul
+from .poly import Poly, Y, Z, mono_z_degree
 from .scalars import ONE, Scalar
 from .weyl import (SymplecticData, WeylElement, _min_trunc, _star_kernel,
                    ambient_from_json, truncation_from_json)
@@ -44,6 +44,31 @@ def wedge_merge(i1: DzIndex, i2: DzIndex) -> Optional[Tuple[int, DzIndex]]:
         return None
     merged = i1 + i2
     return perm_sign(merged), tuple(sorted(merged))
+
+
+def wedge_expand(factors: Iterable[Dict[DzIndex, Scalar]]) -> Dict[DzIndex, Scalar]:
+    """The wedge product of constant-coefficient forms, each given as a map
+    from dz index tuples to nonzero coefficients."""
+    pieces: Dict[DzIndex, Scalar] = {(): ONE}
+    for factor in factors:
+        nxt: Dict[DzIndex, Scalar] = {}
+        for part, coeff in pieces.items():
+            for idx, c in factor.items():
+                merged = wedge_merge(part, idx)
+                if merged is None:
+                    continue
+                sign, nidx = merged
+                add = coeff * c
+                if sign < 0:
+                    add = -add
+                prev = nxt.get(nidx)
+                add = add if prev is None else prev + add
+                if add.is_zero():
+                    nxt.pop(nidx, None)
+                else:
+                    nxt[nidx] = add
+        pieces = nxt
+    return pieces
 
 
 class FormElement:
@@ -138,27 +163,9 @@ class FormElement:
         for idx, poly in self.components.items():
             p = poly.linear_subst(Y, matrix).linear_subst(Z, matrix)
             # dz_i -> sum_l matrix[i][l] dz_l, expanded as a wedge of 1-forms.
-            pieces: Dict[DzIndex, Scalar] = {(): ONE}
-            for i in idx:
-                nxt: Dict[DzIndex, Scalar] = {}
-                for part, coeff in pieces.items():
-                    for l0, c in enumerate(matrix[i - 1]):
-                        if c.is_zero():
-                            continue
-                        merged = wedge_merge(part, (l0 + 1,))
-                        if merged is None:
-                            continue
-                        sign, nidx = merged
-                        add = coeff * c
-                        if sign < 0:
-                            add = -add
-                        prev = nxt.get(nidx)
-                        add = add if prev is None else prev + add
-                        if add.is_zero():
-                            nxt.pop(nidx, None)
-                        else:
-                            nxt[nidx] = add
-                pieces = nxt
+            pieces = wedge_expand(
+                {(l0 + 1,): c for l0, c in enumerate(matrix[i - 1]) if not c.is_zero()}
+                for i in idx)
             for nidx, coeff in pieces.items():
                 out[nidx] = out.get(nidx, Poly.zero()) + p.scale(coeff)
         return FormElement(out, self.ambient, self.truncation)
@@ -287,27 +294,19 @@ def homotopy_s(a: FormElement) -> FormElement:
     the unit-interval integral of t^(k+q-1).  Stripping the r-th dz index
     (counted from 0) multiplies it by that z variable with sign (-1)^r.
     """
-    out: Dict[DzIndex, Dict[Mono, Scalar]] = {}
+    out: Dict[DzIndex, Poly] = {}
     for idx, poly in a.components.items():
         q = len(idx)
         if q == 0:
             continue
-        targets = [(out.setdefault(idx[:r] + idx[r + 1:], {}), ((Z, i, 1),), r % 2)
-                   for r, i in enumerate(idx)]
-        for m, c in poly.terms.items():
-            w = c.scale_fraction(1, q + sum(e for b, _, e in m if b == Z))
-            for acc, zvar, odd in targets:
-                nm = _mono_mul(m, zvar)
-                add = -w if odd else w
-                prev = acc.get(nm)
-                if prev is not None:
-                    add = prev + add
-                    if add.is_zero():
-                        del acc[nm]
-                        continue
-                acc[nm] = add
+        weighted = Poly({m: c.scale_fraction(1, q + mono_z_degree(m))
+                         for m, c in poly.terms.items()})
+        for r, i in enumerate(idx):
+            part = weighted * Poly.variable(Z, i, -ONE if r % 2 else ONE)
+            rest = idx[:r] + idx[r + 1:]
+            out[rest] = out.get(rest, Poly.zero()) + part
     t = None if a.truncation is None else a.truncation + 1
-    return FormElement({i: Poly(terms) for i, terms in out.items()}, a.ambient, t)
+    return FormElement(out, a.ambient, t)
 
 
 def proj_p(a: FormElement) -> FormElement:

@@ -163,24 +163,20 @@ def hochschild_d2(f: Cochain) -> Cochain:
                    normalized=f.normalized, label=f"d2({f.label})")
 
 
-def cochain_ext_d(f: Cochain, dressed: bool = True) -> Cochain:
+def cochain_ext_d(f: Cochain) -> Cochain:
     """Exterior differential on form-valued cochains, (-1)^arity dressed."""
-    sign = -1 if (dressed and f.arity % 2) else 1
-
     def op(v):
         dv = ext_d(v)
-        return -dv if sign < 0 else dv
+        return -dv if f.arity % 2 else dv
 
     return f.map_values(op, label=f"extd({f.label})")
 
 
-def cochain_s(f: Cochain, dressed: bool = True) -> Cochain:
+def cochain_s(f: Cochain) -> Cochain:
     """Contraction homotopy on form-valued cochains, (-1)^arity dressed."""
-    sign = -1 if (dressed and f.arity % 2) else 1
-
     def op(v):
         sv = homotopy_s(v)
-        return -sv if sign < 0 else sv
+        return -sv if f.arity % 2 else sv
 
     return f.map_values(op, label=f"s({f.label})")
 

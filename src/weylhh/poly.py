@@ -9,18 +9,29 @@ Every integral the package needs has a closed form (the homotopy weight
 1/(k+q), the simplex and unit-square moments), so no integration variable is
 ever introduced.
 
-A monomial is a sorted tuple of (bank, index, exponent) triples; a polynomial
-is a map from monomials to nonzero Scalar coefficients.  Values are treated
-as immutable after construction, so one value may be read from several
-threads; the package's memo caches (ffs `_symbol_cache` and `_op_cache`,
-`GaussianGenerator._expansions`, each `SuffixCache`) are unsynchronised.
+A monomial is one int key with an 8-bit exponent field per variable: y_i owns
+field 2(i-1) and z_i field 2(i-1)+1, field f being bits [8f, 8f+8).  So
+multiplying two monomials adds their keys (Monagan-Pearce packing), a
+derivative subtracts one unit from a field, and the total degree and the
+z-degree are byte sums.  Every key sum is made in Poly.__mul__, whose one
+guard refuses a field that would reach 256 with a ValueError instead of
+letting it carry into its neighbour.  No other module reads the layout: they
+use mono_degree, mono_z_degree, mono_factorial, rename and index_mask.
 
-Serialization uses a graded-lex term order over (bank, index) so that equal
-polynomials always produce byte-identical JSON.
+A polynomial is a map from keys to nonzero Scalar coefficients.  Values are
+treated as immutable after construction, so one value may be read from
+several threads; the package's memo caches (ffs `_symbol_cache` and
+`_op_cache`, `GaussianGenerator._expansions`, each `SuffixCache`) are
+unsynchronised.
+
+Constructors and serialization speak (bank, index, exponent) triples;
+serialization unpacks the keys and sorts them in a graded-lex order over
+(bank, index), so equal polynomials always produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
+from math import factorial, prod
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar
@@ -28,62 +39,93 @@ from .scalars import ONE, ZERO, Scalar
 Y = "Y"
 Z = "Z"
 
-_BANK_ORDER = {Y: 0, Z: 1}
-
 Mono = Tuple[Tuple[str, int, int], ...]
 
-
-def _mono_sorted(triples: Iterable[Tuple[str, int, int]]) -> Mono:
-    exps: Dict[Tuple[str, int], int] = {}
-    for bank, idx, exp in triples:
-        if exp:
-            exps[(bank, idx)] = exps.get((bank, idx), 0) + exp
-    return tuple(sorted(
-        ((b, i, e) for (b, i), e in exps.items() if e),
-        key=lambda t: (_BANK_ORDER[t[0]], t[1]),
-    ))
-
-
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    """Merge two canonical monomials (linear merge of sorted triples)."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        b1, x1, e1 = m1[i]
-        b2, x2, e2 = m2[j]
-        k1 = (_BANK_ORDER[b1], x1)
-        k2 = (_BANK_ORDER[b2], x2)
-        if k1 == k2:
-            out.append((b1, x1, e1 + e2))
-            i += 1
-            j += 1
-        elif k1 < k2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+_BITS = 8
+MAX_EXPONENT = (1 << _BITS) - 1
+MAX_INDEX = 512
+_KEY_BITS = 2 * _BITS * MAX_INDEX
+# The lowest bit of every field but the first: a key sum that sets one of
+# these bits beyond what its operands had there carried out of a field.
+_CARRIES = sum(1 << (_BITS * f) for f in range(1, 2 * MAX_INDEX + 1))
+# The highest bit of every field: two fields below 128 cannot carry.
+_HIGH = _CARRIES >> 1
+_BANK_MASK = {Y: sum(MAX_EXPONENT << (2 * _BITS * i) for i in range(MAX_INDEX))}
+_BANK_MASK[Z] = _BANK_MASK[Y] << _BITS
 
 
-def _mono_degree(m: Mono) -> int:
-    return sum(e for _, _, e in m)
+def _offset(bank: str, index: int) -> int:
+    """The lowest bit of the variable's exponent field."""
+    if bank not in _BANK_MASK or not 1 <= index <= MAX_INDEX:
+        raise ValueError(f"no variable {bank!r}{index!r}: banks are Y and Z, "
+                         f"indices 1..{MAX_INDEX}")
+    return _BITS * (2 * (index - 1) + (bank == Z))
 
 
-def _mono_key(m: Mono) -> tuple:
-    return (_mono_degree(m), tuple((_BANK_ORDER[b], i, e) for b, i, e in m))
+def _bytes(key: int) -> bytes:
+    return key.to_bytes((key.bit_length() + 7) >> 3, "little")
+
+
+def mono_degree(key: int) -> int:
+    """Total degree of a monomial key."""
+    return sum(_bytes(key))
+
+
+def mono_z_degree(key: int) -> int:
+    """Degree of a monomial key in the Z bank."""
+    return sum(_bytes(key)[1::2])
+
+
+def mono_factorial(key: int) -> int:
+    """The product of the factorials of a monomial key's exponents."""
+    return prod(map(factorial, _bytes(key)))
+
+
+def rename(key: int, src: str, dst: str, offset: int) -> int:
+    """The src-bank part of a monomial key with each variable v_i renamed to
+    the dst-bank variable of index i + offset; those renamed below index 1
+    are dropped."""
+    bits = 2 * _BITS * offset + _BITS * ((dst == Z) - (src == Z))
+    key &= _BANK_MASK[src]
+    if bits < 0:
+        return key >> -bits
+    key <<= bits
+    if key.bit_length() > _KEY_BITS:
+        raise ValueError(f"variable index renamed past {MAX_INDEX}")
+    return key
+
+
+def index_mask(count: int, bank: str) -> int:
+    """The fields of the bank's variables of index 1..count."""
+    return _BANK_MASK[bank] & ((1 << (2 * _BITS * count)) - 1)
+
+
+def _key(triples: Iterable[Tuple[str, int, int]]) -> int:
+    exps: Dict[int, int] = {}
+    for bank, index, exp in triples:
+        off = _offset(bank, index)
+        exps[off] = exps.get(off, 0) + exp
+    for e in exps.values():
+        if not 0 <= e <= MAX_EXPONENT:
+            raise ValueError(f"exponent {e} does not fit an {_BITS}-bit field")
+    return sum(e << off for off, e in exps.items())
+
+
+def _triples(key: int) -> Mono:
+    """The (bank, index, exponent) triples of a key, Y before Z, by index."""
+    b = _bytes(key)
+    return (tuple((Y, i, e) for i, e in enumerate(b[0::2], start=1) if e)
+            + tuple((Z, i, e) for i, e in enumerate(b[1::2], start=1) if e))
+
+
+def _graded_lex(triples: Mono) -> tuple:
+    return (sum(e for _, _, e in triples),
+            tuple((b == Z, i, e) for b, i, e in triples))
 
 
 def _exp_from_json(e) -> Tuple[str, int, int]:
     if (isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
-            and e[0] in _BANK_ORDER
+            and e[0] in _BANK_MASK
             and all(type(x) is int and x >= 1 for x in e[1:])):
         return e[0], e[1], e[2]
     raise ValueError(
@@ -95,8 +137,16 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Dict[Mono, Scalar]] = None):
-        self.terms: Dict[Mono, Scalar] = terms if terms is not None else {}
+    def __init__(self, terms: Optional[Dict[int, Scalar]] = None):
+        if terms is None:
+            terms = {}
+        elif () in terms:
+            # (), the constant monomial of the earlier triple-tuple keys, is
+            # still how code outside the package may write a constant term.
+            rest = dict(terms)
+            const = Poly.const(rest.pop(()))
+            terms = (const + Poly(rest)).terms
+        self.terms: Dict[int, Scalar] = terms
 
     # -- constructors ------------------------------------------------------
 
@@ -108,23 +158,23 @@ class Poly:
     def const(c: Scalar) -> "Poly":
         if c.is_zero():
             return Poly()
-        return Poly({(): c})
+        return Poly({0: c})
 
     @staticmethod
     def one() -> "Poly":
-        return Poly({(): ONE})
+        return Poly({0: ONE})
 
     @staticmethod
     def variable(bank: str, index: int, coeff: Scalar = ONE) -> "Poly":
         if coeff.is_zero():
             return Poly()
-        return Poly({((bank, index, 1),): coeff})
+        return Poly({1 << _offset(bank, index): coeff})
 
     @staticmethod
     def monomial(triples: Iterable[Tuple[str, int, int]], coeff: Scalar = ONE) -> "Poly":
         if coeff.is_zero():
             return Poly()
-        return Poly({_mono_sorted(triples): coeff})
+        return Poly({_key(triples): coeff})
 
     # -- predicates and measures ------------------------------------------
 
@@ -138,17 +188,19 @@ class Poly:
         """Total degree across all banks; zero polynomial reports 0."""
         if not self.terms:
             return 0
-        return max(_mono_degree(m) for m in self.terms)
+        return max(map(mono_degree, self.terms))
 
     def has_bank(self, bank: str) -> bool:
-        return any(b == bank for m in self.terms for b, _, _ in m)
+        mask = _BANK_MASK[bank]
+        return any(m & mask for m in self.terms)
 
     def max_index(self, bank: str) -> int:
-        idxs = [i for m in self.terms for b, i, _ in m if b == bank]
-        return max(idxs) if idxs else 0
+        mask = _BANK_MASK[bank]
+        top = max(((m & mask).bit_length() for m in self.terms), default=0)
+        return (top + 2 * _BITS - 1) // (2 * _BITS)
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((), ZERO)
+        return self.terms.get(0, ZERO)
 
     # -- ring operations ---------------------------------------------------
 
@@ -184,10 +236,18 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Scalar):
             return self.scale(other)
-        out: Dict[Mono, Scalar] = {}
+        # Only a factor with a field of 128 or more can make a sum carry, so
+        # the exact test runs just for the terms where one does.
+        high = any(m & _HIGH for m in other.terms)
+        out: Dict[int, Scalar] = {}
         for m1, c1 in self.terms.items():
+            check = high or m1 & _HIGH
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
+                m = m1 + m2
+                if check and (m ^ m1 ^ m2) & _CARRIES:
+                    raise ValueError(
+                        f"{Poly({m1: c1})} times {Poly({m2: c2})} overflows "
+                        f"the {_BITS}-bit exponent field")
                 c = c1 * c2
                 s = out.get(m)
                 if s is None:
@@ -201,14 +261,21 @@ class Poly:
         return Poly(out)
 
     def __pow__(self, k: int) -> "Poly":
-        out = Poly.one()
+        """Square-and-multiply from base: p**k makes no product past the
+        highest set bit of k, so p**1 makes none and p**3 two."""
+        if k < 0:
+            raise ValueError(f"negative power {k}")
+        if k == 0:
+            return Poly.one()
+        out = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -217,36 +284,33 @@ class Poly:
 
     def key(self) -> tuple:
         """Hashable canonical view, for memoization."""
-        return tuple(sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0])))
+        return tuple(sorted(self.terms.items()))
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, bank: str, index: int) -> "Poly":
-        """Partial derivative; lowering one exponent keeps the monomial canonical."""
-        out: Dict[Mono, Scalar] = {}
+        """Partial derivative: lower the variable's field by one."""
+        off = _offset(bank, index)
+        unit = 1 << off
+        out: Dict[int, Scalar] = {}
         for m, c in self.terms.items():
-            for pos, (b, i, e) in enumerate(m):
-                if i == index and b == bank:
-                    if e == 1:
-                        out[m[:pos] + m[pos + 1:]] = c
-                    else:
-                        out[m[:pos] + ((b, i, e - 1),) + m[pos + 1:]] = c.scale_fraction(e)
-                    break
+            e = (m >> off) & MAX_EXPONENT
+            if e:
+                out[m - unit] = c if e == 1 else c.scale_fraction(e)
         return Poly(out)
 
     def set_bank_zero(self, bank: str) -> "Poly":
         """Evaluate all variables of the bank at 0."""
-        return Poly({m: c for m, c in self.terms.items()
-                     if not any(b == bank for b, _, _ in m)})
+        mask = _BANK_MASK[bank]
+        return Poly({m: c for m, c in self.terms.items() if not m & mask})
 
     def flip_signs(self, banks: Sequence[str]) -> "Poly":
         """Substitute v -> -v for every variable of the given banks."""
-        bankset = set(banks)
-        out = {}
-        for m, c in self.terms.items():
-            d = sum(e for b, _, e in m if b in bankset)
-            out[m] = -c if d % 2 else c
-        return Poly(out)
+        mask = 0
+        for bank in banks:
+            mask |= _BANK_MASK[bank]
+        return Poly({m: -c if mono_degree(m & mask) % 2 else c
+                     for m, c in self.terms.items()})
 
     def linear_subst(self, bank: str, matrix: Sequence[Sequence[Scalar]]) -> "Poly":
         """Substitute v_j -> sum_k matrix[j][k] * v_k within one bank.
@@ -273,14 +337,13 @@ class Poly:
                 pow_cache[key] = image(j) ** e
             return pow_cache[key]
 
+        mask = _BANK_MASK[bank]
         out = Poly()
         for m, c in self.terms.items():
-            factor = Poly.const(c)
-            for b, i, e in m:
-                if b == bank:
-                    factor = factor * image_pow(i, e)
-                else:
-                    factor = factor * Poly.monomial([(b, i, e)])
+            moved = m & mask
+            factor = Poly({m - moved: c})
+            for _, i, e in _triples(moved):
+                factor = factor * image_pow(i, e)
             out = out + factor
         return out
 
@@ -289,11 +352,11 @@ class Poly:
         if max_degree is None:
             return self
         return Poly({m: c for m, c in self.terms.items()
-                     if _mono_degree(m) <= max_degree})
+                     if mono_degree(m) <= max_degree})
 
     def homogeneous_part(self, degree: int) -> "Poly":
         return Poly({m: c for m, c in self.terms.items()
-                     if _mono_degree(m) == degree})
+                     if mono_degree(m) == degree})
 
     def exp_quadratic(self, degree: int) -> "Poly":
         """exp(self) through total degree `degree`, for self homogeneous of
@@ -306,13 +369,15 @@ class Poly:
 
     # -- serialization -----------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]))
+    def triple_terms(self) -> Dict[Mono, Scalar]:
+        """The terms keyed by (bank, index, exponent) triples, in graded-lex order."""
+        items = [(_triples(m), c) for m, c in self.terms.items()]
+        return dict(sorted(items, key=lambda kv: _graded_lex(kv[0])))
 
     def to_json(self) -> dict:
         return {"terms": [
             {"coeff": c.to_json(), "exps": [[b, i, e] for b, i, e in m]}
-            for m, c in self.sorted_terms()
+            for m, c in self.triple_terms().items()
         ]}
 
     @staticmethod
@@ -320,12 +385,12 @@ class Poly:
         """Parse the JSON form, summing repeated monomials; ValueError if malformed."""
         if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
             raise ValueError(f"polynomial must be {{'terms': [...]}}, got {obj!r}")
-        out: Dict[Mono, Scalar] = {}
+        out: Dict[int, Scalar] = {}
         for t in obj["terms"]:
             if not isinstance(t, dict) or not isinstance(t.get("exps"), list):
                 raise ValueError(f"term must be {{'coeff': ..., 'exps': [...]}}, got {t!r}")
             coeff = Scalar.from_json(t.get("coeff"))
-            m = _mono_sorted(_exp_from_json(e) for e in t["exps"])
+            m = _key(_exp_from_json(e) for e in t["exps"])
             s = out.get(m)
             out[m] = coeff if s is None else s + coeff
         return Poly({m: c for m, c in out.items() if not c.is_zero()})
@@ -334,7 +399,7 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in self.triple_terms().items():
             factors = "".join(
                 f"{b.lower()}{i}" + (f"^{e}" if e > 1 else "")
                 for b, i, e in m

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import AmbientMismatchError, BudgetError
-from .poly import Poly, Y, Z
+from .poly import Poly, Y, Z, mono_degree
 from .scalars import I, ONE, ZERO, Scalar
 
 Matrix = Tuple[Tuple[Scalar, ...], ...]
@@ -123,7 +123,7 @@ class WeylElement:
         """0 or 1 for homogeneous parity under y -> -y, else None."""
         if self.poly.is_zero():
             return 0
-        seen = {sum(e for _, _, e in m) % 2 for m in self.poly.terms}
+        seen = {mono_degree(m) % 2 for m in self.poly.terms}
         if len(seen) == 1:
             return seen.pop()
         return None

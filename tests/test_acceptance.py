@@ -309,7 +309,7 @@ def test_criterion_08_higher_spin_example():
 
     def barred(w):
         out = Poly.zero()
-        for m, c in w.poly.terms.items():
+        for m, c in w.poly.triple_terms().items():
             out = out + Poly.monomial([(Y, i + 2, e) for _, i, e in m], c)
         return WeylElement(out, ambient)
 

@@ -174,6 +174,16 @@ def test_star_rejects_malformed_payload(capsys, payload):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("a, b", [
+    (_poly([["Y", 1, 256]]), Y1),   # does not fit its field
+    (_poly([["Y", 1, 255]]), Y1),   # fits, but the product's field would reach 256
+])
+def test_star_rejects_exponent_past_field(capsys, a, b):
+    assert main(["star", json.dumps({"n": 1, "a": a, "b": b})]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("payload", [
     json.dumps({"n": 0, "args": []}),
     json.dumps({"n": 1, "args": [_poly([["Y", 1, -2]]), Y2]}),

@@ -9,7 +9,7 @@ from weylhh.errors import InsufficientExpansionError
 from weylhh.ffs import (cached_symbol, ffs_apply, ffs_build, ffs_cocycle,
                         ffs_hypercube_n1, simplex_moment)
 from weylhh.hochschild import Chain, SampleSpec, pair_chain, verify_cocycle
-from weylhh.poly import Poly, Y
+from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import random_weyl
 from weylhh.scalars import I, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, star
@@ -188,16 +188,18 @@ def reference_apply(symbol, args):
         for pair, count in mono:
             for _ in range(count):
                 op = op * ffs._pair_operator(ambient, *pair)
-        for op_mono, op_coeff in op.terms.items():
-            output = [t for t in op_mono if t[1] <= m]
+        for op_mono, op_coeff in op.triple_terms().items():
+            # Copies alternate between the banks, two to each block of m
+            # indices: copy 1 on z_1..z_m, copy 2 on y_{m+1}..y_{2m}, ...
+            output = [t for t in op_mono if t[0] == Y and t[1] <= m]
             alphas = {mu: [] for mu in range(1, m + 1)}
-            for _, idx, e in op_mono:
-                if idx > m:
-                    mu, j = divmod(idx - 1, m)
-                    alphas[mu].append((Y, j + 1, e))
+            for bank, idx, e in op_mono:
+                if bank == Z or idx > m:
+                    block, j = divmod(idx - 1, m)
+                    alphas[2 * block + (bank == Z)].append((Y, j + 1, e))
             value = coeff * op_coeff
             for mu, arg in enumerate(args, start=1):
-                c = arg.poly.terms.get(tuple(alphas[mu]))
+                c = arg.poly.triple_terms().get(tuple(alphas[mu]))
                 if c is None:
                     break
                 weight = prod(factorial(e) for _, _, e in alphas[mu])
@@ -263,9 +265,15 @@ def test_operator_cache_contract():
     assert sum(len(op.terms) for _, op in new) > 0
 
 
-def test_packed_field_overflow_is_refused(sym1):
+def test_operator_overflow_is_refused(sym1, monkeypatch):
+    # A cached W12 operator whose copy-1 fields z1 and z2 already hold 255:
+    # the next W12 factor raises either to 256, which the Poly product
+    # refuses, and nothing is cached for the failed operator.
+    full = Poly.monomial([(Z, 1, 255), (Z, 2, 255)])
+    seeded = ffs.PackedOperator({next(iter(full.terms)): (0, Scalar.of(1))})
+    monkeypatch.setitem(ffs._op_cache, (sym1, (((1, 2), 1),)), seeded)
+    monkeypatch.delitem(ffs._op_cache, (sym1, (((1, 2), 2),)), raising=False)
     before = len(ffs._op_cache)
-    mono = (((1, 2), ffs._FIELD - 1),)
     with pytest.raises(ValueError, match="overflows"):
-        ffs._operator_for(sym1, mono)
+        ffs._operator_for(sym1, (((1, 2), 2),))
     assert len(ffs._op_cache) == before

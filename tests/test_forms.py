@@ -184,7 +184,7 @@ def _radial_reference(a: FormElement) -> FormElement:
         if q == 0:
             continue
         integrated = Poly.zero()
-        for m, c in poly.terms.items():
+        for m, c in poly.triple_terms().items():
             t_exponent = sum(e for b, _, e in m if b == Z) + q - 1
             weight = Scalar.of(_unit_interval_integral(t_exponent))
             integrated = integrated + Poly.monomial(list(m), c * weight)

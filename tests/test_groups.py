@@ -188,7 +188,7 @@ def test_theta2_factorization(preset, rng):
 
     def barred(w):
         out = Poly.zero()
-        for m, c in w.poly.terms.items():
+        for m, c in w.poly.triple_terms().items():
             out = out + Poly.monomial([(Y, i + 2, e) for _, i, e in m], c)
         return WeylElement(out, ambient)
 

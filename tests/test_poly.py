@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from weylhh.poly import Poly, Y, Z, _mono_sorted
+from weylhh.poly import MAX_INDEX, Poly, Y, Z
 from weylhh.scalars import Scalar
 
 
@@ -80,9 +80,8 @@ def test_diff_returns_canonical_monomials(terms, var):
         p = p + Poly.monomial([(b, i, e) for (b, i), e in factors], Scalar.of(re, im))
     bank, index = var
     got = p.diff(bank, index)
-    assert all(_mono_sorted(m) == m for m in got.terms)
     want = Poly.zero()
-    for m, c in p.terms.items():
+    for m, c in p.triple_terms().items():
         e = dict(((b, i), x) for b, i, x in m).get(var, 0)
         if e:
             lowered = [(b, i, x - 1 if (b, i) == var else x) for b, i, x in m]
@@ -141,6 +140,8 @@ def test_from_json_merges_repeated_monomials():
 @pytest.mark.parametrize("exps", [
     [["Y", 1, -2]], [["Y", 1, 0]], [["Y", 0, 1]], [["Y", -3, 1]],
     [["X", 1, 1]], [["T", 1, 1]], [[["Y"], 1, 1]], [["Y", 1]], [["Y", 1, 1.5]], [["Y", "1", 1]],
+    # an exponent past the 8-bit field, alone or summed, and an index past the last field
+    [["Y", 1, 256]], [["Z", 2, 200], ["Z", 2, 56]], [["Y", MAX_INDEX + 1, 1]],
 ])
 def test_from_json_rejects_bad_exponents(exps):
     coeff = {"re": ["1", "1"], "im": ["0", "1"]}
@@ -171,3 +172,63 @@ def test_exp_quadratic_series(monkeypatch):
                         lambda a, b: products.append(1) or plain_mul(a, b))
     q.exp_quadratic(7)
     assert len(products) == 3
+
+
+def test_pow_makes_no_product_past_the_last_bit(monkeypatch):
+    p = y(1) + Poly.variable(Z, 2, Scalar.of(0, 3))
+    want = [Poly.one(), p, p * p, p * p * p]
+    products = []
+    plain_mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__",
+                        lambda a, b: products.append(1) or plain_mul(a, b))
+    for k, expect in enumerate(want):
+        products.clear()
+        assert p ** k == expect
+        assert len(products) == (0, 0, 1, 2)[k]
+    with pytest.raises(ValueError):
+        p ** -1
+
+
+def test_packed_field_overflow_is_refused():
+    # The one guard on every key sum: a field that would reach 256 raises
+    # rather than carrying into its neighbour (y1 into z1 here), and the
+    # operands are unchanged.
+    p = y(1, 255) + y(2)
+    before = dict(p.terms)
+    with pytest.raises(ValueError, match="overflows"):
+        p * y(1)
+    assert p.terms == before
+
+
+@pytest.mark.parametrize("a, b", [
+    (y(1, 200), y(1, 56)),
+    (Poly.monomial([(Z, 3, 128)]), Poly.monomial([(Y, 1, 1), (Z, 3, 128)])),
+    (Poly.monomial([(Z, MAX_INDEX, 255)]), Poly.variable(Z, MAX_INDEX)),
+])
+def test_product_reaching_256_raises(a, b):
+    with pytest.raises(ValueError, match="overflows"):
+        a * b
+    with pytest.raises(ValueError, match="overflows"):
+        b * a
+
+
+def test_product_up_to_255_fits():
+    assert y(1, 200) * y(1, 55) == y(1, 255)
+    top = Poly.monomial([(Z, MAX_INDEX, 254)]) * Poly.variable(Z, MAX_INDEX)
+    assert top == Poly.monomial([(Z, MAX_INDEX, 255)])
+    assert top.degree() == 255 and top.max_index(Z) == MAX_INDEX
+
+
+def test_monomial_rejects_exponent_past_field():
+    with pytest.raises(ValueError):
+        Poly.monomial([(Y, 1, 256)])
+    with pytest.raises(ValueError):
+        Poly.monomial([(Y, 1, 128), (Y, 1, 128)])
+
+
+def test_constant_written_as_empty_triple_tuple():
+    # (), the constant monomial of the triple-tuple keys, still reads as the
+    # constant term when code outside the package writes it by hand.
+    assert Poly({(): Scalar.of(2)}) == Poly.const(Scalar.of(2))
+    assert Poly({0: Scalar.of(1), (): Scalar.of(2)}) == Poly.const(Scalar.of(3))
+    assert Poly({(): Scalar.of(-1), 0: Scalar.of(1)}).is_zero()
