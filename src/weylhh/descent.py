@@ -47,7 +47,7 @@ from .hochschild import (Cochain, DUAL, FORM, INVOLUTION_TWIST, Report, Twist,
 from .groups import GroupElement
 from .poly import Poly, Y, Z, mono_degree, mono_z_degree
 from .scalars import ZERO, Scalar
-from .weyl import SymplecticData, WeylElement, _star_kernel
+from .weyl import SymplecticData, WeylElement, _min_trunc, _star_kernel
 
 DEFAULT_BUDGET_MARGIN = 4
 
@@ -259,7 +259,7 @@ def descent_cocycle(gen: GaussianGenerator, budget: Optional[int] = None,
         return descend(gen, args, budget=budget, check_stability=check_stability)
 
     return Cochain(gen.form_degree, gen.ambient, DUAL, gen.twist, ev,
-                   normalized=True, label=f"tau[{gen.label}]")
+                   label=f"tau[{gen.label}]")
 
 
 class SuffixCache:
@@ -375,7 +375,7 @@ def verify_descent(trace: DescentTrace, seed: int = 0, count: int = 3,
         for args in weyl_tuples(rng, ambient, lower.arity, count, max_degree):
             lhs = ext_d(lower(*args))
             rhs = hochschild_d(upper)(*args).scale(Scalar.of(-1))
-            t = _common_trunc(lhs, rhs)
+            t = _min_trunc(lhs.truncation, rhs.truncation)
             record(f"d-level-{level}", lhs.restrict(t) == rhs.restrict(t),
                    str(args))
 
@@ -385,7 +385,7 @@ def verify_descent(trace: DescentTrace, seed: int = 0, count: int = 3,
         lhs = hochschild_d(bottom)(*args)
         value = trace.cocycle(*args)
         rhs = FormElement.from_poly(-value.poly, ambient, value.truncation)
-        t = _common_trunc(lhs, rhs)
+        t = _min_trunc(lhs.truncation, rhs.truncation)
         record("dH-bottom", lhs.restrict(t) == rhs.restrict(t), str(args))
 
     report = Report(checked, passed, first_failure, seed, max_degree,
@@ -393,11 +393,3 @@ def verify_descent(trace: DescentTrace, seed: int = 0, count: int = 3,
     if trace.pairing is not None:
         report.detail["pairing"] = str(trace.pairing)
     return report
-
-
-def _common_trunc(a, b) -> Optional[int]:
-    if a.truncation is None:
-        return b.truncation
-    if b.truncation is None:
-        return a.truncation
-    return min(a.truncation, b.truncation)

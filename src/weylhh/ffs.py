@@ -13,17 +13,18 @@ The expansion order needed for a tuple of arguments is therefore bounded by
 their total degree, and the symbol refuses (loudly) to be applied beyond the
 budget it was built for.
 
-Applying the symbol happens on disjoint variable copies: the output lives
-on y_1..y_2n and argument mu on its own copy of 2n variables (see _copy),
-and a product of derivative symbols evaluated at y_mu = 0 turns into
-exponent bookkeeping against the argument coefficients.  Each symbol
-monomial's operator is built once as a Poly, and one low mask splits each of
-its int monomial keys (see poly) into the output part and the copy part: the
-per-slot derivative multi-index alpha, which pairs only with the argument
-terms y^alpha_mu (weighted by alpha_mu!).  The operator is stored grouped by
-its copy parts.  ffs_apply renames each argument key onto its copy, combines
-only argument terms of the right degree and looks their summed key up;
-monomial_table reads the index itself.
+Applying the symbol happens on disjoint variable copies: the output lives on
+y_1..y_2n and argument mu on its own copy of 2n variables (see _copy), and a
+product of derivative symbols evaluated at y_mu = 0 turns into exponent
+bookkeeping against the argument coefficients.  Each symbol monomial's
+operator is built once, on first use, as one Poly product: the powers of its
+W factors, then the determinant (both factor kinds memoised per argument).
+One low mask splits each of its int monomial keys (see poly) into the output
+part and the copy part: the per-slot derivative multi-index alpha, which
+pairs only with the argument terms y^alpha_mu (weighted by alpha_mu!).  The
+operator is stored grouped by its copy parts.  ffs_apply renames each
+argument key onto its copy, combines only argument terms of the right degree
+and looks their summed key up; monomial_table reads the index itself.
 
 A second, independent route for n = 1 integrates over the unit square after
 the substitution u_1 = t_0 t_1, u_2 = t_0 (Jacobian t_0); the two must agree
@@ -39,13 +40,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import InsufficientExpansionError
 from .linalg import mat_mul, mat_transpose, perm_sign
 from .poly import Poly, Y, Z, index_mask, mono_degree, mono_factorial, rename
-from .scalars import I, ONE, Scalar
+from .scalars import I, Scalar
 from .weyl import SymplecticData, WeylElement
 
 Pair = Tuple[int, int]
@@ -175,6 +178,7 @@ def _copy_var(mu: int, j: int, n: int) -> Tuple[str, int, int]:
     return (bank, offset + j, 1)
 
 
+@lru_cache(maxsize=None)
 def _det_operator(sym: SymplecticData) -> Poly:
     """det(p_1 .. p_{2n}) as a polynomial in the derivative symbols."""
     m = 2 * sym.n
@@ -197,6 +201,7 @@ def _det_operator(sym: SymplecticData) -> Poly:
     return out
 
 
+@lru_cache(maxsize=None)
 def _pair_operator(sym: SymplecticData, i: int, j: int) -> Poly:
     """The operator polynomial for one W_{ij} factor.
 
@@ -241,36 +246,23 @@ class PackedOperator:
         self.terms = terms
 
 
-def _times(base: Dict[int, tuple], factor: Poly, m: int) -> Dict[int, tuple]:
-    """Grouped product of a packed operator with an operator polynomial."""
-    whole = Poly({copy_key | out: c for copy_key, flat in base.items()
-                  for out, c in zip(flat[::2], flat[1::2])})
-    out_mask = index_mask(m, Y)
-    groups: Dict[int, list] = {}
-    for k, c in (whole * factor).terms.items():
-        out = k & out_mask
-        groups.setdefault(k - out, []).extend((out, c))
-    return {k: tuple(v) for k, v in groups.items()}
-
-
 _op_cache: Dict[tuple, PackedOperator] = {}
 
 
 def _operator_for(ambient: SymplecticData, mono: WMono) -> PackedOperator:
-    """det(p_1..p_2n) times the W factors of a symbol monomial, cached."""
+    """det(p_1..p_2n) times the W factors of a symbol monomial, cached and
+    grouped by the copy part of its keys."""
     key = (ambient, mono)
     op = _op_cache.get(key)
     if op is None:
-        if mono:
-            head = mono[:-1]
-            pair, count = mono[-1]
-            reduced = head + ((pair, count - 1),) if count > 1 else head
-            base = _operator_for(ambient, reduced).terms
-            factor = _pair_operator(ambient, *pair)
-        else:
-            base = {0: (0, ONE)}
-            factor = _det_operator(ambient)
-        op = PackedOperator(_times(base, factor, 2 * ambient.n))
+        factors = [_pair_operator(ambient, *pair) ** count for pair, count in mono]
+        product = reduce(mul, factors + [_det_operator(ambient)])
+        out_mask = index_mask(2 * ambient.n, Y)
+        groups: Dict[int, list] = {}
+        for k, c in product.terms.items():
+            out = k & out_mask
+            groups.setdefault(k - out, []).extend((out, c))
+        op = PackedOperator({k: tuple(v) for k, v in groups.items()})
         _op_cache[key] = op
     return op
 
@@ -324,8 +316,7 @@ def _contract(slots: List[Dict[int, list]], ambient: SymplecticData,
             acc[out] = c if prev is None else prev + c
 
 
-def ffs_apply(symbol: FFSSymbol, args: Sequence[WeylElement],
-              d_out: Optional[int] = None) -> WeylElement:
+def ffs_apply(symbol: FFSSymbol, args: Sequence[WeylElement]) -> WeylElement:
     """Evaluate the cocycle on 2n arguments; exact polynomial output."""
     m = 2 * symbol.n
     if len(args) != m:
@@ -342,11 +333,7 @@ def ffs_apply(symbol: FFSSymbol, args: Sequence[WeylElement],
     acc: Dict[int, Scalar] = {}
     for mono, coeff in symbol.coeffs:
         _contract(slots, ambient, mono, coeff, acc)
-    result = Poly({k: c for k, c in acc.items() if c})
-    if d_out is not None and result.degree() > d_out:
-        raise InsufficientExpansionError(
-            f"result degree {result.degree()} exceeds requested bound {d_out}")
-    return WeylElement(result, ambient)
+    return WeylElement(Poly({k: c for k, c in acc.items() if c}), ambient)
 
 
 def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
@@ -384,24 +371,21 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
     return table
 
 
-def ffs_cocycle(sym: SymplecticData, budget_hint: int = 0):
+def ffs_cocycle(sym: SymplecticData):
     """The 2n-cocycle as a normalized dual-valued evaluator."""
     from .hochschild import Cochain, DUAL, INVOLUTION_TWIST
 
     def ev(*args):
-        total = sum(a.degree() for a in args)
-        symbol = cached_symbol(sym.n, max(total, budget_hint))
-        return ffs_apply(symbol, args)
+        return ffs_apply(cached_symbol(sym.n, sum(a.degree() for a in args)), args)
 
     return Cochain(2 * sym.n, sym, DUAL, INVOLUTION_TWIST, ev,
-                   normalized=True, label=f"tau_{2 * sym.n}")
+                   label=f"tau_{2 * sym.n}")
 
 
 # -- independent unit-square route for n = 1 ---------------------------------
 
 
-def ffs_hypercube_n1(args: Sequence[WeylElement],
-                     d_out: Optional[int] = None) -> WeylElement:
+def ffs_hypercube_n1(args: Sequence[WeylElement]) -> WeylElement:
     """Same two-argument cocycle via iterated integrals over the unit square.
 
     Expands exp(i [ W01 (1 - 2 t0 t1) + W02 (1 - 2 t0) + W12 (1 - 2 t0 + 2 t0 t1) ])
@@ -429,8 +413,8 @@ def ffs_hypercube_n1(args: Sequence[WeylElement],
         for m02 in range(max_order + 1 - m01):
             for m12 in range(0, (max_order - m01 - m02) // 2 + 1):
                 counts = {(0, 1): m01, (0, 2): m02, (1, 2): m12}
-                consumption = [0, m01 + m12, m02 + m12]
-                if any(consumption[mu] + 1 > degrees[mu - 1] for mu in (1, 2)):
+                mono = tuple((pair, c) for pair, c in counts.items() if c)
+                if any(need > d for need, d in zip(_slot_degrees(mono, 2), degrees)):
                     continue
                 tpoly = {(1, 0): 1}
                 denom = 1
@@ -446,10 +430,5 @@ def ffs_hypercube_n1(args: Sequence[WeylElement],
                 coeff = coeff.scale_fraction(1, denom)
                 if coeff.is_zero():
                     continue
-                mono = tuple((pair, c) for pair, c in sorted(counts.items()) if c)
                 _contract(slots, ambient, mono, coeff, acc)
-    result = Poly({k: c for k, c in acc.items() if c})
-    if d_out is not None and result.degree() > d_out:
-        raise InsufficientExpansionError(
-            f"result degree {result.degree()} exceeds requested bound {d_out}")
-    return WeylElement(result, ambient)
+    return WeylElement(Poly({k: c for k, c in acc.items() if c}), ambient)

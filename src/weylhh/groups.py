@@ -326,7 +326,7 @@ def theta_equation_defects(ambient: SymplecticData, g: GroupElement,
 
 def twisted_cycle(ambient: SymplecticData, g: GroupElement, truncation: int):
     """Theta (x) p_1 ^ q^1 ^ ... over the moved pairs, as a pairing chain."""
-    from .hochschild import Chain, Twist
+    from .hochschild import Chain
 
     lams = g.diagonal_eigenvalues()
     theta = theta_element(ambient, g, truncation)
@@ -336,8 +336,7 @@ def twisted_cycle(ambient: SymplecticData, g: GroupElement, truncation: int):
             continue
         args.append(WeylElement.generator(2 * i + 2, ambient))  # p_i
         args.append(WeylElement.generator(2 * i + 1, ambient))  # q^i
-    return Chain([(theta, tuple(args))],
-                 twist=Twist("group_involution", g.matrix))
+    return Chain([(theta, tuple(args))])
 
 
 # -- cocycles on the smash product ---------------------------------------------
@@ -382,8 +381,7 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
                         {g: WeylElement.one(ambient).scale(gamma(g))})
             return value
 
-        return Cochain(0, ambient, SMASH, IDENTITY_TWIST, ev0,
-                       normalized=True, label="theta_0")
+        return Cochain(0, ambient, SMASH, IDENTITY_TWIST, ev0, label="theta_0")
 
     def ev(*args: SmashElement):
         value = SmashElement(group, ambient, {})
@@ -404,7 +402,7 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
         return value
 
     return Cochain(degree, ambient, SMASH, IDENTITY_TWIST, ev,
-                   normalized=True, label=f"theta_{degree}")
+                   label=f"theta_{degree}")
 
 
 def conjugate_cochain(f, h: GroupElement):
@@ -417,8 +415,7 @@ def conjugate_cochain(f, h: GroupElement):
 
     from .hochschild import Cochain
 
-    return Cochain(f.arity, f.ambient, f.kind, f.twist, ev,
-                   normalized=f.normalized, label=f"{f.label}^{h}")
+    return Cochain(f.arity, f.ambient, f.kind, f.twist, ev, label=f"{f.label}^{h}")
 
 
 # -- the four-dimensional higher-spin preset ------------------------------------

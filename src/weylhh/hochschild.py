@@ -42,8 +42,8 @@ SMASH = "smash"
 class Twist:
     """Right (and optionally left) group-like action on the coefficients.
 
-    kind is one of "identity", "involution", "group", "group_involution";
-    matrix is the symplectic matrix for the group kinds.
+    kind is one of "identity", "involution", "group"; matrix is the
+    symplectic matrix for the group kind.
     """
 
     kind: str = "involution"
@@ -57,10 +57,6 @@ class Twist:
             return involution(a) if isinstance(a, WeylElement) else form_involution(a)
         if self.kind == "group":
             return a.apply_matrix(self.matrix)
-        if self.kind == "group_involution":
-            twisted = a.apply_matrix(self.matrix)
-            return (involution(twisted) if isinstance(twisted, WeylElement)
-                    else form_involution(twisted))
         raise ValueError(f"unknown twist kind {self.kind}")
 
 
@@ -76,14 +72,12 @@ class Cochain:
     """A p-cochain as an evaluator plus module metadata."""
 
     def __init__(self, arity: int, ambient: SymplecticData, kind: str,
-                 twist: Twist, fn: Callable, normalized: bool = False,
-                 label: str = ""):
+                 twist: Twist, fn: Callable, label: str = ""):
         self.arity = arity
         self.ambient = ambient
         self.kind = kind
         self.twist = twist
         self.fn = fn
-        self.normalized = normalized
         self.label = label
 
     def __call__(self, *args):
@@ -93,8 +87,7 @@ class Cochain:
 
     def map_values(self, op: Callable, label: str = "") -> "Cochain":
         return Cochain(self.arity, self.ambient, self.kind, self.twist,
-                       lambda *args: op(self.fn(*args)),
-                       normalized=self.normalized, label=label or self.label)
+                       lambda *args: op(self.fn(*args)), label=label or self.label)
 
 
 def constant_cochain(value, ambient: SymplecticData, kind: str,
@@ -129,7 +122,7 @@ def hochschild_d(f: Cochain) -> Cochain:
     d1, d2 = hochschild_d1(f), hochschild_d2(f)
     return Cochain(f.arity + 1, f.ambient, f.kind, f.twist,
                    lambda *args: d1.fn(*args) + d2.fn(*args),
-                   normalized=f.normalized, label=f"d({f.label})")
+                   label=f"d({f.label})")
 
 
 def hochschild_d1(f: Cochain) -> Cochain:
@@ -138,7 +131,7 @@ def hochschild_d1(f: Cochain) -> Cochain:
         return _left_mul(f.kind, args[0], f(*args[1:]))
 
     return Cochain(f.arity + 1, f.ambient, f.kind, f.twist, ev,
-                   normalized=f.normalized, label=f"d1({f.label})")
+                   label=f"d1({f.label})")
 
 
 def hochschild_d2(f: Cochain) -> Cochain:
@@ -160,7 +153,7 @@ def hochschild_d2(f: Cochain) -> Cochain:
         return total + last if p % 2 else total - last
 
     return Cochain(p + 1, f.ambient, f.kind, f.twist, ev,
-                   normalized=f.normalized, label=f"d2({f.label})")
+                   label=f"d2({f.label})")
 
 
 def cochain_ext_d(f: Cochain) -> Cochain:
@@ -245,7 +238,6 @@ class Chain:
     """A formal sum of (coefficient element) x (wedge of algebra elements)."""
 
     terms: List[Tuple[WeylElement, Tuple[WeylElement, ...]]]
-    twist: Twist = IDENTITY_TWIST
 
     @property
     def arity(self) -> int:

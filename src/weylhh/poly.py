@@ -20,9 +20,9 @@ use mono_degree, mono_z_degree, mono_factorial, rename and index_mask.
 
 A polynomial is a map from keys to nonzero Scalar coefficients.  Values are
 treated as immutable after construction, so one value may be read from
-several threads; the package's memo caches (ffs `_symbol_cache` and
-`_op_cache`, `GaussianGenerator._expansions`, each `SuffixCache`) are
-unsynchronised.
+several threads; the package's memo caches (ffs `_symbol_cache`,
+`_op_cache` and the `_det_operator` and `_pair_operator` memos,
+`GaussianGenerator._expansions`, each `SuffixCache`) are unsynchronised.
 
 Constructors and serialization speak (bank, index, exponent) triples;
 serialization unpacks the keys and sorts them in a graded-lex order over

@@ -102,8 +102,6 @@ def test_budget_errors(sym1):
     y2 = WeylElement.generator(2, sym1)
     with pytest.raises(InsufficientExpansionError):
         ffs_apply(small, [big, y2])
-    with pytest.raises(InsufficientExpansionError):
-        ffs_apply(cached_symbol(1, 6), [big, y2], d_out=0)
 
 
 def test_multilinearity(sym1, rng):
@@ -250,30 +248,34 @@ def test_apply_matches_reference_contraction_n2(sym2):
 
 def test_operator_cache_contract():
     # The benchmark tracer reads ffs._op_cache by identity, counts its
-    # entries and sums len(op.terms) over its values.
+    # entries and sums len(op.terms) over its values.  ffs_apply caches the
+    # operators of just the symbol monomials whose per-slot degrees the
+    # arguments have terms of, none for their prefixes.
     cache = ffs._op_cache
     before = len(cache)
     sym = SymplecticData.from_pi(1, [[Scalar.of(0), Scalar.of(3)],
                                      [Scalar.of(-3), Scalar.of(0)]])
-    y1 = WeylElement.generator(1, sym)
-    y2 = WeylElement.generator(2, sym)
-    ffs_apply(cached_symbol(1, 4), [y1 + y2, y2])
+    a = WeylElement(Poly.monomial([(Y, 1, 3)]) + Poly.monomial([(Y, 2, 1)]), sym)
+    b = WeylElement(Poly.monomial([(Y, 2, 2)]), sym)
+    symbol = cached_symbol(1, 5)
+    ffs_apply(symbol, [a, b])
     assert ffs._op_cache is cache
     new = [(key, op) for key, op in cache.items() if key[0] == sym]
     assert len(cache) == before + len(new) and new
     assert all(isinstance(mono, tuple) for (_, mono), _ in new)
     assert sum(len(op.terms) for _, op in new) > 0
+    reached = {mono for mono, _ in symbol.coeffs
+               if ffs._slot_degrees(mono, 2) in ([1, 2], [3, 2])}
+    assert {mono for (_, mono), _ in new} == reached
+    assert (((0, 1), 2), ((0, 2), 1)) in reached
 
 
-def test_operator_overflow_is_refused(sym1, monkeypatch):
-    # A cached W12 operator whose copy-1 fields z1 and z2 already hold 255:
-    # the next W12 factor raises either to 256, which the Poly product
-    # refuses, and nothing is cached for the failed operator.
-    full = Poly.monomial([(Z, 1, 255), (Z, 2, 255)])
-    seeded = ffs.PackedOperator({next(iter(full.terms)): (0, Scalar.of(1))})
-    monkeypatch.setitem(ffs._op_cache, (sym1, (((1, 2), 1),)), seeded)
-    monkeypatch.delitem(ffs._op_cache, (sym1, (((1, 2), 2),)), raising=False)
+def test_operator_overflow_is_refused(sym1):
+    # W12^255 fills the exponent fields of both copies to 255 and the
+    # determinant's derivative on each slot raises some to 256, which the
+    # Poly product refuses; nothing is cached for the failed operator.
     before = len(ffs._op_cache)
     with pytest.raises(ValueError, match="overflows"):
-        ffs._operator_for(sym1, (((1, 2), 2),))
+        ffs._operator_for(sym1, (((1, 2), 255),))
     assert len(ffs._op_cache) == before
+    assert ffs._operator_for(sym1, (((1, 2), 254),)).terms

@@ -12,8 +12,8 @@ from weylhh.scalars import Scalar
 from weylhh.weyl import SymplecticData, WeylElement, star
 
 
-def dual_cochain(sym, arity, fn, normalized=False, label=""):
-    return Cochain(arity, sym, DUAL, INVOLUTION_TWIST, fn, normalized, label)
+def dual_cochain(sym, arity, fn, label=""):
+    return Cochain(arity, sym, DUAL, INVOLUTION_TWIST, fn, label)
 
 
 def template_form_cochain(rng, sym, arity):
@@ -166,7 +166,7 @@ def test_coboundaries_pair_to_zero(sym1, rng):
                                    sym1)
             return star(stripped, m)
 
-        gamma = dual_cochain(sym1, 1, gamma_fn, normalized=True)
+        gamma = dual_cochain(sym1, 1, gamma_fn)
         assert pair_chain(hochschild_d(gamma), c2) == Scalar.of(0)
 
 

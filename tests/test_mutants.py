@@ -85,6 +85,17 @@ def test_dropped_alpha_factorial(monkeypatch, sym1):
     assert not routes_agree(sym1, a, b)
 
 
+def test_pair_factor_without_power(monkeypatch, sym1):
+    # One W factor for its count-th power: wrong from the first squared
+    # factor on, W01^2 on (y1^3, y2) at total degree 4.  The mutant builds
+    # into its own operator cache, so no correct operator is read back.
+    a, b = y(sym1, 3), y(sym1, 0, 1)
+    assert routes_agree(sym1, a, b)
+    monkeypatch.setattr(ffs, "_op_cache", {})
+    install(monkeypatch, ffs, "_operator_for", " ** count", "")
+    assert not routes_agree(sym1, a, b)
+
+
 def test_diff_without_exponent(monkeypatch, sym1):
     # d/dy2 y2^2 = y2 instead of 2 y2, reached through y2 * y2 (no triple
     # of lower total degree catches it).
