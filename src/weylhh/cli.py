@@ -33,7 +33,8 @@ from .weyl import (SymplecticData, WeylElement, ambient_from_json, bform,
 from .forms import ext_d, homotopy_s, proj_p
 from .hochschild import SampleSpec, pair_chain, verify_cocycle
 from .ffs import cached_symbol, ffs_apply, ffs_cocycle, ffs_hypercube_n1
-from .descent import descend, descent_cocycle, make_zeta, make_zeta_g, verify_descent
+from .descent import (auto_budget, build_trace, descend, descent_cocycle,
+                      make_zeta, make_zeta_g, verify_descent)
 from .groups import (ClassFunction, GroupElement, SmashElement, afls_dims,
                      higher_spin_preset, theta_cocycle, twisted_cycle)
 from . import sampling, simplex
@@ -293,15 +294,16 @@ def cmd_descent_eval(ns) -> int:
             gen = make_zeta_g(ambient, g)
     else:
         gen = make_zeta(ambient)
-    budget = None if ns.budget == "auto" else int(ns.budget)
+    d = auto_budget(args, ambient.n) if ns.budget == "auto" else int(ns.budget)
     config = RunConfig("descent eval", n=ambient.n, budget=ns.budget,
                        out=ns.out, format=ns.format)
-    value, trace = descend(gen, args, budget=budget, return_trace=True)
-    payload = {"result": value.to_json(), "budget_used": trace.budget}
+    value = descend(gen, args, budget=d)
+    payload = {"result": value.to_json(), "budget_used": d}
     if ns.trace:
+        trace = build_trace(gen, d)
         report = verify_descent(trace, seed=_default_seed())
         with open(ns.trace, "w") as fh:
-            json.dump({"budget": trace.budget,
+            json.dump({"budget": d,
                        "lines": [xi.label for xi in trace.xis],
                        "verification": report.to_json()}, fh, indent=2)
         payload["trace"] = ns.trace

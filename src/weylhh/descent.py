@@ -38,16 +38,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError
 from .forms import FormElement, ext_d, form_star, homotopy_s, wedge_expand
-from .hochschild import (Cochain, DUAL, FORM, INVOLUTION_TWIST, Report, Twist,
-                         constant_cochain, group_twist, hochschild_d)
+from .hochschild import (Cochain, Report, constant_cochain, group_twist,
+                         hochschild_d)
 from .groups import GroupElement
 from .poly import Poly, Y, Z, mono_degree, mono_z_degree
 from .scalars import ZERO, Scalar
-from .weyl import SymplecticData, WeylElement, _min_trunc, _star_kernel
+from .weyl import (SymplecticData, WeylElement, _min_trunc, _star_kernel,
+                   involution)
 
 DEFAULT_BUDGET_MARGIN = 4
 
@@ -84,7 +85,7 @@ class GaussianGenerator:
     """prefactor . exp(quad), expandable to any finite degree."""
 
     def __init__(self, ambient: SymplecticData, quad: Poly,
-                 prefactor: FormElement, twist: Twist, label: str = ""):
+                 prefactor: FormElement, twist: Callable, label: str = ""):
         self.ambient = ambient
         self.quad = quad
         self.prefactor = prefactor
@@ -114,7 +115,7 @@ class GaussianGenerator:
         """b * gen - gen * twist(b) for the j-th generator, to truncation."""
         b = WeylElement.generator(j, self.ambient)
         expanded = self.expand(degree)
-        return form_star(b, expanded) - form_star(expanded, self.twist.right(b))
+        return b * expanded - expanded * self.twist(b)
 
 
 def make_zeta(ambient: SymplecticData) -> GaussianGenerator:
@@ -122,7 +123,7 @@ def make_zeta(ambient: SymplecticData) -> GaussianGenerator:
     quad = _omega_bilinear(ambient, _vector(Z, ambient), _vector(Y, ambient))
     quad = quad.scale(Scalar.of(0, 2))
     return GaussianGenerator(ambient, quad, FormElement.top_dz(ambient),
-                             INVOLUTION_TWIST, label="zeta")
+                             involution, label="zeta")
 
 
 def make_zeta_g(ambient: SymplecticData, g) -> GaussianGenerator:
@@ -229,8 +230,7 @@ class DescentTrace:
 
 
 def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
-            budget: Optional[int] = None, check_stability: bool = True,
-            return_trace: bool = False):
+            budget: Optional[int] = None, check_stability: bool = True):
     """Evaluate the descent cocycle on concrete arguments.
 
     Recomputes at budget+2 and requires the certified parts to agree; a
@@ -247,8 +247,6 @@ def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
         if recomputed.restrict(value.truncation) != value:
             raise BudgetError(
                 f"descent value unstable at budget {d}; rerun with a larger one")
-    if return_trace:
-        return value, build_trace(gen, d)
     return value
 
 
@@ -258,7 +256,7 @@ def descent_cocycle(gen: GaussianGenerator, budget: Optional[int] = None,
     def ev(*args):
         return descend(gen, args, budget=budget, check_stability=check_stability)
 
-    return Cochain(gen.form_degree, gen.ambient, DUAL, gen.twist, ev,
+    return Cochain(gen.form_degree, gen.ambient, gen.twist, ev,
                    label=f"tau[{gen.label}]")
 
 
@@ -317,7 +315,7 @@ class SuffixCache:
                 if mono_z_degree(mono) <= self.slot_degree
             })
             self._final[key] = contracted
-        prod = _star_kernel(head.poly, contracted, self.gen.ambient, right_z=True)
+        prod = _star_kernel(head.poly, contracted, self.gen.ambient)
         return WeylElement(prod.set_bank_zero(Z), self.gen.ambient, self.target)
 
 
@@ -329,7 +327,7 @@ def build_trace(gen: GaussianGenerator, budget: int) -> DescentTrace:
     p = gen.form_degree
     ambient = gen.ambient
     expanded = gen.expand(budget)
-    xi = constant_cochain(homotopy_s(expanded), ambient, FORM, gen.twist,
+    xi = constant_cochain(homotopy_s(expanded), ambient, gen.twist,
                           label="xi_top")
     xis = [xi]
     for step in range(1, p):

@@ -49,7 +49,7 @@ from .errors import InsufficientExpansionError
 from .linalg import mat_mul, mat_transpose, perm_sign
 from .poly import Poly, Y, Z, index_mask, mono_degree, mono_factorial, rename
 from .scalars import I, Scalar
-from .weyl import SymplecticData, WeylElement
+from .weyl import SymplecticData, WeylElement, involution
 
 Pair = Tuple[int, int]
 WMono = Tuple[Tuple[Pair, int], ...]
@@ -102,9 +102,6 @@ class FFSSymbol:
     n: int
     budget: int
     coeffs: Tuple[Tuple[WMono, Scalar], ...]
-
-    def coeff_map(self) -> Dict[WMono, Scalar]:
-        return dict(self.coeffs)
 
 
 def _w_monomials(pairs: List[Pair], weights: Dict[Pair, int], max_weight: int):
@@ -373,13 +370,12 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
 
 def ffs_cocycle(sym: SymplecticData):
     """The 2n-cocycle as a normalized dual-valued evaluator."""
-    from .hochschild import Cochain, DUAL, INVOLUTION_TWIST
+    from .hochschild import Cochain
 
     def ev(*args):
         return ffs_apply(cached_symbol(sym.n, sum(a.degree() for a in args)), args)
 
-    return Cochain(2 * sym.n, sym, DUAL, INVOLUTION_TWIST, ev,
-                   label=f"tau_{2 * sym.n}")
+    return Cochain(2 * sym.n, sym, involution, ev, label=f"tau_{2 * sym.n}")
 
 
 # -- independent unit-square route for n = 1 ---------------------------------

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-from .errors import AmbientMismatchError, BudgetError
+from .errors import AmbientMismatchError
 from .linalg import perm_sign
 from .poly import Poly, Y, Z, mono_z_degree
 from .scalars import ONE, Scalar
 from .weyl import (SymplecticData, WeylElement, _min_trunc, _star_kernel,
-                   ambient_from_json, truncation_from_json)
+                   _star_truncation, ambient_from_json, truncation_from_json)
 
 DzIndex = Tuple[int, ...]
 
@@ -129,7 +129,7 @@ class FormElement:
     def component(self, idx: DzIndex) -> Poly:
         return self.components.get(tuple(idx), Poly.zero())
 
-    def poly_degree(self) -> int:
+    def degree(self) -> int:
         if not self.components:
             return 0
         return max(p.degree() for p in self.components.values())
@@ -152,6 +152,12 @@ class FormElement:
     def scale(self, c: Scalar) -> "FormElement":
         return FormElement({i: p.scale(c) for i, p in self.components.items()},
                            self.ambient, self.truncation)
+
+    def __mul__(self, other) -> "FormElement":
+        return form_star(self, other)
+
+    def __rmul__(self, other) -> "FormElement":
+        return form_star(other, self)
 
     def restrict(self, truncation: Optional[int]) -> "FormElement":
         t = _min_trunc(self.truncation, truncation)
@@ -228,19 +234,9 @@ def _as_form(x) -> FormElement:
 
 def form_star(a, b) -> FormElement:
     """Star-exterior product; at most one factor may carry a truncation."""
-    a = _as_form(a)
-    b = _as_form(b)
+    a, b = _as_form(a), _as_form(b)
     _same_ambient(a, b)
-    if a.truncation is not None and b.truncation is not None:
-        raise BudgetError("star of two truncated forms is not exact")
-    if a.truncation is not None:
-        out_trunc = a.truncation - b.poly_degree()
-    elif b.truncation is not None:
-        out_trunc = b.truncation - a.poly_degree()
-    else:
-        out_trunc = None
-    if out_trunc is not None and out_trunc < 0:
-        raise BudgetError("truncation too small for this star product")
+    out_trunc = _star_truncation(a, b)
     out: Dict[DzIndex, Poly] = {}
     for i1, p1 in a.components.items():
         for i2, p2 in b.components.items():
@@ -248,7 +244,7 @@ def form_star(a, b) -> FormElement:
             if merged is None:
                 continue
             sign, idx = merged
-            prod = _star_kernel(p1, p2, a.ambient, right_z=True)
+            prod = _star_kernel(p1, p2, a.ambient)
             if sign < 0:
                 prod = -prod
             out[idx] = out.get(idx, Poly.zero()) + prod

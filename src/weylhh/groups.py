@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .errors import AmbientMismatchError
@@ -265,10 +265,6 @@ class SmashElement:
     __repr__ = __str__
 
 
-def smash_mul(x: SmashElement, y: SmashElement) -> SmashElement:
-    return x * y
-
-
 def afls_dims(group: FiniteGroup) -> Dict[int, Tuple[int, List[ClassFunction]]]:
     """Cohomology dimension per degree: conjugation-invariant functions on
     the elements with rank(1 - g) equal to that degree."""
@@ -343,17 +339,16 @@ def twisted_cycle(ambient: SymplecticData, g: GroupElement, truncation: int):
 
 
 def twisted_cocycle(ambient: SymplecticData, g: GroupElement,
-                    budget: Optional[int] = None, check_stability: bool = True):
+                    check_stability: bool = True):
     """The 2k_g-cocycle of the g-twisted module, via the descent route."""
     from .descent import descent_cocycle, make_zeta_g
 
-    return descent_cocycle(make_zeta_g(ambient, g), budget=budget,
+    return descent_cocycle(make_zeta_g(ambient, g),
                            check_stability=check_stability)
 
 
 def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
-                  gamma: ClassFunction, degree: int,
-                  budget: Optional[int] = None, check_stability: bool = True):
+                  gamma: ClassFunction, degree: int):
     """The smash-product cocycle of a class function supported in one degree.
 
     Values on factorized arguments a_1 g_1, ..., a_p g_p are
@@ -364,13 +359,12 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
     extended multilinearly; elements of the group algebra in any slot are
     killed by the normalization of tau_g.
     """
-    from .hochschild import Cochain, IDENTITY_TWIST, SMASH
+    from .hochschild import Cochain, untwisted
 
     taus = {}
     for g in group:
         if g.moved_rank() == degree and not gamma(g).is_zero():
-            taus[g] = twisted_cocycle(ambient, g, budget=budget,
-                                      check_stability=check_stability)
+            taus[g] = twisted_cocycle(ambient, g)
     if degree == 0:
         def ev0():
             value = SmashElement(group, ambient, {})
@@ -381,7 +375,7 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
                         {g: WeylElement.one(ambient).scale(gamma(g))})
             return value
 
-        return Cochain(0, ambient, SMASH, IDENTITY_TWIST, ev0, label="theta_0")
+        return Cochain(0, ambient, untwisted, ev0, label="theta_0")
 
     def ev(*args: SmashElement):
         value = SmashElement(group, ambient, {})
@@ -401,8 +395,7 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
                 value = value + SmashElement(group, ambient, {target: weyl})
         return value
 
-    return Cochain(degree, ambient, SMASH, IDENTITY_TWIST, ev,
-                   label=f"theta_{degree}")
+    return Cochain(degree, ambient, untwisted, ev, label=f"theta_{degree}")
 
 
 def conjugate_cochain(f, h: GroupElement):
@@ -415,7 +408,7 @@ def conjugate_cochain(f, h: GroupElement):
 
     from .hochschild import Cochain
 
-    return Cochain(f.arity, f.ambient, f.kind, f.twist, ev, label=f"{f.label}^{h}")
+    return Cochain(f.arity, f.ambient, f.twist, ev, label=f"{f.label}^{h}")
 
 
 # -- the four-dimensional higher-spin preset ------------------------------------

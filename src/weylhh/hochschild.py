@@ -1,17 +1,19 @@
 """Hochschild cochains with twisted bimodule coefficients.
 
 A cochain is a finitely described multilinear evaluator together with the
-metadata needed to differentiate it: its arity, the kind of module its
-values live in (dual series, z-forms, or smash-product values) and the right
-twist.  The differential follows the usual formula
+metadata needed to differentiate it: its arity and the right twist rho.  The
+differential follows the usual formula
 
     (d f)(a_1..a_{p+1}) = a_1 * f(a_2..)
                           + sum_k (-1)^k f(.., a_k * a_{k+1}, ..)
                           + (-1)^{p+1} f(a_1..a_p) * rho(a_{p+1})
 
-with rho the right twist (involution for the dual module, the group action
-for twisted modules, identity on the smash product).  The split d = d1 + d2
-keeps the first term in d1 and the rest in d2.
+where every product is the values' own `*`: the star product for dual
+series, the star-exterior product for z-forms, the crossed product on the
+smash product.  rho is a function on algebra arguments: the involution for
+the dual module, the group action for twisted modules, the identity on the
+smash product.  The split d = d1 + d2 keeps the first term in d1 and the
+rest in d2.
 
 Cochain-level exterior operators carry the Koszul sign (-1)^arity: this is
 what makes d anticommute with the Hochschild differential and the homotopy
@@ -28,54 +30,29 @@ from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import AmbientMismatchError
-from .forms import ext_d, form_involution, form_star, homotopy_s
+from .forms import ext_d, homotopy_s
 from .linalg import perm_sign
 from .scalars import Scalar
-from .weyl import SymplecticData, WeylElement, bform, involution, star
-
-DUAL = "dual"
-FORM = "form"
-SMASH = "smash"
+from .weyl import SymplecticData, WeylElement, bform
 
 
-@dataclass(frozen=True)
-class Twist:
-    """Right (and optionally left) group-like action on the coefficients.
-
-    kind is one of "identity", "involution", "group"; matrix is the
-    symplectic matrix for the group kind.
-    """
-
-    kind: str = "involution"
-    matrix: Optional[tuple] = None
-
-    def right(self, a):
-        """Apply the twist to an algebra element before right multiplication."""
-        if self.kind == "identity":
-            return a
-        if self.kind == "involution":
-            return involution(a) if isinstance(a, WeylElement) else form_involution(a)
-        if self.kind == "group":
-            return a.apply_matrix(self.matrix)
-        raise ValueError(f"unknown twist kind {self.kind}")
+def untwisted(a):
+    """The identity twist, for coefficients in the algebra itself."""
+    return a
 
 
-IDENTITY_TWIST = Twist("identity")
-INVOLUTION_TWIST = Twist("involution")
-
-
-def group_twist(matrix) -> Twist:
-    return Twist("group", tuple(tuple(row) for row in matrix))
+def group_twist(matrix) -> Callable:
+    """The twist a -> a^g of a group-twisted module, g given by its matrix."""
+    return lambda a: a.apply_matrix(matrix)
 
 
 class Cochain:
-    """A p-cochain as an evaluator plus module metadata."""
+    """A p-cochain as an evaluator plus its right twist."""
 
-    def __init__(self, arity: int, ambient: SymplecticData, kind: str,
-                 twist: Twist, fn: Callable, label: str = ""):
+    def __init__(self, arity: int, ambient: SymplecticData, twist: Callable,
+                 fn: Callable, label: str = ""):
         self.arity = arity
         self.ambient = ambient
-        self.kind = kind
         self.twist = twist
         self.fn = fn
         self.label = label
@@ -86,52 +63,27 @@ class Cochain:
         return self.fn(*args)
 
     def map_values(self, op: Callable, label: str = "") -> "Cochain":
-        return Cochain(self.arity, self.ambient, self.kind, self.twist,
+        return Cochain(self.arity, self.ambient, self.twist,
                        lambda *args: op(self.fn(*args)), label=label or self.label)
 
 
-def constant_cochain(value, ambient: SymplecticData, kind: str,
-                     twist: Twist, label: str = "") -> Cochain:
-    return Cochain(0, ambient, kind, twist, lambda: value, label=label)
-
-
-def _left_mul(kind: str, a, value):
-    if kind == DUAL:
-        return star(a, value)
-    if kind == FORM:
-        return form_star(a, value)
-    return a * value
-
-
-def _right_mul(kind: str, value, a):
-    if kind == DUAL:
-        return star(value, a)
-    if kind == FORM:
-        return form_star(value, a)
-    return value * a
-
-
-def _arg_mul(a, b):
-    if isinstance(a, WeylElement):
-        return star(a, b)
-    return a * b
+def constant_cochain(value, ambient: SymplecticData, twist: Callable,
+                     label: str = "") -> Cochain:
+    return Cochain(0, ambient, twist, lambda: value, label=label)
 
 
 def hochschild_d(f: Cochain) -> Cochain:
     """Full differential d1 + d2; arity goes up by one."""
     d1, d2 = hochschild_d1(f), hochschild_d2(f)
-    return Cochain(f.arity + 1, f.ambient, f.kind, f.twist,
+    return Cochain(f.arity + 1, f.ambient, f.twist,
                    lambda *args: d1.fn(*args) + d2.fn(*args),
                    label=f"d({f.label})")
 
 
 def hochschild_d1(f: Cochain) -> Cochain:
     """First piece only: a_1 * f(a_2, ..., a_{p+1})."""
-    def ev(*args):
-        return _left_mul(f.kind, args[0], f(*args[1:]))
-
-    return Cochain(f.arity + 1, f.ambient, f.kind, f.twist, ev,
-                   label=f"d1({f.label})")
+    return Cochain(f.arity + 1, f.ambient, f.twist,
+                   lambda *args: args[0] * f(*args[1:]), label=f"d1({f.label})")
 
 
 def hochschild_d2(f: Cochain) -> Cochain:
@@ -141,19 +93,18 @@ def hochschild_d2(f: Cochain) -> Cochain:
     def ev(*args):
         total = None
         for k in range(1, p + 1):
-            merged = args[:k - 1] + (_arg_mul(args[k - 1], args[k]),) + args[k + 1:]
+            merged = args[:k - 1] + (args[k - 1] * args[k],) + args[k + 1:]
             term = f(*merged)
             if total is None:
                 total = -term
             else:
                 total = total - term if k % 2 else total + term
-        last = _right_mul(f.kind, f(*args[:-1]), f.twist.right(args[-1]))
+        last = f(*args[:-1]) * f.twist(args[-1])
         if total is None:
             return -last
         return total + last if p % 2 else total - last
 
-    return Cochain(p + 1, f.ambient, f.kind, f.twist, ev,
-                   label=f"d2({f.label})")
+    return Cochain(p + 1, f.ambient, f.twist, ev, label=f"d2({f.label})")
 
 
 def cochain_ext_d(f: Cochain) -> Cochain:

@@ -153,6 +153,11 @@ class WeylElement:
     def scale(self, c: Scalar) -> "WeylElement":
         return WeylElement(self.poly.scale(c), self.ambient, self.truncation)
 
+    def __mul__(self, other):
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        return star(self, other)
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeylElement)
                 and self.ambient == other.ambient
@@ -210,28 +215,35 @@ def _min_trunc(t1: Optional[int], t2: Optional[int]) -> Optional[int]:
     return min(t1, t2)
 
 
+def _star_truncation(a, b) -> Optional[int]:
+    """Truncation of a * b (Weyl elements or forms): one factor's, less the
+    other's degree; at most one factor may carry a truncation."""
+    if a.truncation is not None and b.truncation is not None:
+        raise BudgetError("star of two truncated factors is not exact")
+    if a.truncation is not None:
+        out = a.truncation - b.degree()
+    elif b.truncation is not None:
+        out = b.truncation - a.degree()
+    else:
+        return None
+    if out < 0:
+        raise BudgetError("truncation too small for this star product")
+    return out
+
+
 def star(a: WeylElement, b: WeylElement) -> WeylElement:
     """Exact star product; at most one factor may carry a truncation."""
     _check_ambient(a, b)
-    if a.truncation is not None and b.truncation is not None:
-        raise BudgetError("star of two truncated series is not exact")
-    out_trunc = None
-    if a.truncation is not None:
-        out_trunc = a.truncation - b.degree()
-    elif b.truncation is not None:
-        out_trunc = b.truncation - a.degree()
-    if out_trunc is not None and out_trunc < 0:
-        raise BudgetError("truncation too small for this star product")
-    prod = _star_kernel(a.poly, b.poly, a.ambient, right_z=False)
-    return WeylElement(prod, a.ambient, out_trunc)
+    t = _star_truncation(a, b)
+    return WeylElement(_star_kernel(a.poly, b.poly, a.ambient), a.ambient, t)
 
 
-def _star_kernel(p: Poly, q: Poly, sym: SymplecticData, right_z: bool) -> Poly:
+def _star_kernel(p: Poly, q: Poly, sym: SymplecticData) -> Poly:
     """Shared expansion for the Weyl and form star products.
 
-    Left derivatives act in Y; right derivatives act in Y (and Z when
-    right_z).  Enumerates derivative multi-indices as a tree, one node per
-    multi-index, pruning branches as soon as either side dies.
+    Left derivatives act in Y; right derivatives in Y and Z, which a Weyl
+    right factor lacks.  Enumerates derivative multi-indices as a tree, one
+    node per multi-index, pruning branches as soon as either side dies.
     """
     size = 2 * sym.n
 
@@ -240,9 +252,7 @@ def _star_kernel(p: Poly, q: Poly, sym: SymplecticData, right_z: bool) -> Poly:
         for k in range(size):
             c = sym.pi[j - 1][k]
             if not c.is_zero():
-                d = poly.diff(Y, k + 1)
-                if right_z:
-                    d = d + poly.diff(Z, k + 1)
+                d = poly.diff(Y, k + 1) + poly.diff(Z, k + 1)
                 out = out + d.scale(c)
         return out
 

@@ -19,10 +19,9 @@ from weylhh.groups import (ClassFunction, GroupElement, SmashElement,
                            afls_dims, conjugate_cochain, higher_spin_preset,
                            theta_cocycle, theta_equation_defects,
                            twisted_cocycle, twisted_cycle)
-from weylhh.hochschild import (Chain, Cochain, FORM, INVOLUTION_TWIST,
-                               SampleSpec, cochain_ext_d, cochain_s,
-                               hochschild_d, hochschild_d2, pair_chain,
-                               verify_cocycle)
+from weylhh.hochschild import (Chain, Cochain, SampleSpec, cochain_ext_d,
+                               cochain_s, hochschild_d, hochschild_d2,
+                               pair_chain, verify_cocycle)
 from weylhh.poly import Poly, Y
 from weylhh.sampling import (monomials_upto, random_form, random_smash,
                              random_weyl, weyl_tuples)
@@ -121,7 +120,7 @@ def test_criterion_04_homotopy_identities():
                 out = form_star(c, form_star(a, out))
             return out
 
-        return Cochain(arity, sym, FORM, INVOLUTION_TWIST, ev)
+        return Cochain(arity, sym, involution, ev)
 
     cochain_checks = 0
     for n in (1, 2):

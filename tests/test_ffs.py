@@ -49,7 +49,7 @@ def test_moment_matches_brute_force_iterated_integration():
 
 def test_symbol_order_one_coefficient():
     symbol = ffs_build(1, 8)
-    coeffs = symbol.coeff_map()
+    coeffs = dict(symbol.coeffs)
     # the pairing of the two argument slots carries int(1 + 2u1 - 2u2) = 1/6
     assert coeffs[(((1, 2), 1),)] == I * halves(1, 6)
     # order zero: the simplex volume
@@ -61,7 +61,7 @@ def test_symbol_reversal_symmetry():
     # zero-sector order; checked on the stored coefficients directly.
     for n, budget in ((1, 6), (2, 6)):
         symbol = ffs_build(n, budget)
-        coeffs = symbol.coeff_map()
+        coeffs = dict(symbol.coeffs)
         m = 2 * n
         for mono, value in coeffs.items():
             flipped = []

@@ -1,19 +1,18 @@
 from fractions import Fraction
 
 from weylhh.forms import FormElement, form_star
-from weylhh.hochschild import (Chain, Cochain, DUAL, FORM, INVOLUTION_TWIST,
-                               SampleSpec, Twist, cochain_ext_d, cochain_s,
-                               constant_cochain, hochschild_d, hochschild_d1,
-                               hochschild_d2, pair_chain, verify_cocycle,
-                               wedge_eval)
+from weylhh.hochschild import (Chain, Cochain, SampleSpec, cochain_ext_d,
+                               cochain_s, constant_cochain, group_twist,
+                               hochschild_d, hochschild_d1, hochschild_d2,
+                               pair_chain, verify_cocycle, wedge_eval)
 from weylhh.poly import Poly, Z
 from weylhh.sampling import random_form, random_weyl, weyl_tuples
 from weylhh.scalars import Scalar
-from weylhh.weyl import SymplecticData, WeylElement, star
+from weylhh.weyl import SymplecticData, WeylElement, involution, star
 
 
 def dual_cochain(sym, arity, fn, label=""):
-    return Cochain(arity, sym, DUAL, INVOLUTION_TWIST, fn, label)
+    return Cochain(arity, sym, involution, fn, label)
 
 
 def template_form_cochain(rng, sym, arity):
@@ -31,11 +30,11 @@ def template_form_cochain(rng, sym, arity):
         # keep the left factor polynomial: multiply by c on the left
         return form_star(c, x) if c.truncation is None else x
 
-    return Cochain(arity, sym, FORM, INVOLUTION_TWIST, ev)
+    return Cochain(arity, sym, involution, ev)
 
 
 def test_involution_twist_on_constant_unit(sym1, rng):
-    f = constant_cochain(WeylElement.one(sym1), sym1, DUAL, INVOLUTION_TWIST)
+    f = constant_cochain(WeylElement.one(sym1), sym1, involution)
     df = hochschild_d(f)
     for _ in range(20):
         a = random_weyl(rng, sym1, 4)
@@ -61,9 +60,9 @@ def test_d_squared_zero_group_twist(rng):
     flip = tuple(tuple(Scalar.of(-1) if i == j else Scalar.of(0)
                        for j in range(2))
                  for i in range(2))
-    twist = Twist("group", flip)
+    twist = group_twist(flip)
     forms = [random_form(rng, sym, 2) for _ in range(2)]
-    f = Cochain(1, sym, FORM, twist,
+    f = Cochain(1, sym, twist,
                 lambda a: form_star(a, forms[0]) + forms[1])
     ddf = hochschild_d(hochschild_d(f))
     for args in weyl_tuples(rng, sym, 3, 5, 2):
@@ -83,7 +82,7 @@ def test_d_splits(rng):
 
 def test_d1_on_constant(sym1, rng):
     m = FormElement.from_poly(Poly.variable(Z, 1), sym1)
-    f = Cochain(0, sym1, FORM, INVOLUTION_TWIST, lambda: m)
+    f = Cochain(0, sym1, involution, lambda: m)
     d1f = hochschild_d1(f)
     for _ in range(5):
         a = random_weyl(rng, sym1, 3)

@@ -12,13 +12,16 @@ list is kept in step with the code it mutates.
 import __future__
 import inspect
 import textwrap
+from fractions import Fraction
 
-from weylhh import descent, ffs, forms, poly, weyl
-from weylhh.descent import descend, make_zeta
+from weylhh import descent, ffs, forms, hochschild, linalg, poly, simplex, weyl
+from weylhh.descent import SuffixCache, descend, make_zeta
 from weylhh.ffs import cached_symbol, ffs_apply
 from weylhh.forms import FormElement, ext_d, proj_p
+from weylhh.hochschild import constant_cochain, hochschild_d
 from weylhh.poly import Poly, Y
-from weylhh.weyl import WeylElement, star
+from weylhh.scalars import Scalar
+from weylhh.weyl import WeylElement, involution, star
 
 
 def install(monkeypatch, module, name, old, new, owner=None, also=()):
@@ -51,6 +54,28 @@ def routes_agree(sym, a, b) -> bool:
     d = descend(make_zeta(sym), [a, b], check_stability=False)
     f = ffs_apply(cached_symbol(sym.n, a.degree() + b.degree()), [a, b])
     return f.restrict(d.truncation) == d
+
+
+def square_route_agrees(a, b) -> bool:
+    """The unit-square value against the simplex-symbol value (n = 1)."""
+    f = ffs_apply(cached_symbol(1, a.degree() + b.degree()), [a, b])
+    return ffs.ffs_hypercube_n1([a, b]) == f
+
+
+def cache_agrees(sym, a, b) -> bool:
+    """A SuffixCache value against the one-shot descent value."""
+    slot = max(a.degree(), b.degree())
+    budget = 2 * slot + 2 * sym.n + 4
+    via_cache = SuffixCache(make_zeta(sym), budget, slot).value((a, b))
+    direct = descend(make_zeta(sym), [a, b], budget=budget, check_stability=False)
+    t = min(via_cache.truncation, direct.truncation)
+    return via_cache.restrict(t) == direct.restrict(t)
+
+
+def dz_anticommute(sym) -> bool:
+    """dz1 dz2 = -dz2 dz1."""
+    dz1, dz2 = FormElement.dz([1], sym), FormElement.dz([2], sym)
+    return dz1 * dz2 == -(dz2 * dz1)
 
 
 def associative(a, b, c) -> bool:
@@ -122,3 +147,73 @@ def test_overflow_guard_removed(monkeypatch):
     install(monkeypatch, poly, "__mul__",
             "if check and (m ^ m1 ^ m2) & _CARRIES:", "if False:", owner=Poly)
     assert not refuses_overflow()
+
+
+def test_perm_sign_always_even(monkeypatch, sym1):
+    # Every permutation even: the dz wedge loses its sign on the first swap.
+    assert dz_anticommute(sym1)
+    install(monkeypatch, linalg, "perm_sign",
+            "-1 if sum(x > y for x, y in combinations(items, 2)) % 2 else 1", "1",
+            also=(forms,))
+    assert not dz_anticommute(sym1)
+
+
+def test_square_integral_by_sum(monkeypatch, sym1):
+    # t0^a t1^b integrated as 1/(a+b+2) for 1/((a+1)(b+1)): the cocycle is
+    # normalized, so total degree 2 is the least with a value, and (y1, y2)
+    # already shows it.
+    a, b = y(sym1, 1), y(sym1, 0, 1)
+    assert square_route_agrees(a, b)
+    install(monkeypatch, ffs, "ffs_hypercube_n1",
+            "Scalar.rational(c, (a + 1) * (b + 1))", "Scalar.rational(c, a + b + 2)")
+    assert not square_route_agrees(a, b)
+
+
+def test_delta_without_orientation_factor(monkeypatch):
+    # Dropping (-1)^dim flips every odd dimension: the positively oriented
+    # segment from -1 to 1 reads -1.  Dimension 2 cannot see it.
+    segment = [(Fraction(-1),), (Fraction(1),)]
+    assert simplex.delta(segment) == 1
+    install(monkeypatch, simplex, "delta",
+            "return -sign if dim % 2 else sign", "return sign")
+    assert simplex.delta(segment) == -1
+
+
+def test_chain_value_z_cap_too_small(monkeypatch, sym1):
+    # One z fewer than the remaining arguments can consume drops terms that
+    # still reach z = 0: the descent value on (y1, y2) loses them.
+    a, b = y(sym1, 1), y(sym1, 0, 1)
+    assert routes_agree(sym1, a, b)
+    install(monkeypatch, descent, "_chain_value",
+            "sum(degrees[:k]) - k ", "sum(degrees[:k]) - k - 1 ")
+    assert not routes_agree(sym1, a, b)
+
+
+def test_suffix_cache_slot_cap_too_small(monkeypatch, sym1):
+    # Each slot still to come may consume slot_degree - 1 z's beyond its
+    # homotopy's; capping at one fewer shows at slot degree 1 on (y1, y2).
+    a, b = y(sym1, 1), y(sym1, 0, 1)
+    assert cache_agrees(sym1, a, b)
+    install(monkeypatch, descent, "__init__",
+            "((slot_degree - 1) * r,", "((slot_degree - 2) * r,", owner=SuffixCache)
+    assert not cache_agrees(sym1, a, b)
+
+
+def test_d2_without_twist(monkeypatch, sym1):
+    # The right action untwisted: for the involution-twisted constant unit,
+    # d(1)(y1) = y1 - involution(y1) = 2 y1 becomes y1 - y1 = 0.
+    one = constant_cochain(WeylElement.one(sym1), sym1, involution)
+    y1 = y(sym1, 1)
+    assert hochschild_d(one)(y1) == y1.scale(Scalar.of(2))
+    install(monkeypatch, hochschild, "hochschild_d2", "f.twist(args[-1])", "args[-1]")
+    assert hochschild_d(one)(y1).is_zero()
+
+
+def test_star_kernel_without_z_derivative(monkeypatch, sym1):
+    # Right derivatives that skip the Z bank turn the shifted form product
+    # into the plain one, so the descent value no longer matches the symbol.
+    a, b = y(sym1, 1), y(sym1, 0, 1)
+    assert routes_agree(sym1, a, b)
+    install(monkeypatch, weyl, "_star_kernel", " + poly.diff(Z, k + 1)", "",
+            also=(forms, descent))
+    assert not routes_agree(sym1, a, b)
