@@ -264,10 +264,12 @@ class SuffixCache:
     """Shared partial chains for bulk evaluation over many argument tuples.
 
     The inner alternation s(a_k * s(...)) depends only on the argument tail,
-    so tuples sharing a tail share the work.  A single cache is valid for one
-    (generator, budget, per-slot degree bound) triple: the degree bound lets
-    each level drop terms too high to reach the certified part of the final
-    value through the remaining argument derivatives.
+    so tuples sharing a tail share the work: each entry is the homotopy of a
+    tail's chain, the right factor every head in front of that tail
+    multiplies against.  A single cache is valid for one (generator, budget,
+    per-slot degree bound) triple: the degree bound lets each level drop
+    terms too high to reach the certified part of the final value through
+    the remaining argument derivatives.
     """
 
     def __init__(self, gen: GaussianGenerator, budget: int, slot_degree: int):
@@ -287,19 +289,24 @@ class SuffixCache:
                       for r in range(self.arity, -1, -1)]
 
     def tail(self, args: Sequence[WeylElement]) -> FormElement:
-        if not args:
-            return _prune(self.gen.expand(self.budget), *self._caps[0])
+        """s(args[0] * s(... args[-1] * s(generator))), pruned before each s."""
         key = tuple(a.key() for a in args)
         got = self._cache.get(key)
         if got is None:
-            if args[0].degree() > self.slot_degree:
+            if not args:
+                chain = self.gen.expand(self.budget)
+            elif args[0].degree() > self.slot_degree:
                 raise BudgetError("argument degree exceeds the cache's slot bound")
-            got = form_star(args[0], homotopy_s(self.tail(args[1:])))
-            got = _prune(got, *self._caps[len(args)])
+            else:
+                chain = form_star(args[0], self.tail(args[1:]))
+            got = homotopy_s(_prune(chain, *self._caps[len(args)]))
             self._cache[key] = got
         return got
 
     def value(self, args: Sequence[WeylElement]) -> WeylElement:
+        if len(args) != self.arity:
+            raise ValueError(f"generator of form degree {self.arity} "
+                             f"takes {self.arity} arguments")
         head, rest = args[0], args[1:]
         if head.degree() > self.slot_degree:
             raise BudgetError("argument degree exceeds the cache's slot bound")
@@ -309,7 +316,7 @@ class SuffixCache:
             # Only the 0-form part of s(tail) can reach the final projection,
             # and only its terms of z-degree at most the head's derivative
             # order (bounded by the slot degree) survive setting z to zero.
-            zero_part = homotopy_s(self.tail(rest)).component(())
+            zero_part = self.tail(rest).component(())
             contracted = Poly({
                 mono: c for mono, c in zero_part.terms.items()
                 if mono_z_degree(mono) <= self.slot_degree

@@ -251,17 +251,6 @@ def form_star(a, b) -> FormElement:
     return FormElement(out, a.ambient, out_trunc)
 
 
-def form_involution(a: FormElement) -> FormElement:
-    """a(y, z; dz) -> a(-y, -z; -dz)."""
-    out = {}
-    for idx, poly in a.components.items():
-        p = poly.flip_signs([Y, Z])
-        if len(idx) % 2:
-            p = -p
-        out[idx] = p
-    return FormElement(out, a.ambient, a.truncation)
-
-
 def ext_d(a: FormElement) -> FormElement:
     """Exterior differential dz^i ^ d/dz^i (no Hochschild-degree sign here)."""
     out: Dict[DzIndex, Poly] = {}

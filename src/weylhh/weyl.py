@@ -259,8 +259,13 @@ def _star_kernel(p: Poly, q: Poly, sym: SymplecticData) -> Poly:
     acc: dict = {}
 
     def accumulate(dp: Poly, dq: Poly, coeff: Scalar) -> None:
-        for m, c in (dp * dq).terms.items():
-            add = c * coeff
+        # Scale the shorter factor, so each product term costs one multiply.
+        if coeff != ONE:
+            if len(dp.terms) <= len(dq.terms):
+                dp = dp.scale(coeff)
+            else:
+                dq = dq.scale(coeff)
+        for m, add in (dp * dq).terms.items():
             prev = acc.get(m)
             add = add if prev is None else prev + add
             if add.is_zero():

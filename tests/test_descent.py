@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from weylhh import descent
 from weylhh.descent import (SuffixCache, auto_budget, build_trace, descend,
                             descent_cocycle, make_zeta, make_zeta_g,
                             verify_descent)
@@ -181,6 +182,38 @@ def test_suffix_cache_matches_descend(sym1, rng):
         direct = descend(z, [a, b])
         t = min(via_cache.truncation, direct.truncation)
         assert via_cache.restrict(t) == direct.restrict(t)
+
+
+def test_suffix_cache_homotopy_once_per_entry(monkeypatch, sym1):
+    # Each entry is s of its tail's chain, the right factor every head in
+    # front of that tail multiplies against: s runs once per entry, and
+    # value, hit or miss, never calls it.
+    calls = []
+    real = descent.homotopy_s
+
+    def counted(form):
+        calls.append(form)
+        return real(form)
+
+    monkeypatch.setattr(descent, "homotopy_s", counted)
+    cache = SuffixCache(make_zeta(sym1), budget=8, slot_degree=1)
+    basis = [WeylElement.one(sym1)] + [WeylElement.generator(j, sym1)
+                                      for j in (1, 2)]
+    for args in itertools.product(basis, repeat=2):
+        cache.value(args)
+    assert len(calls) == len(cache._cache) == len(basis) + 1
+    for args in itertools.product(basis, repeat=2):
+        cache.value(args)
+    assert len(calls) == len(cache._cache)
+
+
+def test_suffix_cache_refuses_wrong_arity(sym2):
+    # As descend does: a short tuple or a long one is not a value of zero.
+    cache = SuffixCache(make_zeta(sym2), budget=12, slot_degree=2)
+    y1, y2 = WeylElement.generator(1, sym2), WeylElement.generator(2, sym2)
+    for args in [(y1, y2), (y1, y2, y1, y2, y1)]:
+        with pytest.raises(ValueError, match="form degree 4 takes 4 arguments"):
+            cache.value(args)
 
 
 def _full_differential_value(gen, args, degree):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weylhh.errors import BudgetError
-from weylhh.forms import (FormElement, ext_d, form_involution, form_star,
-                          homotopy_s, proj_p, wedge_merge)
+from weylhh.forms import (FormElement, ext_d, form_star, homotopy_s, proj_p,
+                          wedge_merge)
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import random_form, random_weyl
 from weylhh.scalars import ONE, Scalar
@@ -47,21 +47,6 @@ def test_form_star_associativity(rng):
             left = form_star(form_star(a, b), c)
             right = form_star(a, form_star(b, c))
             assert left == right
-
-
-def test_form_involution(sym1, rng):
-    z1dz1 = FormElement({(1,): Poly.variable(Z, 1)}, sym1)
-    assert form_involution(z1dz1) == z1dz1
-    dz1 = FormElement.dz([1], sym1)
-    assert form_involution(dz1) == FormElement({(1,): -Poly.one()}, sym1)
-    for _ in range(25):
-        a = random_weyl(rng, sym1, 3)
-        b = random_form(rng, sym1, 3)
-        assert form_involution(form_star(a, b)) == form_star(
-            form_involution(FormElement.from_weyl(a)), form_involution(b))
-    for _ in range(10):
-        b = random_form(rng, sym1, 3)
-        assert form_involution(form_involution(b)) == b
 
 
 def test_ext_d_basics(sym1):

@@ -217,3 +217,15 @@ def test_star_kernel_without_z_derivative(monkeypatch, sym1):
     install(monkeypatch, weyl, "_star_kernel", " + poly.diff(Z, k + 1)", "",
             also=(forms, descent))
     assert not routes_agree(sym1, a, b)
+
+
+def test_star_kernel_drops_coefficient_on_right(monkeypatch, sym1):
+    # The kernel scales the shorter factor by the node coefficient; skipping
+    # it when that is the right derivative shows once the left factor keeps
+    # two terms under a derivative: (y2 * (y1 + y2)) * y1 loses its
+    # first-order term.  No triple of monomials at total degree 3 catches it.
+    a, b, c = y(sym1, 0, 1), y(sym1, 1) + y(sym1, 0, 1), y(sym1, 1)
+    assert associative(a, b, c)
+    install(monkeypatch, weyl, "_star_kernel", "dq = dq.scale(coeff)", "pass",
+            also=(forms, descent))
+    assert not associative(a, b, c)
