@@ -17,14 +17,18 @@ Applying the symbol happens on disjoint variable copies: the output lives on
 y_1..y_2n and argument mu on its own copy of 2n variables (see _copy), and a
 product of derivative symbols evaluated at y_mu = 0 turns into exponent
 bookkeeping against the argument coefficients.  Each symbol monomial's
-operator is built once, on first use, as one Poly product: the powers of its
-W factors, then the determinant (both factor kinds memoised per argument).
-One low mask splits each of its int monomial keys (see poly) into the output
-part and the copy part: the per-slot derivative multi-index alpha, which
-pairs only with the argument terms y^alpha_mu (weighted by alpha_mu!).  The
-operator is stored grouped by its copy parts.  ffs_apply renames each
-argument key onto its copy, combines only argument terms of the right degree
-and looks their summed key up; monomial_table reads the index itself.
+operator is its W factors times the determinant (both factor kinds memoised
+per argument), walked one Poly product at a time.  One low mask splits each
+of its int monomial keys (see poly) into the output part and the copy part:
+the per-slot derivative multi-index alpha, which pairs only with the
+argument terms y^alpha_mu (weighted by alpha_mu!).  The operator is stored
+grouped by its copy parts, and built on demand inside a divisibility box:
+only the groups whose copy key divides the caller's bound.  Copy parts only
+grow along the walk, so dropping the terms outside the box after every
+product loses nothing inside it.  ffs_apply renames each argument key onto
+its copy, combines only argument terms of the right degree, asks for the lcm
+of their keys and looks each summed key up; monomial_table asks for the full
+box of every operator and reads the index itself.
 
 A second, independent route for n = 1 integrates over the unit square after
 the substitution u_1 = t_0 t_1, u_2 = t_0 (Jacobian t_0); the two must agree
@@ -42,12 +46,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import factorial
-from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InsufficientExpansionError
 from .linalg import mat_mul, mat_transpose, perm_sign
-from .poly import Poly, Y, Z, index_mask, mono_degree, mono_factorial, rename
+from .poly import (MAX_EXPONENT, Poly, Y, Z, index_mask, mono_degree,
+                   mono_divides, mono_factorial, mono_lcm, rename)
 from .scalars import I, Scalar
 from .weyl import SymplecticData, WeylElement, involution
 
@@ -235,32 +239,53 @@ def _pair_operator(sym: SymplecticData, i: int, j: int) -> Poly:
 class PackedOperator:
     """An operator indexed by the packed copy part of its monomials (their
     per-slot derivative multi-index): terms maps it to the flat tuple
-    (output key, coeff, output key, coeff, ...)."""
+    (output key, coeff, output key, coeff, ...).  It holds the groups whose
+    copy key divides bound, each complete, and none outside that box."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "bound")
 
-    def __init__(self, terms: Dict[int, tuple]):
+    def __init__(self, terms: Dict[int, tuple], bound: int):
         self.terms = terms
+        self.bound = bound
 
 
 _op_cache: Dict[tuple, PackedOperator] = {}
 
 
-def _operator_for(ambient: SymplecticData, mono: WMono) -> PackedOperator:
-    """det(p_1..p_2n) times the W factors of a symbol monomial, cached and
-    grouped by the copy part of its keys."""
+def _operator_for(ambient: SymplecticData, mono: WMono,
+                  bound: int) -> PackedOperator:
+    """det(p_1..p_2n) times the W factors of a symbol monomial, grouped by
+    the copy part of its keys: the groups whose copy key divides bound.
+
+    Cached per (ambient, mono): a bound the cached one covers reads it, any
+    other rebuilds the entry at the lcm of the two.
+    """
     key = (ambient, mono)
     op = _op_cache.get(key)
-    if op is None:
-        factors = [_pair_operator(ambient, *pair) ** count for pair, count in mono]
-        product = reduce(mul, factors + [_det_operator(ambient)])
-        out_mask = index_mask(2 * ambient.n, Y)
-        groups: Dict[int, list] = {}
-        for k, c in product.terms.items():
-            out = k & out_mask
-            groups.setdefault(k - out, []).extend((out, c))
-        op = PackedOperator({k: tuple(v) for k, v in groups.items()})
-        _op_cache[key] = op
+    if op is not None:
+        if mono_divides(bound, op.bound):
+            return op
+        bound = mono_lcm(bound, op.bound)
+    out_mask = index_mask(2 * ambient.n, Y)
+    box = bound | out_mask  # the output fields are never pruned
+
+    def inside(p: Poly) -> Poly:
+        return Poly({k: c for k, c in p.terms.items() if mono_divides(k, box)})
+
+    # Copy parts only grow along the walk, so a term dropped outside the box
+    # feeds no group inside it.
+    product = Poly.one()
+    for pair, count in mono:
+        factor = inside(_pair_operator(ambient, *pair))
+        for _ in range(count):
+            product = inside(product * factor)
+    product = inside(product * inside(_det_operator(ambient)))
+    groups: Dict[int, list] = {}
+    for k, c in product.terms.items():
+        out = k & out_mask
+        groups.setdefault(k - out, []).extend((out, c))
+    op = PackedOperator({k: tuple(v) for k, v in groups.items()}, bound)
+    _op_cache[key] = op
     return op
 
 
@@ -272,6 +297,15 @@ def _slot_degrees(mono: WMono, m: int) -> List[int]:
             need[i - 1] += count
         need[j - 1] += count
     return need
+
+
+def _full_box(need: Sequence[int], n: int) -> int:
+    """The copy key with need[mu - 1] on every field of slot mu: every copy
+    key of an operator with these slot degrees divides it.  Fields are
+    capped at MAX_EXPONENT, which no product field passes."""
+    ones = index_mask(2 * n, Y) // MAX_EXPONENT
+    return sum(rename(ones * min(d, MAX_EXPONENT), Y, *_copy(mu, n))
+               for mu, d in enumerate(need, start=1))
 
 
 def _slot_terms(args: Sequence[WeylElement]) -> List[Dict[int, list]]:
@@ -298,7 +332,10 @@ def _contract(slots: List[Dict[int, list]], ambient: SymplecticData,
     terms = [slot.get(d) for slot, d in zip(slots, _slot_degrees(mono, len(slots)))]
     if None in terms:
         return
-    index = _operator_for(ambient, mono).terms
+    # The slots lie on disjoint fields, so the sum of their lcms is the lcm
+    # of every combination's key.
+    bound = sum(reduce(mono_lcm, [k for k, _ in t]) for t in terms)
+    index = _operator_for(ambient, mono, bound).terms
     for combo in itertools.product(*terms):
         # Each slot key lives on its own copy's fields, so the sum cannot carry.
         flat = index.get(sum(k for k, _ in combo))
@@ -346,9 +383,11 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
     m = 2 * symbol.n
     rows: Dict[int, Dict[int, Scalar]] = {}
     for mono, coeff in symbol.coeffs:
-        if max(_slot_degrees(mono, m)) > slot_degree:
+        need = _slot_degrees(mono, m)
+        if max(need) > slot_degree:
             continue
-        for copy_key, flat in _operator_for(ambient, mono).terms.items():
+        for copy_key, flat in _operator_for(ambient, mono,
+                                            _full_box(need, symbol.n)).terms.items():
             row = rows.setdefault(copy_key, {})
             for out, c in zip(flat[::2], flat[1::2]):
                 c = coeff * c

@@ -16,7 +16,8 @@ derivative subtracts one unit from a field, and the total degree and the
 z-degree are byte sums.  Every key sum is made in Poly.__mul__, whose one
 guard refuses a field that would reach 256 with a ValueError instead of
 letting it carry into its neighbour.  No other module reads the layout: they
-use mono_degree, mono_z_degree, mono_factorial, rename and index_mask.
+use mono_degree, mono_z_degree, mono_factorial, mono_divides, mono_lcm,
+rename and index_mask.
 
 A polynomial is a map from keys to nonzero Scalar coefficients.  Values are
 treated as immutable after construction, so one value may be read from
@@ -31,6 +32,7 @@ serialization unpacks the keys and sorts them in a graded-lex order over
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import factorial, prod
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -79,6 +81,21 @@ def mono_z_degree(key: int) -> int:
 def mono_factorial(key: int) -> int:
     """The product of the factorials of a monomial key's exponents."""
     return prod(map(factorial, _bytes(key)))
+
+
+def mono_divides(a: int, b: int) -> bool:
+    """Whether monomial key a divides b: every field of a is at most b's."""
+    # b - a borrows out of a field exactly where a's field is the larger,
+    # and the borrow shows as a carry of d + a = b (out of the top field,
+    # as a negative d).
+    d = b - a
+    return d >= 0 and not (d ^ a ^ b) & _CARRIES
+
+
+def mono_lcm(a: int, b: int) -> int:
+    """The least common multiple of two monomial keys: their fieldwise maximum."""
+    return int.from_bytes(
+        bytes(map(max, zip_longest(_bytes(a), _bytes(b), fillvalue=0))), "little")
 
 
 def rename(key: int, src: str, dst: str, offset: int) -> int:

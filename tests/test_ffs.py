@@ -9,7 +9,7 @@ from weylhh.errors import InsufficientExpansionError
 from weylhh.ffs import (cached_symbol, ffs_apply, ffs_build, ffs_cocycle,
                         ffs_hypercube_n1, simplex_moment)
 from weylhh.hochschild import Chain, SampleSpec, pair_chain, verify_cocycle
-from weylhh.poly import Poly, Y, Z
+from weylhh.poly import Poly, Y, Z, mono_divides, mono_lcm
 from weylhh.sampling import random_weyl
 from weylhh.scalars import I, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, star
@@ -270,12 +270,59 @@ def test_operator_cache_contract():
     assert (((0, 1), 2), ((0, 2), 1)) in reached
 
 
+def _groups(op):
+    return {k: dict(zip(flat[::2], flat[1::2])) for k, flat in op.terms.items()}
+
+
+@pytest.mark.parametrize("n, budget, seed", [(1, 8, 301), (2, 7, 302)])
+def test_operator_groups_on_demand(monkeypatch, n, budget, seed):
+    # A bound asks for the groups whose copy key divides it: each one built
+    # equals the full build's group, and none inside the bound is missing.
+    # A request the cached entry does not cover rebuilds it in place at the
+    # lcm, keeping every group asked for before, so earlier bounds then hit.
+    rng = random.Random(seed)
+    m = 2 * n
+    sym = SymplecticData.canonical(n)
+    cache = {}
+    monkeypatch.setattr(ffs, "_op_cache", cache)
+
+    def random_box(need):
+        triples = []
+        for mu, d in enumerate(need, start=1):
+            bank, offset = ffs._copy(mu, n)
+            triples += [(bank, offset + j, rng.randint(0, d)) for j in range(1, m + 1)]
+        return next(iter(Poly.monomial([t for t in triples if t[2]]).terms))
+
+    monos = rng.sample([mono for mono, _ in ffs_build(n, budget).coeffs], 6)
+    for mono in monos:
+        need = ffs._slot_degrees(mono, m)
+        full = _groups(ffs._operator_for(sym, mono, ffs._full_box(need, n)))
+        assert full
+        for _ in range(3):
+            cache.clear()
+            narrow, other = random_box(need), random_box(need)
+            asked = 0
+            for bound in (narrow, other, mono_lcm(narrow, other)):
+                asked = mono_lcm(asked, bound)
+                op = ffs._operator_for(sym, mono, bound)
+                assert ffs._op_cache is cache and cache[(sym, mono)] is op
+                built = _groups(op)
+                assert all(full[k] == group for k, group in built.items())
+                assert {k for k in full if mono_divides(k, asked)} <= set(built)
+            assert ffs._operator_for(sym, mono, narrow) is op
+
+
 def test_operator_overflow_is_refused(sym1):
-    # W12^255 fills the exponent fields of both copies to 255 and the
-    # determinant's derivative on each slot raises some to 256, which the
-    # Poly product refuses; nothing is cached for the failed operator.
+    # Through the full box W12^255 asks for every group: the walk fills the
+    # exponent fields of both copies to 255 and one more W12 factor raises
+    # some to 256, which the Poly product refuses; nothing is cached for the
+    # failed operator.
+    def full(count):
+        mono = (((1, 2), count),)
+        return mono, ffs._full_box(ffs._slot_degrees(mono, 2), 1)
+
     before = len(ffs._op_cache)
     with pytest.raises(ValueError, match="overflows"):
-        ffs._operator_for(sym1, (((1, 2), 255),))
+        ffs._operator_for(sym1, *full(255))
     assert len(ffs._op_cache) == before
-    assert ffs._operator_for(sym1, (((1, 2), 254),)).terms
+    assert ffs._operator_for(sym1, *full(254)).terms

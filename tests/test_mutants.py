@@ -117,7 +117,20 @@ def test_pair_factor_without_power(monkeypatch, sym1):
     a, b = y(sym1, 3), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
     monkeypatch.setattr(ffs, "_op_cache", {})
-    install(monkeypatch, ffs, "_operator_for", " ** count", "")
+    install(monkeypatch, ffs, "_operator_for", "range(count)", "range(1)")
+    assert not routes_agree(sym1, a, b)
+
+
+def test_operator_box_gcd_for_lcm(monkeypatch, sym1):
+    # The fieldwise minimum for the maximum shrinks the box an operator is
+    # built in to what every key of a slot reaches, dropping the groups on
+    # its edge: with two degree-1 terms in the first slot, (y1 + y2, y2) at
+    # total degree 2 loses its determinant term.  Single-term slots never
+    # reach the lcm.
+    a, b = y(sym1, 1) + y(sym1, 0, 1), y(sym1, 0, 1)
+    assert routes_agree(sym1, a, b)
+    monkeypatch.setattr(ffs, "_op_cache", {})
+    install(monkeypatch, poly, "mono_lcm", "map(max,", "map(min,", also=(ffs,))
     assert not routes_agree(sym1, a, b)
 
 

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from weylhh.poly import MAX_INDEX, Poly, Y, Z
+from weylhh.poly import MAX_INDEX, Poly, Y, Z, mono_divides, mono_lcm
 from weylhh.scalars import Scalar
 
 
@@ -232,3 +232,44 @@ def test_constant_written_as_empty_triple_tuple():
     assert Poly({(): Scalar.of(2)}) == Poly.const(Scalar.of(2))
     assert Poly({0: Scalar.of(1), (): Scalar.of(2)}) == Poly.const(Scalar.of(3))
     assert Poly({(): Scalar.of(-1), 0: Scalar.of(1)}).is_zero()
+
+
+def key(*triples):
+    return next(iter(Poly.monomial(triples).terms))
+
+
+def test_mono_divides_fieldwise():
+    assert mono_divides(0, 0) and mono_divides(0, key((Y, 1, 255)))
+    assert mono_divides(key((Y, 1, 255)), key((Y, 1, 255)))
+    assert not mono_divides(key((Y, 1, 1)), 0)
+    assert not mono_divides(key((Y, 1, 255)), key((Y, 1, 254), (Z, 5, 9)))
+    # b - a borrows from z1 into y1: numerically smaller, not fieldwise.
+    a, b = key((Y, 1, 2)), key((Y, 1, 1), (Z, 1, 1))
+    assert a < b and not mono_divides(a, b) and not mono_divides(b, a)
+    # Keys of different lengths: a higher field decides either way.
+    assert mono_divides(key((Y, 1, 3)), key((Y, 1, 3), (Z, MAX_INDEX, 1)))
+    assert not mono_divides(key((Y, 1, 3), (Z, MAX_INDEX, 1)), key((Y, 1, 3)))
+
+
+def test_mono_lcm_is_fieldwise_max():
+    a = key((Y, 1, 255), (Z, 1, 1))
+    b = key((Y, 1, 0), (Z, 1, 2), (Y, 3, 7))
+    assert mono_lcm(a, b) == mono_lcm(b, a) == key((Y, 1, 255), (Z, 1, 2), (Y, 3, 7))
+    assert mono_lcm(a, 0) == a and mono_lcm(0, 0) == 0
+    assert mono_lcm(key((Y, 1, 1), (Z, 1, 1)), key((Y, 1, 2))) == key((Y, 1, 2), (Z, 1, 1))
+    assert mono_lcm(key((Y, 1, 4)), key((Z, MAX_INDEX, 255))) == key((Y, 1, 4), (Z, MAX_INDEX, 255))
+
+
+def test_mono_divides_and_lcm_against_exponents():
+    rng = random.Random(7)
+    variables = [(Y, 1), (Z, 1), (Y, 2), (Z, 2)]
+
+    def pick():
+        return {v: rng.choice((0, 1, 2, 254, 255)) for v in variables}
+
+    for _ in range(300):
+        ea, eb = pick(), pick()
+        a, b = (key(*[(bank, i, e[bank, i]) for bank, i in variables]) for e in (ea, eb))
+        assert mono_divides(a, b) == all(ea[v] <= eb[v] for v in variables)
+        assert mono_lcm(a, b) == key(*[(bank, i, max(ea[bank, i], eb[bank, i]))
+                                       for bank, i in variables])
