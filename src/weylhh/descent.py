@@ -45,9 +45,9 @@ from .forms import FormElement, ext_d, form_star, homotopy_s, wedge_expand
 from .hochschild import (Cochain, Report, constant_cochain, group_twist,
                          hochschild_d)
 from .groups import GroupElement
-from .poly import Poly, Y, Z, mono_degree, mono_z_degree
-from .scalars import ZERO, Scalar
-from .weyl import (SymplecticData, WeylElement, _min_trunc, _star_kernel,
+from .poly import Poly, Y, Z, mono_degree, mono_divides, mono_factorial
+from .scalars import I, ONE, ZERO, Scalar
+from .weyl import (SymplecticData, WeylElement, _min_trunc, _right_d,
                    involution)
 
 DEFAULT_BUDGET_MARGIN = 4
@@ -190,14 +190,8 @@ def _prune(form: FormElement, z_cap: int, total_cap: int) -> FormElement:
     projection, and those derivatives also bound how far the y-degree can
     come down, so total_cap is the certified target plus z_cap.
     """
-    comps = {}
-    for idx, poly in form.components.items():
-        kept = {}
-        for mono, c in poly.terms.items():
-            if mono_z_degree(mono) <= z_cap and mono_degree(mono) <= total_cap:
-                kept[mono] = c
-        if kept:
-            comps[idx] = Poly(kept)
+    comps = {idx: poly.capped(z_cap, total_cap)
+             for idx, poly in form.components.items()}
     return FormElement(comps, form.ambient, form.truncation)
 
 
@@ -210,8 +204,7 @@ def _chain_value(gen: GaussianGenerator, args: Sequence[WeylElement],
     z_caps = [sum(degrees[:k]) - k for k in range(len(args) + 1)]
     value = _prune(gen.expand(degree), z_caps[-1], target + z_caps[-1])
     for k in range(len(args) - 1, -1, -1):
-        value = form_star(args[k], homotopy_s(value))
-        value = _prune(value, z_caps[k], target + z_caps[k])
+        value = form_star(args[k], homotopy_s(value), (z_caps[k], target + z_caps[k]))
     if not value.is_homogeneous(0) and not value.is_zero():
         raise AssertionError("descent value failed to land in form degree 0")
     poly = value.component(()).set_bank_zero(Z)
@@ -243,10 +236,14 @@ def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
     d = auto_budget(args, gen.ambient.n) if budget is None else budget
     value = _chain_value(gen, args, d)
     if check_stability:
-        recomputed = _chain_value(gen, args, d + 2)
-        if recomputed.restrict(value.truncation) != value:
+        recomputed = _chain_value(gen, args, d + 2).restrict(value.truncation)
+        if recomputed != value:
+            residual = recomputed.poly - value.poly
+            low = min(map(mono_degree, residual.terms), default=0)
             raise BudgetError(
-                f"descent value unstable at budget {d}; rerun with a larger one")
+                f"descent value unstable at budget {d}: the budget+2 value "
+                f"minus the budget value is first nonzero at degree {low}, "
+                f"{residual.homogeneous_part(low)}; rerun with a larger one")
     return value
 
 
@@ -264,12 +261,25 @@ class SuffixCache:
     """Shared partial chains for bulk evaluation over many argument tuples.
 
     The inner alternation s(a_k * s(...)) depends only on the argument tail,
-    so tuples sharing a tail share the work: each entry is the homotopy of a
-    tail's chain, the right factor every head in front of that tail
-    multiplies against.  A single cache is valid for one (generator, budget,
-    per-slot degree bound) triple: the degree bound lets each level drop
-    terms too high to reach the certified part of the final value through
-    the remaining argument derivatives.
+    so tuples sharing a tail share the work: each `_cache` entry is the
+    homotopy of a tail's chain, the right factor every argument in front of
+    that tail multiplies against.  A single cache is valid for one
+    (generator, budget, per-slot degree bound) triple: the degree bound caps
+    each level to the terms that can still reach the certified part of the
+    final value through the remaining argument derivatives, and the star
+    kernel computes only those.
+
+    The head a_1 meets its suffix's 0-form F = s(a_2 * s(...)) only through
+    the closing z = 0 projection, and a_1 has no z, so
+
+        (a_1 * F)|_{z=0} = sum_gamma (i^|gamma| / gamma!) d_y^gamma a_1 . R[gamma],
+        R[gamma] = ((pi D)^gamma F)|_{z=0},   D = d_y + d_z,
+
+    over the multi-indices |gamma| <= slot degree.  `_final` holds, per
+    suffix, that table of y-polynomials with their coefficients, keyed by
+    y^gamma, so a head costs one product per entry dividing one of its
+    monomials and no star kernel.  Only the table reads the longest
+    suffixes' s(tail), so those are not kept in `_cache`.
     """
 
     def __init__(self, gen: GaussianGenerator, budget: int, slot_degree: int):
@@ -281,27 +291,32 @@ class SuffixCache:
         if self.target < 0:
             raise BudgetError("budget below the worst-case argument degree")
         self._cache: Dict[tuple, FormElement] = {}
-        self._final: Dict[tuple, Poly] = {}
-        # The pruning caps of a tail of c arguments: the r = arity - c slots
-        # still to come consume at most slot_degree - 1 z's each beyond the
-        # one their homotopy adds.
+        self._final: Dict[tuple, Dict[int, Poly]] = {}
+        # The caps of a tail of c arguments: the r = arity - c slots still to
+        # come consume at most slot_degree - 1 z's each beyond the one their
+        # homotopy adds.
         self._caps = [((slot_degree - 1) * r, self.target + (slot_degree - 1) * r)
                       for r in range(self.arity, -1, -1)]
 
     def tail(self, args: Sequence[WeylElement]) -> FormElement:
-        """s(args[0] * s(... args[-1] * s(generator))), pruned before each s."""
+        """s(args[0] * s(... args[-1] * s(generator))), each level cut to its caps."""
         key = tuple(a.key() for a in args)
         got = self._cache.get(key)
         if got is None:
-            if not args:
-                chain = self.gen.expand(self.budget)
-            elif args[0].degree() > self.slot_degree:
-                raise BudgetError("argument degree exceeds the cache's slot bound")
-            else:
-                chain = form_star(args[0], self.tail(args[1:]))
-            got = homotopy_s(_prune(chain, *self._caps[len(args)]))
+            got = self._contract(args)
             self._cache[key] = got
         return got
+
+    def _contract(self, args: Sequence[WeylElement]) -> FormElement:
+        """tail(args), computed afresh at this level (shorter tails cached)."""
+        caps = self._caps[len(args)]
+        if not args:
+            chain = _prune(self.gen.expand(self.budget), *caps)
+        elif args[0].degree() > self.slot_degree:
+            raise BudgetError("argument degree exceeds the cache's slot bound")
+        else:
+            chain = form_star(args[0], self.tail(args[1:]), caps)
+        return homotopy_s(chain)
 
     def value(self, args: Sequence[WeylElement]) -> WeylElement:
         if len(args) != self.arity:
@@ -311,19 +326,47 @@ class SuffixCache:
         if head.degree() > self.slot_degree:
             raise BudgetError("argument degree exceeds the cache's slot bound")
         key = tuple(a.key() for a in rest)
-        contracted = self._final.get(key)
-        if contracted is None:
-            # Only the 0-form part of s(tail) can reach the final projection,
-            # and only its terms of z-degree at most the head's derivative
-            # order (bounded by the slot degree) survive setting z to zero.
-            zero_part = self.tail(rest).component(())
-            contracted = Poly({
-                mono: c for mono, c in zero_part.terms.items()
-                if mono_z_degree(mono) <= self.slot_degree
-            })
-            self._final[key] = contracted
-        prod = _star_kernel(head.poly, contracted, self.gen.ambient)
-        return WeylElement(prod.set_bank_zero(Z), self.gen.ambient, self.target)
+        table = self._final.get(key)
+        if table is None:
+            # Only the table reads this suffix's s(tail), so it is not cached.
+            table = self._z0_table(self._contract(rest).component(()))
+            self._final[key] = table
+        out = Poly.zero()
+        for m, c in head.poly.terms.items():
+            top = mono_factorial(m)
+            for g, r in table.items():
+                if mono_divides(g, m):
+                    # d_y^gamma y^alpha = alpha! / (alpha - gamma)! y^(alpha - gamma)
+                    d = c.scale_fraction(top // mono_factorial(m - g))
+                    out = out + Poly({m - g: d}) * r
+        return WeylElement(out, self.gen.ambient, self.target)
+
+    def _z0_table(self, f: Poly) -> Dict[int, Poly]:
+        """The key of y^gamma -> (i^|gamma| / gamma!) ((pi D)^gamma f)|_{z=0}
+        for every |gamma| <= slot degree, cut to the target degree; zero
+        entries are left out."""
+        sym = self.gen.ambient
+        table: Dict[int, Poly] = {}
+        stack = [(1, (), f, ONE, self.slot_degree)]
+        while stack:
+            j0, gamma, d, coeff, left = stack.pop()
+            r = d.capped(0, self.target)
+            if r:
+                g, = Poly.monomial((Y, j, e) for j, e in gamma).terms
+                table[g] = r.scale(coeff)
+            for j in range(j0, 2 * sym.n + 1):
+                cd, cc = d, coeff
+                for order in range(1, left + 1):
+                    # With k derivatives to come, a term of more than k z's
+                    # never reaches z = 0, and one of degree above target + k
+                    # never comes down to the target.
+                    k = left - order + 1
+                    cd = _right_d(cd.capped(k, self.target + k), j, sym, (Y, Z))
+                    if cd.is_zero():
+                        break
+                    cc = (cc * I).scale_fraction(1, order)
+                    stack.append((j + 1, gamma + ((j, order),), cd, cc, k - 1))
+        return table
 
 
 # -- the audited trace --------------------------------------------------------

@@ -232,8 +232,12 @@ def _as_form(x) -> FormElement:
     return x if isinstance(x, FormElement) else FormElement.from_weyl(x)
 
 
-def form_star(a, b) -> FormElement:
-    """Star-exterior product; at most one factor may carry a truncation."""
+def form_star(a, b, caps: Optional[Tuple[int, int]] = None) -> FormElement:
+    """Star-exterior product; at most one factor may carry a truncation.
+
+    caps = (z_cap, total_cap), for a left factor without Z, keeps only the
+    terms of Z-degree <= z_cap and total degree <= total_cap (see
+    _star_kernel)."""
     a, b = _as_form(a), _as_form(b)
     _same_ambient(a, b)
     out_trunc = _star_truncation(a, b)
@@ -244,7 +248,7 @@ def form_star(a, b) -> FormElement:
             if merged is None:
                 continue
             sign, idx = merged
-            prod = _star_kernel(p1, p2, a.ambient)
+            prod = _star_kernel(p1, p2, a.ambient, caps)
             if sign < 0:
                 prod = -prod
             out[idx] = out.get(idx, Poly.zero()) + prod

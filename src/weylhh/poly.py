@@ -371,6 +371,16 @@ class Poly:
         return Poly({m: c for m, c in self.terms.items()
                      if mono_degree(m) <= max_degree})
 
+    def capped(self, z_cap: int, total_cap: int) -> "Poly":
+        """The terms of Z-degree <= z_cap and total degree <= total_cap."""
+        out: Dict[int, Scalar] = {}
+        for m, c in self.terms.items():
+            # _bytes inlined: the capped kernel cuts every node through here.
+            b = m.to_bytes((m.bit_length() + 7) >> 3, "little")
+            if sum(b) <= total_cap and sum(b[1::2]) <= z_cap:
+                out[m] = c
+        return Poly(out)
+
     def homogeneous_part(self, degree: int) -> "Poly":
         return Poly({m: c for m, c in self.terms.items()
                      if mono_degree(m) == degree})

@@ -238,34 +238,58 @@ def star(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement(_star_kernel(a.poly, b.poly, a.ambient), a.ambient, t)
 
 
-def _star_kernel(p: Poly, q: Poly, sym: SymplecticData) -> Poly:
+def _right_d(poly: Poly, j: int, sym: SymplecticData,
+             banks: Sequence[str]) -> Poly:
+    """The star product's j-th right derivative sum_k pi^{jk} D_k poly, where
+    D_k differentiates in the k-th variable of each of the given banks."""
+    out = Poly.zero()
+    for k, c in enumerate(sym.pi[j - 1], 1):
+        if not c.is_zero():
+            d = sum((poly.diff(bank, k) for bank in banks), Poly.zero())
+            out = out + d.scale(c)
+    return out
+
+
+def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
+                 caps: Optional[Tuple[int, int]] = None) -> Poly:
     """Shared expansion for the Weyl and form star products.
 
-    Left derivatives act in Y; right derivatives in Y and Z, which a Weyl
-    right factor lacks.  Enumerates derivative multi-indices as a tree, one
-    node per multi-index, pruning branches as soon as either side dies.
+    Left derivatives act in Y; right derivatives in Y and Z, the latter only
+    when the right factor has Z variables (a Weyl one has none).  Enumerates
+    derivative multi-indices as a tree, one node per multi-index, pruning
+    branches as soon as either side dies.
+
+    With caps = (z_cap, total_cap) and a left factor without Z, the result
+    is only the terms of Z-degree <= z_cap and total degree <= total_cap.
+    Each node drops, before its product, the right-derivative terms that
+    cannot make such a term (an output term keeps its right term's Z-degree
+    and adds at least the left derivative's lowest degree); the tree still
+    grows from the uncut derivatives.
     """
+    if p.is_zero() or q.is_zero():
+        return Poly.zero()
     size = 2 * sym.n
-
-    def right_d(poly: Poly, j: int) -> Poly:
-        out = Poly.zero()
-        for k in range(size):
-            c = sym.pi[j - 1][k]
-            if not c.is_zero():
-                d = poly.diff(Y, k + 1) + poly.diff(Z, k + 1)
-                out = out + d.scale(c)
-        return out
-
+    banks = (Y, Z) if q.has_bank(Z) else (Y,)
     acc: dict = {}
 
     def accumulate(dp: Poly, dq: Poly, coeff: Scalar) -> None:
+        mixed = False
+        if caps is not None:
+            degrees = {mono_degree(m) for m in dp.terms}
+            dq = dq.capped(caps[0], caps[1] - min(degrees))
+            if dq.is_zero():
+                return
+            mixed = len(degrees) > 1
         # Scale the shorter factor, so each product term costs one multiply.
         if coeff != ONE:
             if len(dp.terms) <= len(dq.terms):
                 dp = dp.scale(coeff)
             else:
                 dq = dq.scale(coeff)
-        for m, add in (dp * dq).terms.items():
+        prod = dp * dq
+        if mixed:
+            prod = prod.capped(*caps)
+        for m, add in prod.terms.items():
             prev = acc.get(m)
             add = add if prev is None else prev + add
             if add.is_zero():
@@ -284,7 +308,7 @@ def _star_kernel(p: Poly, q: Poly, sym: SymplecticData) -> Poly:
                 cp = cp.diff(Y, j)
                 if cp.is_zero():
                     break
-                cq = right_d(cq, j)
+                cq = _right_d(cq, j, sym, banks)
                 if cq.is_zero():
                     break
                 order += 1

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from weylhh import descent
 from weylhh.cli import main
+from weylhh.poly import Poly, Y
+from weylhh.scalars import Scalar
+from weylhh.weyl import WeylElement
 
 Y1 = {"terms": [{"coeff": {"re": ["1", "1"], "im": ["0", "1"]},
                  "exps": [["Y", 1, 1]]}]}
@@ -66,6 +70,23 @@ def test_descent_budget_exit_code(capsys):
                   "--args", json.dumps({"n": 1, "args": [big, big]}),
                   "--budget", "1")
     assert code == 3
+
+
+def test_unstable_descent_exits_3_naming_residual(capsys, monkeypatch):
+    # A budget+2 recheck that disagrees is a budget error, exit 3, and the
+    # message names where the two values first differ.
+    real = descent._chain_value
+
+    def unstable(gen, args, degree):
+        value = real(gen, args, degree)
+        return WeylElement(value.poly + Poly.variable(Y, 1, Scalar.of(degree)),
+                           gen.ambient, value.truncation)
+
+    monkeypatch.setattr(descent, "_chain_value", unstable)
+    code = main(["descent", "eval", "--args", json.dumps({"n": 1, "args": [Y1, Y2]})])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "first nonzero at degree 1, (2)y1;" in err
 
 
 def test_smash_dims(capsys):

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylhh import descent
 from weylhh.descent import (SuffixCache, auto_budget, build_trace, descend,
@@ -15,7 +16,7 @@ from weylhh.hochschild import SampleSpec, hochschild_d, verify_cocycle
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import monomials_upto, random_weyl
 from weylhh.scalars import Scalar
-from weylhh.weyl import SymplecticData, WeylElement
+from weylhh.weyl import SymplecticData, WeylElement, _star_kernel
 
 
 def frac(a, b):
@@ -185,9 +186,10 @@ def test_suffix_cache_matches_descend(sym1, rng):
 
 
 def test_suffix_cache_homotopy_once_per_entry(monkeypatch, sym1):
-    # Each entry is s of its tail's chain, the right factor every head in
-    # front of that tail multiplies against: s runs once per entry, and
-    # value, hit or miss, never calls it.
+    # s runs once per suffix: once per `_cache` entry, the right factor of
+    # every argument in front of that tail, and once per `_final` table for
+    # the longest suffixes, which only their table reads and which therefore
+    # skip `_cache`; a hit never calls it.
     calls = []
     real = descent.homotopy_s
 
@@ -201,10 +203,10 @@ def test_suffix_cache_homotopy_once_per_entry(monkeypatch, sym1):
                                       for j in (1, 2)]
     for args in itertools.product(basis, repeat=2):
         cache.value(args)
-    assert len(calls) == len(cache._cache) == len(basis) + 1
+    assert len(calls) == len(cache._cache) + len(cache._final) == len(basis) + 1
     for args in itertools.product(basis, repeat=2):
         cache.value(args)
-    assert len(calls) == len(cache._cache)
+    assert len(calls) == len(cache._cache) + len(cache._final)
 
 
 def test_suffix_cache_refuses_wrong_arity(sym2):
@@ -259,3 +261,68 @@ def test_stability_assertion_runs(sym1):
     v2 = descend(z, [y1, y2], budget=auto_budget([y1, y2], 1) + 2,
                  check_stability=True)
     assert v2.restrict(v1.truncation) == v1
+
+
+@st.composite
+def heads_and_tails(draw):
+    """An n = 1 head and tail argument of degree <= 2, as polynomials."""
+    sym = SymplecticData.canonical(1)
+    term = st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                     st.lists(st.integers(1, 2), max_size=2))
+
+    def element():
+        poly = Poly.zero()
+        for re, im, factors in draw(st.lists(term, max_size=3)):
+            poly = poly + Poly.monomial([(Y, i, 1) for i in factors],
+                                        Scalar.of(re, im))
+        return WeylElement(poly, sym)
+
+    return element(), element()
+
+
+def _table_is_projected_kernel(budget, heads, rest) -> bool:
+    """value reads the suffix's z = 0 derivative table; it must equal each
+    head's whole star product with s(tail)'s 0-form, projected to z = 0."""
+    sym = rest[0].ambient
+    cache = SuffixCache(make_zeta(sym), budget=budget, slot_degree=2)
+    f = cache.tail(rest).component(())
+    return all(cache.value((head,) + rest)
+               == WeylElement(_star_kernel(head.poly, f, sym).set_bank_zero(Z),
+                              sym, cache.target)
+               for head in heads)
+
+
+@settings(max_examples=40)
+@given(heads_and_tails())
+def test_suffix_cache_table_is_projected_kernel(args):
+    # The drawn head and every monomial head in front of a drawn n = 1 tail.
+    heads = [args[0]] + monomials_upto(args[0].ambient, 2)
+    for budget in (8, 10):
+        assert _table_is_projected_kernel(budget, heads, args[1:])
+
+
+def test_suffix_cache_table_n2(sym2):
+    # Every monomial head of degree <= 2 in front of one n = 2 suffix.
+    y = [WeylElement.generator(j, sym2) for j in range(1, 5)]
+    rest = (y[1] * y[2], y[0], y[3] * y[3])
+    for budget in (12, 14):
+        assert _table_is_projected_kernel(budget, monomials_upto(sym2, 2), rest)
+
+
+def test_budget_error_names_residual(monkeypatch, sym1):
+    # The budget+2 value differs from the budget's in degrees 3 and 4: the
+    # error names the lowest of them and the residual there.
+    real = descent._chain_value
+
+    def unstable(gen, args, degree):
+        value = real(gen, args, degree)
+        if degree == 8:
+            return value
+        extra = (Poly.monomial([(Y, 1, 1), (Y, 2, 2)], Scalar.of(5))
+                 + Poly.monomial([(Y, 1, 4)]))
+        return WeylElement(value.poly + extra, sym1, value.truncation)
+
+    monkeypatch.setattr(descent, "_chain_value", unstable)
+    y1, y2 = WeylElement.generator(1, sym1), WeylElement.generator(2, sym1)
+    with pytest.raises(BudgetError, match=r"at degree 3, \(5\)y1y2\^2;"):
+        descend(make_zeta(sym1), [y1, y2], budget=8)

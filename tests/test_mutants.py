@@ -151,7 +151,7 @@ def test_star_coefficient_without_factorial(monkeypatch, sym1):
     assert associative(a, b, c)
     install(monkeypatch, weyl, "_star_kernel",
             "(cc * I).scale_fraction(1, order)", "cc * I",
-            also=(forms, descent))
+            also=(forms,))
     assert not associative(a, b, c)
 
 
@@ -227,8 +227,8 @@ def test_star_kernel_without_z_derivative(monkeypatch, sym1):
     # into the plain one, so the descent value no longer matches the symbol.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    install(monkeypatch, weyl, "_star_kernel", " + poly.diff(Z, k + 1)", "",
-            also=(forms, descent))
+    install(monkeypatch, weyl, "_right_d", "for bank in banks", "for bank in banks[:1]",
+            also=(descent,))
     assert not routes_agree(sym1, a, b)
 
 
@@ -240,5 +240,26 @@ def test_star_kernel_drops_coefficient_on_right(monkeypatch, sym1):
     a, b, c = y(sym1, 0, 1), y(sym1, 1) + y(sym1, 0, 1), y(sym1, 1)
     assert associative(a, b, c)
     install(monkeypatch, weyl, "_star_kernel", "dq = dq.scale(coeff)", "pass",
-            also=(forms, descent))
+            also=(forms,))
     assert not associative(a, b, c)
+
+
+def test_capped_kernel_z_cap_too_small(monkeypatch, sym1):
+    # A kernel that cuts its right derivatives at one z fewer than the level
+    # allows drops terms that still reach z = 0: the descent value on
+    # (y1, y2) loses them.
+    a, b = y(sym1, 1), y(sym1, 0, 1)
+    assert routes_agree(sym1, a, b)
+    install(monkeypatch, weyl, "_star_kernel",
+            "dq.capped(caps[0], ", "dq.capped(caps[0] - 1, ", also=(forms,))
+    assert not routes_agree(sym1, a, b)
+
+
+def test_z0_table_without_factorial(monkeypatch, sym1):
+    # i^|gamma| for i^|gamma| / gamma!: wrong from the first order-two entry
+    # on, which a head of degree 2 reads.
+    a, b = y(sym1, 2), y(sym1, 0, 1)
+    assert cache_agrees(sym1, a, b)
+    install(monkeypatch, descent, "_z0_table",
+            "(cc * I).scale_fraction(1, order)", "cc * I", owner=SuffixCache)
+    assert not cache_agrees(sym1, a, b)

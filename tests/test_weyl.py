@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from weylhh.descent import _prune
 from weylhh.errors import AmbientMismatchError, BudgetError
-from weylhh.poly import Poly, Y
+from weylhh.forms import FormElement
+from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import random_weyl
 from weylhh.scalars import I, ONE, Scalar
-from weylhh.weyl import (SymplecticData, WeylElement, bform, gram_rank_upto,
-                         involution, star, supertrace)
+from weylhh.weyl import (SymplecticData, WeylElement, _star_kernel, bform,
+                         gram_rank_upto, involution, star, supertrace)
 
 
 def gens(sym):
@@ -214,3 +216,32 @@ def test_star_bilinear(abc, re, im):
 def test_star_associative(abc):
     a, b, c = abc
     assert star(star(a, b), c) == star(a, star(b, c))
+
+
+@st.composite
+def capped_products(draw):
+    """A Weyl left factor, a form coefficient with z and a pair of caps,
+    n = 1 or 2."""
+    n = draw(st.sampled_from((1, 2)))
+    sym = SymplecticData.canonical(n)
+
+    def poly(banks, max_size):
+        var = st.tuples(st.sampled_from(banks), st.integers(1, 2 * n))
+        term = st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                         st.lists(var, max_size=max_size))
+        out = Poly.zero()
+        for re, im, factors in draw(st.lists(term, max_size=4)):
+            out = out + Poly.monomial([(b, i, 1) for b, i in factors],
+                                      Scalar.of(re, im))
+        return out
+
+    caps = (draw(st.integers(-1, 3)), draw(st.integers(0, 6)))
+    return sym, poly((Y,), 3), poly((Y, Z), 5), caps
+
+
+@given(capped_products())
+def test_capped_kernel_is_pruned_product(case):
+    # The capped kernel computes exactly the terms the caps keep.
+    sym, p, q, caps = case
+    whole = FormElement.from_poly(_star_kernel(p, q, sym), sym)
+    assert _star_kernel(p, q, sym, caps) == _prune(whole, *caps).component(())
