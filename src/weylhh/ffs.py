@@ -124,25 +124,37 @@ def _w_monomials(pairs: List[Pair], weights: Dict[Pair, int], max_weight: int):
     yield from rec(0, max_weight, [])
 
 
+# n -> W-monomial -> its coefficient, zero ones included: a coefficient does
+# not depend on the budget, so a larger budget computes only the monomials
+# the smaller ones did not reach.
+_coeff_memo: Dict[int, Dict[WMono, Scalar]] = {}
+
+
+def _coefficient(mono: WMono, m: int) -> Scalar:
+    """The symbol coefficient of one W-monomial in 2n = m slots."""
+    upoly: Dict[Tuple[int, ...], int] = {(0,) * m: 1}
+    denom = 1
+    for (i, j), count in mono:
+        factor = _linear_factor(i, j, m)
+        for _ in range(count):
+            upoly = _u_mul(upoly, factor)
+        denom *= factorial(count)
+    coeff = _integrate_u_poly(upoly) * (I ** sum(c for _, c in mono))
+    return coeff.scale_fraction(1, denom)
+
+
 def ffs_build(n: int, degree_budget: int) -> FFSSymbol:
     """Expand the symbol far enough for argument tuples of the given total degree."""
     m = 2 * n
     pairs = [(i, j) for i in range(0, m + 1) for j in range(i + 1, m + 1)]
     weights = {p: (1 if p[0] == 0 else 2) for p in pairs}
     max_order = max(0, degree_budget - m)
+    memo = _coeff_memo.setdefault(n, {})
     coeffs = []
     for mono in _w_monomials(pairs, weights, max_order):
-        total_order = sum(c for _, c in mono)
-        upoly: Dict[Tuple[int, ...], int] = {(0,) * m: 1}
-        denom = 1
-        for (i, j), count in mono:
-            factor = _linear_factor(i, j, m)
-            for _ in range(count):
-                upoly = _u_mul(upoly, factor)
-            denom *= factorial(count)
-        coeff = _integrate_u_poly(upoly)
-        coeff = coeff * (I ** total_order)
-        coeff = coeff.scale_fraction(1, denom)
+        coeff = memo.get(mono)
+        if coeff is None:
+            coeff = memo[mono] = _coefficient(mono, m)
         if not coeff.is_zero():
             coeffs.append((mono, coeff))
     return FFSSymbol(n, degree_budget, tuple(coeffs))

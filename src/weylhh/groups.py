@@ -257,6 +257,12 @@ class SmashElement:
         return tuple(sorted(((g.matrix, a.key()) for g, a in self.terms.items()),
                             key=str))
 
+    def lowest_term(self) -> Tuple[int, "SmashElement"]:
+        """The lowest-degree term of a nonzero self, on its group element."""
+        degree, term, g = min(((*a.lowest_term(), g) for g, a in self.terms.items()),
+                              key=lambda t: t[0])
+        return degree, SmashElement(self.group, self.ambient, {g: term})
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -164,7 +164,11 @@ class Report:
 
 
 def verify_cocycle(f: Cochain, samples: SampleSpec) -> Report:
-    """Evaluate the full differential of f on sampled tuples; exact zero test."""
+    """Evaluate the full differential of f on sampled tuples; exact zero test.
+
+    The first failure names its arguments and the lowest-degree term of the
+    residual df(args), with that term's degree.
+    """
     from . import sampling
 
     tuples = sampling.cocycle_tuples(f, samples)
@@ -177,7 +181,9 @@ def verify_cocycle(f: Cochain, samples: SampleSpec) -> Report:
         if value.is_zero():
             passed += 1
         elif first_failure is None:
-            first_failure = "(" + ", ".join(str(a) for a in args) + ")"
+            degree, term = value.lowest_term()
+            first_failure = ("(" + ", ".join(str(a) for a in args) + ")"
+                             + f": residual {term} at degree {degree}")
     return Report(checked, passed, first_failure, samples.seed, samples.max_degree)
 
 

@@ -2,7 +2,11 @@
 
 Entries only need +, -, *, / and truthiness for the zero test; matrices are
 tuples of tuples and never mutated in place.  Determinant, rank, inverse and
-solve all read one Gauss-Jordan elimination, row_reduce.
+solve all read one Gauss-Jordan elimination, row_reduce.  The one exception
+is int_det, the fraction-free (Bareiss) determinant of an integer matrix.  It
+stays apart because its divisions are exact and it never leaves the
+integers: simplex.delta needs only the signs of determinants, and there
+Fraction arithmetic would cost more than the elimination itself.
 """
 
 from __future__ import annotations
@@ -82,6 +86,33 @@ def row_reduce(a, width=None):
     if rank < width:
         return rows, rank, rows[0][0] - rows[0][0]
     return rows, rank, -det if swaps % 2 else det
+
+
+def int_det(a) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Every entry after step k is a (k+1)-minor of a, so each division by the
+    previous pivot is exact (Bareiss, Math. Comp. 22, 1968).  The empty
+    matrix has determinant 1.
+    """
+    rows = [list(r) for r in a]
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        prow = rows[k]
+        pivot = prow[k]
+        for row in rows[k + 1:]:
+            factor = row[k]
+            row[k + 1:] = [(pivot * x - factor * y) // prev
+                           for x, y in zip(row[k + 1:], prow[k + 1:])]
+        prev = pivot
+    return sign * rows[-1][-1] if n else 1
 
 
 def mat_det(a):

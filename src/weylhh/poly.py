@@ -22,7 +22,7 @@ rename and index_mask.
 A polynomial is a map from keys to nonzero Scalar coefficients.  Values are
 treated as immutable after construction, so one value may be read from
 several threads; the package's memo caches (ffs `_symbol_cache`,
-`_op_cache` and the `_det_operator` and `_pair_operator` memos,
+`_coeff_memo`, `_op_cache` and the `_det_operator` and `_pair_operator` memos,
 `GaussianGenerator._expansions`, each `SuffixCache`) are unsynchronised.
 
 Constructors and serialization speak (bank, index, exponent) triples;
@@ -380,6 +380,11 @@ class Poly:
             if sum(b) <= total_cap and sum(b[1::2]) <= z_cap:
                 out[m] = c
         return Poly(out)
+
+    def lowest_term(self) -> Tuple[int, "Poly"]:
+        """The first term of a nonzero self in graded-lex order, and its degree."""
+        m = min(self.terms, key=lambda k: _graded_lex(_triples(k)))
+        return mono_degree(m), Poly({m: self.terms[m]})
 
     def homogeneous_part(self, degree: int) -> "Poly":
         return Poly({m: c for m, c in self.terms.items()

@@ -2,10 +2,11 @@
 
 delta(v_0 .. v_2n) is 0 when the origin lies strictly outside the convex
 hull, and otherwise the orientation sign of (v_1-v_0, ..., v_2n-v_0).
-Membership is decided by exact barycentric coordinates over Fractions, so
-the only undefined inputs are the genuine null sets: degenerate simplices
-and origins sitting exactly on a facet.  Those raise instead of guessing;
-the fuzzers treat them as a resample signal.
+Membership is decided by the exact signs of the origin's barycentric
+coordinates, read off integer determinants once one common denominator is
+cleared, so the only undefined inputs are the genuine null sets: degenerate
+simplices and origins sitting exactly on a facet.  Those raise instead of
+guessing; the fuzzers treat them as a resample signal.
 
 The alternating-sum coboundary over point tuples makes delta a top cocycle:
 for any 2n+2 generic points the signed sum of the 2n+2 facet values cancels
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Callable, List, Sequence, Tuple
 
 from . import linalg
@@ -30,23 +32,29 @@ Point = Tuple[Fraction, ...]
 def delta(points: Sequence[Point]) -> int:
     """Characteristic value of the oriented simplex spanned by the points.
 
-    One elimination of M = [points as columns; a row of ones], augmented by
-    the right side (0, .., 0, 1), gives both the barycentric coordinates of
-    the origin and det M, which is (-1)^dim times the determinant of the
-    edges v_k - v_0.
+    Scaling every point by one lcm of their denominators is a positive
+    homothety, which keeps both membership and orientation, and leaves the
+    integer points P.  With M = [P; a row of ones], Cramer's rule gives the
+    barycentric coordinates of the origin as
+    lambda_k = (-1)^(dim+k) det(P without column k) / det M, and det M is
+    (-1)^dim times the determinant of the edges v_k - v_0.
     """
     dim = len(points[0])
     if len(points) != dim + 1:
         raise ValueError(f"need {dim + 1} points in dimension {dim}")
-    rows = [[p[i] for p in points] + [Fraction(0)] for i in range(dim)]
-    rows.append([Fraction(1)] * (dim + 2))
-    reduced, rank, det = linalg.row_reduce(rows, dim + 1)
-    if rank <= dim:
+    if any(len(p) != dim for p in points):
+        raise ValueError(f"points differ in dimension: {[len(p) for p in points]}")
+    scale = lcm(*(c.denominator for p in points for c in p))
+    rows = [[c.numerator * (scale // c.denominator) for c in coords]
+            for coords in zip(*points)]
+    det = linalg.int_det(rows + [[1] * (dim + 1)])
+    if not det:
         raise DegenerateSimplexError("degenerate simplex")
-    bary = [r[-1] for r in reduced]
-    if any(b == 0 for b in bary):
+    cofactors = [(-1) ** (dim + k) * linalg.int_det([r[:k] + r[k + 1:] for r in rows])
+                 for k in range(dim + 1)]
+    if not all(cofactors):
         raise DegenerateSimplexError("origin lies on a facet")
-    if any(b < 0 for b in bary):
+    if any((c > 0) != (det > 0) for c in cofactors):
         return 0
     sign = 1 if det > 0 else -1
     return -sign if dim % 2 else sign
@@ -69,7 +77,11 @@ def as_coboundary(phi: Callable[..., object], points: Sequence[Point]):
 
 
 def tid_check(points: Sequence[Point]) -> bool:
-    """The top cocycle identity on 2n+2 points; non-generic configs resample."""
+    """The top cocycle identity on 2n+2 points; non-generic configs resample.
+
+    Points of differing dimension already meet on the first facet, where
+    delta refuses them with a ValueError.
+    """
     dim = len(points[0])
     if len(points) != dim + 2:
         raise ValueError(f"need {dim + 2} points in dimension {dim}")

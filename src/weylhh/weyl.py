@@ -167,6 +167,10 @@ class WeylElement:
     def key(self) -> tuple:
         return (self.ambient.n, self.truncation, self.poly.key())
 
+    def lowest_term(self) -> Tuple[int, "WeylElement"]:
+        degree, term = self.poly.lowest_term()
+        return degree, WeylElement(term, self.ambient)
+
     def __str__(self) -> str:
         tail = f" (trunc<={self.truncation})" if self.truncation is not None else ""
         return f"{self.poly}{tail}"

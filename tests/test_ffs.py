@@ -78,6 +78,23 @@ def test_symbol_reversal_symmetry():
             assert partner == expect, (mono, key)
 
 
+def test_grown_symbol_matches_fresh_build(monkeypatch):
+    # A coefficient does not depend on the budget, so a symbol grown through
+    # the memo equals one built from an empty memo, coefficient for
+    # coefficient and in the same order; each W-monomial is computed once.
+    monkeypatch.setattr(ffs, "_coeff_memo", {})
+    monkeypatch.setattr(ffs, "_symbol_cache", {})
+    computed = []
+    coefficient = ffs._coefficient
+    monkeypatch.setattr(ffs, "_coefficient",
+                        lambda mono, m: computed.append(mono) or coefficient(mono, m))
+    grown = [cached_symbol(2, budget) for budget in (5, 8, 9)]
+    assert len(computed) == len(set(computed)) == len(ffs._coeff_memo[2])
+    for symbol in grown:
+        monkeypatch.setattr(ffs, "_coeff_memo", {})
+        assert ffs_build(2, symbol.budget) == symbol
+
+
 def test_generator_values(sym1):
     y1 = WeylElement.generator(1, sym1)
     y2 = WeylElement.generator(2, sym1)

@@ -65,6 +65,17 @@ def test_smash_relations(preset):
     assert k * y3 == y3 * k
 
 
+def test_smash_lowest_term(preset):
+    # The lowest-degree term across the group terms, kept on its element.
+    group, ambient, labels = preset
+    y1, y2 = WeylElement.generator(1, ambient), WeylElement.generator(2, ambient)
+    kappa = SmashElement.group_unit(labels["kappa"], group, ambient)
+    y2_kappa = SmashElement.embed(y2, group) * kappa
+    x = SmashElement.embed(star(y1, y1) + star(y2, y2), group) + y2_kappa
+    assert x.lowest_term() == (1, y2_kappa)
+    assert (x - y2_kappa).lowest_term() == (2, SmashElement.embed(star(y1, y1), group))
+
+
 def test_smash_associativity(preset, rng):
     group, ambient, labels = preset
     for _ in range(25):

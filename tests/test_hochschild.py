@@ -5,8 +5,8 @@ from weylhh.hochschild import (Chain, Cochain, SampleSpec, cochain_ext_d,
                                cochain_s, constant_cochain, group_twist,
                                hochschild_d, hochschild_d1, hochschild_d2,
                                pair_chain, verify_cocycle, wedge_eval)
-from weylhh.poly import Poly, Z
-from weylhh.sampling import random_form, random_weyl, weyl_tuples
+from weylhh.poly import Poly, Z, mono_degree
+from weylhh.sampling import cocycle_tuples, random_form, random_weyl, weyl_tuples
 from weylhh.scalars import Scalar
 from weylhh.weyl import SymplecticData, WeylElement, involution, star
 
@@ -187,9 +187,21 @@ def test_verify_cocycle_negative_control(sym1):
         return tau(a, b) + star(a, b)
 
     bad = dual_cochain(sym1, 2, perturbed)
-    report = verify_cocycle(bad, SampleSpec(seed=7, count=15, max_degree=2))
+    samples = SampleSpec(seed=7, count=15, max_degree=2)
+    report = verify_cocycle(bad, samples)
     assert not report.ok
-    assert report.first_failure is not None
+    # The report names the first failing tuple's residual: its lowest-degree
+    # term and that degree.
+    d_bad = hochschild_d(bad)
+    args, residual = next((args, v) for args in cocycle_tuples(bad, samples)
+                          if not (v := d_bad(*args)).is_zero())
+    low = min(map(mono_degree, residual.poly.terms))
+    terms = [str(WeylElement(Poly({m: c}), sym1))
+             for m, c in residual.poly.homogeneous_part(low).terms.items()]
+    prefix = "(" + ", ".join(map(str, args)) + "): residual "
+    assert report.first_failure.startswith(prefix)
+    assert report.first_failure.endswith(f" at degree {low}")
+    assert report.first_failure[len(prefix):-len(f" at degree {low}")] in terms
 
 
 def test_report_json_contract(sym1):

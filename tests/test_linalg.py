@@ -67,6 +67,22 @@ def test_det_matches_leibniz(entry, one, zero):
     assert linalg.mat_det((a[0], a[1], a[0])) == zero
 
 
+def test_int_det_matches_leibniz():
+    # Small entries make zero leading pivots (row swaps) and singular
+    # matrices common; the empty matrix has determinant 1.
+    rng = random.Random(2)
+    assert linalg.int_det(()) == 1
+    seen_zero = seen_swap = False
+    for size in (1, 2, 3, 4, 5):
+        for _ in range(60):
+            a = tuple(tuple(rng.randint(-2, 2) for _ in range(size)) for _ in range(size))
+            det = linalg.int_det(a)
+            assert isinstance(det, int) and det == _leibniz_det(a)
+            seen_zero |= det == 0
+            seen_swap |= a[0][0] == 0 and det != 0
+    assert seen_zero and seen_swap
+
+
 @pytest.mark.parametrize("entry, one, zero", FIELDS)
 def test_inverse_and_solve(entry, one, zero):
     rng = random.Random(2)

@@ -72,6 +72,19 @@ def cache_agrees(sym, a, b) -> bool:
     return via_cache.restrict(t) == direct.restrict(t)
 
 
+def symbols_grow_like_fresh(builds) -> bool:
+    """Symbols built in sequence through the coefficient memo against each
+    rebuilt from an empty memo.  The memo is cleared in place, so a mutant
+    compiled against the module's namespace sees the same dict."""
+    ffs._coeff_memo.clear()
+    grown = [ffs.ffs_build(n, budget) for n, budget in builds]
+    fresh = []
+    for symbol in grown:
+        ffs._coeff_memo.clear()
+        fresh.append(ffs.ffs_build(symbol.n, symbol.budget))
+    return grown == fresh
+
+
 def dz_anticommute(sym) -> bool:
     """dz1 dz2 = -dz2 dz1."""
     dz1, dz2 = FormElement.dz([1], sym), FormElement.dz([2], sym)
@@ -190,6 +203,26 @@ def test_delta_without_orientation_factor(monkeypatch):
     install(monkeypatch, simplex, "delta",
             "return -sign if dim % 2 else sign", "return sign")
     assert simplex.delta(segment) == -1
+
+
+def test_delta_cofactor_without_sign(monkeypatch):
+    # Cofactors without (-1)^(dim+k) give half the barycentric coordinates
+    # the wrong sign: membership is misread and the top cocycle identity
+    # fails on the first generic quadruple in the plane.
+    assert simplex.fuzz(2, 1, seed=0)["failed"] == 0
+    install(monkeypatch, simplex, "delta", "(-1) ** (dim + k) * ", "")
+    assert simplex.fuzz(2, 1, seed=0)["failed"] == 1
+
+
+def test_coefficient_memo_shared_across_n(monkeypatch):
+    # One memo for every n hands n = 1's coefficients to the n = 2
+    # W-monomials with the same pairs, ((0, 1), 1) among them.
+    monkeypatch.setattr(ffs, "_coeff_memo", {})
+    builds = ((1, 4), (2, 5))
+    assert symbols_grow_like_fresh(builds)
+    install(monkeypatch, ffs, "ffs_build",
+            "_coeff_memo.setdefault(n, {})", "_coeff_memo.setdefault(0, {})")
+    assert not symbols_grow_like_fresh(builds)
 
 
 def test_chain_value_z_cap_too_small(monkeypatch, sym1):

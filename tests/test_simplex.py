@@ -28,6 +28,77 @@ def test_degenerate_and_boundary_are_errors():
         delta([(F(1), F(0)), (F(-1), F(0)), (F(0), F(1))])
 
 
+def reference_delta(points):
+    """delta by one Fraction elimination of [points as columns; ones | e_last]:
+    the barycentric coordinates of the origin, and det M for the sign."""
+    dim = len(points[0])
+    rows = [[p[i] for p in points] + [F(0)] for i in range(dim)]
+    rows.append([F(1)] * (dim + 2))
+    reduced, rank, det = linalg.row_reduce(rows, dim + 1)
+    if rank <= dim:
+        raise DegenerateSimplexError("degenerate simplex")
+    bary = [r[-1] for r in reduced]
+    if any(b == 0 for b in bary):
+        raise DegenerateSimplexError("origin lies on a facet")
+    if any(b < 0 for b in bary):
+        return 0
+    sign = 1 if det > 0 else -1
+    return -sign if dim % 2 else sign
+
+
+def outcome(fn, points):
+    try:
+        return fn(points)
+    except DegenerateSimplexError as exc:
+        return str(exc)
+
+
+def test_delta_matches_fraction_reference():
+    # Small coordinates over a few denominators make degenerate simplices
+    # and origins on a facet common enough to compare the errors too.
+    rng = random.Random(110)
+    seen = set()
+    for _ in range(2000):
+        dim = rng.randint(1, 4)
+        points = [tuple(F(rng.randint(-2, 2), rng.choice((1, 3, 7, rng.randint(1, 8))))
+                        for _ in range(dim)) for _ in range(dim + 1)]
+        value = outcome(delta, points)
+        assert value == outcome(reference_delta, points)
+        seen.add(value)
+    assert seen == {0, 1, -1, "degenerate simplex", "origin lies on a facet"}
+
+
+def test_origin_on_facet_with_mixed_denominators():
+    # Dimension 2: the origin splits the edge from v0 to v1 = -2 v0.
+    v0 = (F(1, 3), F(1, 7))
+    triangle = [v0, (F(-2, 3), F(-2, 7)), (F(1, 7), F(-5, 3))]
+    # Dimension 3: the origin is the centroid of the face (v0, v1, v2).
+    u0, u1 = (F(1, 3), F(2, 7), F(0)), (F(-2, 7), F(1, 3), F(1, 3))
+    u2 = tuple(-a - b for a, b in zip(u0, u1))
+    tetrahedron = [u0, u1, u2, (F(1, 7), F(1, 3), F(5, 7))]
+    for points in (triangle, tetrahedron):
+        assert outcome(reference_delta, points) == "origin lies on a facet"
+        with pytest.raises(DegenerateSimplexError, match="origin lies on a facet"):
+            delta(points)
+        with pytest.raises(DegenerateSimplexError, match="origin lies on a facet"):
+            delta(points[::-1])
+
+
+def test_degenerate_with_fractional_coordinates():
+    # Three points on the line through (1/3, 1/7) along (10/21, 1/7).
+    points = [(F(1, 3), F(1, 7)), (F(17, 21), F(2, 7)), (F(9, 7), F(3, 7))]
+    assert outcome(reference_delta, points) == "degenerate simplex"
+    with pytest.raises(DegenerateSimplexError, match="degenerate simplex"):
+        delta(points)
+
+
+def test_mixed_dimensions_are_refused():
+    with pytest.raises(ValueError, match="differ in dimension"):
+        delta([(F(-1),), (F(1), F(5))])
+    with pytest.raises(ValueError, match="differ in dimension"):
+        tid_check([(F(-1),), (F(1),), (F(3), F(2))])
+
+
 def test_antisymmetry_sampled():
     rng = random.Random(101)
     done = 0
