@@ -19,10 +19,11 @@ The cocycle itself is the alternation
 
     value(a_1 .. a_p) = a_1 * s( a_2 * s( ... a_p * s(generator) )) | z=0
 
-computed on a finite expansion of exp(Q).  A degree-D expansion certifies
-the result up to total degree D - (total argument degree); every public
-entry point recomputes at D+2 and insists the certified parts agree before
-reporting a value.
+computed on a degree-D expansion of exp(Q), certified to total degree
+D + p - sum(deg a_i).  One rule cuts every level: with r arguments still
+to come, only terms of z-degree <= sum_{i<r}(deg a_i - 1) and total degree
+<= that plus the certified degree can reach the value.  Every public entry
+point recomputes at D+2 and insists the certified parts agree.
 
 The audited descent trace solves, with the plain (undressed) exterior
 differential on cochains,
@@ -38,14 +39,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetError
 from .forms import FormElement, ext_d, form_star, homotopy_s, wedge_expand
 from .hochschild import (Cochain, Report, constant_cochain, group_twist,
                          hochschild_d)
 from .groups import GroupElement
-from .poly import Poly, Y, Z, mono_degree, mono_divides, mono_factorial
+from .poly import Poly, Y, Z, mono_divides, mono_factorial
 from .scalars import I, ONE, ZERO, Scalar
 from .weyl import (SymplecticData, WeylElement, _min_trunc, _right_d,
                    involution)
@@ -181,36 +182,6 @@ def auto_budget(args: Sequence[WeylElement], n: int) -> int:
     return sum(a.degree() for a in args) + 2 * n + DEFAULT_BUDGET_MARGIN
 
 
-def _prune(form: FormElement, z_cap: int, total_cap: int) -> FormElement:
-    """Keep the terms of z-degree <= z_cap and (y, z)-degree <= total_cap.
-
-    Callers take z_cap as the number of z's the arguments still to come can
-    consume: every z present, plus one per remaining contraction homotopy,
-    must be used up by their star derivatives before the closing z = 0
-    projection, and those derivatives also bound how far the y-degree can
-    come down, so total_cap is the certified target plus z_cap.
-    """
-    comps = {idx: poly.capped(z_cap, total_cap)
-             for idx, poly in form.components.items()}
-    return FormElement(comps, form.ambient, form.truncation)
-
-
-def _chain_value(gen: GaussianGenerator, args: Sequence[WeylElement],
-                 degree: int) -> WeylElement:
-    degrees = [a.degree() for a in args]
-    target = degree + len(args) - sum(degrees)
-    # With args[:k] still to come, each consumes at most its degree less one
-    # beyond the z its homotopy adds.
-    z_caps = [sum(degrees[:k]) - k for k in range(len(args) + 1)]
-    value = _prune(gen.expand(degree), z_caps[-1], target + z_caps[-1])
-    for k in range(len(args) - 1, -1, -1):
-        value = form_star(args[k], homotopy_s(value), (z_caps[k], target + z_caps[k]))
-    if not value.is_homogeneous(0) and not value.is_zero():
-        raise AssertionError("descent value failed to land in form degree 0")
-    poly = value.component(()).set_bank_zero(Z)
-    return WeylElement(poly, gen.ambient, value.truncation)
-
-
 @dataclass
 class DescentTrace:
     """The audited ladder: cochains xi_top .. xi_0 plus the resulting cocycle."""
@@ -226,6 +197,7 @@ def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
             budget: Optional[int] = None, check_stability: bool = True):
     """Evaluate the descent cocycle on concrete arguments.
 
+    One uncached SuffixCache pass, each argument's degree its slot's bound.
     Recomputes at budget+2 and requires the certified parts to agree; a
     mismatch means the budget heuristic was too small for these arguments
     and surfaces as a BudgetError.
@@ -234,16 +206,22 @@ def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
     if len(args) != p:
         raise ValueError(f"generator of form degree {p} takes {p} arguments")
     d = auto_budget(args, gen.ambient.n) if budget is None else budget
-    value = _chain_value(gen, args, d)
+    degrees = [a.degree() for a in args]
+    if d + p < sum(degrees):
+        raise BudgetError(f"budget {d} is below {sum(degrees) - p}, the argument "
+                          f"degrees {degrees} less one per homotopy")
+
+    # Each of the p homotopies raises the truncation by one.
+    value = SuffixCache(gen, d + p, degrees).value(args)
     if check_stability:
-        recomputed = _chain_value(gen, args, d + 2).restrict(value.truncation)
+        recomputed = SuffixCache(gen, d + 2 + p, degrees).value(args)
+        recomputed = recomputed.restrict(value.truncation)
         if recomputed != value:
-            residual = recomputed.poly - value.poly
-            low = min(map(mono_degree, residual.terms), default=0)
+            low, term = (recomputed.poly - value.poly).lowest_term()
             raise BudgetError(
                 f"descent value unstable at budget {d}: the budget+2 value "
                 f"minus the budget value is first nonzero at degree {low}, "
-                f"{residual.homogeneous_part(low)}; rerun with a larger one")
+                f"{term}; rerun with a larger one")
     return value
 
 
@@ -263,11 +241,13 @@ class SuffixCache:
     The inner alternation s(a_k * s(...)) depends only on the argument tail,
     so tuples sharing a tail share the work: each `_cache` entry is the
     homotopy of a tail's chain, the right factor every argument in front of
-    that tail multiplies against.  A single cache is valid for one
-    (generator, budget, per-slot degree bound) triple: the degree bound caps
-    each level to the terms that can still reach the certified part of the
-    final value through the remaining argument derivatives, and the star
-    kernel computes only those.
+    that tail multiplies against.  A single cache is valid for one generator,
+    budget and list of per-slot degree bounds (an int bounds every slot
+    alike); the value is certified to target = budget - sum(bounds).  The
+    bounds cap each level to the terms that can still reach the certified
+    part of the final value through the remaining argument derivatives, and
+    the star kernel computes only those.  `descend` is one uncached use of
+    it, with each argument's degree as its slot's bound.
 
     The head a_1 meets its suffix's 0-form F = s(a_2 * s(...)) only through
     the closing z = 0 projection, and a_1 has no z, so
@@ -275,28 +255,35 @@ class SuffixCache:
         (a_1 * F)|_{z=0} = sum_gamma (i^|gamma| / gamma!) d_y^gamma a_1 . R[gamma],
         R[gamma] = ((pi D)^gamma F)|_{z=0},   D = d_y + d_z,
 
-    over the multi-indices |gamma| <= slot degree.  `_final` holds, per
+    over the multi-indices |gamma| <= the head's bound.  `_final` holds, per
     suffix, that table of y-polynomials with their coefficients, keyed by
     y^gamma, so a head costs one product per entry dividing one of its
     monomials and no star kernel.  Only the table reads the longest
     suffixes' s(tail), so those are not kept in `_cache`.
     """
 
-    def __init__(self, gen: GaussianGenerator, budget: int, slot_degree: int):
+    def __init__(self, gen: GaussianGenerator, budget: int,
+                 slot_degree: Union[int, Sequence[int]]):
         self.gen = gen
         self.budget = budget
-        self.slot_degree = slot_degree
         self.arity = gen.form_degree
-        self.target = budget - slot_degree * self.arity
+        bounds = ([slot_degree] * self.arity if isinstance(slot_degree, int)
+                  else list(slot_degree))
+        if len(bounds) != self.arity:
+            raise ValueError(f"generator of form degree {self.arity} "
+                             f"takes {self.arity} slot degree bounds")
+        self.bounds = bounds
+        self.target = budget - sum(bounds)
         if self.target < 0:
-            raise BudgetError("budget below the worst-case argument degree")
+            raise BudgetError(f"budget {budget} is below {sum(bounds)}, "
+                              f"the sum of the slot degree bounds {bounds}")
         self._cache: Dict[tuple, FormElement] = {}
         self._final: Dict[tuple, Dict[int, Poly]] = {}
         # The caps of a tail of c arguments: the r = arity - c slots still to
-        # come consume at most slot_degree - 1 z's each beyond the one their
-        # homotopy adds.
-        self._caps = [((slot_degree - 1) * r, self.target + (slot_degree - 1) * r)
-                      for r in range(self.arity, -1, -1)]
+        # come consume at most their bound less one z's each beyond the one
+        # their homotopy adds.
+        z_caps = [sum(bounds[:r]) - r for r in range(self.arity, -1, -1)]
+        self._caps = [(z, self.target + z) for z in z_caps]
 
     def tail(self, args: Sequence[WeylElement]) -> FormElement:
         """s(args[0] * s(... args[-1] * s(generator))), each level cut to its caps."""
@@ -311,8 +298,11 @@ class SuffixCache:
         """tail(args), computed afresh at this level (shorter tails cached)."""
         caps = self._caps[len(args)]
         if not args:
-            chain = _prune(self.gen.expand(self.budget), *caps)
-        elif args[0].degree() > self.slot_degree:
+            # Expanded to this level's total cap, budget - arity.
+            gen = self.gen.expand(caps[1])
+            chain = FormElement({i: p.capped(*caps) for i, p in gen.components.items()},
+                                gen.ambient, gen.truncation)
+        elif args[0].degree() > self.bounds[-len(args)]:
             raise BudgetError("argument degree exceeds the cache's slot bound")
         else:
             chain = form_star(args[0], self.tail(args[1:]), caps)
@@ -323,7 +313,7 @@ class SuffixCache:
             raise ValueError(f"generator of form degree {self.arity} "
                              f"takes {self.arity} arguments")
         head, rest = args[0], args[1:]
-        if head.degree() > self.slot_degree:
+        if head.degree() > self.bounds[0]:
             raise BudgetError("argument degree exceeds the cache's slot bound")
         key = tuple(a.key() for a in rest)
         table = self._final.get(key)
@@ -343,11 +333,11 @@ class SuffixCache:
 
     def _z0_table(self, f: Poly) -> Dict[int, Poly]:
         """The key of y^gamma -> (i^|gamma| / gamma!) ((pi D)^gamma f)|_{z=0}
-        for every |gamma| <= slot degree, cut to the target degree; zero
+        for every |gamma| <= the head's bound, cut to the target degree; zero
         entries are left out."""
         sym = self.gen.ambient
         table: Dict[int, Poly] = {}
-        stack = [(1, (), f, ONE, self.slot_degree)]
+        stack = [(1, (), f, ONE, self.bounds[0])]
         while stack:
             j0, gamma, d, coeff, left = stack.pop()
             r = d.capped(0, self.target)
@@ -401,40 +391,41 @@ def verify_descent(trace: DescentTrace, seed: int = 0, count: int = 3,
     first_failure = None
     lines = []
 
-    def record(name: str, ok: bool, context: str = "") -> None:
+    def record(name: str, lhs: FormElement, rhs: FormElement,
+               context: str = "") -> None:
+        # lhs = rhs to the lower truncation; a failure names the residual.
         nonlocal checked, passed, first_failure
         checked += 1
-        if ok:
+        t = _min_trunc(lhs.truncation, rhs.truncation)
+        residual = lhs.restrict(t) - rhs.restrict(t)
+        if residual.is_zero():
             passed += 1
-        else:
-            lines.append(f"FAIL {name} {context}")
-            if first_failure is None:
-                first_failure = f"{name} {context}".strip()
+            return
+        degree, term = residual.lowest_term()
+        text = f"{name} {context}".strip() + f": residual {term} at degree {degree}"
+        lines.append(f"FAIL {text}")
+        if first_failure is None:
+            first_failure = text
 
     # d xi_top = generator (a 0-cochain identity).
-    expanded = gen.expand(trace.budget)
-    lhs = ext_d(trace.xis[0]())
-    record("d-top", lhs == expanded.restrict(lhs.truncation))
+    record("d-top", ext_d(trace.xis[0]()), gen.expand(trace.budget))
 
     # d xi_k = -dH xi_{k+1} on sampled tuples.
     for level in range(1, len(trace.xis)):
         upper = trace.xis[level - 1]
         lower = trace.xis[level]
         for args in weyl_tuples(rng, ambient, lower.arity, count, max_degree):
-            lhs = ext_d(lower(*args))
-            rhs = hochschild_d(upper)(*args).scale(Scalar.of(-1))
-            t = _min_trunc(lhs.truncation, rhs.truncation)
-            record(f"d-level-{level}", lhs.restrict(t) == rhs.restrict(t),
-                   str(args))
+            record(f"d-level-{level}", ext_d(lower(*args)),
+                   hochschild_d(upper)(*args).scale(Scalar.of(-1)), str(args))
 
     # dH xi_0 = -value, including vanishing of all z-dependence.
     bottom = trace.xis[-1]
     for args in weyl_tuples(rng, ambient, bottom.arity + 1, count, max_degree):
         lhs = hochschild_d(bottom)(*args)
         value = trace.cocycle(*args)
-        rhs = FormElement.from_poly(-value.poly, ambient, value.truncation)
-        t = _min_trunc(lhs.truncation, rhs.truncation)
-        record("dH-bottom", lhs.restrict(t) == rhs.restrict(t), str(args))
+        record("dH-bottom", lhs,
+               FormElement.from_poly(-value.poly, ambient, value.truncation),
+               str(args))
 
     report = Report(checked, passed, first_failure, seed, max_degree,
                     detail={"budget": trace.budget, "lines": lines})

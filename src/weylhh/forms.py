@@ -186,6 +186,13 @@ class FormElement:
         return (self.ambient.n, self.truncation,
                 tuple(sorted((i, p.key()) for i, p in self.components.items())))
 
+    def lowest_term(self) -> Tuple[int, "FormElement"]:
+        """The lowest-degree term of a nonzero self, on its dz index."""
+        degree, term, idx = min(((*p.lowest_term(), idx)
+                                 for idx, p in self.components.items()),
+                                key=lambda t: t[0])
+        return degree, FormElement({idx: term}, self.ambient)
+
     def __str__(self) -> str:
         if not self.components:
             return "0"

@@ -75,14 +75,14 @@ def test_descent_budget_exit_code(capsys):
 def test_unstable_descent_exits_3_naming_residual(capsys, monkeypatch):
     # A budget+2 recheck that disagrees is a budget error, exit 3, and the
     # message names where the two values first differ.
-    real = descent._chain_value
+    real = descent.SuffixCache.value
 
-    def unstable(gen, args, degree):
-        value = real(gen, args, degree)
-        return WeylElement(value.poly + Poly.variable(Y, 1, Scalar.of(degree)),
-                           gen.ambient, value.truncation)
+    def unstable(self, args):
+        value = real(self, args)
+        return WeylElement(value.poly + Poly.variable(Y, 1, Scalar.of(self.budget)),
+                           value.ambient, value.truncation)
 
-    monkeypatch.setattr(descent, "_chain_value", unstable)
+    monkeypatch.setattr(descent.SuffixCache, "value", unstable)
     code = main(["descent", "eval", "--args", json.dumps({"n": 1, "args": [Y1, Y2]})])
     err = capsys.readouterr().err
     assert code == 3

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,11 @@ from weylhh.descent import (SuffixCache, auto_budget, build_trace, descend,
                             verify_descent)
 from weylhh.errors import BudgetError
 from weylhh.ffs import cached_symbol, ffs_apply
-from weylhh.forms import FormElement, ext_d
+from weylhh.forms import FormElement, ext_d, form_star, homotopy_s
 from weylhh.groups import GroupElement
 from weylhh.hochschild import SampleSpec, hochschild_d, verify_cocycle
 from weylhh.poly import Poly, Y, Z
-from weylhh.sampling import monomials_upto, random_weyl
+from weylhh.sampling import monomials_upto, random_scalar, random_weyl
 from weylhh.scalars import Scalar
 from weylhh.weyl import SymplecticData, WeylElement, _star_kernel
 
@@ -171,6 +172,10 @@ def test_trace_negative_control(sym1):
     trace.xis[1] = corrupted
     report = verify_descent(trace, seed=7, count=3, max_degree=1)
     assert not report.ok
+    # Each FAIL line names the residual's lowest-degree term and its degree.
+    first = "d-level-1 ((1)y2,): residual [(-1/2i)] dz2 at degree 0"
+    assert report.first_failure == first
+    assert report.detail["lines"][0] == f"FAIL {first}"
 
 
 def test_suffix_cache_matches_descend(sym1, rng):
@@ -216,6 +221,8 @@ def test_suffix_cache_refuses_wrong_arity(sym2):
     for args in [(y1, y2), (y1, y2, y1, y2, y1)]:
         with pytest.raises(ValueError, match="form degree 4 takes 4 arguments"):
             cache.value(args)
+    with pytest.raises(ValueError, match="form degree 4 takes 4 slot degree bounds"):
+        SuffixCache(make_zeta(sym2), budget=12, slot_degree=[2, 2])
 
 
 def _full_differential_value(gen, args, degree):
@@ -312,17 +319,102 @@ def test_suffix_cache_table_n2(sym2):
 def test_budget_error_names_residual(monkeypatch, sym1):
     # The budget+2 value differs from the budget's in degrees 3 and 4: the
     # error names the lowest of them and the residual there.
-    real = descent._chain_value
+    real = SuffixCache.value
 
-    def unstable(gen, args, degree):
-        value = real(gen, args, degree)
-        if degree == 8:
+    def unstable(self, args):
+        value = real(self, args)
+        if self.budget == 8 + len(args):
             return value
         extra = (Poly.monomial([(Y, 1, 1), (Y, 2, 2)], Scalar.of(5))
                  + Poly.monomial([(Y, 1, 4)]))
         return WeylElement(value.poly + extra, sym1, value.truncation)
 
-    monkeypatch.setattr(descent, "_chain_value", unstable)
+    monkeypatch.setattr(SuffixCache, "value", unstable)
     y1, y2 = WeylElement.generator(1, sym1), WeylElement.generator(2, sym1)
     with pytest.raises(BudgetError, match=r"at degree 3, \(5\)y1y2\^2;"):
         descend(make_zeta(sym1), [y1, y2], budget=8)
+
+
+def test_budget_below_argument_degrees_names_them(sym1):
+    a = WeylElement(Poly.monomial([(Y, 1, 2)]), sym1)
+    with pytest.raises(BudgetError, match=r"budget 1 is below 2, the argument "
+                                          r"degrees \[2, 2\] less one per homotopy"):
+        descend(make_zeta(sym1), [a, a], budget=1)
+    with pytest.raises(BudgetError, match=r"budget 3 is below 4, the sum of "
+                                          r"the slot degree bounds \[2, 2\]"):
+        SuffixCache(make_zeta(sym1), 3, 2)
+
+
+def reference_chain_value(gen, args, degree):
+    """The alternation by one capped form_star per argument, from the last:
+    with args[:k] still to come, the level keeps z-degree <= sum(deg - 1)
+    over them and total degree <= the target plus that."""
+    degrees = [a.degree() for a in args]
+    target = degree + len(args) - sum(degrees)
+    z_caps = [sum(degrees[:k]) - k for k in range(len(args) + 1)]
+    expanded = gen.expand(degree)
+    value = FormElement({i: p.capped(z_caps[-1], target + z_caps[-1])
+                         for i, p in expanded.components.items()},
+                        gen.ambient, degree)
+    for k in range(len(args) - 1, -1, -1):
+        value = form_star(args[k], homotopy_s(value), (z_caps[k], target + z_caps[k]))
+    assert value.is_zero() or value.is_homogeneous(0)
+    poly = value.component(()).set_bank_zero(Z)
+    return WeylElement(poly, gen.ambient, value.truncation)
+
+
+def reference_descend(gen, args, budget, check_stability):
+    d = auto_budget(args, gen.ambient.n) if budget is None else budget
+    value = reference_chain_value(gen, args, d)
+    if check_stability:
+        recomputed = reference_chain_value(gen, args, d + 2)
+        if recomputed.restrict(value.truncation) != value:
+            raise BudgetError("unstable")
+    return value
+
+
+def budget_outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except BudgetError:
+        return "BudgetError"
+    return value.truncation, value.poly
+
+
+def mixed_degree_arg(rng, sym, degree):
+    """A sum of a monomial of exactly this degree and lower-degree noise."""
+    exps = [0] * (2 * sym.n)
+    for _ in range(degree):
+        exps[rng.randrange(len(exps))] += 1
+    top = Poly.monomial([(Y, i + 1, e) for i, e in enumerate(exps) if e],
+                        random_scalar(rng))
+    noise = random_weyl(rng, sym, max(degree - 1, 0), terms=2)
+    return WeylElement(top + noise.poly, sym)
+
+
+@pytest.mark.parametrize("case", ["zeta-n1", "zeta_-1-n1", "zeta-n2"])
+def test_descend_matches_reference_chain(case):
+    # Each slot's degree is its own cap: descend through the cache against
+    # the per-argument chain it replaced, on arguments of unequal degrees,
+    # at the automatic budget and at budgets small enough to fail.
+    rng = random.Random(f"descend-{case}")
+    n = 2 if case == "zeta-n2" else 1
+    sym = SymplecticData.canonical(n)
+    if case == "zeta_-1-n1":
+        gen = make_zeta_g(sym, GroupElement.diagonal([Scalar.of(-1)] * 2, "-1"))
+    else:
+        gen = make_zeta(sym)
+    p = gen.form_degree
+    top, count = (2, 32) if n == 2 else (4, 48)
+    outcomes = set()
+    for _ in range(count):
+        degrees = [rng.randint(1, top) for _ in range(p)]
+        args = [mixed_degree_arg(rng, sym, d) for d in degrees]
+        # Explicit budgets straddle the least one, sum(degrees) - p.
+        low = sum(degrees) - p
+        budget = rng.choice([None, rng.randint(max(low - 2, 0), low + 2)])
+        check = rng.random() < 0.5
+        got = budget_outcome(descend, gen, args, budget, check)
+        assert got == budget_outcome(reference_descend, gen, args, budget, check)
+        outcomes.add(got if got == "BudgetError" else "value")
+    assert outcomes == {"BudgetError", "value"}

@@ -62,16 +62,6 @@ def square_route_agrees(a, b) -> bool:
     return ffs.ffs_hypercube_n1([a, b]) == f
 
 
-def cache_agrees(sym, a, b) -> bool:
-    """A SuffixCache value against the one-shot descent value."""
-    slot = max(a.degree(), b.degree())
-    budget = 2 * slot + 2 * sym.n + 4
-    via_cache = SuffixCache(make_zeta(sym), budget, slot).value((a, b))
-    direct = descend(make_zeta(sym), [a, b], budget=budget, check_stability=False)
-    t = min(via_cache.truncation, direct.truncation)
-    return via_cache.restrict(t) == direct.restrict(t)
-
-
 def symbols_grow_like_fresh(builds) -> bool:
     """Symbols built in sequence through the coefficient memo against each
     rebuilt from an empty memo.  The memo is cleared in place, so a mutant
@@ -225,24 +215,15 @@ def test_coefficient_memo_shared_across_n(monkeypatch):
     assert not symbols_grow_like_fresh(builds)
 
 
-def test_chain_value_z_cap_too_small(monkeypatch, sym1):
-    # One z fewer than the remaining arguments can consume drops terms that
-    # still reach z = 0: the descent value on (y1, y2) loses them.
+def test_slot_z_cap_too_small(monkeypatch, sym1):
+    # Each slot still to come may consume its bound less one z's beyond its
+    # homotopy's; one z fewer drops terms that still reach z = 0, and the
+    # descent value on (y1, y2) loses them.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    install(monkeypatch, descent, "_chain_value",
-            "sum(degrees[:k]) - k ", "sum(degrees[:k]) - k - 1 ")
-    assert not routes_agree(sym1, a, b)
-
-
-def test_suffix_cache_slot_cap_too_small(monkeypatch, sym1):
-    # Each slot still to come may consume slot_degree - 1 z's beyond its
-    # homotopy's; capping at one fewer shows at slot degree 1 on (y1, y2).
-    a, b = y(sym1, 1), y(sym1, 0, 1)
-    assert cache_agrees(sym1, a, b)
     install(monkeypatch, descent, "__init__",
-            "((slot_degree - 1) * r,", "((slot_degree - 2) * r,", owner=SuffixCache)
-    assert not cache_agrees(sym1, a, b)
+            "sum(bounds[:r]) - r ", "sum(bounds[:r]) - r - 1 ", owner=SuffixCache)
+    assert not routes_agree(sym1, a, b)
 
 
 def test_d2_without_twist(monkeypatch, sym1):
@@ -292,7 +273,7 @@ def test_z0_table_without_factorial(monkeypatch, sym1):
     # i^|gamma| for i^|gamma| / gamma!: wrong from the first order-two entry
     # on, which a head of degree 2 reads.
     a, b = y(sym1, 2), y(sym1, 0, 1)
-    assert cache_agrees(sym1, a, b)
+    assert routes_agree(sym1, a, b)
     install(monkeypatch, descent, "_z0_table",
             "(cc * I).scale_fraction(1, order)", "cc * I", owner=SuffixCache)
-    assert not cache_agrees(sym1, a, b)
+    assert not routes_agree(sym1, a, b)

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from weylhh.descent import _prune
 from weylhh.errors import AmbientMismatchError, BudgetError
 from weylhh.forms import FormElement
 from weylhh.poly import Poly, Y, Z
@@ -243,5 +242,4 @@ def capped_products(draw):
 def test_capped_kernel_is_pruned_product(case):
     # The capped kernel computes exactly the terms the caps keep.
     sym, p, q, caps = case
-    whole = FormElement.from_poly(_star_kernel(p, q, sym), sym)
-    assert _star_kernel(p, q, sym, caps) == _prune(whole, *caps).component(())
+    assert _star_kernel(p, q, sym, caps) == _star_kernel(p, q, sym).capped(*caps)
