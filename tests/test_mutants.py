@@ -62,6 +62,16 @@ def square_route_agrees(a, b) -> bool:
     return ffs.ffs_hypercube_n1([a, b]) == f
 
 
+def uniform_cache_agrees(sym, a, b) -> bool:
+    """A SuffixCache value with one int bound for every slot, as bulk
+    evaluation builds it, against the simplex-symbol value."""
+    slot = max(a.degree(), b.degree())
+    budget = 2 * slot + 2 * sym.n + 4
+    via_cache = SuffixCache(make_zeta(sym), budget, slot).value((a, b))
+    f = ffs_apply(cached_symbol(sym.n, a.degree() + b.degree()), [a, b])
+    return f.restrict(via_cache.truncation) == via_cache
+
+
 def symbols_grow_like_fresh(builds) -> bool:
     """Symbols built in sequence through the coefficient memo against each
     rebuilt from an empty memo.  The memo is cleared in place, so a mutant
@@ -215,15 +225,27 @@ def test_coefficient_memo_shared_across_n(monkeypatch):
     assert not symbols_grow_like_fresh(builds)
 
 
-def test_slot_z_cap_too_small(monkeypatch, sym1):
+def test_chain_value_z_cap_too_small(monkeypatch, sym1):
     # Each slot still to come may consume its bound less one z's beyond its
     # homotopy's; one z fewer drops terms that still reach z = 0, and the
-    # descent value on (y1, y2) loses them.
+    # descent value on (y1, y2), each argument's degree its slot's bound,
+    # loses them.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
     install(monkeypatch, descent, "__init__",
             "sum(bounds[:r]) - r ", "sum(bounds[:r]) - r - 1 ", owner=SuffixCache)
     assert not routes_agree(sym1, a, b)
+
+
+def test_suffix_cache_slot_cap_too_small(monkeypatch, sym1):
+    # One int bound for every slot: each slot still to come may consume
+    # slot_degree - 1 z's beyond its homotopy's; capping at slot_degree - 2
+    # shows at slot degree 1 on (y1, y2).
+    a, b = y(sym1, 1), y(sym1, 0, 1)
+    assert uniform_cache_agrees(sym1, a, b)
+    install(monkeypatch, descent, "__init__",
+            "sum(bounds[:r]) - r ", "sum(bounds[:r]) - 2 * r ", owner=SuffixCache)
+    assert not uniform_cache_agrees(sym1, a, b)
 
 
 def test_d2_without_twist(monkeypatch, sym1):
