@@ -75,8 +75,15 @@ def _load_json(spec: str) -> dict:
     return obj
 
 
+def _field(obj: dict, key: str):
+    """obj[key]; a ValueError naming the field if the payload has none."""
+    if key not in obj:
+        raise ValueError(f"payload has no {key!r} field")
+    return obj[key]
+
+
 def _list_from(obj: dict, key: str) -> list:
-    value = obj[key]
+    value = _field(obj, key)
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a JSON list, got {type(value).__name__}")
     return value
@@ -258,8 +265,8 @@ def cmd_verify_all(ns) -> int:
 def cmd_star(ns) -> int:
     payload = _load_json(ns.payload)
     ambient = ambient_from_json(payload)
-    a = WeylElement(Poly.from_json(payload["a"]), ambient)
-    b = WeylElement(Poly.from_json(payload["b"]), ambient)
+    a = WeylElement(Poly.from_json(_field(payload, "a")), ambient)
+    b = WeylElement(Poly.from_json(_field(payload, "b")), ambient)
     config = RunConfig("star", n=ambient.n, out=ns.out, format=ns.format)
     _emit({"result": star(a, b).to_json()}, config)
     return 0

@@ -347,15 +347,16 @@ class SuffixCache:
             for j in range(j0, 2 * sym.n + 1):
                 cd, cc = d, coeff
                 for order in range(1, left + 1):
-                    # With k derivatives to come, a term of more than k z's
-                    # never reaches z = 0, and one of degree above target + k
-                    # never comes down to the target.
-                    k = left - order + 1
-                    cd = _right_d(cd.capped(k, self.target + k), j, sym, (Y, Z))
+                    # With rest derivatives to come after this one, a term of
+                    # more than rest z's never reaches z = 0, and one of
+                    # degree above target + rest never comes down to the
+                    # target.
+                    rest = left - order
+                    cd = _right_d(cd, j, sym, (Y, Z), (rest, self.target + rest))
                     if cd.is_zero():
                         break
                     cc = (cc * I).scale_fraction(1, order)
-                    stack.append((j + 1, gamma + ((j, order),), cd, cc, k - 1))
+                    stack.append((j + 1, gamma + ((j, order),), cd, cc, rest))
         return table
 
 

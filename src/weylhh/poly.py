@@ -316,6 +316,47 @@ class Poly:
                 out[m - unit] = c if e == 1 else c.scale_fraction(e)
         return Poly(out)
 
+    def directional_diff(self, direction: Iterable[Tuple[str, int, Scalar]],
+                         caps: Optional[Tuple[int, int]] = None) -> "Poly":
+        """sum c d/dv self over the (bank, index, c) of direction, in one pass.
+
+        With caps = (z_cap, total_cap) only the output terms of Z-degree
+        <= z_cap and total degree <= total_cap are made: a derivative lowers
+        a term's total degree by one, and its Z-degree by one exactly when v
+        is a Z variable.
+        """
+        # A Scalar is the triple (re_num, im_num, den): a real c scales by
+        # re_num * exponent / den without a Scalar product, and only a
+        # non-real c is multiplied in.
+        parts = [(_offset(bank, index), bank == Z, c[0], c[2], c if c[1] else None)
+                 for bank, index, c in direction if c]
+        out: Dict[int, Scalar] = {}
+        for m, cm in self.terms.items():
+            # need: how many Z's this term's derivative must drop to fit z_cap.
+            need = 0
+            if caps is not None:
+                b = m.to_bytes((m.bit_length() + 7) >> 3, "little")
+                need = sum(b[1::2]) - caps[0]
+                if need > 1 or sum(b) > caps[1] + 1:
+                    continue
+            for off, in_z, num, den, c in parts:
+                e = (m >> off) & MAX_EXPONENT
+                if not e or in_z < need:
+                    continue
+                d = (cm.scale_fraction(num * e, den) if c is None
+                     else (cm * c).scale_fraction(e))
+                k = m - (1 << off)
+                s = out.get(k)
+                if s is None:
+                    out[k] = d
+                else:
+                    s = s + d
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        return Poly(out)
+
     def set_bank_zero(self, bank: str) -> "Poly":
         """Evaluate all variables of the bank at 0."""
         mask = _BANK_MASK[bank]

@@ -242,16 +242,15 @@ def star(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement(_star_kernel(a.poly, b.poly, a.ambient), a.ambient, t)
 
 
-def _right_d(poly: Poly, j: int, sym: SymplecticData,
-             banks: Sequence[str]) -> Poly:
+def _right_d(poly: Poly, j: int, sym: SymplecticData, banks: Sequence[str],
+             caps: Optional[Tuple[int, int]] = None) -> Poly:
     """The star product's j-th right derivative sum_k pi^{jk} D_k poly, where
-    D_k differentiates in the k-th variable of each of the given banks."""
-    out = Poly.zero()
-    for k, c in enumerate(sym.pi[j - 1], 1):
-        if not c.is_zero():
-            d = sum((poly.diff(bank, k) for bank in banks), Poly.zero())
-            out = out + d.scale(c)
-    return out
+    D_k differentiates in the k-th variable of each of the given banks, made
+    in one pass; with caps = (z_cap, total_cap), only its terms of Z-degree
+    <= z_cap and total degree <= total_cap."""
+    return poly.directional_diff(
+        [(bank, k, c) for k, c in enumerate(sym.pi[j - 1], 1) for bank in banks],
+        caps)
 
 
 def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
@@ -265,10 +264,14 @@ def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
 
     With caps = (z_cap, total_cap) and a left factor without Z, the result
     is only the terms of Z-degree <= z_cap and total degree <= total_cap.
-    Each node drops, before its product, the right-derivative terms that
-    cannot make such a term (an output term keeps its right term's Z-degree
-    and adds at least the left derivative's lowest degree); the tree still
-    grows from the uncut derivatives.
+    Below a node whose left factor has degree D at most D more derivatives
+    act, each lowering a right term's degree by one and its Z-degree by at
+    most one, so each right derivative makes only its terms of Z-degree
+    <= z_cap + D and total degree <= total_cap + D: the tree grows only
+    from terms a node below can keep.  Each node then drops, before its
+    product, the right terms that cannot make a kept term (an output term
+    keeps its right term's Z-degree and adds at least the left factor's
+    lowest degree); a derived leaf, D = 0, has none.
     """
     if p.is_zero() or q.is_zero():
         return Poly.zero()
@@ -276,14 +279,24 @@ def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
     banks = (Y, Z) if q.has_bank(Z) else (Y,)
     acc: dict = {}
 
+    def cut(dp: Poly) -> Optional[Tuple[int, int]]:
+        """The caps of a right derivative whose node's left factor is dp."""
+        if caps is None:
+            return None
+        slack = dp.degree()
+        return caps[0] + slack, caps[1] + slack
+
     def accumulate(dp: Poly, dq: Poly, coeff: Scalar) -> None:
         mixed = False
         if caps is not None:
             degrees = {mono_degree(m) for m in dp.terms}
-            dq = dq.capped(caps[0], caps[1] - min(degrees))
-            if dq.is_zero():
-                return
-            mixed = len(degrees) > 1
+            # A derived leaf's right factor is inside the caps already; the
+            # root's, q, is uncut.
+            if degrees != {0} or dp is p:
+                dq = dq.capped(caps[0], caps[1] - min(degrees))
+                if dq.is_zero():
+                    return
+                mixed = len(degrees) > 1
         # Scale the shorter factor, so each product term costs one multiply.
         if coeff != ONE:
             if len(dp.terms) <= len(dq.terms):
@@ -312,7 +325,7 @@ def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
                 cp = cp.diff(Y, j)
                 if cp.is_zero():
                     break
-                cq = _right_d(cq, j, sym, banks)
+                cq = _right_d(cq, j, sym, banks, cut(cp))
                 if cq.is_zero():
                     break
                 order += 1

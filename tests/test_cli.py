@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import weylhh
 from weylhh import descent
 from weylhh.cli import main
 from weylhh.poly import Poly, Y
@@ -216,6 +220,19 @@ def test_ffs_eval_rejects_malformed_args(capsys, payload):
     assert main(["ffs", "eval", "--args", payload]) == 2
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["star", json.dumps({"n": 1, "b": Y2})], "a"),
+    (["star", json.dumps({"n": 1, "a": Y1})], "b"),
+    (["ffs", "eval", "--args", json.dumps({"n": 1})], "args"),
+    (["descent", "eval", "--args", json.dumps({"n": 1})], "args"),
+    (["smash", "theta", "--group", json.dumps({"preset": "higher-spin-4d"}),
+      "--gamma", json.dumps({"kappa": "1"}), "--args", json.dumps({"n": 2})], "args"),
+])
+def test_missing_payload_field_is_named(capsys, argv, field):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: payload has no {field!r} field\n"
+
+
 @pytest.mark.parametrize("twist", [
     '{"diag":["1/0","1"]}', '{"diag":["1.5","1"]}', '{"diag":"-1"}',
     # not symplectic; wrong size; a preset without an element
@@ -260,3 +277,20 @@ def test_suite_that_checked_nothing_is_not_ok():
     assert not _suite("empty", 0, 0)["ok"]
     assert _suite("one", 1, 1)["ok"]
     assert not _suite("failed", 2, 1)["ok"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "star", json.dumps({"n": 1, "a": Y1, "b": Y2})],
+    ["star", json.dumps({"n": 1, "a": Y1})],
+])
+def test_python_dash_m_runs_the_cli(capsys, argv):
+    # `python -m weylhh` prints what cli.main prints and exits with its code.
+    code = main(argv)
+    captured = capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(weylhh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "weylhh", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out,
+                                                          captured.err)

@@ -287,7 +287,20 @@ def test_capped_kernel_z_cap_too_small(monkeypatch, sym1):
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
     install(monkeypatch, weyl, "_star_kernel",
-            "dq.capped(caps[0], ", "dq.capped(caps[0] - 1, ", also=(forms,))
+            "caps[0] + slack", "caps[0] + slack - 1", also=(forms,))
+    assert not routes_agree(sym1, a, b)
+
+
+def test_capped_kernel_cut_without_slack(monkeypatch, sym1):
+    # A right derivative cut to the caps themselves drops the terms that the
+    # derivatives still to come would bring inside them.  After one
+    # derivative a degree-1 left factor is a leaf, whose slack is 0 anyway,
+    # so the second argument needs degree 2: total degree 3, (y1, y2^2), is
+    # the least that shows it.
+    a, b = y(sym1, 1), y(sym1, 0, 2)
+    assert routes_agree(sym1, a, b)
+    install(monkeypatch, weyl, "_star_kernel",
+            "slack = dp.degree()", "slack = 0", also=(forms,))
     assert not routes_agree(sym1, a, b)
 
 

@@ -6,8 +6,8 @@ from weylhh.forms import FormElement
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import random_weyl
 from weylhh.scalars import I, ONE, Scalar
-from weylhh.weyl import (SymplecticData, WeylElement, _star_kernel, bform,
-                         gram_rank_upto, involution, star, supertrace)
+from weylhh.weyl import (SymplecticData, WeylElement, _right_d, _star_kernel,
+                         bform, gram_rank_upto, involution, star, supertrace)
 
 
 def gens(sym):
@@ -236,6 +236,63 @@ def capped_products(draw):
 
     caps = (draw(st.integers(-1, 3)), draw(st.integers(0, 6)))
     return sym, poly((Y,), 3), poly((Y, Z), 5), caps
+
+
+def reference_right_d(poly, j, sym, banks):
+    """The j-th right derivative bank by bank: sum_k pi^{jk} D_k poly."""
+    out = Poly.zero()
+    for k, c in enumerate(sym.pi[j - 1], 1):
+        if not c.is_zero():
+            d = sum((poly.diff(bank, k) for bank in banks), Poly.zero())
+            out = out + d.scale(c)
+    return out
+
+
+def _q(num, den=1):
+    return Scalar.rational(num, den)
+
+
+# Canonical n = 1 and 2, and from_pi bivectors with non-unit entries, one of
+# them not real.
+RIGHT_D_AMBIENTS = (
+    SymplecticData.canonical(1),
+    SymplecticData.canonical(2),
+    SymplecticData.from_pi(1, [[_q(0), _q(3, 2)], [_q(-3, 2), _q(0)]]),
+    SymplecticData.from_pi(2, [
+        [_q(0), _q(2), _q(1, 3), _q(0)],
+        [_q(-2), _q(0), _q(0), Scalar.of(1, 1)],
+        [_q(-1, 3), _q(0), _q(0), _q(-1)],
+        [_q(0), Scalar.of(-1, -1), _q(1), _q(0)]]),
+)
+
+
+@st.composite
+def right_factors(draw, n):
+    """A polynomial in a right factor's banks, (Y,) for a Weyl element or
+    (Y, Z) for a form, with those banks and a pair of caps."""
+    banks = draw(st.sampled_from(((Y,), (Y, Z))))
+    var = st.tuples(st.sampled_from(banks), st.integers(1, 2 * n))
+    term = st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                     st.lists(var, max_size=5))
+    poly = Poly.zero()
+    for re, im, factors in draw(st.lists(term, max_size=5)):
+        poly = poly + Poly.monomial([(b, i, 1) for b, i in factors],
+                                    Scalar.of(re, im))
+    caps = (draw(st.integers(-1, 3)), draw(st.integers(-1, 5)))
+    return poly, banks, caps
+
+
+@pytest.mark.parametrize("sym", RIGHT_D_AMBIENTS,
+                         ids=["n1", "n2", "from_pi-n1", "from_pi-n2"])
+@given(data=st.data())
+def test_right_d_is_bank_by_bank_derivative(sym, data):
+    # One pass over the terms gives the bank-by-bank derivative, and with
+    # caps exactly its terms inside them, for every row j.
+    poly, banks, caps = data.draw(right_factors(sym.n))
+    for j in range(1, 2 * sym.n + 1):
+        want = reference_right_d(poly, j, sym, banks)
+        assert _right_d(poly, j, sym, banks) == want
+        assert _right_d(poly, j, sym, banks, caps) == want.capped(*caps)
 
 
 @given(capped_products())
