@@ -112,12 +112,20 @@ def _parse_args_payload(obj: dict) -> tuple:
     return ambient, args
 
 
+def _group_element(labels: dict, name):
+    """The group element a label names; an unknown label is a usage error."""
+    if name not in labels:
+        raise ValueError(f"unknown group label {name!r}; known labels: "
+                         + ", ".join(labels))
+    return labels[name]
+
+
 def _parse_group_spec(obj):
     if "preset" in obj:
         if obj["preset"] != "higher-spin-4d":
             raise ValueError(f"unknown preset {obj['preset']}")
         group, ambient, labels = higher_spin_preset()
-        element = labels[obj["element"]] if "element" in obj else None
+        element = _group_element(labels, obj["element"]) if "element" in obj else None
         return group, ambient, labels, element
     raise ValueError("group spec must name a preset")
 
@@ -330,13 +338,14 @@ def cmd_smash_dims(ns) -> int:
 def cmd_smash_theta(ns) -> int:
     group, ambient, labels, _ = _parse_group_spec(_load_json(ns.group))
     gamma_spec = _load_json(ns.gamma)
-    values = {labels[name]: _scalar_from(v) for name, v in gamma_spec.items()}
+    values = {_group_element(labels, name): _scalar_from(v)
+              for name, v in gamma_spec.items()}
     gamma = ClassFunction(group, values)
     smash_args = []
     for entry in _list_from(_load_json(ns.args), "args"):
         if not isinstance(entry, dict):
             raise ValueError(f"smash argument must map group labels to polynomials, got {entry!r}")
-        terms = {labels[g]: WeylElement(Poly.from_json(p), ambient)
+        terms = {_group_element(labels, g): WeylElement(Poly.from_json(p), ambient)
                  for g, p in entry.items()}
         smash_args.append(SmashElement(group, ambient, terms))
     theta = theta_cocycle(group, ambient, gamma, ns.degree)

@@ -9,9 +9,13 @@ whole thing is multiplied by det(p_1, ..., p_{2n}).
 
 Each W_{0j} consumes one derivative on argument j; each W_{ij} with i >= 1
 consumes one on each of i and j; the determinant consumes one per argument.
-The expansion order needed for a tuple of arguments is therefore bounded by
-their total degree, and the symbol refuses (loudly) to be applied beyond the
-budget it was built for.
+So every operator term of a W-monomial has the same per-slot derivative
+degrees need, and only argument terms of exactly those degrees meet it.  The
+symbol is indexed by need: a W-monomial with given need is fixed by its
+slot-pair counts (_monos_for lists them), and its coefficient is computed the
+first time some symbol reads it and kept in a per-n memo.  The expansion
+order needed for a tuple of arguments is bounded by their total degree, and
+the symbol refuses (loudly) to be applied beyond the budget it was built for.
 
 Applying the symbol happens on disjoint variable copies: the output lives on
 y_1..y_2n and argument mu on its own copy of 2n variables (see _copy), and a
@@ -26,9 +30,11 @@ grouped by its copy parts, and built on demand inside a divisibility box:
 only the groups whose copy key divides the caller's bound.  Copy parts only
 grow along the walk, so dropping the terms outside the box after every
 product loses nothing inside it.  ffs_apply renames each argument key onto
-its copy, combines only argument terms of the right degree, asks for the lcm
-of their keys and looks each summed key up; monomial_table asks for the full
-box of every operator and reads the index itself.
+its copy and, for every combination of its arguments' term degrees, reads
+the symbol at that need, asks each operator for the lcm of the argument keys
+and looks each summed key up; monomial_table reads the symbol at every need
+within its slot degree, asks for the full box of every operator and reads
+the index itself.
 
 A second, independent route for n = 1 integrates over the unit square after
 the substitution u_1 = t_0 t_1, u_2 = t_0 (Jacobian t_0); the two must agree
@@ -99,35 +105,59 @@ def _integrate_u_poly(poly: Dict[Tuple[int, ...], int]) -> Scalar:
     return total
 
 
+# n -> W-monomial -> its coefficient, zero ones included, each computed the
+# first time a symbol reads it: a coefficient depends on neither the budget
+# nor the arguments.
+_coeff_memo: Dict[int, Dict[WMono, Scalar]] = {}
+
+
 @dataclass(frozen=True)
 class FFSSymbol:
-    """Expanded symbol: W-monomial -> exact coefficient (moments included)."""
+    """The symbol for argument tuples of total degree <= budget: a read of
+    the per-n coefficient index by per-slot derivative degrees."""
 
     n: int
     budget: int
-    coeffs: Tuple[Tuple[WMono, Scalar], ...]
+
+    def terms(self, need: Tuple[int, ...]) -> List[Tuple[WMono, Scalar]]:
+        """The W-monomials with slot degrees need and nonzero coefficient,
+        with their coefficients, in the canonical order."""
+        m = 2 * self.n
+        memo = _coeff_memo.setdefault(self.n, {})
+        out = []
+        for mono in _monos_for(m, need):
+            coeff = memo.get(mono)
+            if coeff is None:
+                coeff = memo[mono] = _coefficient(mono, m)
+            if not coeff.is_zero():
+                out.append((mono, coeff))
+        return out
 
 
-def _w_monomials(pairs: List[Pair], weights: Dict[Pair, int], max_weight: int):
-    """All multisets of pairs with total weighted derivative cost <= max_weight."""
-    def rec(idx: int, remaining: int, current: List[Tuple[Pair, int]]):
-        if idx == len(pairs):
-            yield tuple(current)
-            return
-        pair = pairs[idx]
-        w = weights[pair]
-        count = 0
-        while count * w <= remaining:
-            nxt = current + ([(pair, count)] if count else [])
-            yield from rec(idx + 1, remaining - count * w, nxt)
-            count += 1
-    yield from rec(0, max_weight, [])
+@lru_cache(maxsize=None)
+def _monos_for(m: int, need: Tuple[int, ...]) -> Tuple[WMono, ...]:
+    """Every W-monomial in 2n = m slots whose operator has the derivative
+    degree need[k - 1] on slot k, in the canonical order: by the counts of
+    the pairs (0, 1), .., (0, m), (1, 2), .., (m - 1, m), lexicographically.
 
-
-# n -> W-monomial -> its coefficient, zero ones included: a coefficient does
-# not depend on the budget, so a larger budget computes only the monomials
-# the smaller ones did not reach.
-_coeff_memo: Dict[int, Dict[WMono, Scalar]] = {}
+    The determinant takes one derivative from each slot, so a monomial is
+    fixed by its slot-pair counts c_ij (1 <= i < j <= m), and W_0k takes
+    what is left on slot k: c_0k = need_k - 1 - sum_j c_kj >= 0.
+    """
+    inner = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    left = [d - 1 for d in need]
+    found = []
+    for counts in itertools.product(*(range(min(left[i - 1], left[j - 1]) + 1)
+                                      for i, j in inner)):
+        rest = list(left)
+        for (i, j), c in zip(inner, counts):
+            rest[i - 1] -= c
+            rest[j - 1] -= c
+        if min(rest) >= 0:
+            found.append(tuple(rest) + counts)
+    pairs = [(0, k) for k in range(1, m + 1)] + inner
+    return tuple(tuple((pair, c) for pair, c in zip(pairs, counts) if c)
+                 for counts in sorted(found))
 
 
 def _coefficient(mono: WMono, m: int) -> Scalar:
@@ -144,31 +174,14 @@ def _coefficient(mono: WMono, m: int) -> Scalar:
 
 
 def ffs_build(n: int, degree_budget: int) -> FFSSymbol:
-    """Expand the symbol far enough for argument tuples of the given total degree."""
-    m = 2 * n
-    pairs = [(i, j) for i in range(0, m + 1) for j in range(i + 1, m + 1)]
-    weights = {p: (1 if p[0] == 0 else 2) for p in pairs}
-    max_order = max(0, degree_budget - m)
-    memo = _coeff_memo.setdefault(n, {})
-    coeffs = []
-    for mono in _w_monomials(pairs, weights, max_order):
-        coeff = memo.get(mono)
-        if coeff is None:
-            coeff = memo[mono] = _coefficient(mono, m)
-        if not coeff.is_zero():
-            coeffs.append((mono, coeff))
-    return FFSSymbol(n, degree_budget, tuple(coeffs))
-
-
-_symbol_cache: Dict[int, FFSSymbol] = {}
+    """The symbol for argument tuples of the given total degree.  Nothing is
+    expanded here: each coefficient is computed the first time it is read."""
+    return FFSSymbol(n, degree_budget)
 
 
 def cached_symbol(n: int, degree_budget: int) -> FFSSymbol:
-    sym = _symbol_cache.get(n)
-    if sym is None or sym.budget < degree_budget:
-        sym = ffs_build(n, degree_budget)
-        _symbol_cache[n] = sym
-    return sym
+    """The same as ffs_build: every symbol for one n reads one memo."""
+    return ffs_build(n, degree_budget)
 
 
 # -- applying the symbol ------------------------------------------------------
@@ -334,16 +347,12 @@ def _slot_terms(args: Sequence[WeylElement]) -> List[Dict[int, list]]:
     return slots
 
 
-def _contract(slots: List[Dict[int, list]], ambient: SymplecticData,
-              mono: WMono, coeff: Scalar, acc: Dict[int, Scalar]) -> None:
+def _contract(terms: List[list], ambient: SymplecticData, mono: WMono,
+              coeff: Scalar, acc: Dict[int, Scalar]) -> None:
     """Add coeff times the operator for mono, applied to the slot terms, to acc.
 
-    Only argument terms of the operator's per-slot degrees are combined; no
-    operator is built when some slot has none.
+    terms holds, per slot, the argument terms of the operator's degree on it.
     """
-    terms = [slot.get(d) for slot, d in zip(slots, _slot_degrees(mono, len(slots)))]
-    if None in terms:
-        return
     # The slots lie on disjoint fields, so the sum of their lcms is the lcm
     # of every combination's key.
     bound = sum(reduce(mono_lcm, [k for k, _ in t]) for t in terms)
@@ -363,7 +372,12 @@ def _contract(slots: List[Dict[int, list]], ambient: SymplecticData,
 
 
 def ffs_apply(symbol: FFSSymbol, args: Sequence[WeylElement]) -> WeylElement:
-    """Evaluate the cocycle on 2n arguments; exact polynomial output."""
+    """Evaluate the cocycle on 2n arguments; exact polynomial output.
+
+    Reads the symbol at every combination of the arguments' term degrees;
+    the determinant takes one derivative from each slot, so a constant term
+    meets no operator.
+    """
     m = 2 * symbol.n
     if len(args) != m:
         raise ValueError(f"expected {m} arguments, got {len(args)}")
@@ -377,8 +391,10 @@ def ffs_apply(symbol: FFSSymbol, args: Sequence[WeylElement]) -> WeylElement:
             f"arguments have total degree {sum(degrees)}")
     slots = _slot_terms(args)
     acc: Dict[int, Scalar] = {}
-    for mono, coeff in symbol.coeffs:
-        _contract(slots, ambient, mono, coeff, acc)
+    for need in itertools.product(*([d for d in slot if d] for slot in slots)):
+        terms = [slot[d] for slot, d in zip(slots, need)]
+        for mono, coeff in symbol.terms(need):
+            _contract(terms, ambient, mono, coeff, acc)
     return WeylElement(Poly({k: c for k, c in acc.items() if c}), ambient)
 
 
@@ -394,17 +410,17 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
     """
     m = 2 * symbol.n
     rows: Dict[int, Dict[int, Scalar]] = {}
-    for mono, coeff in symbol.coeffs:
-        need = _slot_degrees(mono, m)
-        if max(need) > slot_degree:
+    for need in itertools.product(range(1, slot_degree + 1), repeat=m):
+        if sum(need) > symbol.budget:
             continue
-        for copy_key, flat in _operator_for(ambient, mono,
-                                            _full_box(need, symbol.n)).terms.items():
-            row = rows.setdefault(copy_key, {})
-            for out, c in zip(flat[::2], flat[1::2]):
-                c = coeff * c
-                prev = row.get(out)
-                row[out] = c if prev is None else prev + c
+        box = _full_box(need, symbol.n)
+        for mono, coeff in symbol.terms(need):
+            for copy_key, flat in _operator_for(ambient, mono, box).terms.items():
+                row = rows.setdefault(copy_key, {})
+                for out, c in zip(flat[::2], flat[1::2]):
+                    c = coeff * c
+                    prev = row.get(out)
+                    row[out] = c if prev is None else prev + c
     copies = [_copy(mu, symbol.n) for mu in range(1, m + 1)]
     slot_mask = index_mask(m, Y)
     table: Dict[tuple, Poly] = {}
@@ -437,15 +453,14 @@ def ffs_hypercube_n1(args: Sequence[WeylElement]) -> WeylElement:
 
     Expands exp(i [ W01 (1 - 2 t0 t1) + W02 (1 - 2 t0) + W12 (1 - 2 t0 + 2 t0 t1) ])
     against the Jacobian factor t0 with the same integer polynomials as
-    ffs_build, integrating each t0^a t1^b over the square as 1/((a+1)(b+1)).
+    _coefficient, integrating each t0^a t1^b over the square as 1/((a+1)(b+1)).
     """
     if len(args) != 2:
         raise ValueError("expected 2 arguments")
     ambient = args[0].ambient
     if ambient.n != 1:
         raise ValueError("the unit-square route is specific to n = 1")
-    degrees = [a.degree() for a in args]
-    total = sum(degrees)
+    total = sum(a.degree() for a in args)
 
     # Exponent tuples (a, b) of t0^a t1^b.
     lin = {
@@ -461,7 +476,8 @@ def ffs_hypercube_n1(args: Sequence[WeylElement]) -> WeylElement:
             for m12 in range(0, (max_order - m01 - m02) // 2 + 1):
                 counts = {(0, 1): m01, (0, 2): m02, (1, 2): m12}
                 mono = tuple((pair, c) for pair, c in counts.items() if c)
-                if any(need > d for need, d in zip(_slot_degrees(mono, 2), degrees)):
+                terms = [slot.get(d) for slot, d in zip(slots, _slot_degrees(mono, 2))]
+                if None in terms:
                     continue
                 tpoly = {(1, 0): 1}
                 denom = 1
@@ -477,5 +493,5 @@ def ffs_hypercube_n1(args: Sequence[WeylElement]) -> WeylElement:
                 coeff = coeff.scale_fraction(1, denom)
                 if coeff.is_zero():
                     continue
-                _contract(slots, ambient, mono, coeff, acc)
+                _contract(terms, ambient, mono, coeff, acc)
     return WeylElement(Poly({k: c for k, c in acc.items() if c}), ambient)

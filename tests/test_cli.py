@@ -247,6 +247,29 @@ def test_descent_twist_rejects_malformed_spec(capsys, twist):
     assert code == 2
 
 
+KNOWN_LABELS = "known labels: 1, kappa, kappabar, kappakappabar"
+PRESET = json.dumps({"preset": "higher-spin-4d"})
+
+
+@pytest.mark.parametrize("gamma, args, label", [
+    ({"nope": "1"}, [{"1": Y1}, {"1": Y2}], "nope"),
+    ({"kappa": "1"}, [{"1": Y1}, {"zzz": Y2}], "zzz"),
+])
+def test_smash_theta_names_unknown_label(capsys, gamma, args, label):
+    code = main(["smash", "theta", "--group", PRESET, "--gamma", json.dumps(gamma),
+                 "--args", json.dumps({"n": 2, "args": args})])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: unknown group label {label!r}; {KNOWN_LABELS}\n")
+
+
+def test_descent_twist_names_unknown_label(capsys):
+    code = main(["descent", "eval", "--args", json.dumps({"n": 2, "args": [Y1] * 4}),
+                 "--twist", json.dumps({"preset": "higher-spin-4d", "element": "zzz"})])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: unknown group label 'zzz'; {KNOWN_LABELS}\n"
+
+
 # -- sizes: a count below 1 or a degree below 0 is a usage error -----------------
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -5,6 +8,7 @@ from math import factorial, prod
 import pytest
 
 from weylhh import ffs
+from weylhh.cli import main
 from weylhh.errors import InsufficientExpansionError
 from weylhh.ffs import (cached_symbol, ffs_apply, ffs_build, ffs_cocycle,
                         ffs_hypercube_n1, simplex_moment)
@@ -47,9 +51,18 @@ def test_moment_matches_brute_force_iterated_integration():
         assert simplex_moment(exps) == brute(exps)
 
 
+def symbol_coeffs(symbol):
+    """Every nonzero coefficient the symbol reads, over all slot degrees
+    need with sum(need) <= budget."""
+    m = 2 * symbol.n
+    return {mono: coeff
+            for need in itertools.product(range(1, symbol.budget + 1), repeat=m)
+            if sum(need) <= symbol.budget
+            for mono, coeff in symbol.terms(need)}
+
+
 def test_symbol_order_one_coefficient():
-    symbol = ffs_build(1, 8)
-    coeffs = dict(symbol.coeffs)
+    coeffs = symbol_coeffs(ffs_build(1, 8))
     # the pairing of the two argument slots carries int(1 + 2u1 - 2u2) = 1/6
     assert coeffs[(((1, 2), 1),)] == I * halves(1, 6)
     # order zero: the simplex volume
@@ -60,8 +73,7 @@ def test_symbol_reversal_symmetry():
     # moments are invariant under u_k -> 1 - u_{2n+1-k} up to the sign of the
     # zero-sector order; checked on the stored coefficients directly.
     for n, budget in ((1, 6), (2, 6)):
-        symbol = ffs_build(n, budget)
-        coeffs = dict(symbol.coeffs)
+        coeffs = symbol_coeffs(ffs_build(n, budget))
         m = 2 * n
         for mono, value in coeffs.items():
             flipped = []
@@ -78,21 +90,95 @@ def test_symbol_reversal_symmetry():
             assert partner == expect, (mono, key)
 
 
-def test_grown_symbol_matches_fresh_build(monkeypatch):
-    # A coefficient does not depend on the budget, so a symbol grown through
-    # the memo equals one built from an empty memo, coefficient for
-    # coefficient and in the same order; each W-monomial is computed once.
+# -- the index by slot degrees against the eager expansion it replaced ---------
+
+
+def eager_monomials(m, max_weight):
+    """All multisets of W-pairs with weighted derivative cost <= max_weight
+    (W_0j costs one, W_ij two), in the order of the eager expansion: the
+    pairs' counts compared lexicographically, (0, 1) first."""
+    pairs = [(i, j) for i in range(0, m + 1) for j in range(i + 1, m + 1)]
+
+    def rec(idx, remaining, current):
+        if idx == len(pairs):
+            yield tuple(current)
+            return
+        pair = pairs[idx]
+        w = 1 if pair[0] == 0 else 2
+        count = 0
+        while count * w <= remaining:
+            nxt = current + ([(pair, count)] if count else [])
+            yield from rec(idx + 1, remaining - count * w, nxt)
+            count += 1
+    yield from rec(0, max_weight, [])
+
+
+@pytest.mark.parametrize("n, limit", [(1, 10), (2, 9)])
+def test_monos_for_matches_eager_enumeration(n, limit):
+    # A W-monomial's cost is sum(need) - m, so the eager expansion to cost
+    # limit - m holds every monomial with sum(need) <= limit; grouped by
+    # their slot degrees, in its order, they are what the index lists.
+    m = 2 * n
+    by_need = {}
+    for mono in eager_monomials(m, limit - m):
+        by_need.setdefault(tuple(ffs._slot_degrees(mono, m)), []).append(mono)
+    needs = [need for need in itertools.product(range(limit + 1), repeat=m)
+             if sum(need) <= limit]
+    for need in needs:
+        assert ffs._monos_for(m, need) == tuple(by_need.pop(need, ())), need
+    assert not by_need
+
+
+@pytest.mark.parametrize("n, budget", [(1, 10), (2, 8)])
+def test_symbol_matches_eager_build(n, budget):
+    # The nonzero coefficients read over sum(need) <= budget are those the
+    # eager build kept.
+    m = 2 * n
+    eager = {}
+    for mono in eager_monomials(m, budget - m):
+        coeff = ffs._coefficient(mono, m)
+        if not coeff.is_zero():
+            eager[mono] = coeff
+    assert symbol_coeffs(ffs_build(n, budget)) == eager
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The W-monomials whose coefficients are computed, from an empty memo."""
     monkeypatch.setattr(ffs, "_coeff_memo", {})
-    monkeypatch.setattr(ffs, "_symbol_cache", {})
-    computed = []
+    seen = []
     coefficient = ffs._coefficient
     monkeypatch.setattr(ffs, "_coefficient",
-                        lambda mono, m: computed.append(mono) or coefficient(mono, m))
-    grown = [cached_symbol(2, budget) for budget in (5, 8, 9)]
-    assert len(computed) == len(set(computed)) == len(ffs._coeff_memo[2])
-    for symbol in grown:
-        monkeypatch.setattr(ffs, "_coeff_memo", {})
-        assert ffs_build(2, symbol.budget) == symbol
+                        lambda mono, m: seen.append((m, mono)) or coefficient(mono, m))
+    return seen
+
+
+def test_each_coefficient_computed_once(computed, sym1, rng):
+    # Symbols at every budget read one memo per n: however often a
+    # coefficient is read, it is computed once.
+    for budget in (5, 8, 9, 8):
+        symbol_coeffs(cached_symbol(2, budget))
+    for _ in range(10):
+        a, b = random_weyl(rng, sym1, 4), random_weyl(rng, sym1, 4)
+        ffs_apply(cached_symbol(1, 8), [a, b])
+    symbol_coeffs(cached_symbol(1, 8))
+    assert len(computed) == len(set(computed))
+    assert len(computed) == sum(len(memo) for memo in ffs._coeff_memo.values())
+
+
+def test_apply_computes_only_its_slot_degrees(computed, sym1):
+    y1 = WeylElement.generator(1, sym1)
+    y2 = WeylElement.generator(2, sym1)
+    ffs_apply(cached_symbol(1, 8), [y1, y2])
+    assert computed
+    assert all(ffs._slot_degrees(mono, m) == [1, 1] for m, mono in computed)
+
+
+def test_cold_verify_all_computes_few_n2_coefficients(computed):
+    # The eager build computed 441 n = 2 coefficients for this run.
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--format", "json", "verify-all", "--seed", "57"]) == 0
+    assert 0 < sum(m == 4 for m, _ in computed) <= 100
 
 
 def test_generator_values(sym1):
@@ -192,7 +278,7 @@ def reference_apply(symbol, args):
     m = 2 * ambient.n
     degrees = [a.degree() for a in args]
     out = Poly.zero()
-    for mono, coeff in symbol.coeffs:
+    for mono, coeff in symbol_coeffs(symbol).items():
         need = [1] * (m + 1)  # need[0], the output, is not read
         for (i, j), count in mono:
             need[i] += count
@@ -281,8 +367,7 @@ def test_operator_cache_contract():
     assert len(cache) == before + len(new) and new
     assert all(isinstance(mono, tuple) for (_, mono), _ in new)
     assert sum(len(op.terms) for _, op in new) > 0
-    reached = {mono for mono, _ in symbol.coeffs
-               if ffs._slot_degrees(mono, 2) in ([1, 2], [3, 2])}
+    reached = {mono for need in ((1, 2), (3, 2)) for mono, _ in symbol.terms(need)}
     assert {mono for (_, mono), _ in new} == reached
     assert (((0, 1), 2), ((0, 2), 1)) in reached
 
@@ -310,7 +395,7 @@ def test_operator_groups_on_demand(monkeypatch, n, budget, seed):
             triples += [(bank, offset + j, rng.randint(0, d)) for j in range(1, m + 1)]
         return next(iter(Poly.monomial([t for t in triples if t[2]]).terms))
 
-    monos = rng.sample([mono for mono, _ in ffs_build(n, budget).coeffs], 6)
+    monos = rng.sample(list(symbol_coeffs(ffs_build(n, budget))), 6)
     for mono in monos:
         need = ffs._slot_degrees(mono, m)
         full = _groups(ffs._operator_for(sym, mono, ffs._full_box(need, n)))

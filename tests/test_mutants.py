@@ -49,10 +49,10 @@ def homotopy_identity_holds(a: FormElement) -> bool:
     return s(ext_d(a)) + ext_d(s(a)) == a - proj_p(a)
 
 
-def routes_agree(sym, a, b) -> bool:
+def routes_agree(sym, *args) -> bool:
     """The descent value against the simplex-symbol value."""
-    d = descend(make_zeta(sym), [a, b], check_stability=False)
-    f = ffs_apply(cached_symbol(sym.n, a.degree() + b.degree()), [a, b])
+    d = descend(make_zeta(sym), list(args), check_stability=False)
+    f = ffs_apply(cached_symbol(sym.n, sum(a.degree() for a in args)), args)
     return f.restrict(d.truncation) == d
 
 
@@ -70,19 +70,6 @@ def uniform_cache_agrees(sym, a, b) -> bool:
     via_cache = SuffixCache(make_zeta(sym), budget, slot).value((a, b))
     f = ffs_apply(cached_symbol(sym.n, a.degree() + b.degree()), [a, b])
     return f.restrict(via_cache.truncation) == via_cache
-
-
-def symbols_grow_like_fresh(builds) -> bool:
-    """Symbols built in sequence through the coefficient memo against each
-    rebuilt from an empty memo.  The memo is cleared in place, so a mutant
-    compiled against the module's namespace sees the same dict."""
-    ffs._coeff_memo.clear()
-    grown = [ffs.ffs_build(n, budget) for n, budget in builds]
-    fresh = []
-    for symbol in grown:
-        ffs._coeff_memo.clear()
-        fresh.append(ffs.ffs_build(symbol.n, symbol.budget))
-    return grown == fresh
 
 
 def dz_anticommute(sym) -> bool:
@@ -214,15 +201,28 @@ def test_delta_cofactor_without_sign(monkeypatch):
     assert simplex.fuzz(2, 1, seed=0)["failed"] == 1
 
 
-def test_coefficient_memo_shared_across_n(monkeypatch):
+def test_coefficient_memo_shared_across_n(monkeypatch, sym1, sym2):
     # One memo for every n hands n = 1's coefficients to the n = 2
-    # W-monomials with the same pairs, ((0, 1), 1) among them.
+    # W-monomials with the same pairs: read after (y1, y2), the empty
+    # monomial gives the n = 2 value on (y1, .., y4) as 1/2 for 1/24.
     monkeypatch.setattr(ffs, "_coeff_memo", {})
-    builds = ((1, 4), (2, 5))
-    assert symbols_grow_like_fresh(builds)
-    install(monkeypatch, ffs, "ffs_build",
-            "_coeff_memo.setdefault(n, {})", "_coeff_memo.setdefault(0, {})")
-    assert not symbols_grow_like_fresh(builds)
+    pair = y(sym1, 1), y(sym1, 0, 1)
+    gens = [y(sym2, *(int(k == j) for k in range(4))) for j in range(4)]
+    assert routes_agree(sym1, *pair) and routes_agree(sym2, *gens)
+    install(monkeypatch, ffs, "terms", "_coeff_memo.setdefault(self.n, {})",
+            "_coeff_memo.setdefault(0, {})", owner=ffs.FFSSymbol)
+    assert routes_agree(sym1, *pair)
+    assert not routes_agree(sym2, *gens)
+
+
+def test_monomial_index_leaves_no_determinant_derivative(monkeypatch, sym1):
+    # Completing c_0k from need_k - 2 forgets that the determinant takes one
+    # derivative from each slot: every monomial listed for need has slot
+    # degrees need + 1, and (y1, y2) reads no monomial at all.
+    a, b = y(sym1, 1), y(sym1, 0, 1)
+    assert routes_agree(sym1, a, b)
+    install(monkeypatch, ffs, "_monos_for", "d - 1 for d in need", "d - 2 for d in need")
+    assert not routes_agree(sym1, a, b)
 
 
 def test_chain_value_z_cap_too_small(monkeypatch, sym1):
