@@ -207,7 +207,7 @@ def test_coefficient_memo_shared_across_n(monkeypatch, sym1, sym2):
     # monomial gives the n = 2 value on (y1, .., y4) as 1/2 for 1/24.
     monkeypatch.setattr(ffs, "_coeff_memo", {})
     pair = y(sym1, 1), y(sym1, 0, 1)
-    gens = [y(sym2, *(int(k == j) for k in range(4))) for j in range(4)]
+    gens = [WeylElement.generator(j, sym2) for j in (1, 2, 3, 4)]
     assert routes_agree(sym1, *pair) and routes_agree(sym2, *gens)
     install(monkeypatch, ffs, "terms", "_coeff_memo.setdefault(self.n, {})",
             "_coeff_memo.setdefault(0, {})", owner=ffs.FFSSymbol)
@@ -218,7 +218,7 @@ def test_coefficient_memo_shared_across_n(monkeypatch, sym1, sym2):
 def test_monomial_index_leaves_no_determinant_derivative(monkeypatch, sym1):
     # Completing c_0k from need_k - 2 forgets that the determinant takes one
     # derivative from each slot: every monomial listed for need has slot
-    # degrees need + 1, and (y1, y2) reads no monomial at all.
+    # degrees need - 1, and (y1, y2) reads no monomial at all.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
     install(monkeypatch, ffs, "_monos_for", "d - 1 for d in need", "d - 2 for d in need")
