@@ -114,16 +114,30 @@ def act(g: GroupElement, x):
 
 
 class FiniteGroup:
+    """A finite group of symplectic matrices with its Cayley table.
+
+    The closure check forms every product a b once; the table keeps each as
+    the group's own element, and the inverses are read off the entries equal
+    to the identity.  So product, inverse and conjugate are lookups, and no
+    matrix is multiplied or inverted after construction.  Each takes any
+    element equal to a group element and returns the group's own.
+    """
+
     def __init__(self, elements: Sequence[GroupElement]):
         self.elements = list(elements)
         self._by_matrix = {g.matrix: g for g in self.elements}
         if len(self._by_matrix) != len(self.elements):
             raise ValueError("duplicate group elements")
         self.identity = next(g for g in self.elements if g.is_identity())
+        self._table: Dict[Tuple[GroupElement, GroupElement], GroupElement] = {}
         for a in self.elements:
             for b in self.elements:
-                if (a * b).matrix not in self._by_matrix:
+                ab = self._by_matrix.get(linalg.mat_mul(a.matrix, b.matrix))
+                if ab is None:
                     raise ValueError("element set is not closed under products")
+                self._table[a, b] = ab
+        self._inverse = {a: b for (a, b), ab in self._table.items()
+                         if ab is self.identity}
 
     def canonical(self, g: GroupElement) -> GroupElement:
         got = self._by_matrix.get(g.matrix)
@@ -132,10 +146,14 @@ class FiniteGroup:
         return got
 
     def product(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.canonical(a * b)
+        return self._table[self.canonical(a), self.canonical(b)]
 
     def inverse(self, a: GroupElement) -> GroupElement:
-        return self.canonical(a.inverse())
+        return self._inverse[self.canonical(a)]
+
+    def conjugate(self, h: GroupElement, g: GroupElement) -> GroupElement:
+        """h g h^{-1}."""
+        return self.product(self.product(h, g), self.inverse(h))
 
     def conjugacy_classes(self) -> List[List[GroupElement]]:
         seen = set()
@@ -145,7 +163,7 @@ class FiniteGroup:
                 continue
             cls = []
             for h in self.elements:
-                c = self.canonical(h * g * h.inverse())
+                c = self.conjugate(h, g)
                 if c not in cls:
                     cls.append(c)
             seen.update(cls)
@@ -169,8 +187,7 @@ class ClassFunction:
             self.values.setdefault(g, ZERO)
         for g in self.group:
             for h in self.group:
-                conj = self.group.canonical(h * g * h.inverse())
-                if self.values[conj] != self.values[g]:
+                if self.values[self.group.conjugate(h, g)] != self.values[g]:
                     raise ValueError("values are not constant on conjugacy classes")
 
     def __call__(self, g: GroupElement) -> Scalar:
@@ -239,7 +256,7 @@ class SmashElement:
         """The automorphism a (x) g -> a^h (x) h g h^{-1}."""
         out: Dict[GroupElement, WeylElement] = {}
         for g, a in self.terms.items():
-            tg = self.group.canonical(h * g * h.inverse())
+            tg = self.group.conjugate(h, g)
             ta = act(h, a)
             out[tg] = out[tg] + ta if tg in out else ta
         return SmashElement(self.group, self.ambient, out)
@@ -275,11 +292,12 @@ def afls_dims(group: FiniteGroup) -> Dict[int, Tuple[int, List[ClassFunction]]]:
     """Cohomology dimension per degree: conjugation-invariant functions on
     the elements with rank(1 - g) equal to that degree."""
     classes = group.conjugacy_classes()
+    ranks = [cls[0].moved_rank() for cls in classes]
     out: Dict[int, Tuple[int, List[ClassFunction]]] = {}
     size = group.identity.size
     for p in range(size + 1):
         basis = [ClassFunction.indicator(group, cls)
-                 for cls in classes if cls[0].moved_rank() == p]
+                 for cls, rank in zip(classes, ranks) if rank == p]
         if basis:
             out[p] = (len(basis), basis)
     return out

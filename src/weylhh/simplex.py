@@ -6,20 +6,24 @@ Membership is decided by the exact signs of the origin's barycentric
 coordinates, read off integer determinants once one common denominator is
 cleared, so the only undefined inputs are the genuine null sets: degenerate
 simplices and origins sitting exactly on a facet.  Those raise instead of
-guessing; the fuzzers treat them as a resample signal.
+guessing; the fuzzers treat them as a resample signal.  One sign rule,
+_sign_rule, turns the minors of a simplex into its value, for delta and for
+the identity check alike.
 
 The alternating-sum coboundary over point tuples makes delta a top cocycle:
 for any 2n+2 generic points the signed sum of the 2n+2 facet values cancels
-pairwise.  Appending a fixed auxiliary point exhibits delta as the
-coboundary of a cochain that is neither symplectically invariant nor
-compactly supported; a pinned witness for that non-invariance lives here so
-the regression suite can assert it.
+pairwise.  tid_check reads every facet off one set of minors, each computed
+once: the minors of the whole configuration scaled by one lcm.  Appending a
+fixed auxiliary point exhibits delta as the coboundary of a cochain that is
+neither symplectically invariant nor compactly supported; a pinned witness
+for that non-invariance lives here so the regression suite can assert it.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Callable, List, Sequence, Tuple
 
@@ -29,35 +33,47 @@ from .errors import DegenerateSimplexError, NonGenericConfigError
 Point = Tuple[Fraction, ...]
 
 
-def delta(points: Sequence[Point]) -> int:
-    """Characteristic value of the oriented simplex spanned by the points.
-
-    Scaling every point by one lcm of their denominators is a positive
-    homothety, which keeps both membership and orientation, and leaves the
-    integer points P.  With M = [P; a row of ones], Cramer's rule gives the
-    barycentric coordinates of the origin as
-    lambda_k = (-1)^(dim+k) det(P without column k) / det M, and det M is
-    (-1)^dim times the determinant of the edges v_k - v_0.
-    """
+def _integer_rows(points: Sequence[Point], count: int) -> List[List[int]]:
+    """The points as integer columns, coordinate rows, after one positive
+    homothety: every point times the lcm of all their denominators.  That
+    keeps both membership and orientation of every simplex they span."""
     dim = len(points[0])
-    if len(points) != dim + 1:
-        raise ValueError(f"need {dim + 1} points in dimension {dim}")
+    if len(points) != count:
+        raise ValueError(f"need {count} points in dimension {dim}")
     if any(len(p) != dim for p in points):
         raise ValueError(f"points differ in dimension: {[len(p) for p in points]}")
     scale = lcm(*(c.denominator for p in points for c in p))
-    rows = [[c.numerator * (scale // c.denominator) for c in coords]
+    return [[c.numerator * (scale // c.denominator) for c in coords]
             for coords in zip(*points)]
-    det = linalg.int_det(rows + [[1] * (dim + 1)])
+
+
+def _sign_rule(minors: Sequence[int]) -> int:
+    """delta of a simplex from its minors det(P without column k), k = 0..dim.
+
+    With M = [P; a row of ones], Cramer's rule gives the barycentric
+    coordinates of the origin as lambda_k = c_k / det M, with the cofactors
+    c_k = (-1)^(dim+k) minors[k]; expanding det M along its row of ones gives
+    det M = sum_k c_k.  det M is (-1)^dim times the determinant of the edges
+    v_k - v_0.
+    """
+    dim = len(minors) - 1
+    cofactors = [(-1) ** (dim + k) * m for k, m in enumerate(minors)]
+    det = sum(cofactors)
     if not det:
         raise DegenerateSimplexError("degenerate simplex")
-    cofactors = [(-1) ** (dim + k) * linalg.int_det([r[:k] + r[k + 1:] for r in rows])
-                 for k in range(dim + 1)]
     if not all(cofactors):
         raise DegenerateSimplexError("origin lies on a facet")
     if any((c > 0) != (det > 0) for c in cofactors):
         return 0
     sign = 1 if det > 0 else -1
     return -sign if dim % 2 else sign
+
+
+def delta(points: Sequence[Point]) -> int:
+    """Characteristic value of the oriented simplex spanned by the points."""
+    rows = _integer_rows(points, len(points[0]) + 1)
+    return _sign_rule([linalg.int_det([r[:k] + r[k + 1:] for r in rows])
+                       for k in range(len(points))])
 
 
 def delta_w(w: Point, points: Sequence[Point]) -> int:
@@ -79,14 +95,24 @@ def as_coboundary(phi: Callable[..., object], points: Sequence[Point]):
 def tid_check(points: Sequence[Point]) -> bool:
     """The top cocycle identity on 2n+2 points; non-generic configs resample.
 
-    Points of differing dimension already meet on the first facet, where
-    delta refuses them with a ValueError.
+    Facet k drops point k, so its minor for point j is the minor of the
+    scaled configuration P without columns j and k: the C(2n+2, 2) minors of
+    P serve all 2n+2 facets, each computed once, and _sign_rule reads each
+    facet's value off them.  The facets are read in order, so a
+    configuration is refused, with the same reason, exactly when delta
+    refuses one of its facets.
     """
-    dim = len(points[0])
-    if len(points) != dim + 2:
-        raise ValueError(f"need {dim + 2} points in dimension {dim}")
+    rows = _integer_rows(points, len(points[0]) + 2)
+    cols = range(len(points))
+    pair_minor = [[0] * len(points) for _ in cols]
+    for j, k in combinations(cols, 2):
+        pair_minor[j][k] = pair_minor[k][j] = linalg.int_det(
+            [r[:j] + r[j + 1:k] + r[k + 1:] for r in rows])
+    total = 0
     try:
-        total = as_coboundary(lambda *pts: delta(pts), points)
+        for k in cols:
+            value = _sign_rule([pair_minor[k][j] for j in cols if j != k])
+            total += -value if k % 2 else value
     except DegenerateSimplexError as exc:
         raise NonGenericConfigError(str(exc))
     return total == 0

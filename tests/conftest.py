@@ -25,3 +25,23 @@ def sym2():
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def d8():
+    """The dihedral group of order 8 in Sp(4, Q), from kappa = diag(-1, -1, 1, 1)
+    and the swap S of the pairs (q1, p1) and (q2, p2).  It is not abelian:
+    S kappa S = kappabar.  Each conjugacy class is listed from its first
+    member on, so the classes come out with sizes 1, 2, 2, 2, 1."""
+    from weylhh.groups import FiniteGroup, GroupElement
+    from weylhh.scalars import ONE, ZERO
+
+    kappa = GroupElement.diagonal([-ONE, -ONE, ONE, ONE], "kappa")
+    swap = GroupElement.from_rows(
+        [[ONE if j == (i + 2) % 4 else ZERO for j in range(4)] for i in range(4)], "S")
+    kappabar = swap * kappa * swap
+    minus = kappa * kappabar
+    labels = {"1": GroupElement.identity(4), "kappa": kappa, "kappabar": kappabar,
+              "S": swap, "-S": minus * swap, "S kappa": swap * kappa,
+              "kappa S": kappa * swap, "-1": minus}
+    return FiniteGroup(list(labels.values())), labels

@@ -118,6 +118,31 @@ def test_class_function_validation(preset):
     assert with_values(labels["kappabar"]) == Scalar.of(0)
 
 
+def test_dihedral_group_table(d8, sym2):
+    # The first non-abelian group here: h g h^-1 and h g h differ, and the
+    # table must agree with the matrices it replaces.
+    group, labels = d8
+    for g in group:
+        g.check_symplectic(sym2)
+    assert len(group) == 8
+    assert [len(cls) for cls in group.conjugacy_classes()] == [1, 2, 2, 2, 1]
+    for a in group:
+        assert group.inverse(a).matrix == a.inverse().matrix
+        for b in group:
+            assert group.product(a, b).matrix == (a * b).matrix
+            assert group.conjugate(a, b).matrix == (a * b * a.inverse()).matrix
+    assert group.conjugate(labels["S"], labels["kappa"]) is labels["kappabar"]
+    dims = afls_dims(group)
+    assert {p: d for p, (d, _) in dims.items()} == {0: 1, 2: 2, 4: 2}
+    with pytest.raises(ValueError, match="not constant on conjugacy classes"):
+        ClassFunction(group, {labels["kappa"]: ONE})
+    outside = GroupElement.diagonal([ONE, ONE, -ONE, ONE])
+    with pytest.raises(ValueError, match="does not belong"):
+        group.product(outside, labels["S"])
+    with pytest.raises(ValueError, match="does not belong"):
+        group.inverse(outside)
+
+
 def test_theta_element_reflection_sectors(preset, sym1):
     # lambda = -1 sectors have vanishing exponent: the element is exactly 1
     minus = GroupElement.diagonal([Scalar.of(-1), Scalar.of(-1)], "-1")
@@ -165,7 +190,7 @@ def test_equivariance(preset, rng):
     for h in group:
         conj = conjugate_cochain(tau_k, h)
         tau_target = twisted_cocycle(
-            ambient, group.canonical(h * kappa * h.inverse()),
+            ambient, group.conjugate(h, kappa),
             check_stability=False)
         for _ in range(3):
             a = random_weyl(rng, ambient, 2)

@@ -14,8 +14,12 @@ import inspect
 import textwrap
 from fractions import Fraction
 
-from weylhh import descent, ffs, forms, hochschild, linalg, poly, simplex, weyl
+import pytest
+
+from weylhh import (descent, ffs, forms, groups, hochschild, linalg, poly, simplex,
+                    weyl)
 from weylhh.descent import SuffixCache, descend, make_zeta
+from weylhh.errors import NonGenericConfigError
 from weylhh.ffs import cached_symbol, ffs_apply
 from weylhh.forms import FormElement, ext_d, proj_p
 from weylhh.hochschild import constant_cochain, hochschild_d
@@ -187,18 +191,45 @@ def test_delta_without_orientation_factor(monkeypatch):
     # segment from -1 to 1 reads -1.  Dimension 2 cannot see it.
     segment = [(Fraction(-1),), (Fraction(1),)]
     assert simplex.delta(segment) == 1
-    install(monkeypatch, simplex, "delta",
+    install(monkeypatch, simplex, "_sign_rule",
             "return -sign if dim % 2 else sign", "return sign")
     assert simplex.delta(segment) == -1
 
 
 def test_delta_cofactor_without_sign(monkeypatch):
     # Cofactors without (-1)^(dim+k) give half the barycentric coordinates
-    # the wrong sign: membership is misread and the top cocycle identity
-    # fails on the first generic quadruple in the plane.
+    # the wrong sign and det M the wrong value: membership is misread, and
+    # the top cocycle identity, whose facets share the one sign rule, fails
+    # on the first generic quadruple in the plane.
     assert simplex.fuzz(2, 1, seed=0)["failed"] == 0
-    install(monkeypatch, simplex, "delta", "(-1) ** (dim + k) * ", "")
+    install(monkeypatch, simplex, "_sign_rule", "(-1) ** (dim + k) * ", "")
     assert simplex.fuzz(2, 1, seed=0)["failed"] == 1
+
+
+def test_tid_minor_by_facet_position(monkeypatch):
+    # Facet k's minor for its i-th point read at column i, not at the
+    # point's own index: past point k each facet reads the minor of the
+    # point before, and at i = k the empty diagonal, so every configuration
+    # looks as if the origin sat on a facet and the fuzzer can sample none.
+    # The real identity needs no resample at seed 0.
+    report = simplex.fuzz(2, 1, seed=0)
+    assert (report["failed"], report["resampled"]) == (0, 0)
+    install(monkeypatch, simplex, "tid_check",
+            "for j in cols if j != k]", "for j in range(len(points) - 1)]")
+    with pytest.raises(NonGenericConfigError, match="could not sample"):
+        simplex.fuzz(2, 1, seed=0)
+
+
+def test_conjugate_without_inverse(monkeypatch, d8):
+    # h g h for h g h^-1 agrees on every involution, so only a group with an
+    # element of order 4 shows it: in D8, S kappa squares to -1, which joins
+    # the identity's class.
+    group, _ = d8
+    sizes = [1, 2, 2, 2, 1]
+    assert [len(cls) for cls in group.conjugacy_classes()] == sizes
+    install(monkeypatch, groups, "conjugate", "self.inverse(h)", "h",
+            owner=groups.FiniteGroup)
+    assert [len(cls) for cls in group.conjugacy_classes()] != sizes
 
 
 def test_coefficient_memo_shared_across_n(monkeypatch, sym1, sym2):

@@ -92,6 +92,38 @@ def test_degenerate_with_fractional_coordinates():
         delta(points)
 
 
+def facetwise_tid(points):
+    """The identity facet by facet: delta on each facet, in order."""
+    try:
+        return as_coboundary(lambda *p: delta(p), points) == 0
+    except DegenerateSimplexError as exc:
+        raise NonGenericConfigError(str(exc))
+
+
+def tid_outcome(fn, points):
+    try:
+        return fn(points)
+    except NonGenericConfigError as exc:
+        return str(exc)
+
+
+def test_tid_check_matches_facetwise_delta():
+    # Small integer coordinates make degenerate facets and origins on a
+    # facet common: the shared minors must refuse exactly the
+    # configurations some facet refuses, with the first facet's reason.
+    rng = random.Random(111)
+    seen = set()
+    for dim, count in ((2, 400), (4, 200)):
+        for _ in range(count):
+            points = [tuple(F(rng.randint(-2, 2)) for _ in range(dim))
+                      for _ in range(dim + 2)]
+            value = tid_outcome(tid_check, points)
+            assert value == tid_outcome(facetwise_tid, points)
+            seen.add((dim, value))
+    assert seen == {(dim, value) for dim in (2, 4)
+                    for value in (True, "degenerate simplex", "origin lies on a facet")}
+
+
 def test_mixed_dimensions_are_refused():
     with pytest.raises(ValueError, match="differ in dimension"):
         delta([(F(-1),), (F(1), F(5))])
