@@ -22,7 +22,9 @@ The cocycle itself is the alternation
 computed on a degree-D expansion of exp(Q), certified to total degree
 D + p - sum(deg a_i).  One rule cuts every level: with r arguments still
 to come, only terms of z-degree <= sum_{i<r}(deg a_i - 1) and total degree
-<= that plus the certified degree can reach the value.  Every public entry
+<= that plus the certified degree can reach the value.  Each star product,
+and the closing z = 0 projection, reads one derivative walk (`weyl._walk`)
+that cuts every derivative to those caps as it is made.  Every public entry
 point recomputes at D+2 and insists the certified parts agree.
 
 The audited descent trace solves, with the plain (undressed) exterior
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import factorial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -47,8 +50,8 @@ from .hochschild import (Cochain, Report, constant_cochain, group_twist,
                          hochschild_d)
 from .groups import GroupElement
 from .poly import Poly, Y, Z, mono_divides, mono_factorial
-from .scalars import I, ONE, ZERO, Scalar
-from .weyl import (SymplecticData, WeylElement, _min_trunc, _right_d,
+from .scalars import ONE, ZERO, Scalar
+from .weyl import (SymplecticData, WeylElement, _min_trunc, _walk, _y_keys,
                    involution)
 
 DEFAULT_BUDGET_MARGIN = 4
@@ -197,7 +200,7 @@ def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
             budget: Optional[int] = None, check_stability: bool = True):
     """Evaluate the descent cocycle on concrete arguments.
 
-    One uncached SuffixCache pass, each argument's degree its slot's bound.
+    One uncached SuffixCache pass, each argument its own slot's bound.
     Recomputes at budget+2 and requires the certified parts to agree; a
     mismatch means the budget heuristic was too small for these arguments
     and surfaces as a BudgetError.
@@ -212,9 +215,9 @@ def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
                           f"degrees {degrees} less one per homotopy")
 
     # Each of the p homotopies raises the truncation by one.
-    value = SuffixCache(gen, d + p, degrees).value(args)
+    value = SuffixCache(gen, d + p, args).value(args)
     if check_stability:
-        recomputed = SuffixCache(gen, d + 2 + p, degrees).value(args)
+        recomputed = SuffixCache(gen, d + 2 + p, args).value(args)
         recomputed = recomputed.restrict(value.truncation)
         if recomputed != value:
             low, term = (recomputed.poly - value.poly).lowest_term()
@@ -242,12 +245,12 @@ class SuffixCache:
     so tuples sharing a tail share the work: each `_cache` entry is the
     homotopy of a tail's chain, the right factor every argument in front of
     that tail multiplies against.  A single cache is valid for one generator,
-    budget and list of per-slot degree bounds (an int bounds every slot
-    alike); the value is certified to target = budget - sum(bounds).  The
-    bounds cap each level to the terms that can still reach the certified
-    part of the final value through the remaining argument derivatives, and
-    the star kernel computes only those.  `descend` is one uncached use of
-    it, with each argument's degree as its slot's bound.
+    budget and list of per-slot bounds: a degree (an int bounds every slot
+    alike), or an argument, which serves only itself.  The value is
+    certified to target = budget - sum(bound degrees), and the bounds cap
+    each level to the terms that can still reach it through the remaining
+    argument derivatives; the star kernel computes only those.  `descend`
+    is one uncached use of it, each argument its own slot's bound.
 
     The head a_1 meets its suffix's 0-form F = s(a_2 * s(...)) only through
     the closing z = 0 projection, and a_1 has no z, so
@@ -255,23 +258,26 @@ class SuffixCache:
         (a_1 * F)|_{z=0} = sum_gamma (i^|gamma| / gamma!) d_y^gamma a_1 . R[gamma],
         R[gamma] = ((pi D)^gamma F)|_{z=0},   D = d_y + d_z,
 
-    over the multi-indices |gamma| <= the head's bound.  `_final` holds, per
-    suffix, that table of y-polynomials with their coefficients, keyed by
-    y^gamma, so a head costs one product per entry dividing one of its
-    monomials and no star kernel.  Only the table reads the longest
-    suffixes' s(tail), so those are not kept in `_cache`.
+    over |gamma| <= the head's degree bound, or the gamma dividing the
+    bounding argument's monomials.  `_final` holds, per suffix, that table
+    of y-polynomials with their coefficients, keyed by y^gamma, so a head
+    costs one product per entry dividing one of its monomials and no star
+    kernel.  Only the table reads the longest suffixes' s(tail), so those
+    are not kept in `_cache`.
     """
 
     def __init__(self, gen: GaussianGenerator, budget: int,
-                 slot_degree: Union[int, Sequence[int]]):
+                 slot_degree: Union[int, Sequence[Union[int, WeylElement]]]):
         self.gen = gen
         self.budget = budget
         self.arity = gen.form_degree
-        bounds = ([slot_degree] * self.arity if isinstance(slot_degree, int)
-                  else list(slot_degree))
-        if len(bounds) != self.arity:
+        slots = ([slot_degree] * self.arity if isinstance(slot_degree, int)
+                 else list(slot_degree))
+        if len(slots) != self.arity:
             raise ValueError(f"generator of form degree {self.arity} "
                              f"takes {self.arity} slot degree bounds")
+        self.slots = slots
+        bounds = [b if isinstance(b, int) else b.degree() for b in slots]
         self.bounds = bounds
         self.target = budget - sum(bounds)
         if self.target < 0:
@@ -284,6 +290,17 @@ class SuffixCache:
         # their homotopy adds.
         z_caps = [sum(bounds[:r]) - r for r in range(self.arity, -1, -1)]
         self._caps = [(z, self.target + z) for z in z_caps]
+        # `_z0_table`'s left factor, read for its support: a degree bound's
+        # is every monomial up to it.
+        head, ys = slots[0], _y_keys(2 * gen.ambient.n)
+        self._head_left = (head.poly if not isinstance(head, int) else Poly(
+            {sum(c): ONE for c in combinations_with_replacement(ys, head)}))
+
+    def _check_slot(self, k: int, arg: WeylElement) -> None:
+        if arg.degree() > self.bounds[k]:
+            raise BudgetError("argument degree exceeds the cache's slot bound")
+        if not isinstance(self.slots[k], int) and arg != self.slots[k]:
+            raise BudgetError("a slot bounded by an argument serves no other")
 
     def tail(self, args: Sequence[WeylElement]) -> FormElement:
         """s(args[0] * s(... args[-1] * s(generator))), each level cut to its caps."""
@@ -302,9 +319,8 @@ class SuffixCache:
             gen = self.gen.expand(caps[1])
             chain = FormElement({i: p.capped(*caps) for i, p in gen.components.items()},
                                 gen.ambient, gen.truncation)
-        elif args[0].degree() > self.bounds[-len(args)]:
-            raise BudgetError("argument degree exceeds the cache's slot bound")
         else:
+            self._check_slot(-len(args), args[0])
             chain = form_star(args[0], self.tail(args[1:]), caps)
         return homotopy_s(chain)
 
@@ -313,8 +329,7 @@ class SuffixCache:
             raise ValueError(f"generator of form degree {self.arity} "
                              f"takes {self.arity} arguments")
         head, rest = args[0], args[1:]
-        if head.degree() > self.bounds[0]:
-            raise BudgetError("argument degree exceeds the cache's slot bound")
+        self._check_slot(0, head)
         key = tuple(a.key() for a in rest)
         table = self._final.get(key)
         if table is None:
@@ -333,31 +348,10 @@ class SuffixCache:
 
     def _z0_table(self, f: Poly) -> Dict[int, Poly]:
         """The key of y^gamma -> (i^|gamma| / gamma!) ((pi D)^gamma f)|_{z=0}
-        for every |gamma| <= the head's bound, cut to the target degree; zero
-        entries are left out."""
-        sym = self.gen.ambient
-        table: Dict[int, Poly] = {}
-        stack = [(1, (), f, ONE, self.bounds[0])]
-        while stack:
-            j0, gamma, d, coeff, left = stack.pop()
-            r = d.capped(0, self.target)
-            if r:
-                g, = Poly.monomial((Y, j, e) for j, e in gamma).terms
-                table[g] = r.scale(coeff)
-            for j in range(j0, 2 * sym.n + 1):
-                cd, cc = d, coeff
-                for order in range(1, left + 1):
-                    # With rest derivatives to come after this one, a term of
-                    # more than rest z's never reaches z = 0, and one of
-                    # degree above target + rest never comes down to the
-                    # target.
-                    rest = left - order
-                    cd = _right_d(cd, j, sym, (Y, Z), (rest, self.target + rest))
-                    if cd.is_zero():
-                        break
-                    cc = (cc * I).scale_fraction(1, order)
-                    stack.append((j + 1, gamma + ((j, order),), cd, cc, rest))
-        return table
+        for the head's multi-indices, cut to what the head keeps of the
+        target degree; zero entries are left out."""
+        return {key: r.scale(coeff) for key, _, r, coeff
+                in _walk(self._head_left, f, self.gen.ambient, (0, self.target))}
 
 
 # -- the audited trace --------------------------------------------------------

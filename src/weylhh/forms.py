@@ -244,7 +244,7 @@ def form_star(a, b, caps: Optional[Tuple[int, int]] = None) -> FormElement:
 
     caps = (z_cap, total_cap), for a left factor without Z, keeps only the
     terms of Z-degree <= z_cap and total degree <= total_cap (see
-    _star_kernel)."""
+    weyl._walk)."""
     a, b = _as_form(a), _as_form(b)
     _same_ambient(a, b)
     out_trunc = _star_truncation(a, b)

@@ -108,11 +108,6 @@ class GroupElement:
     __repr__ = __str__
 
 
-def act(g: GroupElement, x):
-    """Pullback action a -> a o g^{-1}; an automorphism of every product here."""
-    return x.apply_matrix(g.inverse().matrix)
-
-
 class FiniteGroup:
     """A finite group of symplectic matrices with its Cayley table.
 
@@ -154,6 +149,11 @@ class FiniteGroup:
     def conjugate(self, h: GroupElement, g: GroupElement) -> GroupElement:
         """h g h^{-1}."""
         return self.product(self.product(h, g), self.inverse(h))
+
+    def act(self, g: GroupElement, x):
+        """Pullback action a -> a o g^{-1}, an automorphism of every product
+        here; g^{-1} is read off the table."""
+        return x.apply_matrix(self.inverse(g).matrix)
 
     def conjugacy_classes(self) -> List[List[GroupElement]]:
         seen = set()
@@ -248,7 +248,7 @@ class SmashElement:
         for g, a in self.terms.items():
             for h, b in other.terms.items():
                 gh = self.group.product(g, h)
-                prod = star(a, act(g, b))
+                prod = star(a, self.group.act(g, b))
                 out[gh] = out[gh] + prod if gh in out else prod
         return SmashElement(self.group, self.ambient, out)
 
@@ -257,7 +257,7 @@ class SmashElement:
         out: Dict[GroupElement, WeylElement] = {}
         for g, a in self.terms.items():
             tg = self.group.conjugate(h, g)
-            ta = act(h, a)
+            ta = self.group.act(h, a)
             out[tg] = out[tg] + ta if tg in out else ta
         return SmashElement(self.group, self.ambient, out)
 
@@ -409,7 +409,7 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
             twisted = [coeffs[0]]
             running = hs[0]
             for idx in range(1, degree):
-                twisted.append(act(running, coeffs[idx]))
+                twisted.append(group.act(running, coeffs[idx]))
                 running = group.product(running, hs[idx])
             for g, tau in taus.items():
                 weyl = tau(*twisted).scale(gamma(g))
@@ -424,11 +424,11 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
 
 def conjugate_cochain(f, h: GroupElement):
     """c^h(x_1...x_p) = (c(x_1^{h^-1}, ..., x_p^{h^-1}))^h for dual-valued c."""
-    hinv = h.inverse()
+    hinv = h.inverse()  # once: each argument moves by x o h, with no inverse
 
     def ev(*args):
-        moved = [act(hinv, a) for a in args]
-        return act(h, f(*moved))
+        moved = [a.apply_matrix(h.matrix) for a in args]
+        return f(*moved).apply_matrix(hinv.matrix)
 
     from .hochschild import Cochain
 

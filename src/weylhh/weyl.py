@@ -17,14 +17,21 @@ WeylElement carrying a truncation marker: every stored term of total degree
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import AmbientMismatchError, BudgetError
-from .poly import Poly, Y, Z, mono_degree
+from .poly import Poly, Y, Z, _offset, mono_degree
 from .scalars import I, ONE, ZERO, Scalar
 
 Matrix = Tuple[Tuple[Scalar, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _y_keys(size: int) -> Tuple[int, ...]:
+    """The key of y_j at index j, for j <= size (0 at index 0)."""
+    return (0,) + tuple(1 << _offset(Y, j) for j in range(1, size + 1))
 
 
 @dataclass(frozen=True)
@@ -253,50 +260,64 @@ def _right_d(poly: Poly, j: int, sym: SymplecticData, banks: Sequence[str],
         caps)
 
 
-def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
-                 caps: Optional[Tuple[int, int]] = None) -> Poly:
-    """Shared expansion for the Weyl and form star products.
+def _walk(p: Poly, q: Poly, sym: SymplecticData,
+          caps: Optional[Tuple[int, int]] = None):
+    """The star expansion of p against q, one multi-index gamma at a time:
+    yields the key of y^gamma, d_y^gamma p, (pi D)^gamma q and i^|gamma| /
+    gamma!, whose products sum to p * q.  D acts in Y, and in Z when q has
+    Z variables.  The gammas form a tree, pruned as soon as either side dies.
 
-    Left derivatives act in Y; right derivatives in Y and Z, the latter only
-    when the right factor has Z variables (a Weyl one has none).  Enumerates
-    derivative multi-indices as a tree, one node per multi-index, pruning
-    branches as soon as either side dies.
-
-    With caps = (z_cap, total_cap) and a left factor without Z, the result
-    is only the terms of Z-degree <= z_cap and total degree <= total_cap.
-    Below a node whose left factor has degree D at most D more derivatives
-    act, each lowering a right term's degree by one and its Z-degree by at
-    most one, so each right derivative makes only its terms of Z-degree
-    <= z_cap + D and total degree <= total_cap + D: the tree grows only
-    from terms a node below can keep.  Each node then drops, before its
-    product, the right terms that cannot make a kept term (an output term
-    keeps its right term's Z-degree and adds at least the left factor's
-    lowest degree); a derived leaf, D = 0, has none.
+    With caps = (z_cap, total_cap) and p without Z, only what can make a
+    term of Z-degree <= z_cap and total degree <= total_cap is kept.  Below
+    a node whose left factor has degree D at most D derivatives act, each
+    lowering a right term's degree by one and its Z-degree by at most one,
+    so each right derivative is made to the caps plus D.  A product term
+    adds at least the left factor's lowest degree to its right term's, so
+    the yielded right factor is cut to (z_cap, total_cap less that degree):
+    the root's q is cut, a derived leaf (D = 0) is made inside the caps.
     """
     if p.is_zero() or q.is_zero():
-        return Poly.zero()
-    size = 2 * sym.n
+        return
+    ykeys = _y_keys(2 * sym.n)
     banks = (Y, Z) if q.has_bank(Z) else (Y,)
+    # Per node: the lowest degree of its left factor, or None for no cut.
+    low = None if caps is None else min(map(mono_degree, p.terms))
+    stack = [(1, 0, p, q, ONE, low)]
+    while stack:
+        j0, key, dp, dq, coeff, low = stack.pop()
+        cut = dq if low is None else dq.capped(caps[0], caps[1] - low)
+        if cut:
+            yield key, dp, cut, coeff
+        for j in range(j0, len(ykeys)):
+            ck, cp, cq, cc = key, dp, dq, coeff
+            order = 0
+            while True:
+                cp = cp.diff(Y, j)
+                if cp.is_zero():
+                    break
+                if caps is None:
+                    cq = _right_d(cq, j, sym, banks)
+                else:
+                    degrees = set(map(mono_degree, cp.terms))
+                    slack = max(degrees)
+                    cq = _right_d(cq, j, sym, banks,
+                                  (caps[0] + slack, caps[1] + slack))
+                    low = min(degrees) if slack else None
+                if cq.is_zero():
+                    break
+                order += 1
+                ck += ykeys[j]
+                cc = (cc * I).scale_fraction(1, order)
+                stack.append((j + 1, ck, cp, cq, cc, low))
+
+
+def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
+                 caps: Optional[Tuple[int, int]] = None) -> Poly:
+    """Shared expansion for the Weyl and form star products: `_walk`'s
+    products, summed; with caps = (z_cap, total_cap), only the terms of
+    Z-degree <= z_cap and total degree <= total_cap."""
     acc: dict = {}
-
-    def cut(dp: Poly) -> Optional[Tuple[int, int]]:
-        """The caps of a right derivative whose node's left factor is dp."""
-        if caps is None:
-            return None
-        slack = dp.degree()
-        return caps[0] + slack, caps[1] + slack
-
-    def accumulate(dp: Poly, dq: Poly, coeff: Scalar) -> None:
-        mixed = False
-        if caps is not None:
-            degrees = {mono_degree(m) for m in dp.terms}
-            # A derived leaf's right factor is inside the caps already; the
-            # root's, q, is uncut.
-            if degrees != {0} or dp is p:
-                dq = dq.capped(caps[0], caps[1] - min(degrees))
-                if dq.is_zero():
-                    return
-                mixed = len(degrees) > 1
+    for _, dp, dq, coeff in _walk(p, q, sym, caps):
         # Scale the shorter factor, so each product term costs one multiply.
         if coeff != ONE:
             if len(dp.terms) <= len(dq.terms):
@@ -304,7 +325,9 @@ def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
             else:
                 dq = dq.scale(coeff)
         prod = dp * dq
-        if mixed:
+        # The right factor is cut for the left's lowest degree: recap the
+        # products of its higher ones.
+        if caps is not None and len(set(map(mono_degree, dp.terms))) > 1:
             prod = prod.capped(*caps)
         for m, add in prod.terms.items():
             prev = acc.get(m)
@@ -313,24 +336,6 @@ def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
                 acc.pop(m, None)
             else:
                 acc[m] = add
-
-    stack = [(1, p, q, ONE)]
-    while stack:
-        j0, dp, dq, coeff = stack.pop()
-        accumulate(dp, dq, coeff)
-        for j in range(j0, size + 1):
-            cp, cq, cc = dp, dq, coeff
-            order = 0
-            while True:
-                cp = cp.diff(Y, j)
-                if cp.is_zero():
-                    break
-                cq = _right_d(cq, j, sym, banks, cut(cp))
-                if cq.is_zero():
-                    break
-                order += 1
-                cc = (cc * I).scale_fraction(1, order)
-                stack.append((j + 1, cp, cq, cc))
     return Poly(acc)
 
 

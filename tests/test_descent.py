@@ -10,7 +10,7 @@ from weylhh.descent import (SuffixCache, auto_budget, build_trace, descend,
                             descent_cocycle, make_zeta, make_zeta_g,
                             verify_descent)
 from weylhh.errors import BudgetError
-from weylhh.ffs import cached_symbol, ffs_apply
+from weylhh.ffs import cached_symbol, ffs_apply, monomial_table
 from weylhh.forms import FormElement, ext_d, form_star, homotopy_s
 from weylhh.groups import GroupElement
 from weylhh.hochschild import SampleSpec, hochschild_d, verify_cocycle
@@ -418,3 +418,39 @@ def test_descend_matches_reference_chain(case):
         assert got == budget_outcome(reference_descend, gen, args, budget, check)
         outcomes.add(got if got == "BudgetError" else "value")
     assert outcomes == {"BudgetError", "value"}
+
+
+def test_element_bounded_head_slot(sym1):
+    # descend bounds each slot by its own argument: its value is the one an
+    # int-bounded cache gives, and each slot serves no other argument.
+    head, other, b = (WeylElement(Poly.monomial([(Y, 1, 2)]), sym1),
+                      WeylElement(Poly.monomial([(Y, 1, 1), (Y, 2, 1)]), sym1),
+                      WeylElement.generator(2, sym1))
+    zeta = make_zeta(sym1)
+    for budget in (6, 8):
+        by_element = SuffixCache(zeta, budget, [head, b])
+        by_degree = SuffixCache(zeta, budget, [2, 1])
+        assert by_element.value((head, b)) == by_degree.value((head, b))
+        with pytest.raises(BudgetError, match="serves no other"):
+            by_element.value((other, b))
+        with pytest.raises(BudgetError, match="serves no other"):
+            by_element.value((head, WeylElement.generator(1, sym1)))
+
+
+def test_degree_one_sweep_n3():
+    # Every 6-tuple of n = 3 generators through suffix caches at two budgets
+    # (stability), against the exact monomial-basis table of the symbol.
+    sym3 = SymplecticData.canonical(3)
+    zeta = make_zeta(sym3)
+    table = monomial_table(cached_symbol(3, 6), sym3, 1)
+    gens = [WeylElement.generator(j, sym3) for j in range(1, 7)]
+    lo = SuffixCache(zeta, budget=6, slot_degree=1)
+    hi = SuffixCache(zeta, budget=8, slot_degree=1)
+    mismatches = unstable = 0
+    for tup in itertools.product(gens, repeat=6):
+        v1, v2 = lo.value(tup), hi.value(tup)
+        unstable += v2.restrict(v1.truncation) != v1
+        key = tuple(next(iter(g.poly.terms)) for g in tup)
+        mismatches += table.get(key, Poly.zero()).truncate(v1.truncation) != v1.poly
+    assert (mismatches, unstable) == (0, 0)
+    assert len(table) == 720

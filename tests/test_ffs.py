@@ -248,6 +248,12 @@ def test_pairings(sym1, sym2):
     c4 = Chain([(WeylElement.one(sym2), tuple(gens))])
     assert pair_chain(tau4, c4) == halves(1, 24)
 
+    # The paper's pairing is 1/(2n)! for every n, not only n <= 2.
+    sym3 = SymplecticData.canonical(3)
+    gens = [WeylElement.generator(j, sym3) for j in range(1, 7)]
+    c6 = Chain([(WeylElement.one(sym3), tuple(gens))])
+    assert pair_chain(ffs_cocycle(sym3), c6) == halves(1, 720)
+
 
 def test_flipped_convention_is_detected(sym1):
     # negative control: consistently flipping the bivector sign flips the

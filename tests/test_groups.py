@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from weylhh import linalg
 from weylhh.ffs import ffs_cocycle
 from weylhh.groups import (ClassFunction, FiniteGroup, GroupElement,
-                           SmashElement, act, afls_dims, conjugate_cochain,
+                           SmashElement, afls_dims, conjugate_cochain,
                            higher_spin_preset, theta_cocycle, theta_element,
                            theta_equation_defects, twisted_cocycle,
                            twisted_cycle)
@@ -38,10 +39,10 @@ def test_act_identity_and_generators(preset, rng):
     e, kappa = labels["1"], labels["kappa"]
     for _ in range(5):
         a = random_weyl(rng, ambient, 3)
-        assert act(e, a) == a
+        assert group.act(e, a) == a
     for j, sign in ((1, -1), (2, -1), (3, 1), (4, 1)):
         y = WeylElement.generator(j, ambient)
-        assert act(kappa, y) == y.scale(Scalar.of(sign))
+        assert group.act(kappa, y) == y.scale(Scalar.of(sign))
 
 
 def test_act_is_automorphism(preset, rng):
@@ -50,7 +51,7 @@ def test_act_is_automorphism(preset, rng):
         g = rng.choice(group.elements)
         a = random_weyl(rng, ambient, 3)
         b = random_weyl(rng, ambient, 3)
-        assert act(g, star(a, b)) == star(act(g, a), act(g, b))
+        assert group.act(g, star(a, b)) == star(group.act(g, a), group.act(g, b))
 
 
 def test_smash_relations(preset):
@@ -283,3 +284,23 @@ def test_smash_act_is_automorphism(preset, rng):
             x = random_smash(rng, group, ambient, 2)
             y = random_smash(rng, group, ambient, 2)
             assert (x * y).conjugate_by(h) == x.conjugate_by(h) * y.conjugate_by(h)
+
+
+def test_group_action_inverts_no_matrix(preset, rng, monkeypatch):
+    # The group's table holds every inverse: a smash product and a theta
+    # evaluation act by its elements without a Gauss-Jordan inversion.
+    group, ambient, labels = preset
+    gamma = ClassFunction.indicator(group, [labels["kappa"]])
+    theta2 = theta_cocycle(group, ambient, gamma, 2)
+    x, y = (random_smash(rng, group, ambient, 1) for _ in range(2))
+    calls = []
+    real = linalg.mat_inverse
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "mat_inverse", counted)
+    assert not (x * y).is_zero()
+    theta2(x, y)
+    assert calls == []

@@ -11,6 +11,7 @@ list is kept in step with the code it mutates.
 
 import __future__
 import inspect
+import itertools
 import textwrap
 from fractions import Fraction
 
@@ -19,11 +20,12 @@ import pytest
 from weylhh import (descent, ffs, forms, groups, hochschild, linalg, poly, simplex,
                     weyl)
 from weylhh.descent import SuffixCache, descend, make_zeta
-from weylhh.errors import NonGenericConfigError
+from weylhh.errors import BudgetError, NonGenericConfigError
 from weylhh.ffs import cached_symbol, ffs_apply
 from weylhh.forms import FormElement, ext_d, proj_p
 from weylhh.hochschild import constant_cochain, hochschild_d
 from weylhh.poly import Poly, Y
+from weylhh.sampling import monomials_upto
 from weylhh.scalars import Scalar
 from weylhh.weyl import WeylElement, involution, star
 
@@ -74,6 +76,53 @@ def uniform_cache_agrees(sym, a, b) -> bool:
     via_cache = SuffixCache(make_zeta(sym), budget, slot).value((a, b))
     f = ffs_apply(cached_symbol(sym.n, a.degree() + b.degree()), [a, b])
     return f.restrict(via_cache.truncation) == via_cache
+
+
+def guarded_head_value(sym, head, other, b) -> bool:
+    """A cache whose head slot is bounded by `head` serves it, and refuses
+    `other` or gives it the value of a cache with an int bound."""
+    budget = head.degree() + b.degree() + 2 * sym.n + 4
+    cache = SuffixCache(make_zeta(sym), budget, [head, b])
+    uniform = SuffixCache(make_zeta(sym), budget, [head.degree(), b.degree()])
+    if cache.value((head, b)) != uniform.value((head, b)):
+        return False
+    try:
+        got = cache.value((other, b))
+    except BudgetError:
+        return True
+    return got == uniform.value((other, b))
+
+
+# Poly.directional_diff calls and output terms: every pair of n = 1
+# monomials of degree <= 2 through one cache at budget 8, then one one-shot
+# descend.  A cut that stops cutting changes no value, only these.
+PINNED_WORK = ((43, 107), (16, 68))
+
+
+def derivative_work(sym):
+    """The derivative work of PINNED_WORK's two runs, as (calls, terms)."""
+    real = Poly.directional_diff
+    counts = [0, 0]
+
+    def counted(self, direction, caps=None):
+        out = real(self, direction, caps)
+        counts[0] += 1
+        counts[1] += len(out.terms)
+        return out
+
+    zeta = make_zeta(sym)
+    monos = monomials_upto(sym, 2)
+    Poly.directional_diff = counted
+    try:
+        cache = SuffixCache(zeta, 8, 2)
+        for pair in itertools.product(monos, repeat=2):
+            cache.value(pair)
+        first = tuple(counts)
+        counts[:] = [0, 0]
+        descend(zeta, [y(sym, 0, 2), y(sym, 1, 1)])
+    finally:
+        Poly.directional_diff = real
+    return first, tuple(counts)
 
 
 def dz_anticommute(sym) -> bool:
@@ -153,9 +202,7 @@ def test_star_coefficient_without_factorial(monkeypatch, sym1):
     # total degree 4.
     a, b, c = y(sym1, 2), y(sym1, 0, 1), y(sym1, 0, 1)
     assert associative(a, b, c)
-    install(monkeypatch, weyl, "_star_kernel",
-            "(cc * I).scale_fraction(1, order)", "cc * I",
-            also=(forms,))
+    install(monkeypatch, weyl, "_walk", "(cc * I).scale_fraction(1, order)", "cc * I")
     assert not associative(a, b, c)
 
 
@@ -294,8 +341,7 @@ def test_star_kernel_without_z_derivative(monkeypatch, sym1):
     # into the plain one, so the descent value no longer matches the symbol.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    install(monkeypatch, weyl, "_right_d", "for bank in banks", "for bank in banks[:1]",
-            also=(descent,))
+    install(monkeypatch, weyl, "_right_d", "for bank in banks", "for bank in banks[:1]")
     assert not routes_agree(sym1, a, b)
 
 
@@ -312,13 +358,13 @@ def test_star_kernel_drops_coefficient_on_right(monkeypatch, sym1):
 
 
 def test_capped_kernel_z_cap_too_small(monkeypatch, sym1):
-    # A kernel that cuts its right derivatives at one z fewer than the level
+    # A walk that cuts its right derivatives at one z fewer than the level
     # allows drops terms that still reach z = 0: the descent value on
     # (y1, y2) loses them.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    install(monkeypatch, weyl, "_star_kernel",
-            "caps[0] + slack", "caps[0] + slack - 1", also=(forms,))
+    install(monkeypatch, weyl, "_walk",
+            "caps[0] + slack", "caps[0] + slack - 1", also=(descent,))
     assert not routes_agree(sym1, a, b)
 
 
@@ -330,16 +376,48 @@ def test_capped_kernel_cut_without_slack(monkeypatch, sym1):
     # the least that shows it.
     a, b = y(sym1, 1), y(sym1, 0, 2)
     assert routes_agree(sym1, a, b)
-    install(monkeypatch, weyl, "_star_kernel",
-            "slack = dp.degree()", "slack = 0", also=(forms,))
+    install(monkeypatch, weyl, "_walk",
+            "(caps[0] + slack, caps[1] + slack)", "caps", also=(descent,))
     assert not routes_agree(sym1, a, b)
 
 
 def test_z0_table_without_factorial(monkeypatch, sym1):
-    # i^|gamma| for i^|gamma| / gamma!: wrong from the first order-two entry
-    # on, which a head of degree 2 reads.
+    # i^|gamma| for i^|gamma| / gamma! in the walk the z = 0 table reads
+    # (the star kernel keeps the real one): wrong from the first order-two
+    # entry on, which a head of degree 2 reads.
     a, b = y(sym1, 2), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    install(monkeypatch, descent, "_z0_table",
-            "(cc * I).scale_fraction(1, order)", "cc * I", owner=SuffixCache)
+    install(monkeypatch, weyl, "_walk",
+            "(cc * I).scale_fraction(1, order)", "cc * I", owner=descent)
     assert not routes_agree(sym1, a, b)
+
+
+def test_head_slot_serves_other_head(monkeypatch, sym1):
+    # A slot bounded by an argument keeps only the table entries that
+    # argument reads: without the guard a cache made for the head y1^2
+    # serves y1 y2, which finds no y2 entry.
+    head, other, b = y(sym1, 2), y(sym1, 1, 1), y(sym1, 0, 1)
+    assert guarded_head_value(sym1, head, other, b)
+    install(monkeypatch, descent, "_check_slot", "and arg != self.slots[k]", "and False",
+            owner=SuffixCache)
+    assert not guarded_head_value(sym1, head, other, b)
+
+
+def test_head_left_past_its_bound(monkeypatch, sym1):
+    # A degree-bounded head slot's left factor one degree past the bound:
+    # the table gains entries no head of that degree divides, and every
+    # right derivative a wider cut, but the yielded cut keeps each value.
+    assert derivative_work(sym1) == PINNED_WORK
+    install(monkeypatch, descent, "__init__", "combinations_with_replacement(ys, head)",
+            "combinations_with_replacement(ys, head + 1)", owner=SuffixCache)
+    assert derivative_work(sym1) != PINNED_WORK
+
+
+def test_walk_slack_one_larger(monkeypatch, sym1):
+    # Right derivatives made one degree and one z past the caps plus D: no
+    # node is then a leaf, so every yielded right factor is cut and each
+    # value is kept; only the work shows it.
+    assert derivative_work(sym1) == PINNED_WORK
+    install(monkeypatch, weyl, "_walk", "slack = max(degrees)", "slack = max(degrees) + 1",
+            also=(descent,))
+    assert derivative_work(sym1) != PINNED_WORK
