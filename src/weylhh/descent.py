@@ -330,27 +330,30 @@ class SuffixCache:
                              f"takes {self.arity} arguments")
         head, rest = args[0], args[1:]
         self._check_slot(0, head)
-        key = tuple(a.key() for a in rest)
+        key = tuple([a.key() for a in rest])
         table = self._final.get(key)
         if table is None:
             # Only the table reads this suffix's s(tail), so it is not cached.
             table = self._z0_table(self._contract(rest).component(()))
             self._final[key] = table
-        out = Poly.zero()
+        # The head's products, summed into one term map; no term above the
+        # target degree is made.
+        out: Dict[int, Scalar] = {}
         for m, c in head.poly.terms.items():
-            top = mono_factorial(m)
+            top = None
             for g, r in table.items():
                 if mono_divides(g, m):
                     # d_y^gamma y^alpha = alpha! / (alpha - gamma)! y^(alpha - gamma)
+                    top = top or mono_factorial(m)
                     d = c.scale_fraction(top // mono_factorial(m - g))
-                    out = out + Poly({m - g: d}) * r
-        return WeylElement(out, self.gen.ambient, self.target)
+                    Poly({m - g: d}).mul_into(r, out, self.target)
+        return WeylElement(Poly(out), self.gen.ambient, self.target)
 
     def _z0_table(self, f: Poly) -> Dict[int, Poly]:
         """The key of y^gamma -> (i^|gamma| / gamma!) ((pi D)^gamma f)|_{z=0}
         for the head's multi-indices, cut to what the head keeps of the
         target degree; zero entries are left out."""
-        return {key: r.scale(coeff) for key, _, r, coeff
+        return {key: r.scale(coeff) for key, _, r, coeff, _
                 in _walk(self._head_left, f, self.gen.ambient, (0, self.target))}
 
 

@@ -13,11 +13,11 @@ A monomial is one int key with an 8-bit exponent field per variable: y_i owns
 field 2(i-1) and z_i field 2(i-1)+1, field f being bits [8f, 8f+8).  So
 multiplying two monomials adds their keys (Monagan-Pearce packing), a
 derivative subtracts one unit from a field, and the total degree and the
-z-degree are byte sums.  Every key sum is made in Poly.__mul__, whose one
-guard refuses a field that would reach 256 with a ValueError instead of
-letting it carry into its neighbour.  No other module reads the layout: they
-use mono_degree, mono_z_degree, mono_factorial, mono_divides, mono_lcm,
-rename and index_mask.
+z-degree are byte sums.  Every key sum is made in Poly.mul_into (behind
+Poly.__mul__), whose one guard refuses a field that would reach 256 with a
+ValueError instead of letting it carry into its neighbour.  No other module
+reads the layout: they use mono_degree, mono_z_degree, mono_factorial,
+mono_divides, mono_lcm, rename and index_mask.
 
 A polynomial is a map from keys to nonzero Scalar coefficients.  Values are
 treated as immutable after construction, so one value may be read from
@@ -211,11 +211,6 @@ class Poly:
         mask = _BANK_MASK[bank]
         return any(m & mask for m in self.terms)
 
-    def max_index(self, bank: str) -> int:
-        mask = _BANK_MASK[bank]
-        top = max(((m & mask).bit_length() for m in self.terms), default=0)
-        return (top + 2 * _BITS - 1) // (2 * _BITS)
-
     def constant_term(self) -> Scalar:
         return self.terms.get(0, ZERO)
 
@@ -253,10 +248,16 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Scalar):
             return self.scale(other)
+        return Poly(self.mul_into(other, {}))
+
+    def mul_into(self, other: "Poly", out: Dict[int, Scalar],
+                 max_degree: Optional[int] = None) -> Dict[int, Scalar]:
+        """Add the terms of self * other to the term map out, and return it;
+        with max_degree, only those of total degree <= max_degree, the others
+        dropped before their coefficient is made."""
         # Only a factor with a field of 128 or more can make a sum carry, so
         # the exact test runs just for the terms where one does.
         high = any(m & _HIGH for m in other.terms)
-        out: Dict[int, Scalar] = {}
         for m1, c1 in self.terms.items():
             check = high or m1 & _HIGH
             for m2, c2 in other.terms.items():
@@ -265,6 +266,8 @@ class Poly:
                     raise ValueError(
                         f"{Poly({m1: c1})} times {Poly({m2: c2})} overflows "
                         f"the {_BITS}-bit exponent field")
+                if max_degree is not None and mono_degree(m) > max_degree:
+                    continue
                 c = c1 * c2
                 s = out.get(m)
                 if s is None:
@@ -275,7 +278,7 @@ class Poly:
                         del out[m]
                     else:
                         out[m] = s
-        return Poly(out)
+        return out
 
     def __pow__(self, k: int) -> "Poly":
         """Square-and-multiply from base: p**k makes no product past the
@@ -406,8 +409,8 @@ class Poly:
         return out
 
     def truncate(self, max_degree: Optional[int]) -> "Poly":
-        """Drop every term of total degree above max_degree."""
-        if max_degree is None:
+        """Drop every term of total degree above max_degree; self when none is."""
+        if max_degree is None or all(mono_degree(m) <= max_degree for m in self.terms):
             return self
         return Poly({m: c for m, c in self.terms.items()
                      if mono_degree(m) <= max_degree})

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import AmbientMismatchError, BudgetError
-from .poly import Poly, Y, Z, _offset, mono_degree
+from .poly import Poly, Y, Z, _offset, index_mask, mono_degree
 from .scalars import I, ONE, ZERO, Scalar
 
 Matrix = Tuple[Tuple[Scalar, ...], ...]
@@ -83,22 +83,34 @@ class SymplecticData:
             raise ValueError("pi must be nondegenerate")
 
 
-class WeylElement:
-    """A polynomial (or truncated series) in the Y bank over a fixed ambient."""
+@lru_cache(maxsize=None)
+def _foreign(n: int) -> int:
+    """The bits no key of a Weyl element over n may set: all but y_1 .. y_2n."""
+    return ~index_mask(2 * n, Y)
 
-    __slots__ = ("poly", "ambient", "truncation")
+
+class WeylElement:
+    """A polynomial (or truncated series) in the Y bank over a fixed ambient.
+
+    Elements are immutable: `key()` and `degree()` are computed on first use
+    and kept.
+    """
+
+    __slots__ = ("poly", "ambient", "truncation", "_key", "_degree")
 
     def __init__(self, poly: Poly, ambient: SymplecticData,
                  truncation: Optional[int] = None):
-        if poly.has_bank(Z):
-            raise ValueError("WeylElement must involve only Y-bank variables")
-        if poly.max_index(Y) > 2 * ambient.n:
+        foreign = _foreign(ambient.n)
+        if any(m & foreign for m in poly.terms):
+            if poly.has_bank(Z):
+                raise ValueError("WeylElement must involve only Y-bank variables")
             raise ValueError("variable index exceeds 2n")
         if truncation is not None:
             poly = poly.truncate(truncation)
         self.poly = poly
         self.ambient = ambient
         self.truncation = truncation
+        self._key = self._degree = None
 
     # -- constructors --------------------------------------------------
 
@@ -124,7 +136,9 @@ class WeylElement:
         return self.poly.is_zero()
 
     def degree(self) -> int:
-        return self.poly.degree()
+        if self._degree is None:
+            self._degree = self.poly.degree()
+        return self._degree
 
     def parity(self) -> Optional[int]:
         """0 or 1 for homogeneous parity under y -> -y, else None."""
@@ -172,7 +186,10 @@ class WeylElement:
                 and self.poly == other.poly)
 
     def key(self) -> tuple:
-        return (self.ambient.n, self.truncation, self.poly.key())
+        """Hashable canonical view of the value, for memoization."""
+        if self._key is None:
+            self._key = (self.ambient.n, self.truncation, self.poly.key())
+        return self._key
 
     def lowest_term(self) -> Tuple[int, "WeylElement"]:
         degree, term = self.poly.lowest_term()
@@ -264,8 +281,9 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
           caps: Optional[Tuple[int, int]] = None):
     """The star expansion of p against q, one multi-index gamma at a time:
     yields the key of y^gamma, d_y^gamma p, (pi D)^gamma q and i^|gamma| /
-    gamma!, whose products sum to p * q.  D acts in Y, and in Z when q has
-    Z variables.  The gammas form a tree, pruned as soon as either side dies.
+    gamma!, whose products sum to p * q, and whether d_y^gamma p mixes
+    degrees under a cut (below).  D acts in Y, and in Z when q has Z
+    variables.  The gammas form a tree, pruned as soon as either side dies.
 
     With caps = (z_cap, total_cap) and p without Z, only what can make a
     term of Z-degree <= z_cap and total degree <= total_cap is kept.  Below
@@ -275,19 +293,21 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
     adds at least the left factor's lowest degree to its right term's, so
     the yielded right factor is cut to (z_cap, total_cap less that degree):
     the root's q is cut, a derived leaf (D = 0) is made inside the caps.
+    Where the left factor has several degrees, the products of its higher
+    ones may pass the caps, and the flag says so.
     """
     if p.is_zero() or q.is_zero():
         return
     ykeys = _y_keys(2 * sym.n)
     banks = (Y, Z) if q.has_bank(Z) else (Y,)
-    # Per node: the lowest degree of its left factor, or None for no cut.
-    low = None if caps is None else min(map(mono_degree, p.terms))
-    stack = [(1, 0, p, q, ONE, low)]
+    # Per node: the degrees of its left factor, or None for no cut.
+    degrees = None if caps is None else set(map(mono_degree, p.terms))
+    stack = [(1, 0, p, q, ONE, degrees)]
     while stack:
-        j0, key, dp, dq, coeff, low = stack.pop()
-        cut = dq if low is None else dq.capped(caps[0], caps[1] - low)
+        j0, key, dp, dq, coeff, degrees = stack.pop()
+        cut = dq if degrees is None else dq.capped(caps[0], caps[1] - min(degrees))
         if cut:
-            yield key, dp, cut, coeff
+            yield key, dp, cut, coeff, degrees is not None and len(degrees) > 1
         for j in range(j0, len(ykeys)):
             ck, cp, cq, cc = key, dp, dq, coeff
             order = 0
@@ -302,13 +322,13 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
                     slack = max(degrees)
                     cq = _right_d(cq, j, sym, banks,
                                   (caps[0] + slack, caps[1] + slack))
-                    low = min(degrees) if slack else None
+                    degrees = degrees if slack else None
                 if cq.is_zero():
                     break
                 order += 1
                 ck += ykeys[j]
                 cc = (cc * I).scale_fraction(1, order)
-                stack.append((j + 1, ck, cp, cq, cc, low))
+                stack.append((j + 1, ck, cp, cq, cc, degrees))
 
 
 def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
@@ -317,7 +337,7 @@ def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
     products, summed; with caps = (z_cap, total_cap), only the terms of
     Z-degree <= z_cap and total degree <= total_cap."""
     acc: dict = {}
-    for _, dp, dq, coeff in _walk(p, q, sym, caps):
+    for _, dp, dq, coeff, mixed in _walk(p, q, sym, caps):
         # Scale the shorter factor, so each product term costs one multiply.
         if coeff != ONE:
             if len(dp.terms) <= len(dq.terms):
@@ -327,7 +347,7 @@ def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
         prod = dp * dq
         # The right factor is cut for the left's lowest degree: recap the
         # products of its higher ones.
-        if caps is not None and len(set(map(mono_degree, dp.terms))) > 1:
+        if mixed:
             prod = prod.capped(*caps)
         for m, add in prod.terms.items():
             prev = acc.get(m)

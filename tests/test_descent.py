@@ -12,8 +12,9 @@ from weylhh.descent import (SuffixCache, auto_budget, build_trace, descend,
 from weylhh.errors import BudgetError
 from weylhh.ffs import cached_symbol, ffs_apply, monomial_table
 from weylhh.forms import FormElement, ext_d, form_star, homotopy_s
-from weylhh.groups import GroupElement
-from weylhh.hochschild import SampleSpec, hochschild_d, verify_cocycle
+from weylhh.groups import (GroupElement, theta_equation_defects, twisted_cocycle,
+                           twisted_cycle)
+from weylhh.hochschild import SampleSpec, hochschild_d, pair_chain, verify_cocycle
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import monomials_upto, random_scalar, random_weyl
 from weylhh.scalars import Scalar
@@ -212,6 +213,22 @@ def test_suffix_cache_homotopy_once_per_entry(monkeypatch, sym1):
     for args in itertools.product(basis, repeat=2):
         cache.value(args)
     assert len(calls) == len(cache._cache) + len(cache._final)
+
+
+def test_suffix_cache_keyed_by_value(sym1):
+    # Equal arguments built apart share one entry: the cache keys by value,
+    # not by identity.
+    cache = SuffixCache(make_zeta(sym1), budget=8, slot_degree=1)
+
+    def fresh(j):
+        return WeylElement(Poly.variable(Y, j), sym1)
+
+    first = cache.value((fresh(1), fresh(2)))
+    other_head = cache.value((fresh(2), fresh(2)))
+    assert len(cache._final) == 1
+    assert cache.value((fresh(1), fresh(2))) == first != other_head
+    cache.value((fresh(2), fresh(1)))
+    assert len(cache._final) == 2
 
 
 def test_suffix_cache_refuses_wrong_arity(sym2):
@@ -454,3 +471,18 @@ def test_degree_one_sweep_n3():
         mismatches += table.get(key, Poly.zero()).truncate(v1.truncation) != v1.poly
     assert (mismatches, unstable) == (0, 0)
     assert len(table) == 720
+
+
+@pytest.mark.parametrize("moved, pairing", [(1, frac(1, 2)), (2, frac(1, 24))])
+def test_twisted_cocycles_n3(moved, pairing):
+    # The rank-2 and rank-4 twists diag(-1, .., -1, 1, ..) at n = 3: each
+    # cocycle verifies, its cycle coefficient solves its defining
+    # equations, and the pair comes to 1/(2k)!.
+    sym3 = SymplecticData.canonical(3)
+    signs = [Scalar.of(-1)] * (2 * moved) + [Scalar.of(1)] * (6 - 2 * moved)
+    g = GroupElement.diagonal(signs, f"rank{2 * moved}")
+    tau = twisted_cocycle(sym3, g)
+    report = verify_cocycle(tau, SampleSpec(seed=3, count=3, max_degree=1))
+    assert (report.passed, report.checked) == (3, 3)
+    assert all(d.is_zero() for d in theta_equation_defects(sym3, g, truncation=10))
+    assert pair_chain(tau, twisted_cycle(sym3, g, truncation=10)) == pairing

@@ -55,9 +55,9 @@ def homotopy_identity_holds(a: FormElement) -> bool:
     return s(ext_d(a)) + ext_d(s(a)) == a - proj_p(a)
 
 
-def routes_agree(sym, *args) -> bool:
+def routes_agree(sym, *args, budget=None) -> bool:
     """The descent value against the simplex-symbol value."""
-    d = descend(make_zeta(sym), list(args), check_stability=False)
+    d = descend(make_zeta(sym), list(args), budget=budget, check_stability=False)
     f = ffs_apply(cached_symbol(sym.n, sum(a.degree() for a in args)), args)
     return f.restrict(d.truncation) == d
 
@@ -123,6 +123,35 @@ def derivative_work(sym):
     finally:
         Poly.directional_diff = real
     return first, tuple(counts)
+
+
+def hit_work(sym):
+    """The Poly.key and Poly.__mul__ calls of a second pass of every pair of
+    n = 1 monomials of degree <= 2 through one cache, every suffix cached:
+    a hit reads memoized keys and sums its products into one map, making no
+    intermediate Poly product."""
+    real_key, real_mul = Poly.key, Poly.__mul__
+    counts = [0, 0]
+
+    def key(self):
+        counts[0] += 1
+        return real_key(self)
+
+    def mul(self, other):
+        counts[1] += 1
+        return real_mul(self, other)
+
+    pairs = list(itertools.product(monomials_upto(sym, 2), repeat=2))
+    cache = SuffixCache(make_zeta(sym), 8, 2)
+    for pair in pairs:
+        cache.value(pair)
+    Poly.key, Poly.__mul__ = key, mul
+    try:
+        for pair in pairs:
+            cache.value(pair)
+    finally:
+        Poly.key, Poly.__mul__ = real_key, real_mul
+    return tuple(counts)
 
 
 def dz_anticommute(sym) -> bool:
@@ -208,7 +237,7 @@ def test_star_coefficient_without_factorial(monkeypatch, sym1):
 
 def test_overflow_guard_removed(monkeypatch):
     assert refuses_overflow()
-    install(monkeypatch, poly, "__mul__",
+    install(monkeypatch, poly, "mul_into",
             "if check and (m ^ m1 ^ m2) & _CARRIES:", "if False:", owner=Poly)
     assert not refuses_overflow()
 
@@ -421,3 +450,24 @@ def test_walk_slack_one_larger(monkeypatch, sym1):
     install(monkeypatch, weyl, "_walk", "slack = max(degrees)", "slack = max(degrees) + 1",
             also=(descent,))
     assert derivative_work(sym1) != PINNED_WORK
+
+
+def test_element_key_not_memoized(monkeypatch, sym1):
+    # A key recomputed on every call sorts the element's terms again at
+    # every hit; each value is the same, only the work shows it.
+    assert hit_work(sym1) == (0, 0)
+    install(monkeypatch, weyl, "key", "if self._key is None:", "if True:",
+            owner=WeylElement)
+    assert hit_work(sym1) != (0, 0)
+
+
+def test_head_product_cut_at_target(monkeypatch, sym1):
+    # The head's products keep the terms of degree <= target; cutting at
+    # < target loses the top degree, which only a tight budget reaches: at
+    # budget 0 the target is 0 and (y1, y2) loses its value 1/2.
+    a, b = y(sym1, 1), y(sym1, 0, 1)
+    assert routes_agree(sym1, a, b, budget=0)
+    install(monkeypatch, poly, "mul_into", "mono_degree(m) > max_degree",
+            "mono_degree(m) >= max_degree", owner=Poly)
+    assert routes_agree(sym1, a, b)
+    assert not routes_agree(sym1, a, b, budget=0)

@@ -92,7 +92,7 @@ def test_diff_returns_canonical_monomials(terms, var):
 def test_degree_queries():
     p = Poly.monomial([(Y, 1, 2), (Z, 3, 1)]) + Poly.monomial([(Z, 1, 5)])
     assert p.degree() == 5
-    assert p.max_index(Z) == 3
+    assert p.has_bank(Z) and not Poly.monomial([(Y, 1, 2)]).has_bank(Z)
 
 
 def test_linear_subst_flip():
@@ -216,7 +216,8 @@ def test_product_up_to_255_fits():
     assert y(1, 200) * y(1, 55) == y(1, 255)
     top = Poly.monomial([(Z, MAX_INDEX, 254)]) * Poly.variable(Z, MAX_INDEX)
     assert top == Poly.monomial([(Z, MAX_INDEX, 255)])
-    assert top.degree() == 255 and top.max_index(Z) == MAX_INDEX
+    assert top.degree() == 255
+    assert top.triple_terms() == {((Z, MAX_INDEX, 255),): Scalar.of(1)}
 
 
 def test_monomial_rejects_exponent_past_field():

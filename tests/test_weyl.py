@@ -138,6 +138,47 @@ def test_parity():
     assert mixed.parity() is None
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_element_refuses_foreign_variables(n):
+    # One mask per n checks every term; the message names the first rule a
+    # term breaks: a Z variable, then an index past 2n.
+    sym = SymplecticData.canonical(n)
+    top = Poly.variable(Y, 2 * n)
+    assert WeylElement(top, sym).poly == top
+    for bad, why in [(Poly.variable(Z, 1), "only Y-bank variables"),
+                     (Poly.variable(Z, 2 * n + 1), "only Y-bank variables"),
+                     (Poly.variable(Y, 2 * n + 1), "index exceeds 2n"),
+                     (Poly.variable(Y, 2 * n + 1) + Poly.variable(Z, 1),
+                      "only Y-bank variables")]:
+        with pytest.raises(ValueError, match=why):
+            WeylElement(top + bad, sym)
+        with pytest.raises(ValueError, match=why):
+            WeylElement(bad, sym, truncation=0)
+
+
+def test_memos_match_fresh_values(sym2, rng):
+    # key() and degree() are kept after their first call; every derived
+    # element computes its own.
+    def fresh(x):
+        return (x.ambient.n, x.truncation, x.poly.key()), x.poly.degree()
+
+    a = random_weyl(rng, sym2, 3)
+    assert (a.key(), a.degree()) == fresh(a)
+    swap = [[ONE if j == (i + 2) % 4 else Scalar.of(0) for j in range(4)]
+            for i in range(4)]
+    derived = [a.restrict(2), a.restrict(1), a.scale(Scalar.of(0, 3)),
+               a.apply_matrix(swap), -a, a.restrict(2).apply_matrix(swap)]
+    for x in derived:
+        assert (x.key(), x.degree()) == fresh(x)
+        assert (x.key(), x.degree()) == fresh(x)
+    assert len({x.key() for x in [a] + derived}) == len(derived) + 1
+    # Equal values give equal keys; truncations tell them apart.
+    same = WeylElement(a.poly, sym2)
+    assert same is not a and same.key() == a.key()
+    low = WeylElement(Poly.one(), sym2)
+    assert len({low.key(), low.restrict(3).key(), low.restrict(4).key()}) == 3
+
+
 def test_gram_rank_full():
     # degree <= 3 keeps this test fast; the acceptance suite runs degree 6.
     rank, size = gram_rank_upto(SymplecticData.canonical(1), 3)
