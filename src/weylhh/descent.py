@@ -193,7 +193,6 @@ class DescentTrace:
     budget: int
     xis: List[Cochain]
     cocycle: Cochain
-    pairing: Optional[Scalar] = None
 
 
 def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
@@ -214,6 +213,10 @@ def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
         raise BudgetError(f"budget {d} is below {sum(degrees) - p}, the argument "
                           f"degrees {degrees} less one per homotopy")
 
+    if not p:
+        # No argument and no homotopy: the generator's 0-form at z = 0.
+        return WeylElement(gen.expand(d).component(()).set_bank_zero(Z),
+                           gen.ambient, d)
     # Each of the p homotopies raises the truncation by one.
     value = SuffixCache(gen, d + p, args).value(args)
     if check_stability:
@@ -346,7 +349,7 @@ class SuffixCache:
                     # d_y^gamma y^alpha = alpha! / (alpha - gamma)! y^(alpha - gamma)
                     top = top or mono_factorial(m)
                     d = c.scale_fraction(top // mono_factorial(m - g))
-                    Poly({m - g: d}).mul_into(r, out, self.target)
+                    Poly({m - g: d}).mul_into(r, out, (0, self.target))
         return WeylElement(Poly(out), self.gen.ambient, self.target)
 
     def _z0_table(self, f: Poly) -> Dict[int, Poly]:
@@ -363,6 +366,8 @@ class SuffixCache:
 def build_trace(gen: GaussianGenerator, budget: int) -> DescentTrace:
     """xi_top = s(gen), xi_k = -s(dH xi_{k+1}); plus the resulting cocycle."""
     p = gen.form_degree
+    if not p:
+        raise ValueError("a generator of form degree 0 has no descent ladder")
     ambient = gen.ambient
     expanded = gen.expand(budget)
     xi = constant_cochain(homotopy_s(expanded), ambient, gen.twist,
@@ -425,8 +430,5 @@ def verify_descent(trace: DescentTrace, seed: int = 0, count: int = 3,
                FormElement.from_poly(-value.poly, ambient, value.truncation),
                str(args))
 
-    report = Report(checked, passed, first_failure, seed, max_degree,
-                    detail={"budget": trace.budget, "lines": lines})
-    if trace.pairing is not None:
-        report.detail["pairing"] = str(trace.pairing)
-    return report
+    return Report(checked, passed, first_failure, seed, max_degree,
+                  detail={"budget": trace.budget, "lines": lines})

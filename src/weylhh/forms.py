@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-from .errors import AmbientMismatchError
 from .linalg import perm_sign
 from .poly import Poly, Y, Z, mono_z_degree
 from .scalars import ONE, Scalar
-from .weyl import (SymplecticData, WeylElement, _min_trunc, _star_kernel,
-                   _star_truncation, ambient_from_json, truncation_from_json)
+from .weyl import (SymplecticData, WeylElement, _check_ambient, _min_trunc,
+                   _star_kernel, _star_truncation, ambient_from_json,
+                   truncation_from_json)
 
 DzIndex = Tuple[int, ...]
 
@@ -135,7 +135,7 @@ class FormElement:
         return max(p.degree() for p in self.components.values())
 
     def __add__(self, other: "FormElement") -> "FormElement":
-        _same_ambient(self, other)
+        _check_ambient(self, other)
         t = _min_trunc(self.truncation, other.truncation)
         out = dict(self.components)
         for idx, poly in other.components.items():
@@ -230,11 +230,6 @@ class FormElement:
         return FormElement(comps, amb, truncation_from_json(obj))
 
 
-def _same_ambient(a, b) -> None:
-    if a.ambient != b.ambient:
-        raise AmbientMismatchError("forms live over different symplectic data")
-
-
 def _as_form(x) -> FormElement:
     return x if isinstance(x, FormElement) else FormElement.from_weyl(x)
 
@@ -246,7 +241,7 @@ def form_star(a, b, caps: Optional[Tuple[int, int]] = None) -> FormElement:
     terms of Z-degree <= z_cap and total degree <= total_cap (see
     weyl._walk)."""
     a, b = _as_form(a), _as_form(b)
-    _same_ambient(a, b)
+    _check_ambient(a, b)
     out_trunc = _star_truncation(a, b)
     out: Dict[DzIndex, Poly] = {}
     for i1, p1 in a.components.items():

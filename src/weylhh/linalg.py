@@ -1,8 +1,8 @@
 """Small exact linear algebra over any exact field (Scalar or Fraction).
 
 Entries only need +, -, *, / and truthiness for the zero test; matrices are
-tuples of tuples and never mutated in place.  Determinant, rank, inverse and
-solve all read one Gauss-Jordan elimination, row_reduce.  The one exception
+tuples of tuples and never mutated in place.  Determinant, rank and inverse
+all read one Gauss-Jordan elimination, row_reduce.  The one exception
 is int_det, the fraction-free (Bareiss) determinant of an integer matrix.  It
 stays apart because its divisions are exact and it never leaves the
 integers: simplex.delta needs only the signs of determinants, and there
@@ -131,15 +131,6 @@ def mat_inverse(a, one, zero) -> tuple:
     if rank < n:
         raise ZeroDivisionError("singular matrix")
     return tuple(tuple(r[n:]) for r in rows)
-
-
-def solve(a, rhs):
-    """Solve a*x = rhs for square a; raises ZeroDivisionError when singular."""
-    n = len(a)
-    rows, rank, _ = row_reduce([list(r) + [b] for r, b in zip(a, rhs)], n)
-    if rank < n:
-        raise ZeroDivisionError("singular system")
-    return tuple(r[n] for r in rows)
 
 
 def perm_sign(items) -> int:

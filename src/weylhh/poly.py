@@ -15,9 +15,10 @@ multiplying two monomials adds their keys (Monagan-Pearce packing), a
 derivative subtracts one unit from a field, and the total degree and the
 z-degree are byte sums.  Every key sum is made in Poly.mul_into (behind
 Poly.__mul__), whose one guard refuses a field that would reach 256 with a
-ValueError instead of letting it carry into its neighbour.  No other module
-reads the layout: they use mono_degree, mono_z_degree, mono_factorial,
-mono_divides, mono_lcm, rename and index_mask.
+ValueError instead of letting it carry into its neighbour, and which is the
+one place a product is cut to caps.  No other module reads the layout: they
+use mono_degree, mono_z_degree, mono_factorial, mono_divides, mono_lcm,
+rename and index_mask.
 
 A polynomial is a map from keys to nonzero Scalar coefficients.  Values are
 treated as immutable after construction, so one value may be read from
@@ -251,10 +252,10 @@ class Poly:
         return Poly(self.mul_into(other, {}))
 
     def mul_into(self, other: "Poly", out: Dict[int, Scalar],
-                 max_degree: Optional[int] = None) -> Dict[int, Scalar]:
+                 caps: Optional[Tuple[int, int]] = None) -> Dict[int, Scalar]:
         """Add the terms of self * other to the term map out, and return it;
-        with max_degree, only those of total degree <= max_degree, the others
-        dropped before their coefficient is made."""
+        with caps = (z_cap, total_cap), only those of Z-degree <= z_cap and
+        total degree <= total_cap, each cut before its coefficient is made."""
         # Only a factor with a field of 128 or more can make a sum carry, so
         # the exact test runs just for the terms where one does.
         high = any(m & _HIGH for m in other.terms)
@@ -266,8 +267,10 @@ class Poly:
                     raise ValueError(
                         f"{Poly({m1: c1})} times {Poly({m2: c2})} overflows "
                         f"the {_BITS}-bit exponent field")
-                if max_degree is not None and mono_degree(m) > max_degree:
-                    continue
+                if caps is not None:
+                    b = m.to_bytes((m.bit_length() + 7) >> 3, "little")
+                    if sum(b) > caps[1] or sum(b[1::2]) > caps[0]:
+                        continue
                 c = c1 * c2
                 s = out.get(m)
                 if s is None:

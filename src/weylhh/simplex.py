@@ -189,14 +189,17 @@ def non_invariance_witness():
 
 # -- fuzz driver ---------------------------------------------------------------
 
+# Draws per fuzz sample before it gives up on a generic configuration.
+MAX_RESAMPLES = 50
 
-def fuzz(dim: int, count: int, seed: int, max_resamples: int = 50) -> dict:
+
+def fuzz(dim: int, count: int, seed: int) -> dict:
     """Run the identity fuzzer; exact pass counts, deterministic per seed."""
     rng = random.Random(seed)
     passed = failed = resampled = 0
     first_failure = None
     for _ in range(count):
-        for _ in range(max_resamples):
+        for _ in range(MAX_RESAMPLES):
             config = random_config(rng, dim, dim + 2)
             try:
                 ok = tid_check(config)

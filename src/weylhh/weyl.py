@@ -266,17 +266,6 @@ def star(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement(_star_kernel(a.poly, b.poly, a.ambient), a.ambient, t)
 
 
-def _right_d(poly: Poly, j: int, sym: SymplecticData, banks: Sequence[str],
-             caps: Optional[Tuple[int, int]] = None) -> Poly:
-    """The star product's j-th right derivative sum_k pi^{jk} D_k poly, where
-    D_k differentiates in the k-th variable of each of the given banks, made
-    in one pass; with caps = (z_cap, total_cap), only its terms of Z-degree
-    <= z_cap and total degree <= total_cap."""
-    return poly.directional_diff(
-        [(bank, k, c) for k, c in enumerate(sym.pi[j - 1], 1) for bank in banks],
-        caps)
-
-
 def _walk(p: Poly, q: Poly, sym: SymplecticData,
           caps: Optional[Tuple[int, int]] = None):
     """The star expansion of p against q, one multi-index gamma at a time:
@@ -294,12 +283,16 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
     the yielded right factor is cut to (z_cap, total_cap less that degree):
     the root's q is cut, a derived leaf (D = 0) is made inside the caps.
     Where the left factor has several degrees, the products of its higher
-    ones may pass the caps, and the flag says so.
+    ones may pass the caps, and the flag says so: the caller cuts those
+    products as it sums them (Poly.mul_into with the caps).
     """
     if p.is_zero() or q.is_zero():
         return
     ykeys = _y_keys(2 * sym.n)
     banks = (Y, Z) if q.has_bank(Z) else (Y,)
+    # Row j of pi D, sum_k pi^{jk} D_k, as a Poly.directional_diff direction.
+    rows = [[(bank, k, c) for k, c in enumerate(row, 1) for bank in banks]
+            for row in sym.pi]
     # Per node: the degrees of its left factor, or None for no cut.
     degrees = None if caps is None else set(map(mono_degree, p.terms))
     stack = [(1, 0, p, q, ONE, degrees)]
@@ -316,12 +309,12 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
                 if cp.is_zero():
                     break
                 if caps is None:
-                    cq = _right_d(cq, j, sym, banks)
+                    cq = cq.directional_diff(rows[j - 1])
                 else:
                     degrees = set(map(mono_degree, cp.terms))
                     slack = max(degrees)
-                    cq = _right_d(cq, j, sym, banks,
-                                  (caps[0] + slack, caps[1] + slack))
+                    cq = cq.directional_diff(rows[j - 1],
+                                             (caps[0] + slack, caps[1] + slack))
                     degrees = degrees if slack else None
                 if cq.is_zero():
                     break
@@ -334,8 +327,8 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
 def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
                  caps: Optional[Tuple[int, int]] = None) -> Poly:
     """Shared expansion for the Weyl and form star products: `_walk`'s
-    products, summed; with caps = (z_cap, total_cap), only the terms of
-    Z-degree <= z_cap and total degree <= total_cap."""
+    products, summed into one term map; with caps = (z_cap, total_cap),
+    only the terms of Z-degree <= z_cap and total degree <= total_cap."""
     acc: dict = {}
     for _, dp, dq, coeff, mixed in _walk(p, q, sym, caps):
         # Scale the shorter factor, so each product term costs one multiply.
@@ -344,18 +337,9 @@ def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
                 dp = dp.scale(coeff)
             else:
                 dq = dq.scale(coeff)
-        prod = dp * dq
-        # The right factor is cut for the left's lowest degree: recap the
-        # products of its higher ones.
-        if mixed:
-            prod = prod.capped(*caps)
-        for m, add in prod.terms.items():
-            prev = acc.get(m)
-            add = add if prev is None else prev + add
-            if add.is_zero():
-                acc.pop(m, None)
-            else:
-                acc[m] = add
+        # The right factor is cut for the left's lowest degree: the products
+        # of its higher ones are cut to the caps as they are summed.
+        dp.mul_into(dq, acc, caps if mixed else None)
     return Poly(acc)
 
 

@@ -67,6 +67,19 @@ def test_descent_eval_twisted(capsys):
     assert payload["result"]["terms"][0]["coeff"]["re"] == ["-1", "2"]
 
 
+def test_descent_eval_identity_twist(capsys):
+    # The identity twist's generator is a 0-form: it takes no argument, and
+    # its value is 1 to the automatic budget 2n + 4.
+    code, out = run(capsys, "--format", "json", "descent", "eval",
+                    "--args", json.dumps({"n": 1, "args": []}),
+                    "--twist", json.dumps({"diag": ["1", "1"]}))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["terms"] == [
+        {"coeff": {"re": ["1", "1"], "im": ["0", "1"]}, "exps": []}]
+    assert result["truncation"] == 6
+
+
 def test_descent_budget_exit_code(capsys):
     big = {"terms": [{"coeff": {"re": ["1", "1"], "im": ["0", "1"]},
                       "exps": [["Y", 1, 2]]}]}

@@ -59,6 +59,22 @@ def test_twisted_generator_identity_element(sym1):
     assert zg.expand(4) == FormElement.from_poly(Poly.one(), sym1, truncation=4)
 
 
+def test_descend_identity_twist(sym1, sym2):
+    # The identity moves nothing: its generator is the 0-form 1, which takes
+    # no argument and no homotopy, so its value is 1 to the budget; it has
+    # no descent ladder to trace.
+    for sym in (sym1, sym2):
+        zg = make_zeta_g(sym, GroupElement.identity(2 * sym.n))
+        one = WeylElement.one(sym)
+        assert descend(zg, []) == one.restrict(auto_budget([], sym.n))
+        assert descend(zg, [], budget=0) == one.restrict(0)
+        assert descent_cocycle(zg)() == one.restrict(auto_budget([], sym.n))
+        with pytest.raises(ValueError, match="takes 0 arguments"):
+            descend(zg, [one])
+        with pytest.raises(ValueError, match="no descent ladder"):
+            build_trace(zg, 4)
+
+
 def test_twisted_generator_reflection(sym1):
     minus = GroupElement.diagonal([Scalar.of(-1), Scalar.of(-1)], "-1")
     zg = make_zeta_g(sym1, minus)

@@ -24,7 +24,7 @@ from weylhh.errors import BudgetError, NonGenericConfigError
 from weylhh.ffs import cached_symbol, ffs_apply
 from weylhh.forms import FormElement, ext_d, proj_p
 from weylhh.hochschild import constant_cochain, hochschild_d
-from weylhh.poly import Poly, Y
+from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import monomials_upto
 from weylhh.scalars import Scalar
 from weylhh.weyl import WeylElement, involution, star
@@ -366,11 +366,12 @@ def test_d2_without_twist(monkeypatch, sym1):
 
 
 def test_star_kernel_without_z_derivative(monkeypatch, sym1):
-    # Right derivatives that skip the Z bank turn the shifted form product
-    # into the plain one, so the descent value no longer matches the symbol.
+    # Rows of pi D that skip the Z bank turn the shifted form product into
+    # the plain one, so the descent value no longer matches the symbol.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    install(monkeypatch, weyl, "_right_d", "for bank in banks", "for bank in banks[:1]")
+    install(monkeypatch, weyl, "_walk", "for bank in banks", "for bank in banks[:1]",
+            also=(descent,))
     assert not routes_agree(sym1, a, b)
 
 
@@ -467,7 +468,37 @@ def test_head_product_cut_at_target(monkeypatch, sym1):
     # budget 0 the target is 0 and (y1, y2) loses its value 1/2.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b, budget=0)
-    install(monkeypatch, poly, "mul_into", "mono_degree(m) > max_degree",
-            "mono_degree(m) >= max_degree", owner=Poly)
+    install(monkeypatch, poly, "mul_into", "sum(b) > caps[1]", "sum(b) >= caps[1]",
+            owner=Poly)
     assert routes_agree(sym1, a, b)
     assert not routes_agree(sym1, a, b, budget=0)
+
+
+def test_product_z_cut_inclusive(monkeypatch, sym1):
+    # A cut product keeps the terms of Z-degree <= z_cap; cutting at < z_cap
+    # drops every head product, whose z_cap is 0, so the descent value on
+    # (y1, y2) is lost.
+    a, b = y(sym1, 1), y(sym1, 0, 1)
+    assert routes_agree(sym1, a, b)
+    install(monkeypatch, poly, "mul_into", "sum(b[1::2]) > caps[0]",
+            "sum(b[1::2]) >= caps[0]", owner=Poly)
+    assert not routes_agree(sym1, a, b)
+
+
+def test_star_kernel_mixed_products_uncut(monkeypatch, sym1):
+    # Where the left factor mixes degrees its right factor is cut only for
+    # the lowest, so the products of the higher ones must be cut as they
+    # are summed.  The root of y1 + y1^2 + y2 mixes degrees 1 and 2, so
+    # under the caps (1, 3) its right factor keeps y1 z1, and y1^2 y1 z1
+    # passes the total cap.
+    p = (y(sym1, 1) + y(sym1, 2) + y(sym1, 0, 1)).poly
+    q = Poly.monomial([(Y, 1, 1), (Z, 1, 1)])
+
+    def cut_is_capped():
+        kernel = weyl._star_kernel
+        return kernel(p, q, sym1, (1, 3)) == kernel(p, q, sym1).capped(1, 3)
+
+    assert cut_is_capped()
+    install(monkeypatch, weyl, "_star_kernel", "caps if mixed else None", "None",
+            also=(forms,))
+    assert not cut_is_capped()

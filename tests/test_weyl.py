@@ -6,8 +6,8 @@ from weylhh.forms import FormElement
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import random_weyl
 from weylhh.scalars import I, ONE, Scalar
-from weylhh.weyl import (SymplecticData, WeylElement, _right_d, _star_kernel,
-                         bform, gram_rank_upto, involution, star, supertrace)
+from weylhh.weyl import (SymplecticData, WeylElement, _star_kernel, bform,
+                         gram_rank_upto, involution, star, supertrace)
 
 
 def gens(sym):
@@ -327,13 +327,15 @@ def right_factors(draw, n):
                          ids=["n1", "n2", "from_pi-n1", "from_pi-n2"])
 @given(data=st.data())
 def test_right_d_is_bank_by_bank_derivative(sym, data):
-    # One pass over the terms gives the bank-by-bank derivative, and with
-    # caps exactly its terms inside them, for every row j.
+    # One directional_diff pass along a row of pi D, as the star walk builds
+    # it, gives the bank-by-bank derivative, and with caps exactly its terms
+    # inside them, for every row j.
     poly, banks, caps = data.draw(right_factors(sym.n))
     for j in range(1, 2 * sym.n + 1):
+        row = [(bank, k, c) for k, c in enumerate(sym.pi[j - 1], 1) for bank in banks]
         want = reference_right_d(poly, j, sym, banks)
-        assert _right_d(poly, j, sym, banks) == want
-        assert _right_d(poly, j, sym, banks, caps) == want.capped(*caps)
+        assert poly.directional_diff(row) == want
+        assert poly.directional_diff(row, caps) == want.capped(*caps)
 
 
 @given(capped_products())
