@@ -28,8 +28,7 @@ from .linalg import perm_sign
 from .poly import Poly, Y, Z, mono_z_degree
 from .scalars import ONE, Scalar
 from .weyl import (SymplecticData, WeylElement, _check_ambient, _min_trunc,
-                   _star_kernel, _star_truncation, ambient_from_json,
-                   truncation_from_json)
+                   _star_kernel, _star_truncation)
 
 DzIndex = Tuple[int, ...]
 
@@ -93,10 +92,6 @@ class FormElement:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(ambient: SymplecticData, truncation: Optional[int] = None) -> "FormElement":
-        return FormElement({}, ambient, truncation)
-
-    @staticmethod
     def from_poly(poly: Poly, ambient: SymplecticData,
                   truncation: Optional[int] = None) -> "FormElement":
         return FormElement({(): poly}, ambient, truncation)
@@ -106,10 +101,8 @@ class FormElement:
         return FormElement({(): a.poly}, a.ambient, a.truncation)
 
     @staticmethod
-    def dz(indices: Iterable[int], ambient: SymplecticData,
-           coeff: Optional[Poly] = None) -> "FormElement":
-        poly = coeff if coeff is not None else Poly.one()
-        return FormElement({tuple(indices): poly}, ambient)
+    def dz(indices: Iterable[int], ambient: SymplecticData) -> "FormElement":
+        return FormElement({tuple(indices): Poly.one()}, ambient)
 
     @staticmethod
     def top_dz(ambient: SymplecticData) -> "FormElement":
@@ -122,9 +115,6 @@ class FormElement:
 
     def degrees(self) -> set:
         return {len(idx) for idx in self.components}
-
-    def is_homogeneous(self, q: int) -> bool:
-        return all(len(idx) == q for idx in self.components)
 
     def component(self, idx: DzIndex) -> Poly:
         return self.components.get(tuple(idx), Poly.zero())
@@ -182,10 +172,6 @@ class FormElement:
                 and self.truncation == other.truncation
                 and self.components == other.components)
 
-    def key(self) -> tuple:
-        return (self.ambient.n, self.truncation,
-                tuple(sorted((i, p.key()) for i, p in self.components.items())))
-
     def lowest_term(self) -> Tuple[int, "FormElement"]:
         """The lowest-degree term of a nonzero self, on its dz index."""
         degree, term, idx = min(((*p.lowest_term(), idx)
@@ -204,30 +190,6 @@ class FormElement:
         return " + ".join(parts) + tail
 
     __repr__ = __str__
-
-    def to_json(self) -> dict:
-        comps = [
-            {"dz": list(idx), "poly": poly.to_json()}
-            for idx, poly in sorted(self.components.items())
-        ]
-        return {"n": self.ambient.n, "components": comps,
-                "truncation": self.truncation}
-
-    @staticmethod
-    def from_json(obj: dict, ambient: Optional[SymplecticData] = None) -> "FormElement":
-        """Parse the JSON form; ValueError if malformed."""
-        amb = ambient or ambient_from_json(obj)
-        if not isinstance(obj.get("components"), list):
-            raise ValueError(f"form must hold a 'components' list, got {obj!r}")
-        comps: Dict[DzIndex, Poly] = {}
-        for c in obj["components"]:
-            dz = c.get("dz") if isinstance(c, dict) else None
-            if not isinstance(dz, list) or any(type(i) is not int for i in dz):
-                raise ValueError(
-                    f"component must be {{'dz': [int, ...], 'poly': ...}}, got {c!r}")
-            poly = Poly.from_json(c.get("poly"))
-            comps[tuple(dz)] = comps.get(tuple(dz), Poly.zero()) + poly
-        return FormElement(comps, amb, truncation_from_json(obj))
 
 
 def _as_form(x) -> FormElement:

@@ -51,13 +51,7 @@ class GroupElement:
         return len(self.matrix)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        label = ""
-        if self.label and other.label:
-            if self.label == "1":
-                label = other.label
-            elif other.label == "1":
-                label = self.label
-        return GroupElement(linalg.mat_mul(self.matrix, other.matrix), label)
+        return GroupElement(linalg.mat_mul(self.matrix, other.matrix))
 
     def inverse(self) -> "GroupElement":
         return GroupElement(linalg.mat_inverse(self.matrix, ONE, ZERO))
@@ -270,10 +264,6 @@ class SmashElement:
                 and self.ambient == other.ambient
                 and self.terms == other.terms)
 
-    def key(self) -> tuple:
-        return tuple(sorted(((g.matrix, a.key()) for g, a in self.terms.items()),
-                            key=str))
-
     def lowest_term(self) -> Tuple[int, "SmashElement"]:
         """The lowest-degree term of a nonzero self, on its group element."""
         degree, term, g = min(((*a.lowest_term(), g) for g, a in self.terms.items()),
@@ -362,13 +352,11 @@ def twisted_cycle(ambient: SymplecticData, g: GroupElement, truncation: int):
 # -- cocycles on the smash product ---------------------------------------------
 
 
-def twisted_cocycle(ambient: SymplecticData, g: GroupElement,
-                    check_stability: bool = True):
+def twisted_cocycle(ambient: SymplecticData, g: GroupElement):
     """The 2k_g-cocycle of the g-twisted module, via the descent route."""
     from .descent import descent_cocycle, make_zeta_g
 
-    return descent_cocycle(make_zeta_g(ambient, g),
-                           check_stability=check_stability)
+    return descent_cocycle(make_zeta_g(ambient, g))
 
 
 def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,

@@ -147,7 +147,8 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return self.checked == self.passed
+        # A report that checked nothing proved nothing: it is not ok.
+        return self.checked > 0 and self.passed == self.checked
 
     def to_json(self) -> dict:
         return {

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import AmbientMismatchError, BudgetError
-from .poly import Poly, Y, Z, _offset, index_mask, mono_degree
+from .poly import MAX_INDEX, Poly, Y, Z, _offset, index_mask, mono_degree
 from .scalars import I, ONE, ZERO, Scalar
 
 Matrix = Tuple[Tuple[Scalar, ...], ...]
@@ -208,26 +208,14 @@ class WeylElement:
             obj["truncation"] = self.truncation
         return obj
 
-    @staticmethod
-    def from_json(obj: dict, ambient: Optional[SymplecticData] = None) -> "WeylElement":
-        amb = ambient or ambient_from_json(obj)
-        return WeylElement(Poly.from_json(obj), amb, truncation_from_json(obj))
-
 
 def ambient_from_json(obj) -> SymplecticData:
-    """The canonical ambient named by a payload's "n"; ValueError unless an int >= 1."""
+    """The canonical ambient named by a payload's "n"; ValueError unless an int
+    in 1..MAX_INDEX // 2, the n whose y_1 .. y_2n all have a key field."""
     n = obj.get("n") if isinstance(obj, dict) else None
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if type(n) is not int or not 1 <= n <= MAX_INDEX // 2:
+        raise ValueError(f"n must be an integer in 1..{MAX_INDEX // 2}, got {n!r}")
     return SymplecticData.canonical(n)
-
-
-def truncation_from_json(obj: dict) -> Optional[int]:
-    """A payload's "truncation": absent, null or an int; ValueError otherwise."""
-    t = obj.get("truncation")
-    if t is not None and type(t) is not int:
-        raise ValueError(f"truncation must be an integer or null, got {t!r}")
-    return t
 
 
 def _check_ambient(a, b) -> None:

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from weylhh import simplex
 from weylhh.descent import (SuffixCache, auto_budget, build_trace, descend,
-                            make_zeta, make_zeta_g, verify_descent)
+                            descent_cocycle, make_zeta, make_zeta_g,
+                            verify_descent)
 from weylhh.ffs import (cached_symbol, ffs_apply, ffs_cocycle,
                         ffs_hypercube_n1, monomial_table)
 from weylhh.forms import ext_d, form_star, homotopy_s, proj_p
@@ -277,11 +278,11 @@ def test_criterion_07_twisted_suite():
     rng = random.Random(SEED + 7)
     for g in (labels["kappa"], labels["kappabar"], labels["kappakappabar"]):
         arity = 2 * g.twist_pairs()
-        tau_g = twisted_cocycle(amb2, g, check_stability=False)
+        tau_g = descent_cocycle(make_zeta_g(amb2, g), check_stability=False)
         for h in group:
             conj = conjugate_cochain(tau_g, h)
-            target = twisted_cocycle(
-                amb2, group.canonical(h * g * h.inverse()),
+            target = descent_cocycle(
+                make_zeta_g(amb2, group.canonical(h * g * h.inverse())),
                 check_stability=False)
             for _ in range(2):
                 args = [random_weyl(rng, amb2, 1) for _ in range(arity)]

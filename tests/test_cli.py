@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -7,7 +9,7 @@ import pytest
 
 import weylhh
 from weylhh import descent
-from weylhh.cli import main
+from weylhh.cli import build_parser, main
 from weylhh.poly import Poly, Y
 from weylhh.scalars import Scalar
 from weylhh.weyl import WeylElement
@@ -202,14 +204,36 @@ EMPTY = {"terms": []}
     json.dumps({"n": 1, "a": _poly([["Y", 1, -2]]), "b": Y1}),
     json.dumps({"n": 1, "a": _poly([["Y", 0, 1]]), "b": Y1}),
     json.dumps({"n": 1, "a": _poly([["T", 1, 1]]), "b": Y1}),
-    # n below 1, a top-level list
+    # n not an int, missing, below 1 or past 256 (y_1 .. y_2n need indices
+    # up to 512), a top-level list
+    json.dumps({"n": 1.9, "a": EMPTY, "b": EMPTY}),
+    json.dumps({"n": "1", "a": EMPTY, "b": EMPTY}),
+    json.dumps({"a": EMPTY, "b": EMPTY}),
     json.dumps({"n": 0, "a": EMPTY, "b": EMPTY}),
+    json.dumps({"n": 257, "a": EMPTY, "b": EMPTY}),
+    json.dumps({"n": 10**9, "a": EMPTY, "b": EMPTY}),
     json.dumps([{"n": 1, "a": Y1, "b": Y2}]),
 ])
 def test_star_rejects_malformed_payload(capsys, payload):
     assert main(["star", payload]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("n", [257, 10**9])
+@pytest.mark.parametrize("command", [["ffs", "eval"], ["descent", "eval"]])
+def test_args_payload_rejects_n_past_256(capsys, command, n):
+    payload = json.dumps({"n": n, "args": [Y1, Y2]})
+    assert main([*command, "--args", payload]) == 2
+    assert "n must be an integer in 1..256" in capsys.readouterr().err
+
+
+def test_star_at_largest_n(capsys):
+    code, out = run(capsys, "--format", "json", "star",
+                    json.dumps({"n": 256, "a": Y1, "b": Y2}))
+    assert code == 0
+    assert {"coeff": {"re": ["0", "1"], "im": ["1", "1"]}, "exps": []} in (
+        json.loads(out)["result"]["terms"])
 
 
 @pytest.mark.parametrize("a, b", [
@@ -330,3 +354,22 @@ def test_python_dash_m_runs_the_cli(capsys, argv):
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out,
                                                           captured.err)
+
+
+def test_readme_command_lines_parse():
+    # Every line of the README's "Command line" block is a command the
+    # parser accepts, with each [optional part] given and S, N, D filled in.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert len(lines) == 7
+    fill = {"S": "0", "N": "1", "D": "0"}
+    for line in lines:
+        line = re.sub(r"\[(-[^\]]*)\]", r"\1", line)
+        line = re.sub(r"\b[SND]\b", lambda m: fill[m[0]], line)
+        argv = shlex.split(line)
+        assert argv[0] == "weylhh"
+        build_parser().parse_args(argv[1:])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from weylhh import linalg
+from weylhh.descent import descent_cocycle, make_zeta_g
 from weylhh.ffs import ffs_cocycle
 from weylhh.groups import (ClassFunction, FiniteGroup, GroupElement,
                            SmashElement, afls_dims, conjugate_cochain,
@@ -187,11 +188,11 @@ def test_equivariance(preset, rng):
     # cocycle.
     group, ambient, labels = preset
     kappa = labels["kappa"]
-    tau_k = twisted_cocycle(ambient, kappa, check_stability=False)
+    tau_k = descent_cocycle(make_zeta_g(ambient, kappa), check_stability=False)
     for h in group:
         conj = conjugate_cochain(tau_k, h)
-        tau_target = twisted_cocycle(
-            ambient, group.conjugate(h, kappa),
+        tau_target = descent_cocycle(
+            make_zeta_g(ambient, group.conjugate(h, kappa)),
             check_stability=False)
         for _ in range(3):
             a = random_weyl(rng, ambient, 2)

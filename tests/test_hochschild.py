@@ -215,3 +215,12 @@ def test_report_json_contract(sym1):
     assert obj["checked"] == 4 and obj["passed"] == 4
     assert obj["first_failure"] is None
     assert obj["seed"] == 3
+
+
+def test_report_that_checked_nothing_is_not_ok(sym1):
+    from weylhh.ffs import ffs_cocycle
+
+    f = ffs_cocycle(sym1)
+    empty = verify_cocycle(f, SampleSpec(seed=0, count=0, max_degree=1))
+    assert empty.checked == 0 and not empty.ok
+    assert verify_cocycle(f, SampleSpec(seed=0, count=1, max_degree=1)).ok

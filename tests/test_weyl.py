@@ -204,27 +204,6 @@ def test_from_pi_fixes_omega():
     assert rebuilt.omega == sym.omega
 
 
-def test_weyl_json_roundtrip(rng):
-    sym = SymplecticData.canonical(1)
-    a = random_weyl(rng, sym, 3)
-    assert WeylElement.from_json(a.to_json()) == a
-    assert a.to_json()["n"] == 1
-    truncated = a.restrict(2)
-    assert WeylElement.from_json(truncated.to_json()) == truncated
-
-
-@pytest.mark.parametrize("obj", [
-    {"n": 1.9, "terms": []}, {"n": 0, "terms": []}, {"n": "1", "terms": []},
-    {"terms": []}, {"n": 1, "terms": [], "truncation": "x"},
-    {"n": 1, "terms": [], "truncation": 1.5},
-    {"n": 1, "terms": [{"coeff": {"re": ["1", "1"], "im": ["0", "1"]},
-                        "exps": [["T", 1, 1]]}]},
-])
-def test_weyl_from_json_rejects_malformed(obj):
-    with pytest.raises(ValueError):
-        WeylElement.from_json(obj)
-
-
 @st.composite
 def weyl_triples(draw):
     """Three polynomials of degree <= 3 over one ambient, n = 1 or 2."""
