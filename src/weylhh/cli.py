@@ -59,7 +59,11 @@ class RunConfig:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(ENV_SEED, "0"))
+    raw = os.environ.get(ENV_SEED, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
 def _load_json(spec: str) -> dict:
@@ -443,9 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = build_parser().parse_args(argv)
         return ns.fn(ns)
     except BudgetError as exc:
         print(f"budget insufficient: {exc}", file=sys.stderr)

@@ -44,6 +44,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from . import linalg
 from .errors import BudgetError
 from .forms import FormElement, ext_d, form_star, homotopy_s, wedge_expand
 from .hochschild import (Cochain, Report, constant_cochain, group_twist,
@@ -130,10 +131,8 @@ def make_zeta(ambient: SymplecticData) -> GaussianGenerator:
                              involution, label="zeta")
 
 
-def make_zeta_g(ambient: SymplecticData, g) -> GaussianGenerator:
-    """The g-twisted generator; g is a GroupElement or symplectic matrix."""
-    if not isinstance(g, GroupElement):
-        g = GroupElement.from_rows(g)
+def make_zeta_g(ambient: SymplecticData, g: GroupElement) -> GaussianGenerator:
+    """The g-twisted generator."""
     matrix = g.matrix
     size = 2 * ambient.n
     k = g.twist_pairs()
@@ -146,17 +145,10 @@ def make_zeta_g(ambient: SymplecticData, g) -> GaussianGenerator:
     quad = quad.scale(Scalar.of(0, 1))
 
     # Prefactor: wedge power k, over k!, of sum_{i<j} w_ij u^i u^j with
-    # u = (dz - dz^g)/2 expressed through dz.
+    # u = (dz - dz^g)/2, row i of (1 - g)/2 expressed through dz.
     half = Scalar.rational(1, 2)
-    u_rows = []
-    for i in range(size):
-        row = []
-        for l0 in range(size):
-            c = -matrix[i][l0] * half
-            if i == l0:
-                c = c + half
-            row.append(c)
-        u_rows.append({(l0 + 1,): c for l0, c in enumerate(row) if not c.is_zero()})
+    u_rows = [{(l0 + 1,): c * half for l0, c in enumerate(row) if not c.is_zero()}
+              for row in linalg.mat_sub(linalg.identity(size, ONE, ZERO), matrix)]
     two_form: Dict[Tuple[int, ...], Scalar] = {}
     for i in range(size):
         for j in range(i + 1, size):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Tuple
 
 from .linalg import perm_sign
-from .poly import Poly, Y, Z, mono_z_degree
+from .poly import Poly, Z, mono_z_degree
 from .scalars import ONE, Scalar
 from .weyl import (SymplecticData, WeylElement, _check_ambient, _min_trunc,
                    _star_kernel, _star_truncation)
@@ -152,19 +152,6 @@ class FormElement:
     def restrict(self, truncation: Optional[int]) -> "FormElement":
         t = _min_trunc(self.truncation, truncation)
         return FormElement(self.components, self.ambient, t)
-
-    def apply_matrix(self, matrix) -> "FormElement":
-        """Linear substitution on y, z and dz by the same matrix."""
-        out: Dict[DzIndex, Poly] = {}
-        for idx, poly in self.components.items():
-            p = poly.linear_subst(Y, matrix).linear_subst(Z, matrix)
-            # dz_i -> sum_l matrix[i][l] dz_l, expanded as a wedge of 1-forms.
-            pieces = wedge_expand(
-                {(l0 + 1,): c for l0, c in enumerate(matrix[i - 1]) if not c.is_zero()}
-                for i in idx)
-            for nidx, coeff in pieces.items():
-                out[nidx] = out.get(nidx, Poly.zero()) + p.scale(coeff)
-        return FormElement(out, self.ambient, self.truncation)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FormElement)

@@ -50,12 +50,6 @@ class GroupElement:
     def size(self) -> int:
         return len(self.matrix)
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(linalg.mat_mul(self.matrix, other.matrix))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(linalg.mat_inverse(self.matrix, ONE, ZERO))
-
     def is_identity(self) -> bool:
         return self.matrix == linalg.identity(self.size, ONE, ZERO)
 
@@ -365,18 +359,20 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
 
     Values on factorized arguments a_1 g_1, ..., a_p g_p are
 
-        sum_g gamma(g) tau_g(a_1, a_2^{g_1}, a_3^{g_1 g_2}, ...)
-                       (x) g_1 ... g_p g ,
+        sum_g gamma(g) tau_{g^{-1}}(a_1, a_2^{g_1}, a_3^{g_1 g_2}, ...)
+                       (x) g g_1 ... g_p ,
 
-    extended multilinearly; elements of the group algebra in any slot are
-    killed by the normalization of tau_g.
+    with a^h = a o h^{-1} (FiniteGroup.act), extended multilinearly:
+    tau_{g^{-1}} has the right twist b -> b^g of (a (x) g)(b (x) 1) =
+    a * b^g (x) g.  Elements of the group algebra in any slot are killed by
+    the normalization of tau.
     """
     from .hochschild import Cochain, untwisted
 
     taus = {}
     for g in group:
         if g.moved_rank() == degree and not gamma(g).is_zero():
-            taus[g] = twisted_cocycle(ambient, g)
+            taus[g] = twisted_cocycle(ambient, group.inverse(g))
     if degree == 0:
         def ev0():
             value = SmashElement(group, ambient, {})
@@ -403,22 +399,22 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
                 weyl = tau(*twisted).scale(gamma(g))
                 if weyl.is_zero():
                     continue
-                target = group.product(running, g)
+                target = group.product(g, running)
                 value = value + SmashElement(group, ambient, {target: weyl})
         return value
 
     return Cochain(degree, ambient, untwisted, ev, label=f"theta_{degree}")
 
 
-def conjugate_cochain(f, h: GroupElement):
-    """c^h(x_1...x_p) = (c(x_1^{h^-1}, ..., x_p^{h^-1}))^h for dual-valued c."""
-    hinv = h.inverse()  # once: each argument moves by x o h, with no inverse
+def conjugate_cochain(group: FiniteGroup, f, h: GroupElement):
+    """c^h(x_1...x_p) = (c(x_1^{h^-1}, ..., x_p^{h^-1}))^h for dual-valued c,
+    acting through the group's table."""
+    from .hochschild import Cochain
+
+    hinv = group.inverse(h)
 
     def ev(*args):
-        moved = [a.apply_matrix(h.matrix) for a in args]
-        return f(*moved).apply_matrix(hinv.matrix)
-
-    from .hochschild import Cochain
+        return group.act(h, f(*(group.act(hinv, a) for a in args)))
 
     return Cochain(f.arity, f.ambient, f.twist, ev, label=f"{f.label}^{h}")
 

@@ -42,7 +42,11 @@ def untwisted(a):
 
 
 def group_twist(matrix) -> Callable:
-    """The twist a -> a^g of a group-twisted module, g given by its matrix."""
+    """The twist a -> a o g of a group-twisted module, g given by its matrix.
+
+    The groups module writes a o g as a^{g^{-1}} (a^h = a o h^{-1}), so
+    theta_cocycle puts tau_{g^{-1}}, of right twist a -> a^g, on g's sector.
+    """
     return lambda a: a.apply_matrix(matrix)
 
 

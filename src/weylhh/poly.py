@@ -283,23 +283,6 @@ class Poly:
                         out[m] = s
         return out
 
-    def __pow__(self, k: int) -> "Poly":
-        """Square-and-multiply from base: p**k makes no product past the
-        highest set bit of k, so p**1 makes none and p**3 two."""
-        if k < 0:
-            raise ValueError(f"negative power {k}")
-        if k == 0:
-            return Poly.one()
-        out = None
-        base = self
-        while True:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
 
@@ -396,9 +379,11 @@ class Poly:
         pow_cache: Dict[Tuple[int, int], Poly] = {}
 
         def image_pow(j: int, e: int) -> Poly:
+            # Each power is one product onto the power below it.
             key = (j, e)
             if key not in pow_cache:
-                pow_cache[key] = image(j) ** e
+                pow_cache[key] = (image(j) if e == 1
+                                  else image_pow(j, e - 1) * image(j))
             return pow_cache[key]
 
         mask = _BANK_MASK[bank]

@@ -280,9 +280,9 @@ def test_criterion_07_twisted_suite():
         arity = 2 * g.twist_pairs()
         tau_g = descent_cocycle(make_zeta_g(amb2, g), check_stability=False)
         for h in group:
-            conj = conjugate_cochain(tau_g, h)
+            conj = conjugate_cochain(group, tau_g, h)
             target = descent_cocycle(
-                make_zeta_g(amb2, group.canonical(h * g * h.inverse())),
+                make_zeta_g(amb2, group.conjugate(h, g)),
                 check_stability=False)
             for _ in range(2):
                 args = [random_weyl(rng, amb2, 1) for _ in range(arity)]

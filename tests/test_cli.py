@@ -173,6 +173,22 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+def test_seed_from_environment(monkeypatch):
+    monkeypatch.setenv("WEYLHH_SEED", "7")
+    assert build_parser().parse_args(["simplex", "fuzz", "--dim", "2"]).seed == 7
+    assert build_parser().parse_args(["verify-all", "--seed", "5"]).seed == 5
+
+
+def test_malformed_seed_environment_exits_2(capsys, monkeypatch):
+    # The default seed is read from the environment before any command runs,
+    # so a malformed value is refused even when --seed is given.
+    monkeypatch.setenv("WEYLHH_SEED", "abc")
+    code = main(["verify-all", "--seed", "5", "--samples", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: WEYLHH_SEED") and "Traceback" not in err
+
+
 def test_unexpected_exception_exits_4(capsys, monkeypatch):
     import weylhh.cli
 

@@ -8,7 +8,7 @@ from weylhh.forms import (FormElement, ext_d, form_star, homotopy_s, proj_p,
                           wedge_merge)
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import random_form, random_weyl
-from weylhh.scalars import ONE, Scalar
+from weylhh.scalars import Scalar
 from weylhh.weyl import SymplecticData, WeylElement
 
 
@@ -120,13 +120,6 @@ def test_truncation_certificate_shrinks(sym1):
     out = form_star(quadratic, series)
     assert out.truncation == 2
     assert all(p.degree() <= 2 for p in out.components.values())
-
-
-def test_apply_matrix_wedge_signs(sym1):
-    # swap z1 <-> z2: dz1^dz2 picks up the determinant sign.
-    swap = ((Scalar.of(0), ONE), (ONE, Scalar.of(0)))
-    f = FormElement.dz([1, 2], sym1)
-    assert f.apply_matrix(swap) == FormElement({(1, 2): -Poly.one()}, sym1)
 
 
 @pytest.mark.parametrize("idx", [(0, 1), (-3,), (3,), (2, 1), (1, 1)])

@@ -13,7 +13,7 @@ from weylhh.groups import (ClassFunction, FiniteGroup, GroupElement,
 from weylhh.hochschild import SampleSpec, pair_chain, verify_cocycle
 from weylhh.poly import Poly, Y
 from weylhh.sampling import random_smash, random_weyl
-from weylhh.scalars import ONE, Scalar
+from weylhh.scalars import ONE, ZERO, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, star
 
 
@@ -129,10 +129,12 @@ def test_dihedral_group_table(d8, sym2):
     assert len(group) == 8
     assert [len(cls) for cls in group.conjugacy_classes()] == [1, 2, 2, 2, 1]
     for a in group:
-        assert group.inverse(a).matrix == a.inverse().matrix
+        inv = linalg.mat_inverse(a.matrix, ONE, ZERO)
+        assert group.inverse(a).matrix == inv
         for b in group:
-            assert group.product(a, b).matrix == (a * b).matrix
-            assert group.conjugate(a, b).matrix == (a * b * a.inverse()).matrix
+            ab = linalg.mat_mul(a.matrix, b.matrix)
+            assert group.product(a, b).matrix == ab
+            assert group.conjugate(a, b).matrix == linalg.mat_mul(ab, inv)
     assert group.conjugate(labels["S"], labels["kappa"]) is labels["kappabar"]
     dims = afls_dims(group)
     assert {p: d for p, (d, _) in dims.items()} == {0: 1, 2: 2, 4: 2}
@@ -190,7 +192,7 @@ def test_equivariance(preset, rng):
     kappa = labels["kappa"]
     tau_k = descent_cocycle(make_zeta_g(ambient, kappa), check_stability=False)
     for h in group:
-        conj = conjugate_cochain(tau_k, h)
+        conj = conjugate_cochain(group, tau_k, h)
         tau_target = descent_cocycle(
             make_zeta_g(ambient, group.conjugate(h, kappa)),
             check_stability=False)
@@ -305,3 +307,51 @@ def test_group_action_inverts_no_matrix(preset, rng, monkeypatch):
     assert not (x * y).is_zero()
     theta2(x, y)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["Z3", "Z4", "Z6", "Q8"])
+def test_kleinian_theta_cocycles(kleinian, sym1, name):
+    # Elements with g != g^-1 tell tau_g from tau_{g^-1}, and Q8 also tells
+    # the group part g h_1 ... h_p from h_1 ... h_p g.
+    group = kleinian[name]
+    spec = SampleSpec(seed=2, count=3, max_degree=1, group=group)
+    for g in group:
+        g.check_symplectic(sym1)
+    for cls in group.conjugacy_classes():
+        if cls[0].moved_rank() == 2:
+            gamma = ClassFunction.indicator(group, cls)
+            assert verify_cocycle(theta_cocycle(group, sym1, gamma, 2), spec).ok
+
+
+@pytest.mark.parametrize("name, order, classes",
+                         [("Z3", 3, 3), ("Z4", 4, 4), ("Z6", 6, 6), ("Q8", 8, 5)])
+def test_kleinian_afls_dims(kleinian, name, order, classes):
+    # One degree-2 class per nontrivial conjugacy class (Etingof-Ginzburg).
+    group = kleinian[name]
+    assert (len(group), len(group.conjugacy_classes())) == (order, classes)
+    dims = {p: d for p, (d, _) in afls_dims(group).items()}
+    assert dims == {0: 1, 2: classes - 1}
+
+
+def test_kleinian_equivariance_q8(kleinian, sym1, rng):
+    # Conjugation in Q8 moves g to h g h^-1 != g, and tau_g transformed by h
+    # is tau_{h g h^-1}.
+    group = kleinian["Q8"]
+    moved = 0
+    for g in group:
+        if g.is_identity():
+            continue
+        tau_g = descent_cocycle(make_zeta_g(sym1, g), check_stability=False)
+        for h in group:
+            target = group.conjugate(h, g)
+            moved += target is not g
+            conj = conjugate_cochain(group, tau_g, h)
+            tau_target = descent_cocycle(make_zeta_g(sym1, target),
+                                         check_stability=False)
+            for _ in range(2):
+                a, b = (random_weyl(rng, sym1, 1) for _ in range(2))
+                lhs = conj(a, b)
+                rhs = tau_target(a, b)
+                t = min(lhs.truncation, rhs.truncation)
+                assert lhs.restrict(t) == rhs.restrict(t)
+    assert moved > 0

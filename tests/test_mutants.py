@@ -23,11 +23,12 @@ from weylhh.descent import SuffixCache, descend, make_zeta
 from weylhh.errors import BudgetError, NonGenericConfigError
 from weylhh.ffs import cached_symbol, ffs_apply
 from weylhh.forms import FormElement, ext_d, proj_p
-from weylhh.hochschild import constant_cochain, hochschild_d
+from weylhh.hochschild import (SampleSpec, constant_cochain, hochschild_d,
+                               verify_cocycle)
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import monomials_upto
 from weylhh.scalars import Scalar
-from weylhh.weyl import WeylElement, involution, star
+from weylhh.weyl import SymplecticData, WeylElement, involution, star
 
 
 def install(monkeypatch, module, name, old, new, owner=None, also=()):
@@ -162,6 +163,17 @@ def dz_anticommute(sym) -> bool:
 
 def associative(a, b, c) -> bool:
     return star(star(a, b), c) == star(a, star(b, c))
+
+
+def theta_cocycles_hold(group) -> bool:
+    """The degree-2 theta cocycle of every conjugacy class of rank 2 passes
+    verify_cocycle."""
+    ambient = SymplecticData.canonical(group.identity.size // 2)
+    spec = SampleSpec(seed=2, count=3, max_degree=1, group=group)
+    return all(
+        verify_cocycle(groups.theta_cocycle(
+            group, ambient, groups.ClassFunction.indicator(group, cls), 2), spec).ok
+        for cls in group.conjugacy_classes() if cls[0].moved_rank() == 2)
 
 
 def refuses_overflow() -> bool:
@@ -306,6 +318,29 @@ def test_conjugate_without_inverse(monkeypatch, d8):
     install(monkeypatch, groups, "conjugate", "self.inverse(h)", "h",
             owner=groups.FiniteGroup)
     assert [len(cls) for cls in group.conjugacy_classes()] != sizes
+
+
+def test_theta_sector_twisted_by_g(monkeypatch, kleinian):
+    # The sector of g needs tau_{g^-1}, whose right twist b -> b^g matches
+    # the smash product; tau_g agrees only where g = g^-1, as on the
+    # preset's involutions.
+    preset = groups.higher_spin_preset()[0]
+    assert theta_cocycles_hold(kleinian["Z3"]) and theta_cocycles_hold(preset)
+    install(monkeypatch, groups, "theta_cocycle",
+            "twisted_cocycle(ambient, group.inverse(g))", "twisted_cocycle(ambient, g)")
+    assert not theta_cocycles_hold(kleinian["Z3"])
+    assert theta_cocycles_hold(preset)
+
+
+def test_theta_group_part_order_swapped(monkeypatch, kleinian):
+    # The value's group part is g h_1 ... h_p; h_1 ... h_p g agrees on every
+    # abelian group, so only Q8 shows it.
+    preset = groups.higher_spin_preset()[0]
+    assert theta_cocycles_hold(kleinian["Q8"]) and theta_cocycles_hold(preset)
+    install(monkeypatch, groups, "theta_cocycle",
+            "group.product(g, running)", "group.product(running, g)")
+    assert not theta_cocycles_hold(kleinian["Q8"])
+    assert theta_cocycles_hold(kleinian["Z6"]) and theta_cocycles_hold(preset)
 
 
 def test_coefficient_memo_shared_across_n(monkeypatch, sym1, sym2):

@@ -99,6 +99,11 @@ def test_linear_subst_flip():
     m = ((Scalar.of(-1), Scalar.of(0)), (Scalar.of(0), Scalar.of(1)))
     p = y(1) + y(2) + y(1, 2)
     assert p.linear_subst(Y, m) == -y(1) + y(2) + y(1, 2)
+    # y1 -> y1 + y2: each power of an image is the power below it times it.
+    shear = ((Scalar.of(1), Scalar.of(1)), (Scalar.of(0), Scalar.of(1)))
+    want = (y(1, 3) + Poly.monomial([(Y, 1, 2), (Y, 2, 1)], Scalar.of(3))
+            + Poly.monomial([(Y, 1, 1), (Y, 2, 2)], Scalar.of(3)) + y(2, 3))
+    assert (y(1, 3) + y(1)).linear_subst(Y, shear) == want + y(1) + y(2)
 
 
 def test_json_roundtrip_canonical():
@@ -160,9 +165,10 @@ def test_exp_quadratic_series(monkeypatch):
     q = (Poly.monomial([(Y, 1, 1), (Z, 2, 1)], Scalar.of(0, 2))
          + Poly.monomial([(Y, 2, 2)], Scalar.of(Fraction(-1, 3))))
     for degree in range(0, 8):
-        want = Poly.zero()
+        want, power = Poly.zero(), Poly.one()
         for k in range(degree // 2 + 1):
-            want = want + (q ** k).scale(Scalar.of(Fraction(1, factorial(k))))
+            want = want + power.scale(Scalar.of(Fraction(1, factorial(k))))
+            power = power * q
         assert q.exp_quadratic(degree) == want
     # q^k / k! is built from the previous term, and the power past the last
     # kept one is never formed: one product per kept power.
@@ -172,21 +178,6 @@ def test_exp_quadratic_series(monkeypatch):
                         lambda a, b: products.append(1) or plain_mul(a, b))
     q.exp_quadratic(7)
     assert len(products) == 3
-
-
-def test_pow_makes_no_product_past_the_last_bit(monkeypatch):
-    p = y(1) + Poly.variable(Z, 2, Scalar.of(0, 3))
-    want = [Poly.one(), p, p * p, p * p * p]
-    products = []
-    plain_mul = Poly.__mul__
-    monkeypatch.setattr(Poly, "__mul__",
-                        lambda a, b: products.append(1) or plain_mul(a, b))
-    for k, expect in enumerate(want):
-        products.clear()
-        assert p ** k == expect
-        assert len(products) == (0, 0, 1, 2)[k]
-    with pytest.raises(ValueError):
-        p ** -1
 
 
 def test_packed_field_overflow_is_refused():
