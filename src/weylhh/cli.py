@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--group", required=True)
     pt.add_argument("--gamma", required=True)
     pt.add_argument("--args", required=True)
-    pt.add_argument("--degree", type=int, default=2)
+    pt.add_argument("--degree", type=_int_at_least(0), default=2)
     pt.add_argument("--out")
     pt.set_defaults(fn=cmd_smash_theta)
 

@@ -75,17 +75,6 @@ def _vector(bank: str, sym: SymplecticData) -> List[Poly]:
     return [Poly.variable(bank, j + 1) for j in range(2 * sym.n)]
 
 
-def _matrix_apply(matrix, vec: List[Poly]) -> List[Poly]:
-    out = []
-    for row in matrix:
-        acc = Poly.zero()
-        for c, p in zip(row, vec):
-            if not c.is_zero():
-                acc = acc + p.scale(c)
-        out.append(acc)
-    return out
-
-
 class GaussianGenerator:
     """prefactor . exp(quad), expandable to any finite degree."""
 
@@ -97,6 +86,7 @@ class GaussianGenerator:
         self.twist = twist
         self.label = label
         self._expansions: Dict[int, FormElement] = {}
+        self._suffix_caches: Dict[Tuple[int, Tuple[int, ...]], SuffixCache] = {}
 
     @property
     def form_degree(self) -> int:
@@ -115,6 +105,15 @@ class GaussianGenerator:
         out = FormElement(comps, self.ambient, truncation=degree)
         self._expansions[degree] = out
         return out
+
+    def suffix_cache(self, budget: int, bounds: Sequence[int]) -> "SuffixCache":
+        """The one SuffixCache of this generator at a budget and per-slot
+        degree bounds, kept as long as the generator."""
+        key = (budget, tuple(bounds))
+        cache = self._suffix_caches.get(key)
+        if cache is None:
+            cache = self._suffix_caches[key] = SuffixCache(self, budget, bounds)
+        return cache
 
     def invariance_defect(self, j: int, degree: int) -> FormElement:
         """b * gen - gen * twist(b) for the j-th generator, to truncation."""
@@ -139,8 +138,8 @@ def make_zeta_g(ambient: SymplecticData, g: GroupElement) -> GaussianGenerator:
 
     y = _vector(Y, ambient)
     z = _vector(Z, ambient)
-    z_minus_y = [zz - yy for zz, yy in zip(z, y)]
-    moved = _matrix_apply(matrix, z_minus_y)
+    moved = [(zz - yy).linear_subst(Y, matrix).linear_subst(Z, matrix)
+             for zz, yy in zip(z, y)]
     quad = _omega_bilinear(ambient, z, [yy + mm for yy, mm in zip(y, moved)])
     quad = quad.scale(Scalar.of(0, 1))
 
@@ -191,7 +190,8 @@ def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
             budget: Optional[int] = None, check_stability: bool = True):
     """Evaluate the descent cocycle on concrete arguments.
 
-    One uncached SuffixCache pass, each argument its own slot's bound.
+    Reads the generator's SuffixCache for the budget and the argument
+    degrees, so calls with one degree profile share their suffixes.
     Recomputes at budget+2 and requires the certified parts to agree; a
     mismatch means the budget heuristic was too small for these arguments
     and surfaces as a BudgetError.
@@ -210,9 +210,9 @@ def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
         return WeylElement(gen.expand(d).component(()).set_bank_zero(Z),
                            gen.ambient, d)
     # Each of the p homotopies raises the truncation by one.
-    value = SuffixCache(gen, d + p, args).value(args)
+    value = gen.suffix_cache(d + p, degrees).value(args)
     if check_stability:
-        recomputed = SuffixCache(gen, d + 2 + p, args).value(args)
+        recomputed = gen.suffix_cache(d + 2 + p, degrees).value(args)
         recomputed = recomputed.restrict(value.truncation)
         if recomputed != value:
             low, term = (recomputed.poly - value.poly).lowest_term()
@@ -240,12 +240,12 @@ class SuffixCache:
     so tuples sharing a tail share the work: each `_cache` entry is the
     homotopy of a tail's chain, the right factor every argument in front of
     that tail multiplies against.  A single cache is valid for one generator,
-    budget and list of per-slot bounds: a degree (an int bounds every slot
-    alike), or an argument, which serves only itself.  The value is
-    certified to target = budget - sum(bound degrees), and the bounds cap
-    each level to the terms that can still reach it through the remaining
-    argument derivatives; the star kernel computes only those.  `descend`
-    is one uncached use of it, each argument its own slot's bound.
+    budget and list of per-slot degree bounds (an int bounds every slot
+    alike).  The value is certified to target = budget - sum(bounds), and
+    the bounds cap each level to the terms that can still reach it through
+    the remaining argument derivatives; the star kernel computes only those.
+    `descend` reads the generator's cache for its budget and argument
+    degrees (`GaussianGenerator.suffix_cache`).
 
     The head a_1 meets its suffix's 0-form F = s(a_2 * s(...)) only through
     the closing z = 0 projection, and a_1 has no z, so
@@ -253,26 +253,23 @@ class SuffixCache:
         (a_1 * F)|_{z=0} = sum_gamma (i^|gamma| / gamma!) d_y^gamma a_1 . R[gamma],
         R[gamma] = ((pi D)^gamma F)|_{z=0},   D = d_y + d_z,
 
-    over |gamma| <= the head's degree bound, or the gamma dividing the
-    bounding argument's monomials.  `_final` holds, per suffix, that table
-    of y-polynomials with their coefficients, keyed by y^gamma, so a head
-    costs one product per entry dividing one of its monomials and no star
-    kernel.  Only the table reads the longest suffixes' s(tail), so those
-    are not kept in `_cache`.
+    over |gamma| <= the head's degree bound.  `_final` holds, per suffix,
+    that table of y-polynomials with their coefficients, keyed by y^gamma,
+    so a head costs one product per entry dividing one of its monomials and
+    no star kernel.  Only the table reads the longest suffixes' s(tail), so
+    those are not kept in `_cache`.
     """
 
     def __init__(self, gen: GaussianGenerator, budget: int,
-                 slot_degree: Union[int, Sequence[Union[int, WeylElement]]]):
+                 slot_degree: Union[int, Sequence[int]]):
         self.gen = gen
         self.budget = budget
         self.arity = gen.form_degree
-        slots = ([slot_degree] * self.arity if isinstance(slot_degree, int)
-                 else list(slot_degree))
-        if len(slots) != self.arity:
+        bounds = ([slot_degree] * self.arity if isinstance(slot_degree, int)
+                  else list(slot_degree))
+        if len(bounds) != self.arity:
             raise ValueError(f"generator of form degree {self.arity} "
                              f"takes {self.arity} slot degree bounds")
-        self.slots = slots
-        bounds = [b if isinstance(b, int) else b.degree() for b in slots]
         self.bounds = bounds
         self.target = budget - sum(bounds)
         if self.target < 0:
@@ -285,17 +282,15 @@ class SuffixCache:
         # their homotopy adds.
         z_caps = [sum(bounds[:r]) - r for r in range(self.arity, -1, -1)]
         self._caps = [(z, self.target + z) for z in z_caps]
-        # `_z0_table`'s left factor, read for its support: a degree bound's
-        # is every monomial up to it.
-        head, ys = slots[0], _y_keys(2 * gen.ambient.n)
-        self._head_left = (head.poly if not isinstance(head, int) else Poly(
-            {sum(c): ONE for c in combinations_with_replacement(ys, head)}))
+        # `_z0_table`'s left factor, read for its support: every monomial up
+        # to the head slot's bound.
+        ys = _y_keys(2 * gen.ambient.n)
+        self._head_left = Poly(
+            {sum(c): ONE for c in combinations_with_replacement(ys, bounds[0])})
 
     def _check_slot(self, k: int, arg: WeylElement) -> None:
         if arg.degree() > self.bounds[k]:
             raise BudgetError("argument degree exceeds the cache's slot bound")
-        if not isinstance(self.slots[k], int) and arg != self.slots[k]:
-            raise BudgetError("a slot bounded by an argument serves no other")
 
     def tail(self, args: Sequence[WeylElement]) -> FormElement:
         """s(args[0] * s(... args[-1] * s(generator))), each level cut to its caps."""
@@ -346,7 +341,7 @@ class SuffixCache:
 
     def _z0_table(self, f: Poly) -> Dict[int, Poly]:
         """The key of y^gamma -> (i^|gamma| / gamma!) ((pi D)^gamma f)|_{z=0}
-        for the head's multi-indices, cut to what the head keeps of the
+        for the head slot's multi-indices, cut to what the head keeps of the
         target degree; zero entries are left out."""
         return {key: r.scale(coeff) for key, _, r, coeff, _
                 in _walk(self._head_left, f, self.gen.ambient, (0, self.target))}

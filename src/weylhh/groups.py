@@ -91,7 +91,9 @@ class GroupElement:
         return lams
 
     def __str__(self) -> str:
-        return self.label or f"<{self.size}x{self.size} symplectic>"
+        # Unlabelled: the rows, as [a b; c d].
+        return self.label or "[" + "; ".join(
+            " ".join(map(str, row)) for row in self.matrix) + "]"
 
     __repr__ = __str__
 

@@ -24,7 +24,8 @@ A polynomial is a map from keys to nonzero Scalar coefficients.  Values are
 treated as immutable after construction, so one value may be read from
 several threads; the package's memo caches (ffs `_coeff_memo`, `_op_cache`
 and the `_monos_for`, `_det_operator` and `_pair_operator` memos,
-`GaussianGenerator._expansions`, each `SuffixCache`) are unsynchronised.
+`GaussianGenerator._expansions` and `_suffix_caches`, each `SuffixCache`)
+are unsynchronised.
 
 Constructors and serialization speak (bank, index, exponent) triples;
 serialization unpacks the keys and sorts them in a graded-lex order over

@@ -331,6 +331,8 @@ def test_descent_twist_names_unknown_label(capsys):
     ["verify-all", "--degree", "-1"],
     ["simplex", "fuzz", "--dim", "2", "--count", "-5"],
     ["simplex", "fuzz", "--dim", "2", "--count", "0"],
+    ["smash", "theta", "--group", PRESET, "--gamma", json.dumps({"kappa": "1"}),
+     "--args", json.dumps({"n": 2, "args": [{"1": Y1}, {"1": Y2}]}), "--degree", "-1"],
 ])
 def test_negative_sizes_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -453,21 +453,21 @@ def test_descend_matches_reference_chain(case):
     assert outcomes == {"BudgetError", "value"}
 
 
-def test_element_bounded_head_slot(sym1):
-    # descend bounds each slot by its own argument: its value is the one an
-    # int-bounded cache gives, and each slot serves no other argument.
-    head, other, b = (WeylElement(Poly.monomial([(Y, 1, 2)]), sym1),
-                      WeylElement(Poly.monomial([(Y, 1, 1), (Y, 2, 1)]), sym1),
-                      WeylElement.generator(2, sym1))
+def test_descend_reuses_generator_caches(sym1):
+    # A second descend with the same degree profile and suffix reads the
+    # caches the first built: no new cache, no new tail or table entry, and
+    # the value a fresh generator gives.
+    a1, a2, b = (WeylElement(Poly.monomial([(Y, 1, 2)]), sym1),
+                 WeylElement(Poly.monomial([(Y, 1, 1), (Y, 2, 1)]), sym1),
+                 WeylElement.generator(2, sym1))
     zeta = make_zeta(sym1)
-    for budget in (6, 8):
-        by_element = SuffixCache(zeta, budget, [head, b])
-        by_degree = SuffixCache(zeta, budget, [2, 1])
-        assert by_element.value((head, b)) == by_degree.value((head, b))
-        with pytest.raises(BudgetError, match="serves no other"):
-            by_element.value((other, b))
-        with pytest.raises(BudgetError, match="serves no other"):
-            by_element.value((head, WeylElement.generator(1, sym1)))
+    descend(zeta, [a1, b])
+    caches = dict(zeta._suffix_caches)
+    sizes = [(len(c._cache), len(c._final)) for c in caches.values()]
+    value = descend(zeta, [a2, b])
+    assert zeta._suffix_caches == caches and len(caches) == 2
+    assert [(len(c._cache), len(c._final)) for c in caches.values()] == sizes
+    assert value == descend(make_zeta(sym1), [a2, b])
 
 
 def test_degree_one_sweep_n3():
@@ -489,11 +489,13 @@ def test_degree_one_sweep_n3():
     assert len(table) == 720
 
 
-@pytest.mark.parametrize("moved, pairing", [(1, frac(1, 2)), (2, frac(1, 24))])
+@pytest.mark.parametrize("moved, pairing",
+                         [(1, frac(1, 2)), (2, frac(1, 24)), (3, frac(1, 720))])
 def test_twisted_cocycles_n3(moved, pairing):
-    # The rank-2 and rank-4 twists diag(-1, .., -1, 1, ..) at n = 3: each
-    # cocycle verifies, its cycle coefficient solves its defining
-    # equations, and the pair comes to 1/(2k)!.
+    # The rank-2, rank-4 and rank-6 twists diag(-1, .., -1, 1, ..) at n = 3:
+    # each cocycle verifies, its cycle coefficient solves its defining
+    # equations, and the pair comes to 1/(2k)!.  The rank-6 pairing's 720
+    # orderings share the generator's two suffix caches.
     sym3 = SymplecticData.canonical(3)
     signs = [Scalar.of(-1)] * (2 * moved) + [Scalar.of(1)] * (6 - 2 * moved)
     g = GroupElement.diagonal(signs, f"rank{2 * moved}")

@@ -309,6 +309,14 @@ def test_group_action_inverts_no_matrix(preset, rng, monkeypatch):
     assert calls == []
 
 
+def test_unlabelled_elements_print_their_rows(kleinian):
+    # A failing smash report names its element: the elements close_group
+    # makes carry no label, so each prints its matrix rows, and every
+    # element of Z3 and of Q8 prints differently.
+    assert [str(g) for g in kleinian["Z3"]] == ["1", "[0 -1; 1 -1]", "[-1 1; -1 0]"]
+    assert len({str(g) for g in kleinian["Q8"]}) == 8
+
+
 @pytest.mark.parametrize("name", ["Z3", "Z4", "Z6", "Q8"])
 def test_kleinian_theta_cocycles(kleinian, sym1, name):
     # Elements with g != g^-1 tell tau_g from tau_{g^-1}, and Q8 also tells

@@ -79,25 +79,22 @@ def uniform_cache_agrees(sym, a, b) -> bool:
     return f.restrict(via_cache.truncation) == via_cache
 
 
-def guarded_head_value(sym, head, other, b) -> bool:
-    """A cache whose head slot is bounded by `head` serves it, and refuses
-    `other` or gives it the value of a cache with an int bound."""
-    budget = head.degree() + b.degree() + 2 * sym.n + 4
-    cache = SuffixCache(make_zeta(sym), budget, [head, b])
-    uniform = SuffixCache(make_zeta(sym), budget, [head.degree(), b.degree()])
-    if cache.value((head, b)) != uniform.value((head, b)):
-        return False
+def shared_generator_agrees(sym, calls) -> bool:
+    """descend through one generator's memoized caches, call after call,
+    against a fresh generator per call."""
+    zeta = make_zeta(sym)
     try:
-        got = cache.value((other, b))
+        return all(descend(zeta, args, budget) == descend(make_zeta(sym), args, budget)
+                   for args, budget in calls)
     except BudgetError:
-        return True
-    return got == uniform.value((other, b))
+        return False
 
 
 # Poly.directional_diff calls and output terms: every pair of n = 1
-# monomials of degree <= 2 through one cache at budget 8, then one one-shot
-# descend.  A cut that stops cutting changes no value, only these.
-PINNED_WORK = ((43, 107), (16, 68))
+# monomials of degree <= 2 through one cache at budget 8, then one cold
+# descend, whose head table walks every monomial up to the head's degree.
+# A cut that stops cutting changes no value, only these.
+PINNED_WORK = ((43, 107), (22, 78))
 
 
 def derivative_work(sym):
@@ -457,25 +454,37 @@ def test_z0_table_without_factorial(monkeypatch, sym1):
     assert not routes_agree(sym1, a, b)
 
 
-def test_head_slot_serves_other_head(monkeypatch, sym1):
-    # A slot bounded by an argument keeps only the table entries that
-    # argument reads: without the guard a cache made for the head y1^2
-    # serves y1 y2, which finds no y2 entry.
-    head, other, b = y(sym1, 2), y(sym1, 1, 1), y(sym1, 0, 1)
-    assert guarded_head_value(sym1, head, other, b)
-    install(monkeypatch, descent, "_check_slot", "and arg != self.slots[k]", "and False",
-            owner=SuffixCache)
-    assert not guarded_head_value(sym1, head, other, b)
-
-
 def test_head_left_past_its_bound(monkeypatch, sym1):
-    # A degree-bounded head slot's left factor one degree past the bound:
-    # the table gains entries no head of that degree divides, and every
-    # right derivative a wider cut, but the yielded cut keeps each value.
+    # The head slot's left factor one degree past its bound: the table
+    # gains entries no head of that degree divides, and every right
+    # derivative a wider cut, but the yielded cut keeps each value.
     assert derivative_work(sym1) == PINNED_WORK
-    install(monkeypatch, descent, "__init__", "combinations_with_replacement(ys, head)",
-            "combinations_with_replacement(ys, head + 1)", owner=SuffixCache)
+    install(monkeypatch, descent, "__init__",
+            "combinations_with_replacement(ys, bounds[0])",
+            "combinations_with_replacement(ys, bounds[0] + 1)", owner=SuffixCache)
     assert derivative_work(sym1) != PINNED_WORK
+
+
+def test_suffix_cache_memo_without_budget(monkeypatch, sym1):
+    # A memo keyed by the bounds alone hands the budget+2 recheck the
+    # budget's own cache, and a later budget an earlier budget's values.
+    a, b = y(sym1, 1), y(sym1, 0, 1)
+    calls = [((a, b), 4), ((a, b), 6)]
+    assert shared_generator_agrees(sym1, calls)
+    install(monkeypatch, descent, "suffix_cache", "(budget, tuple(bounds))",
+            "tuple(bounds)", owner=descent.GaussianGenerator)
+    assert not shared_generator_agrees(sym1, calls)
+
+
+def test_suffix_cache_memo_without_bounds(monkeypatch, sym1):
+    # A memo keyed by the budget alone serves a degree profile from a cache
+    # bounded for another: the head y1^2 meets a slot bounded by 1.
+    b = y(sym1, 0, 1)
+    calls = [((y(sym1, 1), b), 4), ((y(sym1, 2), b), 4)]
+    assert shared_generator_agrees(sym1, calls)
+    install(monkeypatch, descent, "suffix_cache", "(budget, tuple(bounds))",
+            "budget", owner=descent.GaussianGenerator)
+    assert not shared_generator_agrees(sym1, calls)
 
 
 def test_walk_slack_one_larger(monkeypatch, sym1):
