@@ -22,19 +22,20 @@ y_1..y_2n and argument mu on its own copy of 2n variables (see _copy), and a
 product of derivative symbols evaluated at y_mu = 0 turns into exponent
 bookkeeping against the argument coefficients.  Each symbol monomial's
 operator is its W factors times the determinant (both factor kinds memoised
-per argument), walked one Poly product at a time.  One low mask splits each
-of its int monomial keys (see poly) into the output part and the copy part:
-the per-slot derivative multi-index alpha, which pairs only with the
-argument terms y^alpha_mu (weighted by alpha_mu!).  The operator is stored
-grouped by its copy parts, and built on demand inside a divisibility box:
-only the groups whose copy key divides the caller's bound.  Copy parts only
-grow along the walk, so dropping the terms outside the box after every
-product loses nothing inside it.  ffs_apply renames each argument key onto
-its copy and, for every combination of its arguments' term degrees, reads
-the symbol at that need, asks each operator for the lcm of the argument keys
-and looks each summed key up; monomial_table reads the symbol at every need
-within its slot degree, asks for the full box of every operator and reads
-the index itself.
+per argument), walked one Poly product at a time (_operator_product)
+inside a divisibility box: only the terms whose copy part divides the
+caller's bound.  One low mask splits each of its int monomial keys (see
+poly) into the output part and the copy part: the per-slot derivative
+multi-index alpha, which pairs only with the argument terms y^alpha_mu
+(weighted by alpha_mu!).  Copy parts only grow along the walk, so dropping
+the terms outside the box after every product loses nothing inside it.
+ffs_apply renames each argument key onto its copy and, for every
+combination of its arguments' term degrees, reads the symbol at that need,
+asks each operator for the lcm of the argument keys (_operator_for caches
+the product grouped by copy part) and looks each summed key up;
+monomial_table reads the symbol at every need within its slot degree,
+walks each operator's full-box product once and adds its terms straight
+into the rows of their copy parts, caching nothing.
 
 A second, independent route for n = 1 integrates over the unit square after
 the substitution u_1 = t_0 t_1, u_2 = t_0 (Jacobian t_0); the two must agree
@@ -277,10 +278,29 @@ class PackedOperator:
 _op_cache: Dict[tuple, PackedOperator] = {}
 
 
+def _operator_product(ambient: SymplecticData, mono: WMono, bound: int) -> Poly:
+    """det(p_1..p_2n) times the W factors of a symbol monomial, walked one
+    Poly product at a time: the terms whose copy part divides bound."""
+    box = bound | index_mask(2 * ambient.n, Y)  # the output fields are never pruned
+
+    def inside(p: Poly) -> Poly:
+        return Poly({k: c for k, c in p.terms.items() if mono_divides(k, box)})
+
+    # Copy parts only grow along the walk, so a term dropped outside the box
+    # feeds no term inside it.
+    product = Poly.one()
+    for pair, count in mono:
+        factor = inside(_pair_operator(ambient, *pair))
+        for _ in range(count):
+            product = inside(product * factor)
+    return inside(product * inside(_det_operator(ambient)))
+
+
 def _operator_for(ambient: SymplecticData, mono: WMono,
                   bound: int) -> PackedOperator:
-    """det(p_1..p_2n) times the W factors of a symbol monomial, grouped by
-    the copy part of its keys: the groups whose copy key divides bound.
+    """The operator product for a symbol monomial, grouped by the copy part
+    of its keys: the groups whose copy key divides bound.  ffs_apply reads
+    it; monomial_table walks the products itself and never calls it.
 
     Cached per (ambient, mono): a bound the cached one covers reads it, any
     other rebuilds the entry at the lcm of the two.
@@ -292,21 +312,8 @@ def _operator_for(ambient: SymplecticData, mono: WMono,
             return op
         bound = mono_lcm(bound, op.bound)
     out_mask = index_mask(2 * ambient.n, Y)
-    box = bound | out_mask  # the output fields are never pruned
-
-    def inside(p: Poly) -> Poly:
-        return Poly({k: c for k, c in p.terms.items() if mono_divides(k, box)})
-
-    # Copy parts only grow along the walk, so a term dropped outside the box
-    # feeds no group inside it.
-    product = Poly.one()
-    for pair, count in mono:
-        factor = inside(_pair_operator(ambient, *pair))
-        for _ in range(count):
-            product = inside(product * factor)
-    product = inside(product * inside(_det_operator(ambient)))
     groups: Dict[int, list] = {}
-    for k, c in product.terms.items():
+    for k, c in _operator_product(ambient, mono, bound).terms.items():
         out = k & out_mask
         groups.setdefault(k - out, []).extend((out, c))
     op = PackedOperator({k: tuple(v) for k, v in groups.items()}, bound)
@@ -402,31 +409,32 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
                    slot_degree: int) -> Dict[tuple, Poly]:
     """Values on every tuple of basis monomials with per-slot degree bound.
 
-    A read of the operator index: the packed copy key of an operator group is
-    the one tuple of basis monomials (one per slot) the group pairs with, and
-    it contributes the symbol coefficient times each output term, times the
-    factorials of the copy exponents.  Absent keys mean the value is zero;
-    ffs_apply on the same tuple agrees entry by entry.
+    A fold of the operator products: the copy part of an operator term is
+    the one tuple of basis monomials (one per slot) it pairs with, and it
+    contributes the symbol coefficient times the term, times the factorials
+    of the copy exponents.  Each full-box product is walked once, added
+    into its rows and dropped; nothing is cached.  Absent keys mean the
+    value is zero; ffs_apply on the same tuple agrees entry by entry.
     """
     m = 2 * symbol.n
+    out_mask = index_mask(m, Y)
     rows: Dict[int, Dict[int, Scalar]] = {}
     for need in itertools.product(range(1, slot_degree + 1), repeat=m):
         if sum(need) > symbol.budget:
             continue
         box = _full_box(need, symbol.n)
         for mono, coeff in symbol.terms(need):
-            for copy_key, flat in _operator_for(ambient, mono, box).terms.items():
-                row = rows.setdefault(copy_key, {})
-                for out, c in zip(flat[::2], flat[1::2]):
-                    c = coeff * c
-                    prev = row.get(out)
-                    row[out] = c if prev is None else prev + c
+            for k, c in _operator_product(ambient, mono, box).terms.items():
+                out = k & out_mask
+                row = rows.setdefault(k - out, {})
+                c = coeff * c
+                prev = row.get(out)
+                row[out] = c if prev is None else prev + c
     copies = [_copy(mu, symbol.n) for mu in range(1, m + 1)]
-    slot_mask = index_mask(m, Y)
     table: Dict[tuple, Poly] = {}
     while rows:  # popping frees each row as its table entry is made
         copy_key, row = rows.popitem()
-        key = tuple(rename(copy_key, bank, Y, -offset) & slot_mask
+        key = tuple(rename(copy_key, bank, Y, -offset) & out_mask
                     for bank, offset in copies)
         weight = mono_factorial(copy_key)
         poly = Poly({out: c.scale_fraction(weight) for out, c in row.items() if c})

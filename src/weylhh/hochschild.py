@@ -201,10 +201,6 @@ class Chain:
 
     terms: List[Tuple[WeylElement, Tuple[WeylElement, ...]]]
 
-    @property
-    def arity(self) -> int:
-        return len(self.terms[0][1]) if self.terms else 0
-
 
 def wedge_eval(f: Cochain, args: Sequence[WeylElement]):
     """Antisymmetrized evaluation with the 1/p! convention."""

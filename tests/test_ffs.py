@@ -14,7 +14,7 @@ from weylhh.ffs import (cached_symbol, ffs_apply, ffs_build, ffs_cocycle,
                         ffs_hypercube_n1, simplex_moment)
 from weylhh.hochschild import Chain, SampleSpec, pair_chain, verify_cocycle
 from weylhh.poly import Poly, Y, Z, mono_divides, mono_lcm
-from weylhh.sampling import random_weyl
+from weylhh.sampling import monomials_upto, random_weyl
 from weylhh.scalars import I, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, star
 
@@ -376,6 +376,26 @@ def test_operator_cache_contract():
     reached = {mono for need in ((1, 2), (3, 2)) for mono, _ in symbol.terms(need)}
     assert {mono for (_, mono), _ in new} == reached
     assert (((0, 1), 2), ((0, 2), 1)) in reached
+
+
+def test_monomial_table_matches_apply_and_caches_nothing(sym1):
+    # At n = 1 and slot degree 3 the table holds every basis pair, the unit
+    # included (an absent key means zero), and equals ffs_apply on each.  It
+    # folds each operator product into its rows, so the operator cache is
+    # the same object with the same entries after it.
+    symbol = cached_symbol(1, 6)
+    cache = ffs._op_cache
+    before = len(cache)
+    table = ffs.monomial_table(symbol, sym1, 3)
+    assert ffs._op_cache is cache and len(cache) == before
+    monos = monomials_upto(sym1, 3)
+    nonzero = 0
+    for a, b in itertools.product(monos, repeat=2):
+        key = (next(iter(a.poly.terms)), next(iter(b.poly.terms)))
+        value = ffs_apply(symbol, [a, b]).poly
+        assert table.get(key, Poly.zero()) == value
+        nonzero += not value.is_zero()
+    assert nonzero == len(table) >= 40
 
 
 def _groups(op):

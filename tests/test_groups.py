@@ -167,6 +167,16 @@ def test_theta_equations_mixed_rank(sym2):
         assert defect.is_zero()
 
 
+def test_theta_equations_second_pair_moved(sym2):
+    # The exponent's q and p are y_{2i+1} and y_{2i+2} of the moved pair i;
+    # with the first pair moved (i = 0) other index rules agree with these,
+    # so the moved pair here is the second.
+    g = GroupElement.diagonal(
+        [Scalar.of(1), Scalar.of(1), Scalar.of(0, 1), Scalar.of(0, -1)], "gi")
+    for defect in theta_equation_defects(sym2, g, truncation=10):
+        assert defect.is_zero()
+
+
 def test_twisted_pairings(preset, sym1):
     minus = GroupElement.diagonal([Scalar.of(-1), Scalar.of(-1)], "-1")
     tau = twisted_cocycle(sym1, minus)

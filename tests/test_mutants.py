@@ -27,7 +27,7 @@ from weylhh.hochschild import (SampleSpec, constant_cochain, hochschild_d,
                                verify_cocycle)
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import monomials_upto
-from weylhh.scalars import Scalar
+from weylhh.scalars import ONE, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, involution, star
 
 
@@ -67,6 +67,19 @@ def square_route_agrees(a, b) -> bool:
     """The unit-square value against the simplex-symbol value (n = 1)."""
     f = ffs_apply(cached_symbol(1, a.degree() + b.degree()), [a, b])
     return ffs.ffs_hypercube_n1([a, b]) == f
+
+
+def table_matches_apply(sym, slot_degree) -> bool:
+    """monomial_table against ffs_apply on every tuple of basis monomials of
+    per-slot degree <= slot_degree (an absent key means zero)."""
+    m = 2 * sym.n
+    symbol = cached_symbol(sym.n, m * slot_degree)
+    table = ffs.monomial_table(symbol, sym, slot_degree)
+    for tup in itertools.product(monomials_upto(sym, slot_degree), repeat=m):
+        key = tuple(next(iter(a.poly.terms)) for a in tup)
+        if table.get(key, Poly.zero()) != ffs_apply(symbol, list(tup)).poly:
+            return False
+    return True
 
 
 def uniform_cache_agrees(sym, a, b) -> bool:
@@ -208,8 +221,17 @@ def test_pair_factor_without_power(monkeypatch, sym1):
     a, b = y(sym1, 3), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
     monkeypatch.setattr(ffs, "_op_cache", {})
-    install(monkeypatch, ffs, "_operator_for", "range(count)", "range(1)")
+    install(monkeypatch, ffs, "_operator_product", "range(count)", "range(1)")
     assert not routes_agree(sym1, a, b)
+
+
+def test_table_fold_without_coefficient(monkeypatch, sym1):
+    # Each operator term folded into its row without the symbol coefficient
+    # of its W-monomial: already wrong at n = 1 with slot degree 3, against
+    # ffs_apply on every basis pair.
+    assert table_matches_apply(sym1, 3)
+    install(monkeypatch, ffs, "monomial_table", "c = coeff * c", "c = c")
+    assert not table_matches_apply(sym1, 3)
 
 
 def test_operator_box_gcd_for_lcm(monkeypatch, sym1):
@@ -338,6 +360,21 @@ def test_theta_group_part_order_swapped(monkeypatch, kleinian):
             "group.product(g, running)", "group.product(running, g)")
     assert not theta_cocycles_hold(kleinian["Q8"])
     assert theta_cocycles_hold(kleinian["Z6"]) and theta_cocycles_hold(preset)
+
+
+def test_theta_exponent_q_index(monkeypatch, sym2):
+    # y_{3i+1} for the moved pair's q = y_{2i+1}: the same index while the
+    # first pair moves, so the sector must move the second pair to show it.
+    def defects_vanish(g):
+        return all(d.is_zero() for d in groups.theta_equation_defects(sym2, g, 10))
+
+    i, minus_i = Scalar.of(0, 1), Scalar.of(0, -1)
+    first = groups.GroupElement.diagonal([i, minus_i, ONE, ONE], "gi")
+    second = groups.GroupElement.diagonal([ONE, ONE, i, minus_i], "gi")
+    assert defects_vanish(first) and defects_vanish(second)
+    install(monkeypatch, groups, "theta_element",
+            "(Y, 2 * i + 1, 1)", "(Y, 3 * i + 1, 1)")
+    assert defects_vanish(first) and not defects_vanish(second)
 
 
 def test_coefficient_memo_shared_across_n(monkeypatch, sym1, sym2):
