@@ -218,7 +218,7 @@ def run_verify_all(seed: int, samples: int, max_degree: int) -> List[dict]:
     checked = passed = 0
     for m1 in sampling.monomials_upto(sym1, 2):
         for m2 in sampling.monomials_upto(sym1, 2):
-            d = descend(zeta, [m1, m2], check_stability=False)
+            d = descend(zeta, [m1, m2])
             f = ffs_apply(cached_symbol(1, 8), [m1, m2])
             checked += 1
             passed += f.restrict(d.truncation) == d

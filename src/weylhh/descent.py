@@ -62,8 +62,6 @@ def _omega_bilinear(sym: SymplecticData, left: List[Poly], right: List[Poly]) ->
     out = Poly.zero()
     size = 2 * sym.n
     for j in range(size):
-        if left[j].is_zero():
-            continue
         for k in range(size):
             c = sym.omega[j][k]
             if not c.is_zero() and not right[k].is_zero():
@@ -187,14 +185,14 @@ class DescentTrace:
 
 
 def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
-            budget: Optional[int] = None, check_stability: bool = True):
+            budget: Optional[int] = None):
     """Evaluate the descent cocycle on concrete arguments.
 
     Reads the generator's SuffixCache for the budget and the argument
-    degrees, so calls with one degree profile share their suffixes.
-    Recomputes at budget+2 and requires the certified parts to agree; a
-    mismatch means the budget heuristic was too small for these arguments
-    and surfaces as a BudgetError.
+    degrees, so calls with one degree profile share their suffixes.  Every
+    value of positive arity is recomputed at budget+2 and its certified part
+    must agree; a mismatch means the budget was too small for these
+    arguments and surfaces as a BudgetError.  There is no unchecked path.
     """
     p = gen.form_degree
     if len(args) != p:
@@ -211,23 +209,22 @@ def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
                            gen.ambient, d)
     # Each of the p homotopies raises the truncation by one.
     value = gen.suffix_cache(d + p, degrees).value(args)
-    if check_stability:
-        recomputed = gen.suffix_cache(d + 2 + p, degrees).value(args)
-        recomputed = recomputed.restrict(value.truncation)
-        if recomputed != value:
-            low, term = (recomputed.poly - value.poly).lowest_term()
-            raise BudgetError(
-                f"descent value unstable at budget {d}: the budget+2 value "
-                f"minus the budget value is first nonzero at degree {low}, "
-                f"{term}; rerun with a larger one")
+    recomputed = gen.suffix_cache(d + 2 + p, degrees).value(args)
+    recomputed = recomputed.restrict(value.truncation)
+    if recomputed != value:
+        low, term = (recomputed.poly - value.poly).lowest_term()
+        raise BudgetError(
+            f"descent value unstable at budget {d}: the budget+2 value "
+            f"minus the budget value is first nonzero at degree {low}, "
+            f"{term}; rerun with a larger one")
     return value
 
 
-def descent_cocycle(gen: GaussianGenerator, budget: Optional[int] = None,
-                    check_stability: bool = True) -> Cochain:
-    """The descent value as a dual-valued normalized cochain."""
+def descent_cocycle(gen: GaussianGenerator, budget: Optional[int] = None) -> Cochain:
+    """The descent value as a dual-valued normalized cochain; each value is
+    rechecked at budget+2 as `descend` does."""
     def ev(*args):
-        return descend(gen, args, budget=budget, check_stability=check_stability)
+        return descend(gen, args, budget=budget)
 
     return Cochain(gen.form_degree, gen.ambient, gen.twist, ev,
                    label=f"tau[{gen.label}]")
@@ -365,7 +362,7 @@ def build_trace(gen: GaussianGenerator, budget: int) -> DescentTrace:
             lambda v: -homotopy_s(v), label=f"xi_{p - 1 - step}")
         xis.append(nxt)
         xi = nxt
-    cocycle = descent_cocycle(gen, budget=budget, check_stability=False)
+    cocycle = descent_cocycle(gen, budget=budget)
     return DescentTrace(gen, budget, xis, cocycle)
 
 

@@ -42,9 +42,9 @@ the substitution u_1 = t_0 t_1, u_2 = t_0 (Jacobian t_0); the two must agree
 exactly.  Both routes expand the exponential over integer polynomials keyed
 by exponent tuples (in u_1 .. u_2n, or in t_0, t_1), multiplied by _u_mul,
 and integrate each monomial in closed form: the simplex moment, or
-1/((a+1)(b+1)) for t_0^a t_1^b over the square.  The square-route prefactor
-is written det(p_1, p_2), which is the same bilinear prefactor expressed in
-the sign convention fixed by omega . pi = id.
+1/((a+1)(b+1)) for t_0^a t_1^b over the square.  Both routes take their
+prefactor from _det_operator; at n = 1 it is det(pi) / pi^{12} times W_12,
+the square formula's w(p_1, p_2), so the two coincide where det(pi) = 1.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InsufficientExpansionError
-from .linalg import mat_mul, mat_transpose, perm_sign
+from .linalg import mat_det, perm_sign
 from .poly import (MAX_EXPONENT, Poly, Y, Z, index_mask, mono_degree,
                    mono_divides, mono_factorial, mono_lcm, rename)
 from .scalars import I, Scalar
@@ -180,9 +180,8 @@ def ffs_build(n: int, degree_budget: int) -> FFSSymbol:
     return FFSSymbol(n, degree_budget)
 
 
-def cached_symbol(n: int, degree_budget: int) -> FFSSymbol:
-    """The same as ffs_build: every symbol for one n reads one memo."""
-    return ffs_build(n, degree_budget)
+# The same as ffs_build: every symbol for one n reads one memo.
+cached_symbol = ffs_build
 
 
 # -- applying the symbol ------------------------------------------------------
@@ -205,61 +204,45 @@ def _copy_var(mu: int, j: int, n: int) -> Tuple[str, int, int]:
     return (bank, offset + j, 1)
 
 
+def _sum_monomials(monomials) -> Poly:
+    """The sum of (triples, coeff) monomials with distinct keys."""
+    terms: Dict[int, Scalar] = {}
+    for triples, c in monomials:
+        terms.update(Poly.monomial(triples, c).terms)
+    return Poly(terms)
+
+
 @lru_cache(maxsize=None)
 def _det_operator(sym: SymplecticData) -> Poly:
-    """det(p_1 .. p_{2n}) as a polynomial in the derivative symbols."""
-    m = 2 * sym.n
-    out = Poly.zero()
-    for perm in itertools.permutations(range(1, m + 1)):
-        sign = perm_sign(perm)
-        term = Poly.one()
-        for mu, row in enumerate(perm, start=1):
-            filt = Poly.zero()
-            for k in range(m):
-                c = sym.pi[row - 1][k]
-                if not c.is_zero():
-                    filt = filt + Poly.monomial([_copy_var(mu, k + 1, sym.n)], c)
-            term = term * filt
-            if term.is_zero():
-                break
-        if sign < 0:
-            term = -term
-        out = out + term
-    return out
+    """det(p_1 .. p_{2n}) as a polynomial in the derivative symbols.
+
+    With p_mu^a = pi^{ab} d/dy_mu^b it is det(pi) times
+    sum_sigma sign(sigma) prod_mu d/dy_mu^sigma(mu): one monomial per
+    permutation.
+    """
+    det = mat_det(sym.pi)
+    return _sum_monomials(
+        ([_copy_var(mu, k, sym.n) for mu, k in enumerate(perm, start=1)],
+         det if perm_sign(perm) > 0 else -det)
+        for perm in itertools.permutations(range(1, 2 * sym.n + 1)))
 
 
 @lru_cache(maxsize=None)
 def _pair_operator(sym: SymplecticData, i: int, j: int) -> Poly:
-    """The operator polynomial for one W_{ij} factor.
+    """The operator polynomial for one W_{ij} = w(p_i, p_j) factor.
 
-    The pairing form inside the symbol is the opposite-sign dual of pi
-    (w . pi = -id): with that reading the cocycle identity holds exactly and
-    the unit-square formula's w(p_1, p_2) prefactor coincides with
-    det(p_1, p_2).  The stored ambient omega satisfies omega . pi = +id, so
-    the realization negates it here.
+    The pairing form w inside the symbol is the opposite-sign dual of pi
+    (w . pi = -id, where the stored omega has omega . pi = +id); with that
+    reading the cocycle identity holds exactly.  So
+    W_{0j} = i y^k (w pi)_k^l d/dy_j^l = -i sum_k y^k d/dy_j^k, and
+    W_{ij} = (pi^T w pi)^{ab} d/dy_i^a d/dy_j^b = pi^{ab} d/dy_i^a d/dy_j^b.
     """
-    m = 2 * sym.n
-    w = tuple(tuple(-c for c in row) for row in sym.omega)
-    out = Poly.zero()
     if i == 0:
-        # i * y^k (w pi)_k^l d/dy_j^l
-        op = mat_mul(w, sym.pi)
-        for k in range(m):
-            for l0 in range(m):
-                c = op[k][l0]
-                if not c.is_zero():
-                    out = out + Poly.monomial(
-                        [(Y, k + 1, 1), _copy_var(j, l0 + 1, sym.n)], c * I)
-        return out
-    # (pi^T w pi)^{ab} d/dy_i^a d/dy_j^b
-    op = mat_mul(mat_transpose(sym.pi), mat_mul(w, sym.pi))
-    for a in range(m):
-        for b in range(m):
-            c = op[a][b]
-            if not c.is_zero():
-                out = out + Poly.monomial(
-                    [_copy_var(i, a + 1, sym.n), _copy_var(j, b + 1, sym.n)], c)
-    return out
+        return _sum_monomials(([(Y, k, 1), _copy_var(j, k, sym.n)], -I)
+                              for k in range(1, 2 * sym.n + 1))
+    return _sum_monomials(([_copy_var(i, a, sym.n), _copy_var(j, b, sym.n)], c)
+                          for a, row in enumerate(sym.pi, start=1)
+                          for b, c in enumerate(row, start=1))
 
 
 class PackedOperator:

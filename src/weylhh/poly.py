@@ -247,9 +247,7 @@ class Poly:
             return Poly()
         return Poly({m: cc * c for m, cc in self.terms.items()})
 
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, Scalar):
-            return self.scale(other)
+    def __mul__(self, other: "Poly") -> "Poly":
         return Poly(self.mul_into(other, {}))
 
     def mul_into(self, other: "Poly", out: Dict[int, Scalar],

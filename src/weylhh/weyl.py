@@ -39,8 +39,8 @@ class SymplecticData:
     """Dimension parameter n, the bivector pi and its two-form dual omega.
 
     The sign convention is fixed by omega . pi = identity.  Direct dataclass
-    construction is unvalidated (tests exploit this for negative controls);
-    use the factories for checked data.
+    construction is unvalidated; use the factories, or call validate(), for
+    checked data.
     """
 
     n: int

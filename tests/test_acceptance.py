@@ -188,7 +188,7 @@ def test_criterion_06_route_equivalence():
     for m1, m2 in itertools.product(monos1, repeat=2):
         if m1.degree() + m2.degree() > 6:
             continue
-        d = descend(zeta1, [m1, m2], check_stability=True)
+        d = descend(zeta1, [m1, m2])
         f = ffs_apply(symbol1, [m1, m2])
         if f.restrict(d.truncation) != d:
             mismatches.append(("n1", (m1, m2), lowest_difference(f.poly, d)))
@@ -278,12 +278,11 @@ def test_criterion_07_twisted_suite():
     rng = random.Random(SEED + 7)
     for g in (labels["kappa"], labels["kappabar"], labels["kappakappabar"]):
         arity = 2 * g.twist_pairs()
-        tau_g = descent_cocycle(make_zeta_g(amb2, g), check_stability=False)
+        tau_g = descent_cocycle(make_zeta_g(amb2, g))
         for h in group:
             conj = conjugate_cochain(group, tau_g, h)
             target = descent_cocycle(
-                make_zeta_g(amb2, group.conjugate(h, g)),
-                check_stability=False)
+                make_zeta_g(amb2, group.conjugate(h, g)))
             for _ in range(2):
                 args = [random_weyl(rng, amb2, 1) for _ in range(arity)]
                 lhs = conj(*args)
@@ -441,9 +440,9 @@ def test_criterion_09_simplex_identity():
 
 
 def test_criterion_10_truncation_stability():
-    # every descent evaluation above ran with the mandatory budget+2
-    # recomputation (check_stability=True and the dual suffix caches); this
-    # re-asserts the invariance explicitly on a representative sweep.
+    # every descend above recomputed its value at budget+2 (descend has no
+    # unchecked path; the n = 2 sweep reads suffix caches at two budgets);
+    # this re-asserts the invariance explicitly on a representative sweep.
     rng = random.Random(SEED + 16)
     sym1 = SymplecticData.canonical(1)
     zeta1 = make_zeta(sym1)
@@ -454,8 +453,8 @@ def test_criterion_10_truncation_stability():
         a = random_weyl(rng, sym1, 3)
         b = random_weyl(rng, sym1, 3)
         base = auto_budget([a, b], 1)
-        v1 = descend(zeta1, [a, b], budget=base, check_stability=False)
-        v2 = descend(zeta1, [a, b], budget=base + 2, check_stability=False)
+        v1 = descend(zeta1, [a, b], budget=base)
+        v2 = descend(zeta1, [a, b], budget=base + 2)
         ok &= v2.restrict(v1.truncation) == v1
         cases += 1
     zk = make_zeta_g(amb2, labels["kappa"])
@@ -463,8 +462,8 @@ def test_criterion_10_truncation_stability():
         a = random_weyl(rng, amb2, 2)
         b = random_weyl(rng, amb2, 2)
         base = auto_budget([a, b], 2)
-        v1 = descend(zk, [a, b], budget=base, check_stability=False)
-        v2 = descend(zk, [a, b], budget=base + 2, check_stability=False)
+        v1 = descend(zk, [a, b], budget=base)
+        v2 = descend(zk, [a, b], budget=base + 2)
         ok &= v2.restrict(v1.truncation) == v1
         cases += 1
     _report(10, ok, f"descent values invariant under budget +2 on {cases} "

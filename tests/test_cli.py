@@ -323,6 +323,42 @@ def test_descent_twist_names_unknown_label(capsys):
     assert capsys.readouterr().err == f"error: unknown group label 'zzz'; {KNOWN_LABELS}\n"
 
 
+@pytest.mark.parametrize("gamma", [{"kappa": 1},
+                                   {"kappa": {"re": ["1", "1"], "im": ["0", "1"]}}])
+def test_smash_theta_gamma_scalar_forms(capsys, gamma):
+    # An int and the JSON scalar form read as the string "1" does.
+    argv = ["--format", "json", "smash", "theta", "--group", PRESET,
+            "--args", json.dumps({"n": 2, "args": [{"1": Y1}, {"1": Y2}]}),
+            "--degree", "2", "--gamma"]
+    code, out = run(capsys, *argv, json.dumps(gamma))
+    assert code == 0
+    assert run(capsys, *argv, json.dumps({"kappa": "1"})) == (0, out)
+
+
+def test_descent_twist_preset_element(capsys):
+    # The preset's kappa is diag(-1, -1, 1, 1) on the preset's ambient.
+    args = json.dumps({"n": 2, "args": [Y1, Y2]})
+    results = []
+    for twist in ({"preset": "higher-spin-4d", "element": "kappa"},
+                  {"diag": ["-1", "-1", "1", "1"]}):
+        code, out = run(capsys, "--format", "json", "descent", "eval",
+                        "--args", args, "--twist", json.dumps(twist))
+        assert code == 0
+        results.append(json.loads(out)["result"])
+    assert results[0] == results[1]
+    assert results[0]["terms"]
+
+
+def test_descent_twist_preset_dimension_mismatch_exits_2(capsys):
+    # The preset lives at n = 2; n = 1 arguments are a usage error.  (A
+    # preset without an element is one of the malformed specs above.)
+    twist = {"preset": "higher-spin-4d", "element": "kappa"}
+    code = main(["descent", "eval", "--args", json.dumps({"n": 1, "args": [Y1, Y2]}),
+                 "--twist", json.dumps(twist)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: twist preset dimension does not match args\n"
+
+
 # -- sizes: a count below 1 or a degree below 0 is a usage error -----------------
 
 @pytest.mark.parametrize("argv", [

@@ -200,12 +200,11 @@ def test_equivariance(preset, rng):
     # cocycle.
     group, ambient, labels = preset
     kappa = labels["kappa"]
-    tau_k = descent_cocycle(make_zeta_g(ambient, kappa), check_stability=False)
+    tau_k = descent_cocycle(make_zeta_g(ambient, kappa))
     for h in group:
         conj = conjugate_cochain(group, tau_k, h)
         tau_target = descent_cocycle(
-            make_zeta_g(ambient, group.conjugate(h, kappa)),
-            check_stability=False)
+            make_zeta_g(ambient, group.conjugate(h, kappa)))
         for _ in range(3):
             a = random_weyl(rng, ambient, 2)
             b = random_weyl(rng, ambient, 2)
@@ -359,13 +358,12 @@ def test_kleinian_equivariance_q8(kleinian, sym1, rng):
     for g in group:
         if g.is_identity():
             continue
-        tau_g = descent_cocycle(make_zeta_g(sym1, g), check_stability=False)
+        tau_g = descent_cocycle(make_zeta_g(sym1, g))
         for h in group:
             target = group.conjugate(h, g)
             moved += target is not g
             conj = conjugate_cochain(group, tau_g, h)
-            tau_target = descent_cocycle(make_zeta_g(sym1, target),
-                                         check_stability=False)
+            tau_target = descent_cocycle(make_zeta_g(sym1, target))
             for _ in range(2):
                 a, b = (random_weyl(rng, sym1, 1) for _ in range(2))
                 lhs = conj(a, b)

@@ -57,8 +57,9 @@ def homotopy_identity_holds(a: FormElement) -> bool:
 
 
 def routes_agree(sym, *args, budget=None) -> bool:
-    """The descent value against the simplex-symbol value."""
-    d = descend(make_zeta(sym), list(args), budget=budget, check_stability=False)
+    """The descent value against the simplex-symbol value (descend is read
+    off its module, so a mutant of it installed there is the one run)."""
+    d = descent.descend(make_zeta(sym), list(args), budget=budget)
     f = ffs_apply(cached_symbol(sym.n, sum(a.degree() for a in args)), args)
     return f.restrict(d.truncation) == d
 
@@ -223,6 +224,21 @@ def test_pair_factor_without_power(monkeypatch, sym1):
     monkeypatch.setattr(ffs, "_op_cache", {})
     install(monkeypatch, ffs, "_operator_product", "range(count)", "range(1)")
     assert not routes_agree(sym1, a, b)
+
+
+def test_det_operator_without_det_pi(monkeypatch):
+    # The determinant operator without its det(pi) factor.  Every canonical
+    # ambient has det(pi) = 1, so only a rescaled bivector shows it: with
+    # pi^{12} = 2 (det 4) both routes give 2 on (y1, y2).
+    skew = SymplecticData.from_pi(1, [[Scalar.of(0), Scalar.of(2)],
+                                      [Scalar.of(-2), Scalar.of(0)]])
+    a, b = y(skew, 1), y(skew, 0, 1)
+    assert routes_agree(skew, a, b)
+    assert descend(make_zeta(skew), [a, b]).poly == Poly.const(Scalar.of(2))
+    monkeypatch.setattr(ffs, "_op_cache", {})
+    install(monkeypatch, ffs, "_det_operator", "det = mat_det(sym.pi)",
+            "det = Scalar.of(1)")
+    assert not routes_agree(skew, a, b)
 
 
 def test_table_fold_without_coefficient(monkeypatch, sym1):
@@ -543,15 +559,35 @@ def test_element_key_not_memoized(monkeypatch, sym1):
     assert hit_work(sym1) != (0, 0)
 
 
+def cut_at_target(monkeypatch):
+    """Poly.mul_into cutting at < total cap instead of <= it."""
+    install(monkeypatch, poly, "mul_into", "sum(b) > caps[1]", "sum(b) >= caps[1]",
+            owner=Poly)
+
+
 def test_head_product_cut_at_target(monkeypatch, sym1):
     # The head's products keep the terms of degree <= target; cutting at
     # < target loses the top degree, which only a tight budget reaches: at
-    # budget 0 the target is 0 and (y1, y2) loses its value 1/2.
+    # budget 0 the target is 0 and (y1, y2) loses its value 1/2, while its
+    # budget+2 value keeps it, so descend's recheck refuses the value.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b, budget=0)
-    install(monkeypatch, poly, "mul_into", "sum(b) > caps[1]", "sum(b) >= caps[1]",
-            owner=Poly)
+    cut_at_target(monkeypatch)
     assert routes_agree(sym1, a, b)
+    with pytest.raises(BudgetError, match="unstable at budget 0.*degree 0, [(]1/2[)]"):
+        descend(make_zeta(sym1), [a, b], budget=0)
+
+
+def test_descend_recheck_skipped(monkeypatch, sym1):
+    # The budget+2 recheck is the oracle for a value its budget cut wrongly:
+    # with the cut-at-target fault above and no comparison, descend at
+    # budget 0 returns 0 for (y1, y2) instead of refusing.
+    a, b = y(sym1, 1), y(sym1, 0, 1)
+    cut_at_target(monkeypatch)
+    with pytest.raises(BudgetError):
+        routes_agree(sym1, a, b, budget=0)
+    install(monkeypatch, descent, "descend", "if recomputed != value:", "if False:")
+    assert descent.descend(make_zeta(sym1), [a, b], budget=0).is_zero()
     assert not routes_agree(sym1, a, b, budget=0)
 
 
