@@ -199,9 +199,14 @@ def descend(gen: GaussianGenerator, args: Sequence[WeylElement],
         raise ValueError(f"generator of form degree {p} takes {p} arguments")
     d = auto_budget(args, gen.ambient.n) if budget is None else budget
     degrees = [a.degree() for a in args]
-    if d + p < sum(degrees):
-        raise BudgetError(f"budget {d} is below {sum(degrees) - p}, the argument "
-                          f"degrees {degrees} less one per homotopy")
+    # The product of the last j arguments with their j homotopies needs a
+    # budget of at least their degrees less j; j = p is the whole tuple.
+    low, j = max(((sum(degrees[p - j:]) - j, j) for j in range(1, p + 1)),
+                 default=(0, 0))
+    if d < low:
+        which = "the argument" if j == p else f"the last {j} argument"
+        raise BudgetError(f"budget {d} is below {low}, {which} degrees "
+                          f"{degrees[p - j:]} less one per homotopy")
 
     if not p:
         # No argument and no homotopy: the generator's 0-form at z = 0.

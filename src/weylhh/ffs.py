@@ -13,9 +13,10 @@ So every operator term of a W-monomial has the same per-slot derivative
 degrees need, and only argument terms of exactly those degrees meet it.  The
 symbol is indexed by need: a W-monomial with given need is fixed by its
 slot-pair counts (_monos_for lists them), and its coefficient is computed the
-first time some symbol reads it and kept in a per-n memo.  The expansion
-order needed for a tuple of arguments is bounded by their total degree, and
-the symbol refuses (loudly) to be applied beyond the budget it was built for.
+first time some symbol reads it.  Every memo here is keyed by exactly its
+function's arguments and none has a policy of its own.  The expansion order
+needed for a tuple of arguments is bounded by their total degree, and the
+symbol refuses (loudly) to be applied beyond the budget it was built for.
 
 Applying the symbol happens on disjoint variable copies: the output lives on
 y_1..y_2n and argument mu on its own copy of 2n variables (see _copy), and a
@@ -32,8 +33,8 @@ the terms outside the box after every product loses nothing inside it.
 ffs_apply renames each argument key onto its copy and, for every
 combination of its arguments' term degrees, reads the symbol at that need,
 asks each operator for the lcm of the argument keys (_operator_for caches
-the product grouped by copy part) and looks each summed key up;
-monomial_table reads the symbol at every need within its slot degree,
+the product grouped by copy part, once per bound) and looks each summed key
+up; monomial_table reads the symbol at every need within its slot degree,
 walks each operator's full-box product once and adds its terms straight
 into the rows of their copy parts, caching nothing.
 
@@ -106,12 +107,6 @@ def _integrate_u_poly(poly: Dict[Tuple[int, ...], int]) -> Scalar:
     return total
 
 
-# n -> W-monomial -> its coefficient, zero ones included, each computed the
-# first time a symbol reads it: a coefficient depends on neither the budget
-# nor the arguments.
-_coeff_memo: Dict[int, Dict[WMono, Scalar]] = {}
-
-
 @dataclass(frozen=True)
 class FFSSymbol:
     """The symbol for argument tuples of total degree <= budget: a read of
@@ -124,12 +119,9 @@ class FFSSymbol:
         """The W-monomials with slot degrees need and nonzero coefficient,
         with their coefficients, in the canonical order."""
         m = 2 * self.n
-        memo = _coeff_memo.setdefault(self.n, {})
         out = []
         for mono in _monos_for(m, need):
-            coeff = memo.get(mono)
-            if coeff is None:
-                coeff = memo[mono] = _coefficient(mono, m)
+            coeff = _coefficient(mono, m)
             if not coeff.is_zero():
                 out.append((mono, coeff))
         return out
@@ -161,8 +153,10 @@ def _monos_for(m: int, need: Tuple[int, ...]) -> Tuple[WMono, ...]:
                  for counts in sorted(found))
 
 
+@lru_cache(maxsize=None)
 def _coefficient(mono: WMono, m: int) -> Scalar:
-    """The symbol coefficient of one W-monomial in 2n = m slots."""
+    """The symbol coefficient of one W-monomial in 2n = m slots; it depends
+    on neither the budget nor the arguments."""
     upoly: Dict[Tuple[int, ...], int] = {(0,) * m: 1}
     denom = 1
     for (i, j), count in mono:
@@ -249,13 +243,13 @@ class PackedOperator:
     """An operator indexed by the packed copy part of its monomials (their
     per-slot derivative multi-index): terms maps it to the flat tuple
     (output key, coeff, output key, coeff, ...).  It holds the groups whose
-    copy key divides bound, each complete, and none outside that box."""
+    copy key divides the bound it was built at (the last part of its
+    _op_cache key), each complete, and none outside that box."""
 
-    __slots__ = ("terms", "bound")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[int, tuple], bound: int):
+    def __init__(self, terms: Dict[int, tuple]):
         self.terms = terms
-        self.bound = bound
 
 
 _op_cache: Dict[tuple, PackedOperator] = {}
@@ -285,21 +279,19 @@ def _operator_for(ambient: SymplecticData, mono: WMono,
     of its keys: the groups whose copy key divides bound.  ffs_apply reads
     it; monomial_table walks the products itself and never calls it.
 
-    Cached per (ambient, mono): a bound the cached one covers reads it, any
-    other rebuilds the entry at the lcm of the two.
+    A plain memo: _op_cache[(ambient, mono, bound)] is built once, at
+    exactly that bound, and never replaced.
     """
-    key = (ambient, mono)
+    key = (ambient, mono, bound)
     op = _op_cache.get(key)
     if op is not None:
-        if mono_divides(bound, op.bound):
-            return op
-        bound = mono_lcm(bound, op.bound)
+        return op
     out_mask = index_mask(2 * ambient.n, Y)
     groups: Dict[int, list] = {}
     for k, c in _operator_product(ambient, mono, bound).terms.items():
         out = k & out_mask
         groups.setdefault(k - out, []).extend((out, c))
-    op = PackedOperator({k: tuple(v) for k, v in groups.items()}, bound)
+    op = PackedOperator({k: tuple(v) for k, v in groups.items()})
     _op_cache[key] = op
     return op
 

@@ -371,21 +371,19 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
     """
     from .hochschild import Cochain, untwisted
 
+    if degree == 0:
+        # The identity is the one element of moved rank 0, so theta_0 is
+        # gamma(1) (1 (x) 1) and no sector cocycle is built.
+        def ev0():
+            one = WeylElement.one(ambient).scale(gamma(group.identity))
+            return SmashElement(group, ambient, {group.identity: one})
+
+        return Cochain(0, ambient, untwisted, ev0, label="theta_0")
+
     taus = {}
     for g in group:
         if g.moved_rank() == degree and not gamma(g).is_zero():
             taus[g] = twisted_cocycle(ambient, group.inverse(g))
-    if degree == 0:
-        def ev0():
-            value = SmashElement(group, ambient, {})
-            for g in group:
-                if g.moved_rank() == 0 and not gamma(g).is_zero():
-                    value = value + SmashElement(
-                        group, ambient,
-                        {g: WeylElement.one(ambient).scale(gamma(g))})
-            return value
-
-        return Cochain(0, ambient, untwisted, ev0, label="theta_0")
 
     def ev(*args: SmashElement):
         value = SmashElement(group, ambient, {})

@@ -22,8 +22,8 @@ rename and index_mask.
 
 A polynomial is a map from keys to nonzero Scalar coefficients.  Values are
 treated as immutable after construction, so one value may be read from
-several threads; the package's memo caches (ffs `_coeff_memo`, `_op_cache`
-and the `_monos_for`, `_det_operator` and `_pair_operator` memos,
+several threads; the package's memo caches (ffs `_op_cache` and the
+`_coefficient`, `_monos_for`, `_det_operator` and `_pair_operator` memos,
 `GaussianGenerator._expansions` and `_suffix_caches`, each `SuffixCache`)
 are unsynchronised.
 

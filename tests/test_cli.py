@@ -89,6 +89,17 @@ def test_descent_budget_exit_code(capsys):
                   "--args", json.dumps({"n": 1, "args": [big, big]}),
                   "--budget", "1")
     assert code == 3
+    # A budget the whole tuple admits but its last argument's product does
+    # not is refused by the precheck, which names that suffix.
+    one = {"terms": [{"coeff": {"re": ["1", "1"], "im": ["0", "1"]}, "exps": []}]}
+    y2sq = {"terms": [{"coeff": {"re": ["1", "1"], "im": ["0", "1"]},
+                       "exps": [["Y", 2, 2]]}]}
+    code = main(["descent", "eval", "--args", json.dumps({"n": 1, "args": [one, y2sq]}),
+                 "--budget", "0"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "budget insufficient: budget 0 is below 1, the last 1 argument "
+        "degrees [2] less one per homotopy\n")
 
 
 def test_unstable_descent_exits_3_naming_residual(capsys, monkeypatch):
@@ -314,6 +325,27 @@ def test_smash_theta_names_unknown_label(capsys, gamma, args, label):
     assert code == 2
     assert capsys.readouterr().err == (
         f"error: unknown group label {label!r}; {KNOWN_LABELS}\n")
+
+
+SMASH_THETA = ["smash", "theta", "--group", PRESET, "--degree", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["smash", "dims", "--group", "{}"], "group spec must name a preset"),
+    ([*SMASH_THETA, "--gamma", json.dumps({"kappa": 1.5}),
+      "--args", json.dumps({"n": 2, "args": [{"1": Y1}, {"1": Y2}]})],
+     "cannot parse scalar from 1.5"),
+    ([*SMASH_THETA, "--gamma", json.dumps({"kappa": "1"}),
+      "--args", json.dumps({"n": 2, "args": [[Y1], {"1": Y2}]})],
+     f"smash argument must map group labels to polynomials, got {[Y1]!r}"),
+    ([*SMASH_THETA, "--gamma", json.dumps({"kappa": "1"}),
+      "--args", json.dumps({"n": 2, "args": []})],
+     "cochain of arity 2 got 0 arguments"),
+], ids=["group-without-preset", "float-scalar", "non-object-argument",
+        "arity-mismatch"])
+def test_smash_rejects_malformed_input(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_descent_twist_names_unknown_label(capsys):

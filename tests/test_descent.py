@@ -375,6 +375,17 @@ def test_budget_below_argument_degrees_names_them(sym1):
     with pytest.raises(BudgetError, match=r"budget 3 is below 4, the sum of "
                                           r"the slot degree bounds \[2, 2\]"):
         SuffixCache(make_zeta(sym1), 3, 2)
+    # (1, y2^2) at budget 0 passes the whole tuple's bound (2 - 2 = 0), but
+    # the last argument's product needs 2 - 1: the precheck names that
+    # suffix before any SuffixCache is built.
+    one, b = WeylElement.one(sym1), WeylElement(Poly.monomial([(Y, 2, 2)]), sym1)
+    gen = make_zeta(sym1)
+    with pytest.raises(BudgetError, match=r"^budget 0 is below 1, the last 1 "
+                                          r"argument degrees \[2\] less one per "
+                                          r"homotopy$"):
+        descend(gen, [one, b], budget=0)
+    assert not gen._suffix_caches
+    assert descend(gen, [one, b], budget=1).is_zero()
 
 
 def reference_chain_value(gen, args, degree):

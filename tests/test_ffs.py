@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import itertools
 import random
@@ -144,26 +145,28 @@ def test_symbol_matches_eager_build(n, budget):
 
 @pytest.fixture
 def computed(monkeypatch):
-    """The W-monomials whose coefficients are computed, from an empty memo."""
-    monkeypatch.setattr(ffs, "_coeff_memo", {})
+    """The W-monomials whose coefficients are computed, from an empty memo:
+    the memo's own function wraps the computation, so its misses are seen."""
     seen = []
-    coefficient = ffs._coefficient
-    monkeypatch.setattr(ffs, "_coefficient",
-                        lambda mono, m: seen.append((m, mono)) or coefficient(mono, m))
+    compute = ffs._coefficient.__wrapped__
+    memo = functools.lru_cache(maxsize=None)(
+        lambda mono, m: seen.append((m, mono)) or compute(mono, m))
+    monkeypatch.setattr(ffs, "_coefficient", memo)
     return seen
 
 
 def test_each_coefficient_computed_once(computed, sym1, rng):
-    # Symbols at every budget read one memo per n: however often a
-    # coefficient is read, it is computed once.
+    # Symbols at every budget read one memo keyed by (mono, m): however
+    # often a coefficient is read, it is computed once.
     for budget in (5, 8, 9, 8):
         symbol_coeffs(cached_symbol(2, budget))
     for _ in range(10):
         a, b = random_weyl(rng, sym1, 4), random_weyl(rng, sym1, 4)
         ffs_apply(cached_symbol(1, 8), [a, b])
     symbol_coeffs(cached_symbol(1, 8))
-    assert len(computed) == len(set(computed))
-    assert len(computed) == sum(len(memo) for memo in ffs._coeff_memo.values())
+    info = ffs._coefficient.cache_info()
+    assert len(computed) == len(set(computed)) == info.misses == info.currsize
+    assert info.hits > 0
 
 
 def test_apply_computes_only_its_slot_degrees(computed, sym1):
@@ -359,7 +362,8 @@ def test_operator_cache_contract():
     # The benchmark tracer reads ffs._op_cache by identity, counts its
     # entries and sums len(op.terms) over its values.  ffs_apply caches the
     # operators of just the symbol monomials whose per-slot degrees the
-    # arguments have terms of, none for their prefixes.
+    # arguments have terms of, none for their prefixes, each keyed
+    # (ambient, mono, bound) with the bound it was asked for.
     cache = ffs._op_cache
     before = len(cache)
     sym = SymplecticData.from_pi(1, [[Scalar.of(0), Scalar.of(3)],
@@ -371,11 +375,45 @@ def test_operator_cache_contract():
     assert ffs._op_cache is cache
     new = [(key, op) for key, op in cache.items() if key[0] == sym]
     assert len(cache) == before + len(new) and new
-    assert all(isinstance(mono, tuple) for (_, mono), _ in new)
+    assert all(isinstance(mono, tuple) and isinstance(bound, int)
+               for (_, mono, bound), _ in new)
     assert sum(len(op.terms) for _, op in new) > 0
     reached = {mono for need in ((1, 2), (3, 2)) for mono, _ in symbol.terms(need)}
-    assert {mono for (_, mono), _ in new} == reached
+    assert {mono for (_, mono, _), _ in new} == reached
+    assert len(new) == len(reached)
     assert (((0, 1), 2), ((0, 2), 1)) in reached
+
+
+def test_operator_memo_builds_each_key_once(monkeypatch, sym1):
+    # A second ffs_apply on the same arguments reads every operator back:
+    # no _operator_product call and no new entry.  Two bounds for one
+    # monomial leave two entries, and the first is never replaced.
+    cache = {}
+    monkeypatch.setattr(ffs, "_op_cache", cache)
+    built = []
+    product = ffs._operator_product
+    monkeypatch.setattr(ffs, "_operator_product",
+                        lambda *key: built.append(key) or product(*key))
+    a = WeylElement(Poly.monomial([(Y, 1, 2)]) + Poly.monomial([(Y, 2, 1)]), sym1)
+    b = WeylElement(Poly.monomial([(Y, 1, 1), (Y, 2, 1)]), sym1)
+    symbol = cached_symbol(1, 5)
+    first = ffs_apply(symbol, [a, b])
+    entries = dict(cache)
+    assert built and len(entries) == len(built)
+    assert ffs_apply(symbol, [a, b]) == first
+    assert cache == entries and len(built) == len(entries)
+    assert all(cache[key] is op for key, op in entries.items())
+
+    mono = (((0, 1), 1),)
+    need = ffs._slot_degrees(mono, 2)
+    narrow = next(iter(Poly.monomial([(Z, 1, 2)]).terms))
+    wide = ffs._full_box(need, 1)
+    cache.clear()
+    op = ffs._operator_for(sym1, mono, narrow)
+    assert ffs._operator_for(sym1, mono, wide) is not op
+    assert set(cache) == {(sym1, mono, narrow), (sym1, mono, wide)}
+    assert cache[(sym1, mono, narrow)] is op
+    assert ffs._operator_for(sym1, mono, narrow) is op
 
 
 def test_monomial_table_matches_apply_and_caches_nothing(sym1):
@@ -405,9 +443,8 @@ def _groups(op):
 @pytest.mark.parametrize("n, budget, seed", [(1, 8, 301), (2, 7, 302)])
 def test_operator_groups_on_demand(monkeypatch, n, budget, seed):
     # A bound asks for the groups whose copy key divides it: each one built
-    # equals the full build's group, and none inside the bound is missing.
-    # A request the cached entry does not cover rebuilds it in place at the
-    # lcm, keeping every group asked for before, so earlier bounds then hit.
+    # equals the full build's group, none inside the bound is missing and
+    # none outside it is built.  Each bound gets its own entry.
     rng = random.Random(seed)
     m = 2 * n
     sym = SymplecticData.canonical(n)
@@ -427,17 +464,13 @@ def test_operator_groups_on_demand(monkeypatch, n, budget, seed):
         full = _groups(ffs._operator_for(sym, mono, ffs._full_box(need, n)))
         assert full
         for _ in range(3):
-            cache.clear()
             narrow, other = random_box(need), random_box(need)
-            asked = 0
             for bound in (narrow, other, mono_lcm(narrow, other)):
-                asked = mono_lcm(asked, bound)
                 op = ffs._operator_for(sym, mono, bound)
-                assert ffs._op_cache is cache and cache[(sym, mono)] is op
+                assert ffs._op_cache is cache and cache[(sym, mono, bound)] is op
                 built = _groups(op)
                 assert all(full[k] == group for k, group in built.items())
-                assert {k for k in full if mono_divides(k, asked)} <= set(built)
-            assert ffs._operator_for(sym, mono, narrow) is op
+                assert set(built) == {k for k in full if mono_divides(k, bound)}
 
 
 def test_operator_overflow_is_refused(sym1):

@@ -394,17 +394,30 @@ def test_theta_exponent_q_index(monkeypatch, sym2):
 
 
 def test_coefficient_memo_shared_across_n(monkeypatch, sym1, sym2):
-    # One memo for every n hands n = 1's coefficients to the n = 2
-    # W-monomials with the same pairs: read after (y1, y2), the empty
-    # monomial gives the n = 2 value on (y1, .., y4) as 1/2 for 1/24.
-    monkeypatch.setattr(ffs, "_coeff_memo", {})
+    # Reading the coefficients of every n at m = 2 hands n = 1's values to
+    # the n = 2 W-monomials with the same pairs: the empty monomial gives
+    # the n = 2 value on (y1, .., y4) as 1/2 for 1/24.
     pair = y(sym1, 1), y(sym1, 0, 1)
     gens = [WeylElement.generator(j, sym2) for j in (1, 2, 3, 4)]
     assert routes_agree(sym1, *pair) and routes_agree(sym2, *gens)
-    install(monkeypatch, ffs, "terms", "_coeff_memo.setdefault(self.n, {})",
-            "_coeff_memo.setdefault(0, {})", owner=ffs.FFSSymbol)
+    install(monkeypatch, ffs, "terms", "_coefficient(mono, m)",
+            "_coefficient(mono, 2)", owner=ffs.FFSSymbol)
     assert routes_agree(sym1, *pair)
     assert not routes_agree(sym2, *gens)
+
+
+def test_operator_memo_key_without_bound(monkeypatch, sym1):
+    # Keyed without its bound, the memo hands an operator built for one
+    # box to a caller asking for another: the determinant's groups z1 y4
+    # and z2 y3 are asked for one at a time by (y1, y2) and (y2, y1), so
+    # the second reads the first's narrow operator and gets 0 for -1/2.
+    y1, y2 = y(sym1, 1), y(sym1, 0, 1)
+    assert routes_agree(sym1, y1, y2) and routes_agree(sym1, y2, y1)
+    monkeypatch.setattr(ffs, "_op_cache", {})
+    install(monkeypatch, ffs, "_operator_for", "key = (ambient, mono, bound)",
+            "key = (ambient, mono)")
+    assert routes_agree(sym1, y1, y2)
+    assert not routes_agree(sym1, y2, y1)
 
 
 def test_monomial_index_leaves_no_determinant_derivative(monkeypatch, sym1):
