@@ -12,8 +12,9 @@ on the sector where g moves points, k = rank(1-g)/2.
 The prefactor is normalized as the k-th wedge power, divided by k!, of the
 two-form sum_{i<j} w_ij u^i u^j in u = (dz - dz^g)/2.  With this scale the
 pairing of the resulting cocycle against its dual cycle comes out exactly
-1/(2k)!; the wedge-power normalization is the one choice with that property
-(any other rescales the cocycle by a harmless but noisy constant).
+det((1 - g)/2) / (2k)!, the determinant taken on the moved sector: 1/(2k)!
+where g acts there as -1, and another constant elsewhere (1/4 for
+g = diag(i, -i), -1/16 for diag(2, 1/2)).
 
 The cocycle itself is the alternation
 
@@ -142,7 +143,9 @@ def make_zeta_g(ambient: SymplecticData, g: GroupElement) -> GaussianGenerator:
     quad = quad.scale(Scalar.of(0, 1))
 
     # Prefactor: wedge power k, over k!, of sum_{i<j} w_ij u^i u^j with
-    # u = (dz - dz^g)/2, row i of (1 - g)/2 expressed through dz.
+    # u = (dz - dz^g)/2, row i of (1 - g)/2 expressed through dz.  u carries
+    # (1 - g)/2 into the prefactor, so the pairing is det((1 - g)/2) on the
+    # moved sector over (2k)!.
     half = Scalar.rational(1, 2)
     u_rows = [{(l0 + 1,): c * half for l0, c in enumerate(row) if not c.is_zero()}
               for row in linalg.mat_sub(linalg.identity(size, ONE, ZERO), matrix)]
@@ -379,25 +382,17 @@ def verify_descent(trace: DescentTrace, seed: int = 0, count: int = 3,
     gen = trace.generator
     ambient = gen.ambient
     rng = random.Random(seed)
-    checked = passed = 0
-    first_failure = None
-    lines = []
+    report = Report(seed, max_degree, detail={"budget": trace.budget, "lines": []})
 
     def record(name: str, lhs: FormElement, rhs: FormElement,
-               context: str = "") -> None:
-        # lhs = rhs to the lower truncation; a failure names the residual.
-        nonlocal checked, passed, first_failure
-        checked += 1
+               args: Sequence[WeylElement] = ()) -> None:
+        # lhs = rhs to the lower truncation; a failure names its arguments and
+        # the residual.
         t = _min_trunc(lhs.truncation, rhs.truncation)
-        residual = lhs.restrict(t) - rhs.restrict(t)
-        if residual.is_zero():
-            passed += 1
-            return
-        degree, term = residual.lowest_term()
-        text = f"{name} {context}".strip() + f": residual {term} at degree {degree}"
-        lines.append(f"FAIL {text}")
-        if first_failure is None:
-            first_failure = text
+        text = report.record(lambda: f"{name} {args}" if args else name,
+                             lhs.restrict(t) - rhs.restrict(t))
+        if text is not None:
+            report.detail["lines"].append(f"FAIL {text}")
 
     # d xi_top = generator (a 0-cochain identity).
     record("d-top", ext_d(trace.xis[0]()), gen.expand(trace.budget))
@@ -408,7 +403,7 @@ def verify_descent(trace: DescentTrace, seed: int = 0, count: int = 3,
         lower = trace.xis[level]
         for args in weyl_tuples(rng, ambient, lower.arity, count, max_degree):
             record(f"d-level-{level}", ext_d(lower(*args)),
-                   hochschild_d(upper)(*args).scale(Scalar.of(-1)), str(args))
+                   hochschild_d(upper)(*args).scale(Scalar.of(-1)), args)
 
     # dH xi_0 = -value, including vanishing of all z-dependence.
     bottom = trace.xis[-1]
@@ -417,7 +412,6 @@ def verify_descent(trace: DescentTrace, seed: int = 0, count: int = 3,
         value = trace.cocycle(*args)
         record("dH-bottom", lhs,
                FormElement.from_poly(-value.poly, ambient, value.truncation),
-               str(args))
+               args)
 
-    return Report(checked, passed, first_failure, seed, max_degree,
-                  detail={"budget": trace.budget, "lines": lines})
+    return report

@@ -40,12 +40,14 @@ into the rows of their copy parts, caching nothing.
 
 A second, independent route for n = 1 integrates over the unit square after
 the substitution u_1 = t_0 t_1, u_2 = t_0 (Jacobian t_0); the two must agree
-exactly.  Both routes expand the exponential over integer polynomials keyed
-by exponent tuples (in u_1 .. u_2n, or in t_0, t_1), multiplied by _u_mul,
-and integrate each monomial in closed form: the simplex moment, or
-1/((a+1)(b+1)) for t_0^a t_1^b over the square.  Both routes take their
-prefactor from _det_operator; at n = 1 it is det(pi) / pi^{12} times W_12,
-the square formula's w(p_1, p_2), so the two coincide where det(pi) = 1.
+exactly.  The routes differ only in that substitution and in their moments:
+both read the W-monomials of _monos_for, take each coefficient from one
+exponential series (_exp_coefficient) over integer polynomials keyed by
+exponent tuples (in u_1 .. u_2n, or in t_0, t_1), integrated in closed form
+(the simplex moment, or 1/((a+1)(b+1)) for t_0^a t_1^b over the square), and
+apply them through one evaluator (_evaluate).  Both take their prefactor from
+_det_operator; at n = 1 it is det(pi) / pi^{12} times W_12, the square
+formula's w(p_1, p_2), so the two coincide where det(pi) = 1.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import InsufficientExpansionError
 from .linalg import mat_det, perm_sign
@@ -100,13 +102,6 @@ def _linear_factor(i: int, j: int, nvars: int) -> Dict[Tuple[int, ...], int]:
     return {m: c for m, c in out.items() if c}
 
 
-def _integrate_u_poly(poly: Dict[Tuple[int, ...], int]) -> Scalar:
-    total = Scalar.of(0)
-    for m, c in poly.items():
-        total = total + simplex_moment(m).scale_fraction(c)
-    return total
-
-
 @dataclass(frozen=True)
 class FFSSymbol:
     """The symbol for argument tuples of total degree <= budget: a read of
@@ -119,12 +114,18 @@ class FFSSymbol:
         """The W-monomials with slot degrees need and nonzero coefficient,
         with their coefficients, in the canonical order."""
         m = 2 * self.n
-        out = []
-        for mono in _monos_for(m, need):
-            coeff = _coefficient(mono, m)
-            if not coeff.is_zero():
-                out.append((mono, coeff))
-        return out
+        return _nonzero_terms(m, need, lambda mono: _coefficient(mono, m))
+
+
+def _nonzero_terms(m: int, need: Tuple[int, ...],
+                   coefficient: Callable[[WMono], Scalar]) -> List[Tuple[WMono, Scalar]]:
+    """(mono, coefficient(mono)) for each mono of _monos_for(m, need) it keeps."""
+    out = []
+    for mono in _monos_for(m, need):
+        coeff = coefficient(mono)
+        if not coeff.is_zero():
+            out.append((mono, coeff))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -153,19 +154,30 @@ def _monos_for(m: int, need: Tuple[int, ...]) -> Tuple[WMono, ...]:
                  for counts in sorted(found))
 
 
+def _exp_coefficient(mono: WMono, start: Dict[Tuple[int, ...], int],
+                     factor: Callable[[Pair], Dict[Tuple[int, ...], int]],
+                     moment: Callable[[Tuple[int, ...]], Scalar]) -> Scalar:
+    """The exp series' coefficient of mono: i^order / prod count! times the
+    integral, by moment, of start times each pair's factor to its count."""
+    poly = start
+    denom = 1
+    for pair, count in mono:
+        f = factor(pair)
+        for _ in range(count):
+            poly = _u_mul(poly, f)
+        denom *= factorial(count)
+    total = Scalar.of(0)
+    for m, c in poly.items():
+        total = total + moment(m).scale_fraction(c)
+    return (total * (I ** sum(c for _, c in mono))).scale_fraction(1, denom)
+
+
 @lru_cache(maxsize=None)
 def _coefficient(mono: WMono, m: int) -> Scalar:
     """The symbol coefficient of one W-monomial in 2n = m slots; it depends
     on neither the budget nor the arguments."""
-    upoly: Dict[Tuple[int, ...], int] = {(0,) * m: 1}
-    denom = 1
-    for (i, j), count in mono:
-        factor = _linear_factor(i, j, m)
-        for _ in range(count):
-            upoly = _u_mul(upoly, factor)
-        denom *= factorial(count)
-    coeff = _integrate_u_poly(upoly) * (I ** sum(c for _, c in mono))
-    return coeff.scale_fraction(1, denom)
+    return _exp_coefficient(mono, {(0,) * m: 1},
+                            lambda pair: _linear_factor(*pair, m), simplex_moment)
 
 
 def ffs_build(n: int, degree_budget: int) -> FFSSymbol:
@@ -296,16 +308,6 @@ def _operator_for(ambient: SymplecticData, mono: WMono,
     return op
 
 
-def _slot_degrees(mono: WMono, m: int) -> List[int]:
-    """The derivative degree every operator term for mono has on each slot."""
-    need = [1] * m
-    for (i, j), count in mono:
-        if i:
-            need[i - 1] += count
-        need[j - 1] += count
-    return need
-
-
 def _full_box(need: Sequence[int], n: int) -> int:
     """The copy key with need[mu - 1] on every field of slot mu: every copy
     key of an operator with these slot degrees divides it.  Fields are
@@ -353,31 +355,34 @@ def _contract(terms: List[list], ambient: SymplecticData, mono: WMono,
             acc[out] = c if prev is None else prev + c
 
 
-def ffs_apply(symbol: FFSSymbol, args: Sequence[WeylElement]) -> WeylElement:
-    """Evaluate the cocycle on 2n arguments; exact polynomial output.
-
-    Reads the symbol at every combination of the arguments' term degrees;
-    the determinant takes one derivative from each slot, so a constant term
-    meets no operator.
-    """
-    m = 2 * symbol.n
-    if len(args) != m:
-        raise ValueError(f"expected {m} arguments, got {len(args)}")
-    ambient = args[0].ambient
+def _evaluate(args: Sequence[WeylElement],
+              terms_at: Callable[[Tuple[int, ...]], List[Tuple[WMono, Scalar]]]
+              ) -> WeylElement:
+    """Contract each (W-monomial, coefficient) of terms_at(need), for every
+    combination need of the arguments' term degrees; the determinant takes one
+    derivative from each slot, so a constant term meets no operator."""
     if any(a.truncation is not None for a in args):
         raise InsufficientExpansionError("arguments must be exact polynomials")
-    degrees = [a.degree() for a in args]
-    if sum(degrees) > symbol.budget:
-        raise InsufficientExpansionError(
-            f"symbol built for total degree {symbol.budget}, "
-            f"arguments have total degree {sum(degrees)}")
+    ambient = args[0].ambient
     slots = _slot_terms(args)
     acc: Dict[int, Scalar] = {}
     for need in itertools.product(*([d for d in slot if d] for slot in slots)):
         terms = [slot[d] for slot, d in zip(slots, need)]
-        for mono, coeff in symbol.terms(need):
+        for mono, coeff in terms_at(need):
             _contract(terms, ambient, mono, coeff, acc)
     return WeylElement(Poly({k: c for k, c in acc.items() if c}), ambient)
+
+
+def ffs_apply(symbol: FFSSymbol, args: Sequence[WeylElement]) -> WeylElement:
+    """Evaluate the cocycle on 2n arguments; exact polynomial output."""
+    m = 2 * symbol.n
+    if len(args) != m:
+        raise ValueError(f"expected {m} arguments, got {len(args)}")
+    total = sum(a.degree() for a in args)
+    if total > symbol.budget:
+        raise InsufficientExpansionError(f"symbol built for total degree {symbol.budget}, "
+                                         f"arguments have total degree {total}")
+    return _evaluate(args, symbol.terms)
 
 
 def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
@@ -431,50 +436,25 @@ def ffs_cocycle(sym: SymplecticData):
 # -- independent unit-square route for n = 1 ---------------------------------
 
 
+# Each pair's factor after the substitution, keyed by (a, b) of t0^a t1^b.
+_SQUARE_FACTORS = {(0, 1): {(0, 0): 1, (1, 1): -2}, (0, 2): {(0, 0): 1, (1, 0): -2},
+                   (1, 2): {(0, 0): 1, (1, 0): -2, (1, 1): 2}}
+
+
 def ffs_hypercube_n1(args: Sequence[WeylElement]) -> WeylElement:
     """Same two-argument cocycle via iterated integrals over the unit square.
 
     Expands exp(i [ W01 (1 - 2 t0 t1) + W02 (1 - 2 t0) + W12 (1 - 2 t0 + 2 t0 t1) ])
-    against the Jacobian factor t0 with the same integer polynomials as
-    _coefficient, integrating each t0^a t1^b over the square as 1/((a+1)(b+1)).
+    against the Jacobian factor t0, integrating each t0^a t1^b over the
+    square as 1/((a+1)(b+1)).
     """
     if len(args) != 2:
         raise ValueError("expected 2 arguments")
-    ambient = args[0].ambient
-    if ambient.n != 1:
+    if args[0].ambient.n != 1:
         raise ValueError("the unit-square route is specific to n = 1")
-    total = sum(a.degree() for a in args)
 
-    # Exponent tuples (a, b) of t0^a t1^b.
-    lin = {
-        (0, 1): {(0, 0): 1, (1, 1): -2},
-        (0, 2): {(0, 0): 1, (1, 0): -2},
-        (1, 2): {(0, 0): 1, (1, 0): -2, (1, 1): 2},
-    }
-    slots = _slot_terms(args)
-    acc: Dict[int, Scalar] = {}
-    max_order = max(0, total - 2)
-    for m01 in range(max_order + 1):
-        for m02 in range(max_order + 1 - m01):
-            for m12 in range(0, (max_order - m01 - m02) // 2 + 1):
-                counts = {(0, 1): m01, (0, 2): m02, (1, 2): m12}
-                mono = tuple((pair, c) for pair, c in counts.items() if c)
-                terms = [slot.get(d) for slot, d in zip(slots, _slot_degrees(mono, 2))]
-                if None in terms:
-                    continue
-                tpoly = {(1, 0): 1}
-                denom = 1
-                for pair, c in counts.items():
-                    for _ in range(c):
-                        tpoly = _u_mul(tpoly, lin[pair])
-                    denom *= factorial(c)
-                coeff = Scalar.of(0)
-                for (a, b), c in tpoly.items():
-                    coeff = coeff + Scalar.rational(c, (a + 1) * (b + 1))
-                order = m01 + m02 + m12
-                coeff = coeff * (I ** order)
-                coeff = coeff.scale_fraction(1, denom)
-                if coeff.is_zero():
-                    continue
-                _contract(terms, ambient, mono, coeff, acc)
-    return WeylElement(Poly({k: c for k, c in acc.items() if c}), ambient)
+    def coefficient(mono: WMono) -> Scalar:
+        return _exp_coefficient(mono, {(1, 0): 1}, _SQUARE_FACTORS.__getitem__,
+                                lambda t: Scalar.rational(1, (t[0] + 1) * (t[1] + 1)))
+
+    return _evaluate(args, lambda need: _nonzero_terms(2, need, coefficient))

@@ -142,12 +142,27 @@ class SampleSpec:
 
 @dataclass
 class Report:
-    checked: int
-    passed: int
-    first_failure: Optional[str]
     seed: int
     degree_bound: int
+    checked: int = 0
+    passed: int = 0
+    first_failure: Optional[str] = None
     detail: dict = field(default_factory=dict)
+
+    def record(self, context: Callable[[], str], residual) -> Optional[str]:
+        """Count one check that residual vanishes.  A failure names context()
+        (called only then, so a passing check formats nothing) and the
+        residual's lowest-degree term; the first is kept, and each one's text
+        is returned."""
+        self.checked += 1
+        if residual.is_zero():
+            self.passed += 1
+            return None
+        degree, term = residual.lowest_term()
+        text = f"{context()}: residual {term} at degree {degree}"
+        if self.first_failure is None:
+            self.first_failure = text
+        return text
 
     @property
     def ok(self) -> bool:
@@ -178,18 +193,10 @@ def verify_cocycle(f: Cochain, samples: SampleSpec) -> Report:
 
     tuples = sampling.cocycle_tuples(f, samples)
     df = hochschild_d(f)
-    checked = passed = 0
-    first_failure = None
+    report = Report(samples.seed, samples.max_degree)
     for args in tuples:
-        checked += 1
-        value = df(*args)
-        if value.is_zero():
-            passed += 1
-        elif first_failure is None:
-            degree, term = value.lowest_term()
-            first_failure = ("(" + ", ".join(str(a) for a in args) + ")"
-                             + f": residual {term} at degree {degree}")
-    return Report(checked, passed, first_failure, samples.seed, samples.max_degree)
+        report.record(lambda: "(" + ", ".join(str(a) for a in args) + ")", df(*args))
+    return report
 
 
 # -- chains and the pairing ---------------------------------------------------

@@ -363,35 +363,16 @@ class Poly:
 
         Indices are 1-based against the matrix rows/columns.
         """
-        images: Dict[int, Poly] = {}
-
-        def image(j: int) -> Poly:
-            if j not in images:
-                row = matrix[j - 1]
-                p = Poly()
-                for k, c in enumerate(row, start=1):
-                    if not c.is_zero():
-                        p = p + Poly.variable(bank, k, c)
-                images[j] = p
-            return images[j]
-
-        pow_cache: Dict[Tuple[int, int], Poly] = {}
-
-        def image_pow(j: int, e: int) -> Poly:
-            # Each power is one product onto the power below it.
-            key = (j, e)
-            if key not in pow_cache:
-                pow_cache[key] = (image(j) if e == 1
-                                  else image_pow(j, e - 1) * image(j))
-            return pow_cache[key]
-
+        images = [Poly({1 << _offset(bank, k): c for k, c in enumerate(row, start=1)
+                        if not c.is_zero()}) for row in matrix]
         mask = _BANK_MASK[bank]
         out = Poly()
         for m, c in self.terms.items():
             moved = m & mask
             factor = Poly({m - moved: c})
             for _, i, e in _triples(moved):
-                factor = factor * image_pow(i, e)
+                for _ in range(e):
+                    factor = factor * images[i - 1]
             out = out + factor
         return out
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import weylhh
-from weylhh import descent
+from weylhh import cli, descent, simplex
 from weylhh.cli import build_parser, main
 from weylhh.poly import Poly, Y
 from weylhh.scalars import Scalar
@@ -144,6 +145,35 @@ def test_simplex_fuzz(capsys):
     assert code == 0
     report = json.loads(out)["report"]
     assert report["passed"] == 40 and report["failed"] == 0
+
+
+def test_failed_fuzz_identity_exits_1(capsys, monkeypatch):
+    # Exit 1 means a mathematical identity failed: every sampled
+    # configuration fails, and the first one drawn is named.
+    monkeypatch.setattr(simplex, "tid_check", lambda config: False)
+    code, out = run(capsys, "--format", "json", "simplex", "fuzz",
+                    "--dim", "2", "--count", "5", "--seed", "9")
+    assert code == 1
+    payload = json.loads(out)
+    report = payload["report"]
+    assert payload["ok"] is False
+    assert (report["passed"], report["failed"], report["count"]) == (0, 5, 5)
+    first = simplex.random_config(random.Random(9), 2, 4)
+    assert report["first_failure"] == [[str(c) for c in p] for p in first]
+
+
+def test_failed_route_agreement_exits_1(capsys, monkeypatch):
+    # A unit-square route that reads zero disagrees with the symbol on every
+    # pair with a value; verify-all names the first suite that failed.
+    monkeypatch.setattr(cli, "ffs_hypercube_n1",
+                        lambda args: WeylElement(Poly.zero(), args[0].ambient))
+    code, out = run(capsys, "--format", "json", "verify-all",
+                    "--samples", "3", "--degree", "2", "--seed", "3")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["first_failure"] == "route-agreement-n1"
+    assert [s["name"] for s in payload["suites"] if not s["ok"]] == ["route-agreement-n1"]
 
 
 def test_verify_all_small(capsys):

@@ -14,10 +14,11 @@ from weylhh.ffs import cached_symbol, ffs_apply, monomial_table
 from weylhh.forms import FormElement, ext_d, form_star, homotopy_s
 from weylhh.groups import (GroupElement, theta_equation_defects, twisted_cocycle,
                            twisted_cycle)
-from weylhh.hochschild import SampleSpec, hochschild_d, pair_chain, verify_cocycle
+from weylhh.hochschild import (SampleSpec, hochschild_d, pair_chain, verify_cocycle,
+                               wedge_eval)
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import monomials_upto, random_scalar, random_weyl
-from weylhh.scalars import Scalar
+from weylhh.scalars import I, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, _star_kernel
 
 
@@ -256,6 +257,15 @@ def test_suffix_cache_refuses_wrong_arity(sym2):
             cache.value(args)
     with pytest.raises(ValueError, match="form degree 4 takes 4 slot degree bounds"):
         SuffixCache(make_zeta(sym2), budget=12, slot_degree=[2, 2])
+
+
+def test_suffix_cache_refuses_argument_past_its_slot_bound(sym1):
+    # A degree-2 argument in a slot bounded by 1 would read cut suffixes.
+    cache = SuffixCache(make_zeta(sym1), budget=8, slot_degree=1)
+    y1 = WeylElement.generator(1, sym1)
+    y1_squared = WeylElement(Poly.monomial([(Y, 1, 2)]), sym1)
+    with pytest.raises(BudgetError, match="exceeds the cache's slot bound"):
+        cache.value((y1_squared, y1))
 
 
 def _full_differential_value(gen, args, degree):
@@ -513,3 +523,31 @@ def test_twisted_cocycles_n3(moved, pairing):
     assert (report.passed, report.checked) == (3, 3)
     assert all(d.is_zero() for d in theta_equation_defects(sym3, g, truncation=10))
     assert pair_chain(tau, twisted_cycle(sym3, g, truncation=10)) == pairing
+
+
+HALF = frac(1, 2)
+
+
+@pytest.mark.parametrize("eigenvalues, pairing", [
+    ([Scalar.of(-1), Scalar.of(-1)], frac(1, 2)),
+    ([I, -I], frac(1, 4)),
+    ([Scalar.of(2), HALF], frac(-1, 16)),
+    ([Scalar.of(3), frac(1, 3)], frac(-1, 6)),
+    ([I, -I, Scalar.of(1), Scalar.of(1)], frac(1, 4)),
+])
+def test_twisted_pairing_is_det_over_factorial(eigenvalues, pairing):
+    # The pairing is det((1 - g)/2) on the moved sector over (2k)!, not
+    # 1/(2k)! alone: the two agree only where that determinant is 1, as for
+    # g = -1.  wedge_eval reads the pairing here: the cycle's coefficient
+    # theta has theta(0) = 1 and the value on (p, q) = (y2, y1) is a
+    # constant, so B(theta, value) is that constant.  (pair_chain refuses
+    # where theta is a series, as for g = diag(i, -i).)
+    sym = SymplecticData.canonical(len(eigenvalues) // 2)
+    det = Scalar.of(1)
+    for lam in eigenvalues:
+        if lam != Scalar.of(1):
+            det = det * (Scalar.of(1) - lam) * HALF
+    assert det.scale_fraction(1, 2) == pairing  # k = 1: (2k)! = 2
+    g = GroupElement.diagonal(eigenvalues, "g")
+    y1, y2 = WeylElement.generator(1, sym), WeylElement.generator(2, sym)
+    assert wedge_eval(twisted_cocycle(sym, g), [y2, y1]).poly == Poly.const(pairing)

@@ -114,6 +114,18 @@ def eager_monomials(m, max_weight):
     yield from rec(0, max_weight, [])
 
 
+def slot_degrees(mono, m):
+    """The derivative degree every operator term for mono has on each slot:
+    one from the determinant, one from W_0j on j, one from W_ij on each of
+    i and j."""
+    need = [1] * m
+    for (i, j), count in mono:
+        if i:
+            need[i - 1] += count
+        need[j - 1] += count
+    return need
+
+
 @pytest.mark.parametrize("n, limit", [(1, 10), (2, 9)])
 def test_monos_for_matches_eager_enumeration(n, limit):
     # A W-monomial's cost is sum(need) - m, so the eager expansion to cost
@@ -122,7 +134,7 @@ def test_monos_for_matches_eager_enumeration(n, limit):
     m = 2 * n
     by_need = {}
     for mono in eager_monomials(m, limit - m):
-        by_need.setdefault(tuple(ffs._slot_degrees(mono, m)), []).append(mono)
+        by_need.setdefault(tuple(slot_degrees(mono, m)), []).append(mono)
     needs = [need for need in itertools.product(range(limit + 1), repeat=m)
              if sum(need) <= limit]
     for need in needs:
@@ -174,7 +186,7 @@ def test_apply_computes_only_its_slot_degrees(computed, sym1):
     y2 = WeylElement.generator(2, sym1)
     ffs_apply(cached_symbol(1, 8), [y1, y2])
     assert computed
-    assert all(ffs._slot_degrees(mono, m) == [1, 1] for m, mono in computed)
+    assert all(slot_degrees(mono, m) == [1, 1] for m, mono in computed)
 
 
 def test_cold_verify_all_computes_few_n2_coefficients(computed):
@@ -232,6 +244,17 @@ def test_hypercube_equals_simplex_route(sym1, rng):
         a = random_weyl(rng, sym1, 4)
         b = random_weyl(rng, sym1, 4)
         assert ffs_hypercube_n1([a, b]) == ffs_apply(symbol, [a, b])
+
+
+def test_both_routes_refuse_truncated_arguments(sym1):
+    # An argument known only to degree 3 has no exact value; the routes
+    # share the evaluator that refuses it.
+    y1 = WeylElement.generator(1, sym1)
+    y2 = WeylElement(WeylElement.generator(2, sym1).poly, sym1, truncation=3)
+    with pytest.raises(InsufficientExpansionError, match="exact"):
+        ffs_apply(cached_symbol(1, 8), [y1, y2])
+    with pytest.raises(InsufficientExpansionError, match="exact"):
+        ffs_hypercube_n1([y1, y2])
 
 
 def test_cocycle_n1(sym1):
@@ -405,7 +428,7 @@ def test_operator_memo_builds_each_key_once(monkeypatch, sym1):
     assert all(cache[key] is op for key, op in entries.items())
 
     mono = (((0, 1), 1),)
-    need = ffs._slot_degrees(mono, 2)
+    need = slot_degrees(mono, 2)
     narrow = next(iter(Poly.monomial([(Z, 1, 2)]).terms))
     wide = ffs._full_box(need, 1)
     cache.clear()
@@ -460,7 +483,7 @@ def test_operator_groups_on_demand(monkeypatch, n, budget, seed):
 
     monos = rng.sample(list(symbol_coeffs(ffs_build(n, budget))), 6)
     for mono in monos:
-        need = ffs._slot_degrees(mono, m)
+        need = slot_degrees(mono, m)
         full = _groups(ffs._operator_for(sym, mono, ffs._full_box(need, n)))
         assert full
         for _ in range(3):
@@ -480,7 +503,7 @@ def test_operator_overflow_is_refused(sym1):
     # failed operator.
     def full(count):
         mono = (((1, 2), count),)
-        return mono, ffs._full_box(ffs._slot_degrees(mono, 2), 1)
+        return mono, ffs._full_box(slot_degrees(mono, 2), 1)
 
     before = len(ffs._op_cache)
     with pytest.raises(ValueError, match="overflows"):

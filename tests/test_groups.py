@@ -371,3 +371,24 @@ def test_kleinian_equivariance_q8(kleinian, sym1, rng):
                 t = min(lhs.truncation, rhs.truncation)
                 assert lhs.restrict(t) == rhs.restrict(t)
     assert moved > 0
+
+
+def test_group_construction_refusals():
+    # A repeated matrix, and a set missing a product: {1, i} lacks i^2 = -1.
+    one = GroupElement.identity(2)
+    with pytest.raises(ValueError, match="duplicate group elements"):
+        FiniteGroup([one, GroupElement.identity(2)])
+    quarter = GroupElement.diagonal([Scalar.of(0, 1), Scalar.of(0, -1)], "i")
+    with pytest.raises(ValueError, match="not closed under products"):
+        FiniteGroup([one, quarter])
+
+
+def test_diagonal_eigenvalues_refusals():
+    # Off-diagonal entries, and a diagonal whose pair is not (l, 1/l).
+    rotate = GroupElement.from_rows([[ZERO, ONE], [-ONE, ZERO]])
+    with pytest.raises(ValueError, match="not in g-diagonal form"):
+        rotate.diagonal_eigenvalues()
+    with pytest.raises(ValueError, match="not [(]lambda, 1/lambda[)] pairs"):
+        GroupElement.diagonal([Scalar.of(2), Scalar.of(2)]).diagonal_eigenvalues()
+    assert GroupElement.diagonal([Scalar.of(2), frac(1, 2)]).diagonal_eigenvalues() \
+        == [Scalar.of(2)]

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from weylhh.errors import AmbientMismatchError
 from weylhh.forms import FormElement, form_star
 from weylhh.hochschild import (Chain, Cochain, SampleSpec, cochain_ext_d,
                                cochain_s, constant_cochain, group_twist,
@@ -137,6 +140,8 @@ def test_wedge_eval_convention(sym1):
     anti = wedge_eval(f, (y1, y2))
     want = star(y1, y2) - star(y2, y1)
     assert anti == want.scale(Scalar.of(Fraction(1, 2)))
+    with pytest.raises(AmbientMismatchError, match="arity"):
+        wedge_eval(f, (y1, y2, y1))
 
 
 def test_pair_chain_values(sym1):

@@ -10,6 +10,7 @@ list is kept in step with the code it mutates.
 """
 
 import __future__
+import functools
 import inspect
 import itertools
 import textwrap
@@ -305,8 +306,44 @@ def test_square_integral_by_sum(monkeypatch, sym1):
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert square_route_agrees(a, b)
     install(monkeypatch, ffs, "ffs_hypercube_n1",
-            "Scalar.rational(c, (a + 1) * (b + 1))", "Scalar.rational(c, a + b + 2)")
+            "Scalar.rational(1, (t[0] + 1) * (t[1] + 1))", "Scalar.rational(1, t[0] + t[1] + 2)")
     assert not square_route_agrees(a, b)
+
+
+def test_exp_series_without_count_factorial(monkeypatch, sym1):
+    # W^count without its 1/count!: both ffs routes read the one exp series,
+    # so the square route shares the fault and still agrees with the symbol;
+    # descent is the oracle.  Every count is 1 on (y1, y2), so it agrees
+    # there; (y1^3, y2^3) and (y1^2 y2, y1 y2^2) read counts above 1 and show it.
+    # The symbol's memo is replaced, so no correct coefficient is read back.
+    pairs = [(y(sym1, 3), y(sym1, 0, 3)), (y(sym1, 2, 1), y(sym1, 1, 2))]
+    assert all(routes_agree(sym1, a, b) for a, b in pairs)
+    monkeypatch.setattr(ffs, "_coefficient",
+                        functools.lru_cache(maxsize=None)(ffs._coefficient.__wrapped__))
+    install(monkeypatch, ffs, "_exp_coefficient", "denom *= factorial(count)", "pass")
+    assert routes_agree(sym1, y(sym1, 1), y(sym1, 0, 1))
+    assert all(square_route_agrees(a, b) for a, b in pairs)
+    assert not any(routes_agree(sym1, a, b) for a, b in pairs)
+
+
+def test_linear_subst_reads_columns(monkeypatch):
+    # Row j's image read from column j substitutes by the transpose, which
+    # reverses composition: substituting by A and then by B must equal
+    # substituting by AB, and for two shears that do not commute the
+    # transpose gives BA instead, already on y1.  (tests/test_poly.py's
+    # test_linear_subst_flip catches it too, by its shear's expansion.)
+    one, zero = Scalar.of(1), Scalar.of(0)
+    upper, lower = ((one, one), (zero, one)), ((one, zero), (one, one))
+    p = Poly.monomial([(Y, 1, 1)])
+
+    def composes():
+        return (p.linear_subst(Y, upper).linear_subst(Y, lower)
+                == p.linear_subst(Y, linalg.mat_mul(upper, lower)))
+
+    assert composes()
+    install(monkeypatch, poly, "linear_subst", "for row in matrix]",
+            "for row in zip(*matrix)]", owner=Poly)
+    assert not composes()
 
 
 def test_delta_without_orientation_factor(monkeypatch):

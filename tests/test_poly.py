@@ -99,7 +99,7 @@ def test_linear_subst_flip():
     m = ((Scalar.of(-1), Scalar.of(0)), (Scalar.of(0), Scalar.of(1)))
     p = y(1) + y(2) + y(1, 2)
     assert p.linear_subst(Y, m) == -y(1) + y(2) + y(1, 2)
-    # y1 -> y1 + y2: each power of an image is the power below it times it.
+    # y1 -> y1 + y2: y1^3 is three products by y1's image.
     shear = ((Scalar.of(1), Scalar.of(1)), (Scalar.of(0), Scalar.of(1)))
     want = (y(1, 3) + Poly.monomial([(Y, 1, 2), (Y, 2, 1)], Scalar.of(3))
             + Poly.monomial([(Y, 1, 1), (Y, 2, 2)], Scalar.of(3)) + y(2, 3))
