@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -129,6 +129,22 @@ def make_zeta(ambient: SymplecticData) -> GaussianGenerator:
                              involution, label="zeta")
 
 
+def sector_volume(rows, form, k: int) -> Dict[Tuple[int, ...], Scalar]:
+    """The k-th wedge power, over k!, of sum_{i<j} form_ij r^i r^j for the
+    one-forms r^i = sum_l rows[i][l] e^(l+1), keyed by index tuples."""
+    ones = [{(l + 1,): c for l, c in enumerate(row) if not c.is_zero()} for row in rows]
+    two_form: Dict[Tuple[int, ...], Scalar] = {}
+    for i, j in combinations(range(len(ones)), 2):
+        w = form[i][j]
+        if w.is_zero():
+            continue
+        for idx, c in wedge_expand([ones[i], ones[j]]).items():
+            two_form[idx] = two_form.get(idx, ZERO) + w * c
+    two_form = {idx: c for idx, c in two_form.items() if not c.is_zero()}
+    scale = Scalar.rational(1, factorial(k))
+    return {idx: c * scale for idx, c in wedge_expand([two_form] * k).items()}
+
+
 def make_zeta_g(ambient: SymplecticData, g: GroupElement) -> GaussianGenerator:
     """The g-twisted generator."""
     matrix = g.matrix
@@ -142,27 +158,14 @@ def make_zeta_g(ambient: SymplecticData, g: GroupElement) -> GaussianGenerator:
     quad = _omega_bilinear(ambient, z, [yy + mm for yy, mm in zip(y, moved)])
     quad = quad.scale(Scalar.of(0, 1))
 
-    # Prefactor: wedge power k, over k!, of sum_{i<j} w_ij u^i u^j with
-    # u = (dz - dz^g)/2, row i of (1 - g)/2 expressed through dz.  u carries
-    # (1 - g)/2 into the prefactor, so the pairing is det((1 - g)/2) on the
-    # moved sector over (2k)!.
+    # Prefactor: the sector volume of u = (dz - dz^g)/2, row i of (1 - g)/2
+    # expressed through dz.  u carries (1 - g)/2 into the prefactor, so the
+    # pairing is det((1 - g)/2) on the moved sector over (2k)!.
     half = Scalar.rational(1, 2)
-    u_rows = [{(l0 + 1,): c * half for l0, c in enumerate(row) if not c.is_zero()}
+    u_rows = [[c * half for c in row]
               for row in linalg.mat_sub(linalg.identity(size, ONE, ZERO), matrix)]
-    two_form: Dict[Tuple[int, ...], Scalar] = {}
-    for i in range(size):
-        for j in range(i + 1, size):
-            w = ambient.omega[i][j]
-            if w.is_zero():
-                continue
-            for idx, c in wedge_expand([u_rows[i], u_rows[j]]).items():
-                two_form[idx] = two_form.get(idx, ZERO) + w * c
-    two_form = {idx: c for idx, c in two_form.items() if not c.is_zero()}
-    pieces = wedge_expand([two_form] * k)
-    scale = Scalar.rational(1, factorial(k))
-    prefactor = FormElement(
-        {idx: Poly.const(c * scale) for idx, c in pieces.items()},
-        ambient)
+    prefactor = FormElement({idx: Poly.const(c) for idx, c in
+                             sector_volume(u_rows, ambient.omega, k).items()}, ambient)
     if k > 0 and prefactor.is_zero():
         raise ValueError("degenerate twisted prefactor; g is not usable here")
     label = g.label or "g"

@@ -308,6 +308,19 @@ def _operator_for(ambient: SymplecticData, mono: WMono,
     return op
 
 
+# The package's value memos, which keep results a code change can alter, are
+# _op_cache and these lru_caches (weyl's _y_keys and _foreign keep constants).
+MEMOIZED = (_monos_for, _coefficient, _det_operator, _pair_operator)
+
+
+def clear_memos() -> None:
+    """Empty every value memo: _op_cache in place, since the benchmark
+    tracer holds it by identity, and each lru_cache of MEMOIZED."""
+    _op_cache.clear()
+    for memo in MEMOIZED:
+        memo.cache_clear()
+
+
 def _full_box(need: Sequence[int], n: int) -> int:
     """The copy key with need[mu - 1] on every field of slot mu: every copy
     key of an operator with these slot degrees divides it.  Fields are

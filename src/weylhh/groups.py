@@ -6,9 +6,9 @@ so composing actions matches the group product and the crossed product
     (a (x) g) (b (x) h) = a * b^g (x) gh
 
 is associative for any finite subgroup, abelian or not.  Twisted-sector data
-(eigenvalues, the dual cycle and its exponential coefficient) is read off
-g-diagonal matrices; general matrices still support rank computations, the
-dimension calculator and twisted generators, which are matrix-functorial.
+(the dual cycle and its exponential coefficient) reads g only through its
+matrix and its fixed-sector projector, so every semisimple g has it, as every
+g has a rank, a twisted generator and a place in the dimension calculator.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .errors import AmbientMismatchError
-from .poly import Poly, Y
+from .poly import Y
 from .scalars import I, ONE, ZERO, Scalar
 from .weyl import SymplecticData, WeylElement, star
 
@@ -70,25 +70,21 @@ class GroupElement:
         if lhs != ambient.omega:
             raise ValueError("matrix does not preserve the symplectic form")
 
-    def diagonal_eigenvalues(self) -> List[Scalar]:
-        """Per-pair eigenvalues for a g-diagonal symplectic matrix.
-
-        Requires the matrix diagonal in the canonical basis with pair
-        structure (lambda, lambda^{-1}) on slots (2i-1, 2i).
-        """
-        size = self.size
-        for i in range(size):
-            for j in range(size):
-                if i != j and not self.matrix[i][j].is_zero():
-                    raise ValueError("matrix is not in g-diagonal form")
-        lams = []
-        for i in range(size // 2):
-            lam = self.matrix[2 * i][2 * i]
-            lam_inv = self.matrix[2 * i + 1][2 * i + 1]
-            if lam * lam_inv != ONE:
-                raise ValueError("diagonal entries are not (lambda, 1/lambda) pairs")
-            lams.append(lam)
-        return lams
+    def fixed_projector(self) -> Matrix:
+        """Q = K (L K)^-1 L for kernel and left-kernel bases K, L of 1 - g: the
+        projector onto ker(1 - g) along im(1 - g).  On linear forms, as rows
+        x -> x Q, it keeps the part g fixes and drops the part g moves."""
+        one_minus = linalg.mat_sub(linalg.identity(self.size, ONE, ZERO), self.matrix)
+        left = linalg.left_null_space(one_minus, ONE, ZERO)
+        if not left:
+            return linalg.identity(self.size, ZERO, ZERO)  # the zero matrix
+        kernel = linalg.mat_transpose(
+            linalg.left_null_space(linalg.mat_transpose(one_minus), ONE, ZERO))
+        try:
+            middle = linalg.mat_inverse(linalg.mat_mul(left, kernel), ONE, ZERO)
+        except ZeroDivisionError:
+            raise ValueError("g is not semisimple: ker(1 - g) meets im(1 - g)") from None
+        return linalg.mat_mul(kernel, linalg.mat_mul(middle, left))
 
     def __str__(self) -> str:
         # Unlabelled: the rows, as [a b; c d].
@@ -296,53 +292,51 @@ def theta_element(ambient: SymplecticData, g: GroupElement,
                   truncation: int) -> WeylElement:
     """The exponential coefficient of the dual twisted cycle.
 
-    exp(-i sum_i c_i p_i q^i) over the moved pairs, c_i = (1+l_i)/(1-l_i);
-    requires l_i != 1 there.  Verified against its defining star equations by
-    the test suite rather than trusted.
+    exp(-i w(y, A^-1 y)) with A = 1 - g + Q, Q = g.fixed_projector(), is the
+    Cayley form -(i/2) w(y, C y) with C = (1 + g)(1 - g)^-1 on the moved
+    sector and 0 on the fixed one: C = 2 A^-1 - 1 - Q and w(y, y) = w(y, Q y)
+    = 0.  The test suite checks it against its defining star equations.
     """
-    lams = g.diagonal_eigenvalues()
-    exponent = Poly.zero()
-    for i, lam in enumerate(lams):
-        if lam == ONE:
-            continue
-        c = (ONE + lam) / (ONE - lam)
-        pq = Poly.monomial([(Y, 2 * i + 1, 1), (Y, 2 * i + 2, 1)])
-        exponent = exponent + pq.scale(-I * c)
+    from .descent import _omega_bilinear, _vector
+
+    a = linalg.mat_sub(linalg.identity(g.size, ONE, ZERO),
+                       linalg.mat_sub(g.matrix, g.fixed_projector()))
+    a_inv = linalg.mat_inverse(a, ONE, ZERO)
+    y = _vector(Y, ambient)
+    exponent = _omega_bilinear(ambient, y, [v.linear_subst(Y, a_inv) for v in y])
     if exponent.is_zero():
         # Reflection-only sectors: the series terminates, the element is exact.
         return WeylElement.one(ambient)
-    return WeylElement(exponent.exp_quadratic(truncation), ambient, truncation)
+    return WeylElement(exponent.scale(-I).exp_quadratic(truncation), ambient, truncation)
 
 
 def theta_equation_defects(ambient: SymplecticData, g: GroupElement,
                            truncation: int) -> List[WeylElement]:
-    """Residuals of Theta * q + l q * Theta and Theta * p + 1/l p * Theta."""
+    """Residuals of Theta's star equations for each generator y_j: of
+    Theta * v + (v o g) * Theta for its moved part v = y_j - y_j Q, and of
+    Theta * w - w * Theta for its fixed part w = y_j Q."""
     theta = theta_element(ambient, g, truncation)
-    lams = g.diagonal_eigenvalues()
+    fixed = g.fixed_projector()
     out = []
-    for i, lam in enumerate(lams):
-        if lam == ONE:
-            continue
-        q = WeylElement.generator(2 * i + 1, ambient)
-        p = WeylElement.generator(2 * i + 2, ambient)
-        out.append(star(theta, q) + star(q, theta).scale(lam))
-        out.append(star(theta, p) + star(p, theta).scale(ONE / lam))
+    for j in range(1, g.size + 1):
+        w = WeylElement.generator(j, ambient).apply_matrix(fixed)
+        v = WeylElement.generator(j, ambient) - w
+        out.append(star(theta, v) + star(v.apply_matrix(g.matrix), theta))
+        out.append(star(theta, w) - star(w, theta))
     return out
 
 
 def twisted_cycle(ambient: SymplecticData, g: GroupElement, truncation: int):
-    """Theta (x) p_1 ^ q^1 ^ ... over the moved pairs, as a pairing chain."""
+    """Theta (x) the moved sector's volume (descent.sector_volume over the
+    moved parts y_j - y_j Q of the generators), as a pairing chain."""
+    from .descent import sector_volume
     from .hochschild import Chain
 
-    lams = g.diagonal_eigenvalues()
     theta = theta_element(ambient, g, truncation)
-    args: List[WeylElement] = []
-    for i, lam in enumerate(lams):
-        if lam == ONE:
-            continue
-        args.append(WeylElement.generator(2 * i + 2, ambient))  # p_i
-        args.append(WeylElement.generator(2 * i + 1, ambient))  # q^i
-    return Chain([(theta, tuple(args))])
+    moved = linalg.mat_sub(linalg.identity(g.size, ONE, ZERO), g.fixed_projector())
+    volume = sector_volume(moved, ambient.omega, g.twist_pairs())
+    return Chain([(theta.scale(c), tuple(WeylElement.generator(j, ambient) for j in idx))
+                  for idx, c in volume.items()])
 
 
 # -- cocycles on the smash product ---------------------------------------------

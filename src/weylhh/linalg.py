@@ -1,11 +1,11 @@
 """Small exact linear algebra over any exact field (Scalar or Fraction).
 
 Entries only need +, -, *, / and truthiness for the zero test; matrices are
-tuples of tuples and never mutated in place.  Determinant, rank and inverse
-all read one Gauss-Jordan elimination, row_reduce.  The one exception
-is int_det, the fraction-free (Bareiss) determinant of an integer matrix.  It
-stays apart because its divisions are exact and it never leaves the
-integers: simplex.delta needs only the signs of determinants, and there
+tuples of tuples and never mutated in place.  Determinant, rank, inverse and
+left null space all read one Gauss-Jordan elimination, row_reduce.  The one
+exception is int_det, the fraction-free (Bareiss) determinant of an integer
+matrix.  It stays apart because its divisions are exact and it never leaves
+the integers: simplex.delta needs only the signs of determinants, and there
 Fraction arithmetic would cost more than the elimination itself.
 """
 
@@ -131,6 +131,14 @@ def mat_inverse(a, one, zero) -> tuple:
     if rank < n:
         raise ZeroDivisionError("singular matrix")
     return tuple(tuple(r[n:]) for r in rows)
+
+
+def left_null_space(a, one, zero) -> tuple:
+    """Rows spanning {x : x a = 0}: those of row_reduce([a | 1]) past the rank."""
+    width = len(a[0])
+    augmented = [list(r) + list(e) for r, e in zip(a, identity(len(a), one, zero))]
+    rows, rank, _ = row_reduce(augmented, width)
+    return tuple(tuple(r[width:]) for r in rows[rank:])
 
 
 def perm_sign(items) -> int:

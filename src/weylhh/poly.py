@@ -22,10 +22,9 @@ rename and index_mask.
 
 A polynomial is a map from keys to nonzero Scalar coefficients.  Values are
 treated as immutable after construction, so one value may be read from
-several threads; the package's memo caches (ffs `_op_cache` and the
-`_coefficient`, `_monos_for`, `_det_operator` and `_pair_operator` memos,
-`GaussianGenerator._expansions` and `_suffix_caches`, each `SuffixCache`)
-are unsynchronised.
+several threads; the package's memo caches (the ffs value memos that
+ffs.clear_memos empties, `GaussianGenerator._expansions` and
+`_suffix_caches`, each `SuffixCache`) are unsynchronised.
 
 Constructors and serialization speak (bank, index, exponent) triples;
 serialization unpacks the keys and sorts them in a graded-lex order over

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylhh import descent
+from weylhh import descent, linalg
 from weylhh.descent import (SuffixCache, auto_budget, build_trace, descend,
                             descent_cocycle, make_zeta, make_zeta_g,
                             verify_descent)
@@ -18,8 +18,8 @@ from weylhh.hochschild import (SampleSpec, hochschild_d, pair_chain, verify_cocy
                                wedge_eval)
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import monomials_upto, random_scalar, random_weyl
-from weylhh.scalars import I, Scalar
-from weylhh.weyl import SymplecticData, WeylElement, _star_kernel
+from weylhh.scalars import I, ONE, ZERO, Scalar
+from weylhh.weyl import SymplecticData, WeylElement, _star_kernel, supertrace
 
 
 def frac(a, b):
@@ -528,26 +528,48 @@ def test_twisted_cocycles_n3(moved, pairing):
 HALF = frac(1, 2)
 
 
-@pytest.mark.parametrize("eigenvalues, pairing", [
-    ([Scalar.of(-1), Scalar.of(-1)], frac(1, 2)),
-    ([I, -I], frac(1, 4)),
-    ([Scalar.of(2), HALF], frac(-1, 16)),
-    ([Scalar.of(3), frac(1, 3)], frac(-1, 6)),
-    ([I, -I, Scalar.of(1), Scalar.of(1)], frac(1, 4)),
+def integer_rows(rows):
+    return [[x if isinstance(x, Scalar) else Scalar.of(x) for x in row] for row in rows]
+
+
+Z3_PLUS_ONE = [[0, 1, 0, 0], [-1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+MIXER = integer_rows([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [1, 0, 0, 1]])
+
+
+@pytest.mark.parametrize("rows, pairing", [
+    ([[-1, 0], [0, -1]], frac(1, 2)),
+    ([[I, 0], [0, -I]], frac(1, 4)),
+    ([[2, 0], [0, HALF]], frac(-1, 16)),
+    ([[3, 0], [0, frac(1, 3)]], frac(-1, 6)),
+    ([[I, 0, 0, 0], [0, -I, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], frac(1, 4)),
+    ([[0, 1], [-1, -1]], frac(3, 8)),  # Z3
+    ([[-1, -1], [1, 0]], frac(3, 8)),  # its square
+    ([[0, 1], [-1, 0]], frac(1, 4)),  # Z4
+    ([[1, 1], [-1, 0]], frac(1, 8)),  # Z6
+    ([[0, I], [I, 0]], frac(1, 4)),  # in Q8
+    (Z3_PLUS_ONE, frac(3, 8)),
+    (linalg.mat_mul(linalg.mat_inverse(MIXER, ONE, ZERO),
+                    linalg.mat_mul(integer_rows(Z3_PLUS_ONE), MIXER)), frac(3, 8)),
 ])
-def test_twisted_pairing_is_det_over_factorial(eigenvalues, pairing):
+def test_twisted_pairing_is_det_over_factorial(rows, pairing):
     # The pairing is det((1 - g)/2) on the moved sector over (2k)!, not
     # 1/(2k)! alone: the two agree only where that determinant is 1, as for
-    # g = -1.  wedge_eval reads the pairing here: the cycle's coefficient
-    # theta has theta(0) = 1 and the value on (p, q) = (y2, y1) is a
-    # constant, so B(theta, value) is that constant.  (pair_chain refuses
-    # where theta is a series, as for g = diag(i, -i).)
-    sym = SymplecticData.canonical(len(eigenvalues) // 2)
-    det = Scalar.of(1)
-    for lam in eigenvalues:
-        if lam != Scalar.of(1):
-            det = det * (Scalar.of(1) - lam) * HALF
-    assert det.scale_fraction(1, 2) == pairing  # k = 1: (2k)! = 2
-    g = GroupElement.diagonal(eigenvalues, "g")
-    y1, y2 = WeylElement.generator(1, sym), WeylElement.generator(2, sym)
-    assert wedge_eval(twisted_cocycle(sym, g), [y2, y1]).poly == Poly.const(pairing)
+    # g = -1.  On the moved sector means det((1 - g)/2 + Q), with Q the
+    # fixed-sector projector, which is 1 on the fixed sector.  wedge_eval
+    # reads the pairing here, term by term of twisted_cycle's chain: at
+    # n = 1 (and with one moved pair at n = 2) each value is a constant and
+    # theta(0) = 1, so B(c theta, value) is c times that constant.
+    # (pair_chain refuses where theta is a series, as for g = diag(i, -i).)
+    g = GroupElement.from_rows(integer_rows(rows), "g")
+    sym = SymplecticData.canonical(g.size // 2)
+    half_moved = [[c * HALF + q for c, q in zip(r, rq)] for r, rq in zip(
+        linalg.mat_sub(linalg.identity(g.size, ONE, ZERO), g.matrix),
+        g.fixed_projector())]
+    assert linalg.mat_det(half_moved).scale_fraction(1, 2) == pairing  # k = 1: (2k)! = 2
+    tau = twisted_cocycle(sym, g)
+    total = ZERO
+    for theta, args in twisted_cycle(sym, g, truncation=4).terms:
+        value = wedge_eval(tau, args)
+        assert value.poly == Poly.const(supertrace(value))
+        total = total + supertrace(theta) * supertrace(value)
+    assert total == pairing

@@ -13,7 +13,7 @@ from weylhh.groups import (ClassFunction, FiniteGroup, GroupElement,
 from weylhh.hochschild import SampleSpec, pair_chain, verify_cocycle
 from weylhh.poly import Poly, Y
 from weylhh.sampling import random_smash, random_weyl
-from weylhh.scalars import ONE, ZERO, Scalar
+from weylhh.scalars import I, ONE, ZERO, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, star
 
 
@@ -154,27 +154,48 @@ def test_theta_element_reflection_sectors(preset, sym1):
     assert theta == WeylElement.one(sym1)
 
 
-def test_theta_equations_order_four(sym1):
-    gi = GroupElement.diagonal([Scalar.of(0, 1), Scalar.of(0, -1)], "i")
-    for defect in theta_equation_defects(sym1, gi, truncation=12):
-        assert defect.is_zero()
+def integer_element(rows, label=""):
+    return GroupElement.from_rows([[Scalar.of(x) for x in row] for row in rows], label)
 
 
-def test_theta_equations_mixed_rank(sym2):
-    g = GroupElement.diagonal(
-        [Scalar.of(0, 1), Scalar.of(0, -1), Scalar.of(1), Scalar.of(1)], "gi")
-    for defect in theta_equation_defects(sym2, g, truncation=10):
-        assert defect.is_zero()
+# Z3 (+) 1 at n = 2, and its conjugate by an integer symplectic S that mixes
+# the two pairs, so that neither sector is spanned by generators.
+Z3_PLUS_ONE = integer_element([[0, 1, 0, 0], [-1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+MIXER = integer_element([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [1, 0, 0, 1]])
+THETA_CASES = {
+    "diag(i, -i)": GroupElement.diagonal([I, -I]),
+    "diag(i, -i, 1, 1)": GroupElement.diagonal([I, -I, ONE, ONE]),
+    "diag(1, 1, i, -i)": GroupElement.diagonal([ONE, ONE, I, -I]),
+    "Z3 + 1": Z3_PLUS_ONE,
+    "S^-1 (Z3 + 1) S": GroupElement(linalg.mat_mul(
+        linalg.mat_inverse(MIXER.matrix, ONE, ZERO),
+        linalg.mat_mul(Z3_PLUS_ONE.matrix, MIXER.matrix))),
+}
 
 
-def test_theta_equations_second_pair_moved(sym2):
-    # The exponent's q and p are y_{2i+1} and y_{2i+2} of the moved pair i;
-    # with the first pair moved (i = 0) other index rules agree with these,
-    # so the moved pair here is the second.
-    g = GroupElement.diagonal(
-        [Scalar.of(1), Scalar.of(1), Scalar.of(0, 1), Scalar.of(0, -1)], "gi")
-    for defect in theta_equation_defects(sym2, g, truncation=10):
-        assert defect.is_zero()
+@pytest.mark.parametrize("case", ["Z3", "Z4", "Z6", "Q8", *THETA_CASES])
+def test_theta_equations(kleinian, case):
+    # For each generator y_j, Theta * v + (v o g) * Theta = 0 on its moved
+    # part v and Theta * w = w * Theta on its fixed part w: on every
+    # nontrivial class of each Kleinian group, none of them diagonal but
+    # diag(i, -i) in Q8, and on the cases above.  The second pair alone
+    # moves in diag(1, 1, i, -i), so a rule that misreads the moved pair's
+    # index shows there.  The parts come from Q = g.fixed_projector(), a
+    # projector that 1 - g kills on either side.
+    if case in kleinian:
+        elements = [cls[0] for cls in kleinian[case].conjugacy_classes()
+                    if not cls[0].is_identity()]
+    else:
+        elements = [THETA_CASES[case]]
+    for g in elements:
+        ambient = SymplecticData.canonical(g.size // 2)
+        g.check_symplectic(ambient)
+        q = g.fixed_projector()
+        one_minus = linalg.mat_sub(linalg.identity(g.size, ONE, ZERO), g.matrix)
+        zero = linalg.identity(g.size, ZERO, ZERO)
+        assert linalg.mat_mul(q, q) == q
+        assert linalg.mat_mul(q, one_minus) == linalg.mat_mul(one_minus, q) == zero
+        assert all(d.is_zero() for d in theta_equation_defects(ambient, g, truncation=10))
 
 
 def test_twisted_pairings(preset, sym1):
@@ -383,12 +404,16 @@ def test_group_construction_refusals():
         FiniteGroup([one, quarter])
 
 
-def test_diagonal_eigenvalues_refusals():
-    # Off-diagonal entries, and a diagonal whose pair is not (l, 1/l).
-    rotate = GroupElement.from_rows([[ZERO, ONE], [-ONE, ZERO]])
-    with pytest.raises(ValueError, match="not in g-diagonal form"):
-        rotate.diagonal_eigenvalues()
-    with pytest.raises(ValueError, match="not [(]lambda, 1/lambda[)] pairs"):
-        GroupElement.diagonal([Scalar.of(2), Scalar.of(2)]).diagonal_eigenvalues()
-    assert GroupElement.diagonal([Scalar.of(2), frac(1, 2)]).diagonal_eigenvalues() \
-        == [Scalar.of(2)]
+def test_non_semisimple_refusals(sym2):
+    # The double shear is symplectic, but ker(1 - g) meets im(1 - g): it has
+    # no fixed-sector projector, so no Theta and no cycle, and its twisted
+    # generator's prefactor vanishes.
+    shear = integer_element([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    shear.check_symplectic(sym2)
+    message = "g is not semisimple: ker[(]1 - g[)] meets im[(]1 - g[)]"
+    with pytest.raises(ValueError, match=message):
+        shear.fixed_projector()
+    with pytest.raises(ValueError, match=message):
+        twisted_cycle(sym2, shear, truncation=4)
+    with pytest.raises(ValueError, match="degenerate twisted prefactor"):
+        make_zeta_g(sym2, shear)

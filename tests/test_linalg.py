@@ -97,7 +97,8 @@ def test_inverse_and_solve(entry, one, zero):
 @pytest.mark.parametrize("entry, one, zero", FIELDS)
 def test_rank_of_product(entry, one, zero):
     # U (n x r) and V (r x n) each hold an r x r identity block, so UV has
-    # rank exactly r; shuffling rows and columns keeps the rank.
+    # rank exactly r; shuffling rows and columns keeps the rank.  Its left
+    # null space then has n - r independent rows x, each with x UV = 0.
     rng = random.Random(3)
     for n in (2, 3, 4, 5):
         for r in range(0, n + 1):
@@ -114,6 +115,9 @@ def test_rank_of_product(entry, one, zero):
             rng.shuffle(cols)
             prod = tuple(tuple(row[c] for c in cols) for row in prod)
             assert linalg.mat_rank(prod) == r
+            basis = linalg.left_null_space(prod, one, zero)
+            assert len(basis) == linalg.mat_rank(basis) == n - r
+            assert not any(any(linalg.mat_mul((x,), prod)[0]) for x in basis)
 
 
 @pytest.mark.parametrize("entry, one, zero", FIELDS)

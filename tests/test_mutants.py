@@ -6,11 +6,13 @@ then runs the oracle that guards that kernel at the smallest size that
 catches the mutant, and checks that the oracle holds on the real code and
 reports the mismatch on the mutant.  A refactor of a kernel that makes one of
 these edits miss (the source no longer contains it) fails here too, so the
-list is kept in step with the code it mutates.
+list is kept in step with the code it mutates.  Installing a mutant empties
+the value memos (ffs.clear_memos), so no value an earlier call kept reaches
+the mutated code, and every test ends by emptying them again, so no value
+the mutant made outlives it.
 """
 
 import __future__
-import functools
 import inspect
 import itertools
 import textwrap
@@ -25,7 +27,7 @@ from weylhh.errors import BudgetError, NonGenericConfigError
 from weylhh.ffs import cached_symbol, ffs_apply
 from weylhh.forms import FormElement, ext_d, proj_p
 from weylhh.hochschild import (SampleSpec, constant_cochain, hochschild_d,
-                               verify_cocycle)
+                               pair_chain, verify_cocycle)
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import monomials_upto
 from weylhh.scalars import ONE, Scalar
@@ -44,6 +46,16 @@ def install(monkeypatch, module, name, old, new, owner=None, also=()):
     exec(code, namespace)
     for target in (owner,) + tuple(also):
         monkeypatch.setattr(target, name, namespace[name])
+    ffs.clear_memos()
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Empty the value memos once the test's monkeypatch has put the real
+    functions back: pytest sets autouse fixtures up first and so tears
+    this one down last."""
+    yield
+    ffs.clear_memos()
 
 
 def y(sym, *exps):
@@ -218,11 +230,9 @@ def test_dropped_alpha_factorial(monkeypatch, sym1):
 
 def test_pair_factor_without_power(monkeypatch, sym1):
     # One W factor for its count-th power: wrong from the first squared
-    # factor on, W01^2 on (y1^3, y2) at total degree 4.  The mutant builds
-    # into its own operator cache, so no correct operator is read back.
+    # factor on, W01^2 on (y1^3, y2) at total degree 4.
     a, b = y(sym1, 3), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    monkeypatch.setattr(ffs, "_op_cache", {})
     install(monkeypatch, ffs, "_operator_product", "range(count)", "range(1)")
     assert not routes_agree(sym1, a, b)
 
@@ -236,7 +246,6 @@ def test_det_operator_without_det_pi(monkeypatch):
     a, b = y(skew, 1), y(skew, 0, 1)
     assert routes_agree(skew, a, b)
     assert descend(make_zeta(skew), [a, b]).poly == Poly.const(Scalar.of(2))
-    monkeypatch.setattr(ffs, "_op_cache", {})
     install(monkeypatch, ffs, "_det_operator", "det = mat_det(sym.pi)",
             "det = Scalar.of(1)")
     assert not routes_agree(skew, a, b)
@@ -259,7 +268,6 @@ def test_operator_box_gcd_for_lcm(monkeypatch, sym1):
     # reach the lcm.
     a, b = y(sym1, 1) + y(sym1, 0, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    monkeypatch.setattr(ffs, "_op_cache", {})
     install(monkeypatch, poly, "mono_lcm", "map(max,", "map(min,", also=(ffs,))
     assert not routes_agree(sym1, a, b)
 
@@ -315,15 +323,25 @@ def test_exp_series_without_count_factorial(monkeypatch, sym1):
     # so the square route shares the fault and still agrees with the symbol;
     # descent is the oracle.  Every count is 1 on (y1, y2), so it agrees
     # there; (y1^3, y2^3) and (y1^2 y2, y1 y2^2) read counts above 1 and show it.
-    # The symbol's memo is replaced, so no correct coefficient is read back.
     pairs = [(y(sym1, 3), y(sym1, 0, 3)), (y(sym1, 2, 1), y(sym1, 1, 2))]
     assert all(routes_agree(sym1, a, b) for a, b in pairs)
-    monkeypatch.setattr(ffs, "_coefficient",
-                        functools.lru_cache(maxsize=None)(ffs._coefficient.__wrapped__))
     install(monkeypatch, ffs, "_exp_coefficient", "denom *= factorial(count)", "pass")
     assert routes_agree(sym1, y(sym1, 1), y(sym1, 0, 1))
     assert all(square_route_agrees(a, b) for a, b in pairs)
     assert not any(routes_agree(sym1, a, b) for a, b in pairs)
+
+
+def test_linear_factor_slope_halved(monkeypatch, sym1):
+    # 1 + 2 u_i - u_j for 1 + 2 u_i - 2 u_j changes every coefficient with
+    # a W factor: (y1^2, y2) reads W01 once.  The symbol's coefficients are
+    # memoised, so the mutant is read only because installing it empties
+    # the memos; a test run before this one that filled them (tests/test_ffs.py
+    # does) would otherwise hide it.
+    a, b = y(sym1, 2), y(sym1, 0, 1)
+    assert routes_agree(sym1, a, b)
+    install(monkeypatch, ffs, "_linear_factor", "out[m] = out.get(m, 0) - 2",
+            "out[m] = out.get(m, 0) - 1")
+    assert not routes_agree(sym1, a, b)
 
 
 def test_linear_subst_reads_columns(monkeypatch):
@@ -415,19 +433,43 @@ def test_theta_group_part_order_swapped(monkeypatch, kleinian):
     assert theta_cocycles_hold(kleinian["Z6"]) and theta_cocycles_hold(preset)
 
 
-def test_theta_exponent_q_index(monkeypatch, sym2):
-    # y_{3i+1} for the moved pair's q = y_{2i+1}: the same index while the
-    # first pair moves, so the sector must move the second pair to show it.
-    def defects_vanish(g):
-        return all(d.is_zero() for d in groups.theta_equation_defects(sym2, g, 10))
+def test_theta_exponent_q_index(monkeypatch):
+    # The exponent w(y, A^-1 y) read with A^-1 transposed, which swaps the
+    # index each entry pairs: a symmetric A^-1, as for every diagonal g and
+    # for [[0, i], [i, 0]] in Q8, hides it, so only the equations of the
+    # non-diagonal Z3, Z4 and Z6 generators and of Z3 + 1 show it.
+    def defects_vanish(rows):
+        g = groups.GroupElement.from_rows(
+            [[x if isinstance(x, Scalar) else Scalar.of(x) for x in row] for row in rows])
+        ambient = SymplecticData.canonical(g.size // 2)
+        return all(d.is_zero() for d in groups.theta_equation_defects(ambient, g, 8))
 
-    i, minus_i = Scalar.of(0, 1), Scalar.of(0, -1)
-    first = groups.GroupElement.diagonal([i, minus_i, ONE, ONE], "gi")
-    second = groups.GroupElement.diagonal([ONE, ONE, i, minus_i], "gi")
-    assert defects_vanish(first) and defects_vanish(second)
-    install(monkeypatch, groups, "theta_element",
-            "(Y, 2 * i + 1, 1)", "(Y, 3 * i + 1, 1)")
-    assert defects_vanish(first) and not defects_vanish(second)
+    i, half = Scalar.of(0, 1), Scalar.of(Fraction(1, 2))
+    hidden = [[[i, 0], [0, -i]], [[2, 0], [0, half]], [[0, i], [i, 0]],
+              [[i, 0, 0, 0], [0, -i, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+              [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, i, 0], [0, 0, 0, -i]]]
+    shown = [[[0, 1], [-1, -1]], [[0, 1], [-1, 0]], [[1, 1], [-1, 0]],
+             [[0, 1, 0, 0], [-1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]
+    assert all(defects_vanish(rows) for rows in hidden + shown)
+    install(monkeypatch, groups, "theta_element", "a_inv = linalg.mat_inverse(a, ONE, ZERO)",
+            "a_inv = linalg.mat_transpose(linalg.mat_inverse(a, ONE, ZERO))")
+    assert all(defects_vanish(rows) for rows in hidden)
+    assert not any(defects_vanish(rows) for rows in shown)
+
+
+def test_twisted_prefactor_without_half(monkeypatch, sym1):
+    # u = (dz - dz^g)/2 puts det((1 - g)/2) into the pairing; u = dz - dz^g
+    # multiplies it by 2^(2k), so g = -1 pairs to 2 for 1/2.
+    minus = groups.GroupElement.diagonal([-ONE, -ONE], "-1")
+
+    def pairing():
+        return pair_chain(groups.twisted_cocycle(sym1, minus),
+                          groups.twisted_cycle(sym1, minus, 4))
+
+    assert pairing() == Scalar.of(Fraction(1, 2))
+    install(monkeypatch, descent, "make_zeta_g", "half = Scalar.rational(1, 2)",
+            "half = Scalar.rational(1, 1)")
+    assert pairing() == Scalar.of(2)
 
 
 def test_coefficient_memo_shared_across_n(monkeypatch, sym1, sym2):
@@ -450,7 +492,6 @@ def test_operator_memo_key_without_bound(monkeypatch, sym1):
     # the second reads the first's narrow operator and gets 0 for -1/2.
     y1, y2 = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, y1, y2) and routes_agree(sym1, y2, y1)
-    monkeypatch.setattr(ffs, "_op_cache", {})
     install(monkeypatch, ffs, "_operator_for", "key = (ambient, mono, bound)",
             "key = (ambient, mono)")
     assert routes_agree(sym1, y1, y2)
