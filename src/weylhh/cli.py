@@ -34,9 +34,10 @@ from .forms import ext_d, homotopy_s, proj_p
 from .hochschild import SampleSpec, pair_chain, verify_cocycle
 from .ffs import cached_symbol, ffs_apply, ffs_cocycle, ffs_hypercube_n1
 from .descent import (auto_budget, build_trace, descend, descent_cocycle,
-                      make_zeta, make_zeta_g, verify_descent)
+                      make_zeta, verify_descent)
 from .groups import (ClassFunction, GroupElement, SmashElement, afls_dims,
-                     higher_spin_preset, theta_cocycle, twisted_cycle)
+                     higher_spin_preset, make_zeta_g, theta_cocycle,
+                     twisted_cycle)
 from . import sampling, simplex
 
 ENV_SEED = "WEYLHH_SEED"

@@ -4,17 +4,9 @@ A Gaussian generator is a closed top-degree-on-its-sector form
 
     prefactor . exp(Q)
 
-with Q a quadratic exponent coupling z to y (and to z in twisted sectors).
-The untwisted generator has Q = 2i w(z, y) and the full dz-volume prefactor;
-a twisted one has Q = i w(z, y + (z-y)^g) and a 2k-form prefactor supported
-on the sector where g moves points, k = rank(1-g)/2.
-
-The prefactor is normalized as the k-th wedge power, divided by k!, of the
-two-form sum_{i<j} w_ij u^i u^j in u = (dz - dz^g)/2.  With this scale the
-pairing of the resulting cocycle against its dual cycle comes out exactly
-det((1 - g)/2) / (2k)!, the determinant taken on the moved sector: 1/(2k)!
-where g acts there as -1, and another constant elsewhere (1/4 for
-g = diag(i, -i), -1/16 for diag(2, 1/2)).
+with Q a quadratic exponent coupling z to y.  The untwisted generator has
+Q = 2i w(z, y) and the full dz-volume prefactor; the twisted ones, one per
+group element, are built in the groups module (`make_zeta_g`).
 
 The cocycle itself is the alternation
 
@@ -41,18 +33,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
-from math import factorial
+from itertools import combinations_with_replacement
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from . import linalg
 from .errors import BudgetError
-from .forms import FormElement, ext_d, form_star, homotopy_s, wedge_expand
-from .hochschild import (Cochain, Report, constant_cochain, group_twist,
-                         hochschild_d)
-from .groups import GroupElement
+from .forms import FormElement, ext_d, form_star, homotopy_s
+from .hochschild import Cochain, Report, constant_cochain, hochschild_d
 from .poly import Poly, Y, Z, mono_divides, mono_factorial
-from .scalars import ONE, ZERO, Scalar
+from .sampling import weyl_tuples
+from .scalars import ONE, Scalar
 from .weyl import (SymplecticData, WeylElement, _min_trunc, _walk, _y_keys,
                    involution)
 
@@ -127,50 +116,6 @@ def make_zeta(ambient: SymplecticData) -> GaussianGenerator:
     quad = quad.scale(Scalar.of(0, 2))
     return GaussianGenerator(ambient, quad, FormElement.top_dz(ambient),
                              involution, label="zeta")
-
-
-def sector_volume(rows, form, k: int) -> Dict[Tuple[int, ...], Scalar]:
-    """The k-th wedge power, over k!, of sum_{i<j} form_ij r^i r^j for the
-    one-forms r^i = sum_l rows[i][l] e^(l+1), keyed by index tuples."""
-    ones = [{(l + 1,): c for l, c in enumerate(row) if not c.is_zero()} for row in rows]
-    two_form: Dict[Tuple[int, ...], Scalar] = {}
-    for i, j in combinations(range(len(ones)), 2):
-        w = form[i][j]
-        if w.is_zero():
-            continue
-        for idx, c in wedge_expand([ones[i], ones[j]]).items():
-            two_form[idx] = two_form.get(idx, ZERO) + w * c
-    two_form = {idx: c for idx, c in two_form.items() if not c.is_zero()}
-    scale = Scalar.rational(1, factorial(k))
-    return {idx: c * scale for idx, c in wedge_expand([two_form] * k).items()}
-
-
-def make_zeta_g(ambient: SymplecticData, g: GroupElement) -> GaussianGenerator:
-    """The g-twisted generator."""
-    matrix = g.matrix
-    size = 2 * ambient.n
-    k = g.twist_pairs()
-
-    y = _vector(Y, ambient)
-    z = _vector(Z, ambient)
-    moved = [(zz - yy).linear_subst(Y, matrix).linear_subst(Z, matrix)
-             for zz, yy in zip(z, y)]
-    quad = _omega_bilinear(ambient, z, [yy + mm for yy, mm in zip(y, moved)])
-    quad = quad.scale(Scalar.of(0, 1))
-
-    # Prefactor: the sector volume of u = (dz - dz^g)/2, row i of (1 - g)/2
-    # expressed through dz.  u carries (1 - g)/2 into the prefactor, so the
-    # pairing is det((1 - g)/2) on the moved sector over (2k)!.
-    half = Scalar.rational(1, 2)
-    u_rows = [[c * half for c in row]
-              for row in linalg.mat_sub(linalg.identity(size, ONE, ZERO), matrix)]
-    prefactor = FormElement({idx: Poly.const(c) for idx, c in
-                             sector_volume(u_rows, ambient.omega, k).items()}, ambient)
-    if k > 0 and prefactor.is_zero():
-        raise ValueError("degenerate twisted prefactor; g is not usable here")
-    label = g.label or "g"
-    return GaussianGenerator(ambient, quad, prefactor, group_twist(matrix),
-                             label=f"zeta_{label}")
 
 
 # -- the descent value --------------------------------------------------------
@@ -380,8 +325,6 @@ def build_trace(gen: GaussianGenerator, budget: int) -> DescentTrace:
 def verify_descent(trace: DescentTrace, seed: int = 0, count: int = 3,
                    max_degree: int = 1) -> Report:
     """Replay the descent identities on sampled arguments, exactly to budget."""
-    from .sampling import weyl_tuples
-
     gen = trace.generator
     ambient = gen.ambient
     rng = random.Random(seed)

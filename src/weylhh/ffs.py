@@ -59,6 +59,7 @@ from math import factorial
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import InsufficientExpansionError
+from .hochschild import Cochain
 from .linalg import mat_det, perm_sign
 from .poly import (MAX_EXPONENT, Poly, Y, Z, index_mask, mono_degree,
                    mono_divides, mono_factorial, mono_lcm, rename)
@@ -438,8 +439,6 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
 
 def ffs_cocycle(sym: SymplecticData):
     """The 2n-cocycle as a normalized dual-valued evaluator."""
-    from .hochschild import Cochain
-
     def ev(*args):
         return ffs_apply(cached_symbol(sym.n, sum(a.degree() for a in args)), args)
 

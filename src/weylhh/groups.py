@@ -5,21 +5,37 @@ so composing actions matches the group product and the crossed product
 
     (a (x) g) (b (x) h) = a * b^g (x) gh
 
-is associative for any finite subgroup, abelian or not.  Twisted-sector data
-(the dual cycle and its exponential coefficient) reads g only through its
-matrix and its fixed-sector projector, so every semisimple g has it, as every
-g has a rank, a twisted generator and a place in the dimension calculator.
+is associative for any finite subgroup, abelian or not.
+
+The twisted sector lives here too.  The g-twisted generator (`make_zeta_g`)
+is a Gaussian generator of the descent module with Q = i w(z, y + (z-y)^g)
+and a 2k-form prefactor supported on the sector where g moves points,
+k = rank(1-g)/2.  The prefactor is normalized as the k-th wedge power,
+divided by k!, of the two-form sum_{i<j} w_ij u^i u^j in u = (dz - dz^g)/2.
+With this scale the pairing of the resulting cocycle against its dual cycle
+comes out exactly det((1 - g)/2) / (2k)!, the determinant taken on the moved
+sector: 1/(2k)! where g acts there as -1, and another constant elsewhere
+(1/4 for g = diag(i, -i), -1/16 for diag(2, 1/2)).
+
+Twisted-sector data (the dual cycle and its exponential coefficient) reads g
+only through its matrix and its fixed-sector projector, so every semisimple g
+has it, as every g has a rank, a twisted generator and a place in the
+dimension calculator.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from math import factorial
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import linalg
+from .descent import GaussianGenerator, _omega_bilinear, _vector, descent_cocycle
 from .errors import AmbientMismatchError
-from .poly import Y
+from .forms import FormElement, wedge_expand
+from .hochschild import Chain, Cochain, untwisted
+from .poly import Poly, Y, Z
 from .scalars import I, ONE, ZERO, Scalar
 from .weyl import SymplecticData, WeylElement, star
 
@@ -288,6 +304,59 @@ def afls_dims(group: FiniteGroup) -> Dict[int, Tuple[int, List[ClassFunction]]]:
 # -- twisted-sector data -------------------------------------------------------
 
 
+def group_twist(matrix) -> Callable:
+    """The twist a -> a o g of a group-twisted module, g given by its matrix.
+
+    This module writes a o g as a^{g^{-1}} (a^h = a o h^{-1}), so
+    theta_cocycle puts tau_{g^{-1}}, of right twist a -> a^g, on g's sector.
+    """
+    return lambda a: a.apply_matrix(matrix)
+
+
+def sector_volume(rows, form, k: int) -> Dict[Tuple[int, ...], Scalar]:
+    """The k-th wedge power, over k!, of sum_{i<j} form_ij r^i r^j for the
+    one-forms r^i = sum_l rows[i][l] e^(l+1), keyed by index tuples."""
+    ones = [{(l + 1,): c for l, c in enumerate(row) if not c.is_zero()} for row in rows]
+    two_form: Dict[Tuple[int, ...], Scalar] = {}
+    for i, j in itertools.combinations(range(len(ones)), 2):
+        w = form[i][j]
+        if w.is_zero():
+            continue
+        for idx, c in wedge_expand([ones[i], ones[j]]).items():
+            two_form[idx] = two_form.get(idx, ZERO) + w * c
+    two_form = {idx: c for idx, c in two_form.items() if not c.is_zero()}
+    scale = Scalar.rational(1, factorial(k))
+    return {idx: c * scale for idx, c in wedge_expand([two_form] * k).items()}
+
+
+def make_zeta_g(ambient: SymplecticData, g: GroupElement) -> GaussianGenerator:
+    """The g-twisted generator."""
+    matrix = g.matrix
+    size = 2 * ambient.n
+    k = g.twist_pairs()
+
+    y = _vector(Y, ambient)
+    z = _vector(Z, ambient)
+    moved = [(zz - yy).linear_subst(Y, matrix).linear_subst(Z, matrix)
+             for zz, yy in zip(z, y)]
+    quad = _omega_bilinear(ambient, z, [yy + mm for yy, mm in zip(y, moved)])
+    quad = quad.scale(Scalar.of(0, 1))
+
+    # Prefactor: the sector volume of u = (dz - dz^g)/2, row i of (1 - g)/2
+    # expressed through dz.  u carries (1 - g)/2 into the prefactor, so the
+    # pairing is det((1 - g)/2) on the moved sector over (2k)!.
+    half = Scalar.rational(1, 2)
+    u_rows = [[c * half for c in row]
+              for row in linalg.mat_sub(linalg.identity(size, ONE, ZERO), matrix)]
+    prefactor = FormElement({idx: Poly.const(c) for idx, c in
+                             sector_volume(u_rows, ambient.omega, k).items()}, ambient)
+    if k > 0 and prefactor.is_zero():
+        raise ValueError("degenerate twisted prefactor; g is not usable here")
+    label = g.label or "g"
+    return GaussianGenerator(ambient, quad, prefactor, group_twist(matrix),
+                             label=f"zeta_{label}")
+
+
 def theta_element(ambient: SymplecticData, g: GroupElement,
                   truncation: int) -> WeylElement:
     """The exponential coefficient of the dual twisted cycle.
@@ -297,8 +366,6 @@ def theta_element(ambient: SymplecticData, g: GroupElement,
     sector and 0 on the fixed one: C = 2 A^-1 - 1 - Q and w(y, y) = w(y, Q y)
     = 0.  The test suite checks it against its defining star equations.
     """
-    from .descent import _omega_bilinear, _vector
-
     a = linalg.mat_sub(linalg.identity(g.size, ONE, ZERO),
                        linalg.mat_sub(g.matrix, g.fixed_projector()))
     a_inv = linalg.mat_inverse(a, ONE, ZERO)
@@ -327,11 +394,8 @@ def theta_equation_defects(ambient: SymplecticData, g: GroupElement,
 
 
 def twisted_cycle(ambient: SymplecticData, g: GroupElement, truncation: int):
-    """Theta (x) the moved sector's volume (descent.sector_volume over the
-    moved parts y_j - y_j Q of the generators), as a pairing chain."""
-    from .descent import sector_volume
-    from .hochschild import Chain
-
+    """Theta (x) the moved sector's volume (sector_volume over the moved
+    parts y_j - y_j Q of the generators), as a pairing chain."""
     theta = theta_element(ambient, g, truncation)
     moved = linalg.mat_sub(linalg.identity(g.size, ONE, ZERO), g.fixed_projector())
     volume = sector_volume(moved, ambient.omega, g.twist_pairs())
@@ -344,8 +408,6 @@ def twisted_cycle(ambient: SymplecticData, g: GroupElement, truncation: int):
 
 def twisted_cocycle(ambient: SymplecticData, g: GroupElement):
     """The 2k_g-cocycle of the g-twisted module, via the descent route."""
-    from .descent import descent_cocycle, make_zeta_g
-
     return descent_cocycle(make_zeta_g(ambient, g))
 
 
@@ -363,8 +425,6 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
     a * b^g (x) g.  Elements of the group algebra in any slot are killed by
     the normalization of tau.
     """
-    from .hochschild import Cochain, untwisted
-
     if degree == 0:
         # The identity is the one element of moved rank 0, so theta_0 is
         # gamma(1) (1 (x) 1) and no sector cocycle is built.
@@ -403,8 +463,6 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
 def conjugate_cochain(group: FiniteGroup, f, h: GroupElement):
     """c^h(x_1...x_p) = (c(x_1^{h^-1}, ..., x_p^{h^-1}))^h for dual-valued c,
     acting through the group's table."""
-    from .hochschild import Cochain
-
     hinv = group.inverse(h)
 
     def ev(*args):

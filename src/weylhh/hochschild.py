@@ -32,6 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .errors import AmbientMismatchError
 from .forms import ext_d, homotopy_s
 from .linalg import perm_sign
+from .sampling import cocycle_tuples
 from .scalars import Scalar
 from .weyl import SymplecticData, WeylElement, bform
 
@@ -39,15 +40,6 @@ from .weyl import SymplecticData, WeylElement, bform
 def untwisted(a):
     """The identity twist, for coefficients in the algebra itself."""
     return a
-
-
-def group_twist(matrix) -> Callable:
-    """The twist a -> a o g of a group-twisted module, g given by its matrix.
-
-    The groups module writes a o g as a^{g^{-1}} (a^h = a o h^{-1}), so
-    theta_cocycle puts tau_{g^{-1}}, of right twist a -> a^g, on g's sector.
-    """
-    return lambda a: a.apply_matrix(matrix)
 
 
 class Cochain:
@@ -189,9 +181,7 @@ def verify_cocycle(f: Cochain, samples: SampleSpec) -> Report:
     The first failure names its arguments and the lowest-degree term of the
     residual df(args), with that term's degree.
     """
-    from . import sampling
-
-    tuples = sampling.cocycle_tuples(f, samples)
+    tuples = cocycle_tuples(f, samples)
     df = hochschild_d(f)
     report = Report(samples.seed, samples.max_degree)
     for args in tuples:

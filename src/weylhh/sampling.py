@@ -15,30 +15,10 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
+from .forms import FormElement
 from .poly import Poly, Y, Z
 from .scalars import Scalar
-from .weyl import SymplecticData, WeylElement
-
-
-def _exponent_vectors(nvars: int, total: int):
-    if nvars == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _exponent_vectors(nvars - 1, total - head):
-            yield (head,) + rest
-
-
-def monomials_upto(sym: SymplecticData, max_degree: int) -> List[WeylElement]:
-    """All Y-bank monomials of total degree <= max_degree (coefficient 1)."""
-    size = 2 * sym.n
-    out = []
-    for total in range(max_degree + 1):
-        for exps in _exponent_vectors(size, total):
-            out.append(WeylElement(
-                Poly.monomial([(Y, i + 1, e) for i, e in enumerate(exps) if e]),
-                sym))
-    return out
+from .weyl import SymplecticData, WeylElement, monomials_upto
 
 
 def random_scalar(rng: random.Random, span: int = 3) -> Scalar:
@@ -79,8 +59,6 @@ def random_form_poly(rng: random.Random, sym: SymplecticData, max_degree: int,
 
 def random_form(rng: random.Random, sym: SymplecticData, max_degree: int,
                 degree: Optional[int] = None):
-    from .forms import FormElement
-
     size = 2 * sym.n
     q = rng.randint(0, size) if degree is None else degree
     idx = tuple(sorted(rng.sample(range(1, size + 1), q)))
@@ -103,6 +81,7 @@ def weyl_tuples(rng: random.Random, sym: SymplecticData, arity: int,
 
 def random_smash(rng: random.Random, group, sym: SymplecticData,
                  max_degree: int):
+    # Not at module top: groups imports hochschild, which samples through here.
     from .groups import SmashElement
 
     terms = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import AmbientMismatchError, BudgetError
@@ -62,25 +62,28 @@ class SymplecticData:
         return SymplecticData(n, linalg.mat_from_rows(pi), linalg.mat_from_rows(om))
 
     @staticmethod
-    def from_pi(n: int, pi: Sequence[Sequence[Scalar]]) -> "SymplecticData":
-        pi = linalg.mat_from_rows(pi)
+    def _check_pi(n: int, pi: Matrix) -> None:
         size = 2 * n
         if len(pi) != size or any(len(r) != size for r in pi):
             raise ValueError("pi must be 2n x 2n")
-        for i in range(size):
-            for j in range(size):
-                if pi[i][j] != -pi[j][i]:
-                    raise ValueError("pi must be antisymmetric")
-        omega = linalg.mat_inverse(pi, ONE, ZERO)
+        if any(pi[i][j] != -pi[j][i] for i in range(size) for j in range(size)):
+            raise ValueError("pi must be antisymmetric")
+
+    @staticmethod
+    def from_pi(n: int, pi: Sequence[Sequence[Scalar]]) -> "SymplecticData":
+        pi = linalg.mat_from_rows(pi)
+        SymplecticData._check_pi(n, pi)
+        try:
+            omega = linalg.mat_inverse(pi, ONE, ZERO)
+        except ZeroDivisionError:
+            raise ValueError("pi must be nondegenerate") from None
         return SymplecticData(n, pi, omega)
 
     def validate(self) -> None:
-        size = 2 * self.n
-        prod = linalg.mat_mul(self.omega, self.pi)
-        if prod != linalg.identity(size, ONE, ZERO):
+        # omega . pi = 1 also makes pi nondegenerate.
+        SymplecticData._check_pi(self.n, self.pi)
+        if linalg.mat_mul(self.omega, self.pi) != linalg.identity(2 * self.n, ONE, ZERO):
             raise ValueError("omega . pi must be the identity")
-        if linalg.mat_det(self.pi).is_zero():
-            raise ValueError("pi must be nondegenerate")
 
 
 @lru_cache(maxsize=None)
@@ -347,10 +350,29 @@ def bform(a: WeylElement, b: WeylElement) -> Scalar:
     return supertrace(star(a, b))
 
 
+def _exponent_vectors(nvars: int, total: int):
+    if nvars == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _exponent_vectors(nvars - 1, total - head):
+            yield (head,) + rest
+
+
+def monomials_upto(sym: SymplecticData, max_degree: int) -> List[WeylElement]:
+    """All Y-bank monomials of total degree <= max_degree (coefficient 1)."""
+    size = 2 * sym.n
+    out = []
+    for total in range(max_degree + 1):
+        for exps in _exponent_vectors(size, total):
+            out.append(WeylElement(
+                Poly.monomial([(Y, i + 1, e) for i, e in enumerate(exps) if e]),
+                sym))
+    return out
+
+
 def gram_rank_upto(sym: SymplecticData, max_degree: int) -> Tuple[int, int]:
     """Exact rank of the B-Gram matrix on monomials of total degree <= bound."""
-    from .sampling import monomials_upto
-
     monos = monomials_upto(sym, max_degree)
     gram = tuple(
         tuple(bform(m1, m2) for m2 in monos)

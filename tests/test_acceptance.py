@@ -11,14 +11,13 @@ from fractions import Fraction
 
 from weylhh import simplex
 from weylhh.descent import (SuffixCache, auto_budget, build_trace, descend,
-                            descent_cocycle, make_zeta, make_zeta_g,
-                            verify_descent)
+                            descent_cocycle, make_zeta, verify_descent)
 from weylhh.ffs import (cached_symbol, ffs_apply, ffs_cocycle,
                         ffs_hypercube_n1, monomial_table)
 from weylhh.forms import ext_d, form_star, homotopy_s, proj_p
 from weylhh.groups import (ClassFunction, GroupElement, SmashElement,
                            afls_dims, conjugate_cochain, higher_spin_preset,
-                           theta_cocycle, theta_equation_defects,
+                           make_zeta_g, theta_cocycle, theta_equation_defects,
                            twisted_cocycle, twisted_cycle)
 from weylhh.hochschild import (Chain, Cochain, SampleSpec, cochain_ext_d,
                                cochain_s, hochschild_d, hochschild_d2,

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylhh import descent, linalg
-from weylhh.descent import (SuffixCache, auto_budget, build_trace, descend,
-                            descent_cocycle, make_zeta, make_zeta_g,
+from weylhh.descent import (GaussianGenerator, SuffixCache, auto_budget,
+                            build_trace, descend, descent_cocycle, make_zeta,
                             verify_descent)
 from weylhh.errors import BudgetError
 from weylhh.ffs import cached_symbol, ffs_apply, monomial_table
 from weylhh.forms import FormElement, ext_d, form_star, homotopy_s
-from weylhh.groups import (GroupElement, theta_equation_defects, twisted_cocycle,
-                           twisted_cycle)
+from weylhh.groups import (GroupElement, make_zeta_g, theta_equation_defects,
+                           twisted_cocycle, twisted_cycle)
 from weylhh.hochschild import (SampleSpec, hochschild_d, pair_chain, verify_cocycle,
                                wedge_eval)
 from weylhh.poly import Poly, Y, Z
@@ -74,6 +74,14 @@ def test_descend_identity_twist(sym1, sym2):
             descend(zg, [one])
         with pytest.raises(ValueError, match="no descent ladder"):
             build_trace(zg, 4)
+
+
+def test_mixed_form_degree_prefactor_is_refused(sym1):
+    # A 0-form plus a 2-form has no one arity.
+    prefactor = FormElement({(): Poly.one(), (1, 2): Poly.one()}, sym1)
+    gen = GaussianGenerator(sym1, Poly.zero(), prefactor, lambda a: a)
+    with pytest.raises(ValueError, match="prefactor must be homogeneous in form degree"):
+        gen.form_degree
 
 
 def test_twisted_generator_reflection(sym1):

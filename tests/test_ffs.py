@@ -14,7 +14,7 @@ from weylhh.errors import InsufficientExpansionError
 from weylhh.ffs import (cached_symbol, ffs_apply, ffs_build, ffs_cocycle,
                         ffs_hypercube_n1, simplex_moment)
 from weylhh.hochschild import Chain, SampleSpec, pair_chain, verify_cocycle
-from weylhh.poly import Poly, Y, Z, mono_divides, mono_lcm
+from weylhh.poly import Poly, Y, Z, mono_degree, mono_divides, mono_lcm
 from weylhh.sampling import monomials_upto, random_weyl
 from weylhh.scalars import I, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, star
@@ -257,6 +257,16 @@ def test_both_routes_refuse_truncated_arguments(sym1):
         ffs_hypercube_n1([y1, y2])
 
 
+@pytest.mark.parametrize("n, count, message", [
+    (1, 1, "expected 2 arguments"),
+    (2, 2, "specific to n = 1"),
+])
+def test_hypercube_refusals(n, count, message):
+    sym = SymplecticData.canonical(n)
+    with pytest.raises(ValueError, match=message):
+        ffs_hypercube_n1([WeylElement.generator(1, sym)] * count)
+
+
 def test_cocycle_n1(sym1):
     tau = ffs_cocycle(sym1)
     report = verify_cocycle(tau, SampleSpec(seed=17, count=25, max_degree=3))
@@ -457,6 +467,15 @@ def test_monomial_table_matches_apply_and_caches_nothing(sym1):
         assert table.get(key, Poly.zero()) == value
         nonzero += not value.is_zero()
     assert nonzero == len(table) >= 40
+
+
+def test_monomial_table_skips_slots_past_the_budget(sym1):
+    # Slot degrees (2, 1), (1, 2) and (2, 2) pass a budget of 2: the table
+    # is the budget-4 one cut to keys of total degree <= 2.
+    small = ffs.monomial_table(cached_symbol(1, 2), sym1, 2)
+    full = ffs.monomial_table(cached_symbol(1, 4), sym1, 2)
+    cut = {k: v for k, v in full.items() if sum(map(mono_degree, k)) <= 2}
+    assert small == cut and len(small) == 2 and len(full) == 13
 
 
 def _groups(op):

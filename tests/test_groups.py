@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 
 from weylhh import linalg
-from weylhh.descent import descent_cocycle, make_zeta_g
+from weylhh.descent import descent_cocycle
+from weylhh.errors import AmbientMismatchError
 from weylhh.ffs import ffs_cocycle
 from weylhh.groups import (ClassFunction, FiniteGroup, GroupElement,
                            SmashElement, afls_dims, conjugate_cochain,
-                           higher_spin_preset, theta_cocycle, theta_element,
-                           theta_equation_defects, twisted_cocycle,
-                           twisted_cycle)
+                           higher_spin_preset, make_zeta_g, theta_cocycle,
+                           theta_element, theta_equation_defects,
+                           twisted_cocycle, twisted_cycle)
 from weylhh.hochschild import SampleSpec, pair_chain, verify_cocycle
 from weylhh.poly import Poly, Y
 from weylhh.sampling import random_smash, random_weyl
@@ -33,6 +34,9 @@ def test_group_element_checks(preset, sym2):
     assert labels["kappa"].moved_rank() == 2
     assert labels["kappakappabar"].moved_rank() == 4
     assert labels["1"].moved_rank() == 0
+    # diag(-1, 1) moves one direction, which no symplectic map does.
+    with pytest.raises(ValueError, match="rank[(]1 - g[)] is odd; g cannot be symplectic"):
+        GroupElement.diagonal([-ONE, ONE]).twist_pairs()
 
 
 def test_act_identity_and_generators(preset, rng):
@@ -65,6 +69,15 @@ def test_smash_relations(preset):
     assert k * y1 == (y1 * k).scale(Scalar.of(-1))
     y3 = SmashElement.embed(WeylElement.generator(3, ambient), group)
     assert k * y3 == y3 * k
+
+
+def test_smash_sum_over_two_groups_is_refused(preset):
+    # An equal group built again is another object: its elements do not add.
+    group, ambient, _ = preset
+    again = FiniteGroup(group.elements)
+    one = WeylElement.one(ambient)
+    with pytest.raises(AmbientMismatchError, match="different data"):
+        SmashElement.embed(one, group) + SmashElement.embed(one, again)
 
 
 def test_smash_lowest_term(preset):

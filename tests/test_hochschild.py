@@ -4,10 +4,11 @@ import pytest
 
 from weylhh.errors import AmbientMismatchError
 from weylhh.forms import FormElement, form_star
+from weylhh.groups import group_twist
 from weylhh.hochschild import (Chain, Cochain, SampleSpec, cochain_ext_d,
-                               cochain_s, constant_cochain, group_twist,
-                               hochschild_d, hochschild_d1, hochschild_d2,
-                               pair_chain, verify_cocycle, wedge_eval)
+                               cochain_s, constant_cochain, hochschild_d,
+                               hochschild_d1, hochschild_d2, pair_chain,
+                               verify_cocycle, wedge_eval)
 from weylhh.poly import Poly, Z, mono_degree
 from weylhh.sampling import cocycle_tuples, random_form, random_weyl, weyl_tuples
 from weylhh.scalars import Scalar

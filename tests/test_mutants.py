@@ -467,7 +467,7 @@ def test_twisted_prefactor_without_half(monkeypatch, sym1):
                           groups.twisted_cycle(sym1, minus, 4))
 
     assert pairing() == Scalar.of(Fraction(1, 2))
-    install(monkeypatch, descent, "make_zeta_g", "half = Scalar.rational(1, 2)",
+    install(monkeypatch, groups, "make_zeta_g", "half = Scalar.rational(1, 2)",
             "half = Scalar.rational(1, 1)")
     assert pairing() == Scalar.of(2)
 

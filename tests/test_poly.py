@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from weylhh.poly import MAX_INDEX, Poly, Y, Z, mono_divides, mono_lcm
+from weylhh.poly import MAX_INDEX, Poly, Y, Z, mono_divides, mono_lcm, rename
 from weylhh.scalars import Scalar
 
 
@@ -209,6 +209,13 @@ def test_product_up_to_255_fits():
     assert top == Poly.monomial([(Z, MAX_INDEX, 255)])
     assert top.degree() == 255
     assert top.triple_terms() == {((Z, MAX_INDEX, 255),): Scalar.of(1)}
+
+
+def test_rename_past_last_index_is_refused():
+    key = next(iter(y(MAX_INDEX).terms))
+    assert rename(key, Y, Z, 0) == next(iter(Poly.variable(Z, MAX_INDEX).terms))
+    with pytest.raises(ValueError, match=f"renamed past {MAX_INDEX}"):
+        rename(key, Y, Y, 1)
 
 
 def test_monomial_rejects_exponent_past_field():

@@ -180,6 +180,8 @@ def test_constructors_reject_bad_parts():
             Scalar(bad)
     with pytest.raises(ValueError):
         Scalar.rational(1, 0)
+    with pytest.raises(ValueError, match="needs integers"):
+        Scalar.rational(1.5)
     assert Scalar.rational(2, -4) == Scalar(Fraction(-1, 2))
 
 

@@ -131,6 +131,11 @@ def test_mixed_dimensions_are_refused():
         tid_check([(F(-1),), (F(1),), (F(3), F(2))])
 
 
+def test_wrong_point_count_is_refused():
+    with pytest.raises(ValueError, match="need 3 points in dimension 2"):
+        delta([(F(1), F(0)), (F(-1), F(1))])
+
+
 def test_antisymmetry_sampled():
     rng = random.Random(101)
     done = 0

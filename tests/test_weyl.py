@@ -5,7 +5,7 @@ from weylhh.errors import AmbientMismatchError, BudgetError
 from weylhh.forms import FormElement
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import random_weyl
-from weylhh.scalars import I, ONE, Scalar
+from weylhh.scalars import I, ONE, ZERO, Scalar
 from weylhh.weyl import (SymplecticData, WeylElement, _star_kernel, bform,
                          gram_rank_upto, involution, star, supertrace)
 
@@ -185,6 +185,13 @@ def test_gram_rank_full():
     assert rank == size == 10
 
 
+def test_sum_keeps_the_lower_truncation(sym1):
+    series = WeylElement(Poly.one() + Poly.monomial([(Y, 1, 2)]), sym1, truncation=2)
+    exact = WeylElement(Poly.variable(Y, 1), sym1)
+    assert (series + exact).truncation == (exact + series).truncation == 2
+    assert (exact + exact).truncation is None
+
+
 def test_truncated_star_rules(sym1):
     series = WeylElement(Poly.one() + Poly.monomial([(Y, 1, 2)]), sym1, truncation=2)
     poly = WeylElement(Poly.variable(Y, 1), sym1)
@@ -202,6 +209,35 @@ def test_from_pi_fixes_omega():
     sym = SymplecticData.canonical(2)
     rebuilt = SymplecticData.from_pi(2, sym.pi)
     assert rebuilt.omega == sym.omega
+
+
+def _rows(*rows):
+    return [[Scalar.of(c) for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("rows, message", [
+    (_rows([0, 1, 0], [-1, 0, 0], [0, 0, 0]), "2n x 2n"),
+    (_rows([1, 1], [0, 1]), "antisymmetric"),
+    (_rows([0, 0], [0, 0]), "nondegenerate"),
+], ids=["shape", "antisymmetry", "singular"])
+def test_from_pi_refusals(rows, message):
+    with pytest.raises(ValueError, match=message):
+        SymplecticData.from_pi(1, rows)
+
+
+_CANONICAL = SymplecticData.canonical(1)
+
+
+@pytest.mark.parametrize("data, message", [
+    (SymplecticData(2, _CANONICAL.pi, _CANONICAL.omega), "2n x 2n"),
+    # Not antisymmetric, though omega is its inverse.
+    (SymplecticData(1, ((ONE, ONE), (ZERO, ONE)), ((ONE, -ONE), (ZERO, ONE))),
+     "antisymmetric"),
+    (SymplecticData(1, _CANONICAL.pi, _CANONICAL.pi), "omega . pi"),
+], ids=["shape", "antisymmetry", "inverse"])
+def test_validate_refusals(data, message):
+    with pytest.raises(ValueError, match=message):
+        data.validate()
 
 
 @st.composite
