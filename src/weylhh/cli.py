@@ -239,7 +239,7 @@ def run_verify_all(seed: int, samples: int, max_degree: int) -> List[dict]:
 
     # Higher-spin preset: dimensions and the degree-two smash cocycle.
     group, amb2, labels = higher_spin_preset()
-    dims = {p: d for p, (d, _) in afls_dims(group).items()}
+    dims = {p: len(basis) for p, basis in afls_dims(group).items()}
     dims_ok = dims == {0: 1, 2: 2, 4: 1}
     gamma = ClassFunction.indicator(group, [labels["kappa"]])
     theta2 = theta_cocycle(group, amb2, gamma, 2)
@@ -309,9 +309,7 @@ def cmd_descent_eval(ns) -> int:
             entries = [_scalar_from(x) for x in _list_from(spec, "diag")]
             if len(entries) != 2 * ambient.n:
                 raise ValueError(f"diag must have {2 * ambient.n} entries")
-            g = GroupElement.diagonal(entries, "g")
-            g.check_symplectic(ambient)
-            gen = make_zeta_g(ambient, g)
+            gen = make_zeta_g(ambient, GroupElement.diagonal(entries, "g"))
     else:
         gen = make_zeta(ambient)
     d = auto_budget(args, ambient.n) if ns.budget == "auto" else int(ns.budget)
@@ -334,7 +332,7 @@ def cmd_descent_eval(ns) -> int:
 
 def cmd_smash_dims(ns) -> int:
     group, ambient, labels, _ = _parse_group_spec(_load_json(ns.group))
-    dims = {str(p): d for p, (d, _) in sorted(afls_dims(group).items())}
+    dims = {str(p): len(basis) for p, basis in sorted(afls_dims(group).items())}
     config = RunConfig("smash dims", n=ambient.n, format=ns.format, out=ns.out)
     _emit({"dims": dims}, config)
     return 0

@@ -310,7 +310,8 @@ def _operator_for(ambient: SymplecticData, mono: WMono,
 
 
 # The package's value memos, which keep results a code change can alter, are
-# _op_cache and these lru_caches (weyl's _y_keys and _foreign keep constants).
+# _op_cache and these lru_caches (weyl's _y_keys, _foreign and canonical keep
+# constants; tests/test_memos.py checks that no other lru_cache exists).
 MEMOIZED = (_monos_for, _coefficient, _det_operator, _pair_operator)
 
 

@@ -37,9 +37,7 @@ from .forms import FormElement, wedge_expand
 from .hochschild import Chain, Cochain, untwisted
 from .poly import Poly, Y, Z
 from .scalars import I, ONE, ZERO, Scalar
-from .weyl import SymplecticData, WeylElement, star
-
-Matrix = Tuple[Tuple[Scalar, ...], ...]
+from .weyl import Matrix, SymplecticData, WeylElement, star
 
 
 @dataclass(frozen=True)
@@ -81,6 +79,8 @@ class GroupElement:
         return rank // 2
 
     def check_symplectic(self, ambient: SymplecticData) -> None:
+        if self.size != 2 * ambient.n:
+            raise ValueError(f"matrix is {self.size} x {self.size}, not 2n x 2n, n = {ambient.n}")
         lhs = linalg.mat_mul(linalg.mat_transpose(self.matrix),
                              linalg.mat_mul(ambient.omega, self.matrix))
         if lhs != ambient.omega:
@@ -286,18 +286,18 @@ class SmashElement:
     __repr__ = __str__
 
 
-def afls_dims(group: FiniteGroup) -> Dict[int, Tuple[int, List[ClassFunction]]]:
-    """Cohomology dimension per degree: conjugation-invariant functions on
-    the elements with rank(1 - g) equal to that degree."""
+def afls_dims(group: FiniteGroup) -> Dict[int, List[ClassFunction]]:
+    """A cohomology basis per degree, whose length is its dimension: the
+    indicators of the conjugacy classes with rank(1 - g) equal to that degree."""
     classes = group.conjugacy_classes()
     ranks = [cls[0].moved_rank() for cls in classes]
-    out: Dict[int, Tuple[int, List[ClassFunction]]] = {}
+    out: Dict[int, List[ClassFunction]] = {}
     size = group.identity.size
     for p in range(size + 1):
         basis = [ClassFunction.indicator(group, cls)
                  for cls, rank in zip(classes, ranks) if rank == p]
         if basis:
-            out[p] = (len(basis), basis)
+            out[p] = basis
     return out
 
 
@@ -330,7 +330,8 @@ def sector_volume(rows, form, k: int) -> Dict[Tuple[int, ...], Scalar]:
 
 
 def make_zeta_g(ambient: SymplecticData, g: GroupElement) -> GaussianGenerator:
-    """The g-twisted generator."""
+    """The g-twisted generator; ValueError unless g preserves omega."""
+    g.check_symplectic(ambient)
     matrix = g.matrix
     size = 2 * ambient.n
     k = g.twist_pairs()
@@ -364,8 +365,9 @@ def theta_element(ambient: SymplecticData, g: GroupElement,
     exp(-i w(y, A^-1 y)) with A = 1 - g + Q, Q = g.fixed_projector(), is the
     Cayley form -(i/2) w(y, C y) with C = (1 + g)(1 - g)^-1 on the moved
     sector and 0 on the fixed one: C = 2 A^-1 - 1 - Q and w(y, y) = w(y, Q y)
-    = 0.  The test suite checks it against its defining star equations.
-    """
+    = 0.  The test suite checks it against its defining star equations;
+    ValueError unless g preserves omega."""
+    g.check_symplectic(ambient)
     a = linalg.mat_sub(linalg.identity(g.size, ONE, ZERO),
                        linalg.mat_sub(g.matrix, g.fixed_projector()))
     a_inv = linalg.mat_inverse(a, ONE, ZERO)

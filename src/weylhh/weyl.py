@@ -1,8 +1,9 @@
-"""The Weyl algebra: symplectic data, the star product, involution, supertrace
+"""The Weyl algebra: its ambient, the star product, involution, supertrace
 and the bilinear form built from it.
 
-Elements are polynomials in the Y bank under the exponential-bidifferential
-star product
+The ambient (SymplecticData) is one datum, a nondegenerate antisymmetric
+bivector pi; n and the two-form omega = pi^-1 are read off it.  Elements are
+polynomials in the Y bank under the exponential-bidifferential star product
 
     a * b = a exp( i <-d_j  pi^{jk} ->d_k ) b ,
 
@@ -16,9 +17,9 @@ WeylElement carrying a truncation marker: every stored term of total degree
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import linalg
 from .errors import AmbientMismatchError, BudgetError
@@ -36,54 +37,35 @@ def _y_keys(size: int) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SymplecticData:
-    """Dimension parameter n, the bivector pi and its two-form dual omega.
+    """The bivector pi, with n and the two-form omega = pi^-1 (omega . pi = 1)
+    read off it.  The one constructor refuses a pi that is not 2n x 2n, not
+    antisymmetric or singular.  Equality and hashing read pi alone."""
 
-    The sign convention is fixed by omega . pi = identity.  Direct dataclass
-    construction is unvalidated; use the factories, or call validate(), for
-    checked data.
-    """
-
-    n: int
     pi: Matrix
-    omega: Matrix
+    n: int = field(init=False, compare=False)
+    omega: Matrix = field(init=False, compare=False)
 
-    @staticmethod
-    def canonical(n: int) -> "SymplecticData":
-        """Block form pi^{2k-1,2k} = 1 = -pi^{2k,2k-1}."""
-        size = 2 * n
-        pi = [[ZERO] * size for _ in range(size)]
-        om = [[ZERO] * size for _ in range(size)]
-        for k in range(n):
-            a, b = 2 * k, 2 * k + 1
-            pi[a][b] = ONE
-            pi[b][a] = -ONE
-            om[a][b] = -ONE
-            om[b][a] = ONE
-        return SymplecticData(n, linalg.mat_from_rows(pi), linalg.mat_from_rows(om))
-
-    @staticmethod
-    def _check_pi(n: int, pi: Matrix) -> None:
-        size = 2 * n
-        if len(pi) != size or any(len(r) != size for r in pi):
+    def __post_init__(self):
+        pi = linalg.mat_from_rows(self.pi)
+        size = len(pi)
+        if size % 2 or any(len(r) != size for r in pi):
             raise ValueError("pi must be 2n x 2n")
-        if any(pi[i][j] != -pi[j][i] for i in range(size) for j in range(size)):
+        if any(pi[i][j] != -pi[j][i] for i in range(size) for j in range(i, size)):
             raise ValueError("pi must be antisymmetric")
-
-    @staticmethod
-    def from_pi(n: int, pi: Sequence[Sequence[Scalar]]) -> "SymplecticData":
-        pi = linalg.mat_from_rows(pi)
-        SymplecticData._check_pi(n, pi)
         try:
             omega = linalg.mat_inverse(pi, ONE, ZERO)
         except ZeroDivisionError:
             raise ValueError("pi must be nondegenerate") from None
-        return SymplecticData(n, pi, omega)
+        self.__dict__.update(pi=pi, n=size // 2, omega=omega)  # frozen: no setattr
 
-    def validate(self) -> None:
-        # omega . pi = 1 also makes pi nondegenerate.
-        SymplecticData._check_pi(self.n, self.pi)
-        if linalg.mat_mul(self.omega, self.pi) != linalg.identity(2 * self.n, ONE, ZERO):
-            raise ValueError("omega . pi must be the identity")
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def canonical(n: int) -> "SymplecticData":
+        """Block form pi^{2k-1,2k} = 1 = -pi^{2k,2k-1}; a constant per n."""
+        pi = [[ZERO] * (2 * n) for _ in range(2 * n)]
+        for k in range(n):
+            pi[2 * k][2 * k + 1], pi[2 * k + 1][2 * k] = ONE, -ONE
+        return SymplecticData(pi)
 
 
 @lru_cache(maxsize=None)

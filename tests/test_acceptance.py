@@ -295,7 +295,7 @@ def test_criterion_07_twisted_suite():
 def test_criterion_08_higher_spin_example():
     t0 = time.time()
     group, ambient, labels = higher_spin_preset()
-    dims = {p: d for p, (d, _) in afls_dims(group).items()}
+    dims = {p: len(basis) for p, basis in afls_dims(group).items()}
     ok = dims == {0: 1, 2: 2, 4: 1}
     full_dims = {p: dims.get(p, 0) for p in range(5)}
     ok &= full_dims == {0: 1, 1: 0, 2: 2, 3: 0, 4: 1}

@@ -39,6 +39,22 @@ def test_group_element_checks(preset, sym2):
         GroupElement.diagonal([-ONE, ONE]).twist_pairs()
 
 
+@pytest.mark.parametrize("build", [
+    lambda sym, g: make_zeta_g(sym, g),
+    lambda sym, g: theta_element(sym, g, 4),
+    lambda sym, g: twisted_cycle(sym, g, 4),
+], ids=["make_zeta_g", "theta_element", "twisted_cycle"])
+@pytest.mark.parametrize("entries, message", [
+    # rank(1 - g) = 2, an even moved rank, but g scales omega by 4.
+    ([2, 2], "does not preserve the symplectic form"),
+    ([-1, -1, -1, -1], "matrix is 4 x 4, not 2n x 2n, n = 1"),
+], ids=["scaling", "size"])
+def test_non_symplectic_twist_is_refused(sym1, build, entries, message):
+    g = GroupElement.diagonal([Scalar.of(e) for e in entries])
+    with pytest.raises(ValueError, match=message):
+        build(sym1, g)
+
+
 def test_act_identity_and_generators(preset, rng):
     group, ambient, labels = preset
     e, kappa = labels["1"], labels["kappa"]
@@ -102,25 +118,24 @@ def test_smash_associativity(preset, rng):
 
 def test_afls_dims_trivial_group(sym1):
     trivial = FiniteGroup([GroupElement.identity(2)])
-    dims = {p: d for p, (d, _) in afls_dims(trivial).items()}
+    dims = {p: len(basis) for p, basis in afls_dims(trivial).items()}
     assert dims == {0: 1}
 
 
 def test_afls_dims_order_two(sym1):
     minus = GroupElement.diagonal([Scalar.of(-1), Scalar.of(-1)], "-1")
     group = FiniteGroup([GroupElement.identity(2), minus])
-    dims = {p: d for p, (d, _) in afls_dims(group).items()}
+    dims = {p: len(basis) for p, basis in afls_dims(group).items()}
     assert dims == {0: 1, 2: 1}
 
 
 def test_afls_dims_higher_spin(preset):
     group, _, _ = preset
     dims = afls_dims(group)
-    assert {p: d for p, (d, _) in dims.items()} == {0: 1, 2: 2, 4: 1}
-    # each reported dimension comes with that many indicator class functions,
-    # i.e. one independent cocycle per conjugacy class in the stratum
-    for p, (d, basis) in dims.items():
-        assert len(basis) == d
+    assert {p: len(basis) for p, basis in dims.items()} == {0: 1, 2: 2, 4: 1}
+    # each basis function is the indicator of one conjugacy class in the
+    # stratum, i.e. one independent cocycle per class
+    for p, basis in dims.items():
         for cf in basis:
             support = [g for g in group if not cf(g).is_zero()]
             assert all(g.moved_rank() == p for g in support)
@@ -150,7 +165,7 @@ def test_dihedral_group_table(d8, sym2):
             assert group.conjugate(a, b).matrix == linalg.mat_mul(ab, inv)
     assert group.conjugate(labels["S"], labels["kappa"]) is labels["kappabar"]
     dims = afls_dims(group)
-    assert {p: d for p, (d, _) in dims.items()} == {0: 1, 2: 2, 4: 2}
+    assert {p: len(basis) for p, basis in dims.items()} == {0: 1, 2: 2, 4: 2}
     with pytest.raises(ValueError, match="not constant on conjugacy classes"):
         ClassFunction(group, {labels["kappa"]: ONE})
     outside = GroupElement.diagonal([ONE, ONE, -ONE, ONE])
@@ -380,7 +395,7 @@ def test_kleinian_afls_dims(kleinian, name, order, classes):
     # One degree-2 class per nontrivial conjugacy class (Etingof-Ginzburg).
     group = kleinian[name]
     assert (len(group), len(group.conjugacy_classes())) == (order, classes)
-    dims = {p: d for p, (d, _) in afls_dims(group).items()}
+    dims = {p: len(basis) for p, basis in afls_dims(group).items()}
     assert dims == {0: 1, 2: classes - 1}
 
 

@@ -241,8 +241,8 @@ def test_det_operator_without_det_pi(monkeypatch):
     # The determinant operator without its det(pi) factor.  Every canonical
     # ambient has det(pi) = 1, so only a rescaled bivector shows it: with
     # pi^{12} = 2 (det 4) both routes give 2 on (y1, y2).
-    skew = SymplecticData.from_pi(1, [[Scalar.of(0), Scalar.of(2)],
-                                      [Scalar.of(-2), Scalar.of(0)]])
+    skew = SymplecticData([[Scalar.of(0), Scalar.of(2)],
+                           [Scalar.of(-2), Scalar.of(0)]])
     a, b = y(skew, 1), y(skew, 0, 1)
     assert routes_agree(skew, a, b)
     assert descend(make_zeta(skew), [a, b]).poly == Poly.const(Scalar.of(2))
