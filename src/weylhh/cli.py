@@ -31,7 +31,7 @@ from .scalars import Scalar
 from .weyl import (SymplecticData, WeylElement, ambient_from_json, bform,
                    involution, star)
 from .forms import ext_d, homotopy_s, proj_p
-from .hochschild import SampleSpec, pair_chain, verify_cocycle
+from .hochschild import Report, SampleSpec, pair_chain, verify_cocycle
 from .ffs import cached_symbol, ffs_apply, ffs_cocycle, ffs_hypercube_n1
 from .descent import (auto_budget, build_trace, descend, descent_cocycle,
                       make_zeta, verify_descent)
@@ -154,13 +154,12 @@ def _scalar_from(obj) -> Scalar:
 # -- verify-all ---------------------------------------------------------------
 
 
-def _suite(name: str, checked: int, passed: int, detail=None) -> dict:
-    # A suite that checked nothing proved nothing: it is not ok.
-    out = {"name": name, "checked": checked, "passed": passed,
-           "ok": checked > 0 and checked == passed}
-    if detail is not None:
-        out["detail"] = detail
-    return out
+def _suite(name: str, report: Report, **detail) -> dict:
+    """A verify-all suite read off its Report; a failure adds its first failure."""
+    if report.first_failure is not None:
+        detail["first_failure"] = report.first_failure
+    return {"name": name, "checked": report.checked, "passed": report.passed,
+            "ok": report.ok, **({"detail": detail} if detail else {})}
 
 
 def run_verify_all(seed: int, samples: int, max_degree: int) -> List[dict]:
@@ -168,96 +167,81 @@ def run_verify_all(seed: int, samples: int, max_degree: int) -> List[dict]:
     rng = random.Random(seed)
 
     # Weyl algebra invariants: relations, associativity, trace/form suite.
-    checked = passed = 0
+    rep = Report(seed, max_degree)
     for n in (1, 2):
         sym = SymplecticData.canonical(n)
         for j in range(1, 2 * n + 1):
             for k in range(1, 2 * n + 1):
-                yj = WeylElement.generator(j, sym)
-                yk = WeylElement.generator(k, sym)
-                comm = star(yj, yk) - star(yk, yj)
+                yj, yk = WeylElement.generator(j, sym), WeylElement.generator(k, sym)
                 want = Poly.const(Scalar.of(0, 2) * sym.pi[j - 1][k - 1])
-                checked += 1
-                passed += comm.poly == want
+                rep.record(lambda: f"[y{j}, y{k}]", (star(yj, yk) - star(yk, yj)).poly - want)
         for _ in range(samples // 2):
-            a = sampling.random_weyl(rng, sym, max_degree)
-            b = sampling.random_weyl(rng, sym, max_degree)
-            c = sampling.random_weyl(rng, sym, max_degree)
-            checked += 1
-            passed += star(star(a, b), c) == star(a, star(b, c))
+            a, b, c = (sampling.random_weyl(rng, sym, max_degree) for _ in range(3))
+            rep.record(lambda: f"({a}, {b}, {c})", star(star(a, b), c) - star(a, star(b, c)))
             m = sampling.random_weyl(rng, sym, max_degree)
-            checked += 1
-            passed += bform(m, a) == bform(involution(a), m)
-    suites.append(_suite("weyl-invariants", checked, passed))
+            rep.record(lambda: f"B({m}, {a})", Poly.const(bform(m, a) - bform(involution(a), m)))
+    suites.append(_suite("weyl-invariants", rep))
 
     # Homotopy identities on forms.
-    checked = passed = 0
+    rep = Report(seed, max_degree)
     for _ in range(samples):
-        n = rng.choice((1, 2))
-        sym = SymplecticData.canonical(n)
+        sym = SymplecticData.canonical(rng.choice((1, 2)))
         a = sampling.random_form(rng, sym, max_degree)
-        checked += 3
-        passed += ext_d(ext_d(a)).is_zero()
-        passed += homotopy_s(homotopy_s(a)).is_zero()
-        passed += homotopy_s(ext_d(a)) + ext_d(homotopy_s(a)) == a - proj_p(a)
-    suites.append(_suite("form-homotopy", checked, passed))
+        rep.record(lambda: f"d d on {a}", ext_d(ext_d(a)))
+        rep.record(lambda: f"s s on {a}", homotopy_s(homotopy_s(a)))
+        rep.record(lambda: f"s d + d s - 1 + p on {a}",
+                   homotopy_s(ext_d(a)) + ext_d(homotopy_s(a)) - (a - proj_p(a)))
+    suites.append(_suite("form-homotopy", rep))
 
     # The simplex-symbol cocycle, both ranks.
-    rep1 = verify_cocycle(ffs_cocycle(SymplecticData.canonical(1)),
-                          SampleSpec(seed=seed, count=samples, max_degree=min(3, max_degree)))
-    suites.append(_suite("ffs-cocycle-n1", rep1.checked, rep1.passed,
-                         rep1.first_failure))
-    rep2 = verify_cocycle(ffs_cocycle(SymplecticData.canonical(2)),
-                          SampleSpec(seed=seed + 1, count=max(3, samples // 5),
-                                     max_degree=2))
-    suites.append(_suite("ffs-cocycle-n2", rep2.checked, rep2.passed,
-                         rep2.first_failure))
+    rep = verify_cocycle(ffs_cocycle(SymplecticData.canonical(1)),
+                         SampleSpec(seed=seed, count=samples, max_degree=min(3, max_degree)))
+    suites.append(_suite("ffs-cocycle-n1", rep))
+    rep = verify_cocycle(ffs_cocycle(SymplecticData.canonical(2)),
+                         SampleSpec(seed=seed + 1, count=max(3, samples // 5), max_degree=2))
+    suites.append(_suite("ffs-cocycle-n2", rep))
 
     # Route agreement: resolution chain vs symbol, and the unit-square form.
     sym1 = SymplecticData.canonical(1)
     zeta = make_zeta(sym1)
-    checked = passed = 0
+    rep = Report(seed, 2)
     for m1 in sampling.monomials_upto(sym1, 2):
         for m2 in sampling.monomials_upto(sym1, 2):
             d = descend(zeta, [m1, m2])
             f = ffs_apply(cached_symbol(1, 8), [m1, m2])
-            checked += 1
-            passed += f.restrict(d.truncation) == d
-            checked += 1
-            passed += ffs_hypercube_n1([m1, m2]) == f
-    suites.append(_suite("route-agreement-n1", checked, passed))
+            rep.record(lambda: f"descent on ({m1}, {m2})", f.restrict(d.truncation) - d)
+            rep.record(lambda: f"unit square on ({m1}, {m2})", ffs_hypercube_n1([m1, m2]) - f)
+    suites.append(_suite("route-agreement-n1", rep))
 
     # Twisted sector: the reflection twist at rank one.
     minus = GroupElement.diagonal([Scalar.of(-1)] * 2, "-1")
     taum = descent_cocycle(make_zeta_g(sym1, minus))
-    repm = verify_cocycle(taum, SampleSpec(seed=seed + 2, count=max(3, samples // 3),
-                                           max_degree=2))
+    rep = verify_cocycle(taum, SampleSpec(seed=seed + 2, count=max(3, samples // 3),
+                                          max_degree=2))
     pairm = pair_chain(taum, twisted_cycle(sym1, minus, truncation=8))
-    suites.append(_suite("twisted-minus", repm.checked + 1,
-                         repm.passed + (pairm == Scalar.rational(1, 2)),
-                         {"pairing": str(pairm)}))
+    rep.record(lambda: "pairing - 1/2", Poly.const(pairm - Scalar.rational(1, 2)))
+    suites.append(_suite("twisted-minus", rep, pairing=str(pairm)))
 
     # Higher-spin preset: dimensions and the degree-two smash cocycle.
     group, amb2, labels = higher_spin_preset()
     dims = {p: len(basis) for p, basis in afls_dims(group).items()}
-    dims_ok = dims == {0: 1, 2: 2, 4: 1}
     gamma = ClassFunction.indicator(group, [labels["kappa"]])
     theta2 = theta_cocycle(group, amb2, gamma, 2)
-    rept = verify_cocycle(theta2, SampleSpec(seed=seed + 3, count=max(2, samples // 8),
-                                             max_degree=1, group=group))
+    rep = verify_cocycle(theta2, SampleSpec(seed=seed + 3, count=max(2, samples // 8),
+                                            max_degree=1, group=group))
+    rep.record(lambda: f"dims {dims}", Poly.const(Scalar.of(int(dims != {0: 1, 2: 2, 4: 1}))))
     kbar = SmashElement.group_unit(labels["kappabar"], group, amb2)
     probe = SmashElement.embed(WeylElement.generator(1, amb2), group)
-    vanish_ok = theta2(kbar, probe).is_zero()
-    suites.append(_suite("higher-spin", rept.checked + 2,
-                         rept.passed + dims_ok + vanish_ok,
-                         {"dims": dims}))
+    rep.record(lambda: "theta_2(kappabar, y1)", theta2(kbar, probe))
+    suites.append(_suite("higher-spin", rep, dims=dims))
 
-    # The simplex identity fuzzer.
-    rep_s2 = simplex.fuzz(2, max(50, samples * 4), seed)
-    rep_s4 = simplex.fuzz(4, max(20, samples), seed + 1)
-    suites.append(_suite("simplex-identity",
-                         rep_s2["count"] + rep_s4["count"],
-                         rep_s2["passed"] + rep_s4["passed"]))
+    # The simplex identity fuzzer; a failure names its configuration.
+    fuzzed = [simplex.fuzz(2, max(50, samples * 4), seed),
+              simplex.fuzz(4, max(20, samples), seed + 1)]
+    failure = next((r["first_failure"] for r in fuzzed if r["first_failure"]), None)
+    rep = Report(seed, max_degree, checked=sum(r["count"] for r in fuzzed),
+                 passed=sum(r["passed"] for r in fuzzed), first_failure=failure and str(failure))
+    suites.append(_suite("simplex-identity", rep))
     return suites
 
 
@@ -344,8 +328,11 @@ def cmd_smash_theta(ns) -> int:
     values = {_group_element(labels, name): _scalar_from(v)
               for name, v in gamma_spec.items()}
     gamma = ClassFunction(group, values)
+    args_spec = _load_json(ns.args)
+    if ambient_from_json(args_spec) != ambient:
+        raise ValueError("group preset dimension does not match args")
     smash_args = []
-    for entry in _list_from(_load_json(ns.args), "args"):
+    for entry in _list_from(args_spec, "args"):
         if not isinstance(entry, dict):
             raise ValueError(f"smash argument must map group labels to polynomials, got {entry!r}")
         terms = {_group_element(labels, g): WeylElement(Poly.from_json(p), ambient)

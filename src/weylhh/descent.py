@@ -103,12 +103,6 @@ class GaussianGenerator:
             cache = self._suffix_caches[key] = SuffixCache(self, budget, bounds)
         return cache
 
-    def invariance_defect(self, j: int, degree: int) -> FormElement:
-        """b * gen - gen * twist(b) for the j-th generator, to truncation."""
-        b = WeylElement.generator(j, self.ambient)
-        expanded = self.expand(degree)
-        return b * expanded - expanded * self.twist(b)
-
 
 def make_zeta(ambient: SymplecticData) -> GaussianGenerator:
     """The untwisted generator: exp(2i w(z,y)) vol_dz, involution-twisted dual."""

@@ -175,9 +175,6 @@ class FiniteGroup:
     def __iter__(self):
         return iter(self.elements)
 
-    def __len__(self):
-        return len(self.elements)
-
 
 @dataclass
 class ClassFunction:
@@ -239,10 +236,6 @@ class SmashElement:
         return SmashElement(self.group, self.ambient,
                             {g: -a for g, a in self.terms.items()})
 
-    def scale(self, c: Scalar) -> "SmashElement":
-        return SmashElement(self.group, self.ambient,
-                            {g: a.scale(c) for g, a in self.terms.items()})
-
     def __mul__(self, other: "SmashElement") -> "SmashElement":
         """(a (x) g)(b (x) h) = a * b^g (x) gh, extended bilinearly."""
         self._check(other)
@@ -252,15 +245,6 @@ class SmashElement:
                 gh = self.group.product(g, h)
                 prod = star(a, self.group.act(g, b))
                 out[gh] = out[gh] + prod if gh in out else prod
-        return SmashElement(self.group, self.ambient, out)
-
-    def conjugate_by(self, h: GroupElement) -> "SmashElement":
-        """The automorphism a (x) g -> a^h (x) h g h^{-1}."""
-        out: Dict[GroupElement, WeylElement] = {}
-        for g, a in self.terms.items():
-            tg = self.group.conjugate(h, g)
-            ta = self.group.act(h, a)
-            out[tg] = out[tg] + ta if tg in out else ta
         return SmashElement(self.group, self.ambient, out)
 
     def _check(self, other: "SmashElement") -> None:
@@ -379,22 +363,6 @@ def theta_element(ambient: SymplecticData, g: GroupElement,
     return WeylElement(exponent.scale(-I).exp_quadratic(truncation), ambient, truncation)
 
 
-def theta_equation_defects(ambient: SymplecticData, g: GroupElement,
-                           truncation: int) -> List[WeylElement]:
-    """Residuals of Theta's star equations for each generator y_j: of
-    Theta * v + (v o g) * Theta for its moved part v = y_j - y_j Q, and of
-    Theta * w - w * Theta for its fixed part w = y_j Q."""
-    theta = theta_element(ambient, g, truncation)
-    fixed = g.fixed_projector()
-    out = []
-    for j in range(1, g.size + 1):
-        w = WeylElement.generator(j, ambient).apply_matrix(fixed)
-        v = WeylElement.generator(j, ambient) - w
-        out.append(star(theta, v) + star(v.apply_matrix(g.matrix), theta))
-        out.append(star(theta, w) - star(w, theta))
-    return out
-
-
 def twisted_cycle(ambient: SymplecticData, g: GroupElement, truncation: int):
     """Theta (x) the moved sector's volume (sector_volume over the moved
     parts y_j - y_j Q of the generators), as a pairing chain."""
@@ -460,17 +428,6 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
         return value
 
     return Cochain(degree, ambient, untwisted, ev, label=f"theta_{degree}")
-
-
-def conjugate_cochain(group: FiniteGroup, f, h: GroupElement):
-    """c^h(x_1...x_p) = (c(x_1^{h^-1}, ..., x_p^{h^-1}))^h for dual-valued c,
-    acting through the group's table."""
-    hinv = group.inverse(h)
-
-    def ev(*args):
-        return group.act(h, f(*(group.act(hinv, a) for a in args)))
-
-    return Cochain(f.arity, f.ambient, f.twist, ev, label=f"{f.label}^{h}")
 
 
 # -- the four-dimensional higher-spin preset ------------------------------------

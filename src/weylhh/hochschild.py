@@ -14,23 +14,16 @@ smash product.  rho is a function on algebra arguments: the involution for
 the dual module, the group action for twisted modules, the identity on the
 smash product.  The split d = d1 + d2 keeps the first term in d1 and the
 rest in d2.
-
-Cochain-level exterior operators carry the Koszul sign (-1)^arity: this is
-what makes d anticommute with the Hochschild differential and the homotopy
-anticommute with d2.  Value-level operators (used by the descent
-construction) are the undressed ones from the forms module.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import AmbientMismatchError
-from .forms import ext_d, homotopy_s
 from .linalg import perm_sign
 from .sampling import cocycle_tuples
 from .scalars import Scalar
@@ -103,24 +96,6 @@ def hochschild_d2(f: Cochain) -> Cochain:
     return Cochain(p + 1, f.ambient, f.twist, ev, label=f"d2({f.label})")
 
 
-def cochain_ext_d(f: Cochain) -> Cochain:
-    """Exterior differential on form-valued cochains, (-1)^arity dressed."""
-    def op(v):
-        dv = ext_d(v)
-        return -dv if f.arity % 2 else dv
-
-    return f.map_values(op, label=f"extd({f.label})")
-
-
-def cochain_s(f: Cochain) -> Cochain:
-    """Contraction homotopy on form-valued cochains, (-1)^arity dressed."""
-    def op(v):
-        sv = homotopy_s(v)
-        return -sv if f.arity % 2 else sv
-
-    return f.map_values(op, label=f"s({f.label})")
-
-
 # -- verification -----------------------------------------------------------
 
 
@@ -170,9 +145,6 @@ class Report:
             "degree_bound": self.degree_bound,
             **({"detail": self.detail} if self.detail else {}),
         }
-
-    def __str__(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def verify_cocycle(f: Cochain, samples: SampleSpec) -> Report:

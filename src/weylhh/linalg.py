@@ -5,7 +5,7 @@ tuples of tuples and never mutated in place.  Determinant, rank, inverse and
 left null space all read one Gauss-Jordan elimination, row_reduce.  The one
 exception is int_det, the fraction-free (Bareiss) determinant of an integer
 matrix.  It stays apart because its divisions are exact and it never leaves
-the integers: simplex.delta needs only the signs of determinants, and there
+the integers: simplex.tid_check needs only the signs of determinants, and there
 Fraction arithmetic would cost more than the elimination itself.
 """
 

@@ -397,10 +397,6 @@ class Poly:
         m = min(self.terms, key=lambda k: _graded_lex(_triples(k)))
         return mono_degree(m), Poly({m: self.terms[m]})
 
-    def homogeneous_part(self, degree: int) -> "Poly":
-        return Poly({m: c for m, c in self.terms.items()
-                     if mono_degree(m) == degree})
-
     def exp_quadratic(self, degree: int) -> "Poly":
         """exp(self) through total degree `degree`, for self homogeneous of
         degree 2: the sum of self^k / k! over 2k <= degree."""

@@ -164,10 +164,6 @@ class Scalar(tuple):
     # Tuple repetition and ordering mean nothing for a field element.
     __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
-    def conjugate(self) -> "Scalar":
-        a, b, d = self
-        return _new(Scalar, (a, -b, d))
-
     def scale_fraction(self, f: RationalLike, den: int = 1) -> "Scalar":
         """self * f / den for an int or Fraction f and an int den.
 

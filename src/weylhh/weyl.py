@@ -125,15 +125,6 @@ class WeylElement:
             self._degree = self.poly.degree()
         return self._degree
 
-    def parity(self) -> Optional[int]:
-        """0 or 1 for homogeneous parity under y -> -y, else None."""
-        if self.poly.is_zero():
-            return 0
-        seen = {mono_degree(m) % 2 for m in self.poly.terms}
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-
     def restrict(self, truncation: Optional[int]) -> "WeylElement":
         if truncation is None:
             return self
@@ -352,12 +343,3 @@ def monomials_upto(sym: SymplecticData, max_degree: int) -> List[WeylElement]:
                 sym))
     return out
 
-
-def gram_rank_upto(sym: SymplecticData, max_degree: int) -> Tuple[int, int]:
-    """Exact rank of the B-Gram matrix on monomials of total degree <= bound."""
-    monos = monomials_upto(sym, max_degree)
-    gram = tuple(
-        tuple(bform(m1, m2) for m2 in monos)
-        for m1 in monos
-    )
-    return linalg.mat_rank(gram), len(monos)

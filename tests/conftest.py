@@ -64,7 +64,7 @@ def d8():
     labels = {"1": group.identity, "kappa": kappa, "kappabar": kappabar,
               "S": swap, "-S": mul(minus, swap), "S kappa": mul(swap, kappa),
               "kappa S": mul(kappa, swap), "-1": minus}
-    assert len(set(labels.values())) == len(group) == 8
+    assert len(set(labels.values())) == len(group.elements) == 8
     return group, labels
 
 

@@ -1,0 +1,118 @@
+"""Oracles the tests compare the package against; no command runs them.
+
+Each reads the package function it checks off that function's module at
+call time (simplex._sign_rule, groups.theta_element, forms.ext_d, ...), so a
+mutant that tests/test_mutants.py installs there is the one it runs.
+
+Cochain-level exterior operators carry the Koszul sign (-1)^arity: this is
+what makes d anticommute with the Hochschild differential and the homotopy
+anticommute with d2.  Value-level operators (used by the descent
+construction) are the undressed ones from the forms module.
+"""
+
+from fractions import Fraction
+
+from weylhh import forms, groups, linalg, simplex
+from weylhh.hochschild import Cochain
+from weylhh.scalars import Scalar
+from weylhh.weyl import WeylElement, bform, involution, monomials_upto, star
+
+
+def delta(points):
+    """delta of the simplex the points span: _sign_rule on the minors of P."""
+    rows = simplex._integer_rows(points, len(points[0]) + 1)
+    return simplex._sign_rule([linalg.int_det([r[:k] + r[k + 1:] for r in rows])
+                               for k in range(len(points))])
+
+
+def as_coboundary(phi, points):
+    """Alternating sum of the integer-valued phi over the facets of the points."""
+    return sum((-1) ** k * phi(*(points[:k] + points[k + 1:])) for k in range(len(points)))
+
+
+def random_symplectic(rng, dim):
+    """A product of four random symmetric shears, each keeping standard_form(dim)."""
+    n = dim // 2
+    mat = linalg.identity(dim, Fraction(1), Fraction(0))
+    for _ in range(4):
+        kind = rng.randrange(2)
+        shear = [[Fraction(i == j) for j in range(dim)] for i in range(dim)]
+        for i in range(n):
+            for j in range(i, n):
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                shear[i][n + j] = shear[j][n + i] = c
+        mat = linalg.mat_mul(mat, linalg.mat_transpose(shear) if kind else shear)
+    return mat
+
+
+def standard_form(dim):
+    """The block form matrix J with J[i][n+i] = 1 and J[n+i][i] = -1."""
+    n = dim // 2
+    return tuple(tuple(Fraction((j == i + n) - (i == j + n)) for j in range(dim))
+                 for i in range(dim))
+
+
+def parity_parts(a):
+    """The even and odd parts (a + a*)/2 and (a - a*)/2 under y -> -y."""
+    half = Scalar.rational(1, 2)
+    return (a + involution(a)).scale(half), (a - involution(a)).scale(half)
+
+
+def gram_rank_upto(sym, max_degree):
+    """Exact rank of the B-Gram matrix on monomials of degree <= bound, and their number."""
+    monos = monomials_upto(sym, max_degree)
+    gram = tuple(tuple(bform(m1, m2) for m2 in monos) for m1 in monos)
+    return linalg.mat_rank(gram), len(monos)
+
+
+def invariance_defect(gen, j, degree):
+    """b * gen - gen * twist(b) for the j-th generator b, to truncation."""
+    b = WeylElement.generator(j, gen.ambient)
+    expanded = gen.expand(degree)
+    return b * expanded - expanded * gen.twist(b)
+
+
+def cochain_ext_d(f):
+    """Exterior differential on form-valued cochains, (-1)^arity dressed."""
+    sign = Scalar.of((-1) ** f.arity)
+    return f.map_values(lambda v: forms.ext_d(v).scale(sign), label=f"extd({f.label})")
+
+
+def cochain_s(f):
+    """Contraction homotopy on form-valued cochains, (-1)^arity dressed."""
+    sign = Scalar.of((-1) ** f.arity)
+    return f.map_values(lambda v: forms.homotopy_s(v).scale(sign), label=f"s({f.label})")
+
+
+def theta_equation_defects(ambient, g, truncation):
+    """Residuals of Theta's star equations for each generator y_j: of
+    Theta * v + (v o g) * Theta for its moved part v = y_j - y_j Q, and of
+    Theta * w - w * Theta for its fixed part w = y_j Q."""
+    theta = groups.theta_element(ambient, g, truncation)
+    fixed = g.fixed_projector()
+    out = []
+    for j in range(1, g.size + 1):
+        w = WeylElement.generator(j, ambient).apply_matrix(fixed)
+        v = WeylElement.generator(j, ambient) - w
+        out.append(star(theta, v) + star(v.apply_matrix(g.matrix), theta))
+        out.append(star(theta, w) - star(w, theta))
+    return out
+
+
+def conjugate_by(x, h):
+    """The smash-product automorphism a (x) g -> a^h (x) h g h^{-1}; conjugation
+    permutes the group, so no two terms meet."""
+    group = x.group
+    return groups.SmashElement(group, x.ambient, {group.conjugate(h, g): group.act(h, a)
+                                                  for g, a in x.terms.items()})
+
+
+def conjugate_cochain(group, f, h):
+    """c^h(x_1...x_p) = (c(x_1^{h^-1}, ..., x_p^{h^-1}))^h for dual-valued c,
+    acting through the group's table."""
+    hinv = group.inverse(h)
+
+    def ev(*args):
+        return group.act(h, f(*(group.act(hinv, a) for a in args)))
+
+    return Cochain(f.arity, f.ambient, f.twist, ev, label=f"{f.label}^{h}")

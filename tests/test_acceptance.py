@@ -9,25 +9,27 @@ import random
 import time
 from fractions import Fraction
 
-from weylhh import simplex
+from weylhh import linalg, simplex
 from weylhh.descent import (SuffixCache, auto_budget, build_trace, descend,
                             descent_cocycle, make_zeta, verify_descent)
 from weylhh.ffs import (cached_symbol, ffs_apply, ffs_cocycle,
                         ffs_hypercube_n1, monomial_table)
 from weylhh.forms import ext_d, form_star, homotopy_s, proj_p
 from weylhh.groups import (ClassFunction, GroupElement, SmashElement,
-                           afls_dims, conjugate_cochain, higher_spin_preset,
-                           make_zeta_g, theta_cocycle, theta_equation_defects,
-                           twisted_cocycle, twisted_cycle)
-from weylhh.hochschild import (Chain, Cochain, SampleSpec, cochain_ext_d,
-                               cochain_s, hochschild_d, hochschild_d2,
-                               pair_chain, verify_cocycle)
+                           afls_dims, higher_spin_preset, make_zeta_g,
+                           theta_cocycle, twisted_cocycle, twisted_cycle)
+from weylhh.hochschild import (Chain, Cochain, SampleSpec, hochschild_d,
+                               hochschild_d2, pair_chain, verify_cocycle)
 from weylhh.poly import Poly, Y
 from weylhh.sampling import (monomials_upto, random_form, random_smash,
                              random_weyl, weyl_tuples)
 from weylhh.scalars import Scalar
-from weylhh.weyl import (SymplecticData, WeylElement, bform, gram_rank_upto,
-                         involution, star, supertrace)
+from weylhh.weyl import (SymplecticData, WeylElement, bform, involution, star,
+                         supertrace)
+
+from oracles import (as_coboundary, cochain_ext_d, cochain_s, conjugate_cochain,
+                     delta, gram_rank_upto, parity_parts, random_symplectic,
+                     theta_equation_defects)
 
 SEED = 20240817
 
@@ -79,12 +81,7 @@ def test_criterion_03_trace_and_form_suite():
         a = random_weyl(rng, sym, 4)
         b = random_weyl(rng, sym, 4)
         ok &= bform(a, b) == bform(involution(b), a)
-        parts = {p: WeylElement(sum((a.poly.homogeneous_part(d)
-                                     for d in range(p, 5, 2)), Poly.zero()), sym)
-                 for p in (0, 1)}
-        partsb = {p: WeylElement(sum((b.poly.homogeneous_part(d)
-                                      for d in range(p, 5, 2)), Poly.zero()), sym)
-                  for p in (0, 1)}
+        parts, partsb = parity_parts(a), parity_parts(b)
         ok &= bform(parts[0], partsb[0]) == bform(partsb[0], parts[0])
         ok &= bform(parts[1], partsb[1]) == -bform(partsb[1], parts[1])
         ok &= bform(parts[0], partsb[1]) == Scalar.of(0)
@@ -395,27 +392,27 @@ def test_criterion_09_simplex_identity():
     while anti < 100:
         config = simplex.random_config(rng, 2, 3)
         try:
-            base = simplex.delta(config)
+            base = delta(config)
         except simplex.DegenerateSimplexError:
             continue
         for i in range(2):
             swapped = list(config)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            ok &= simplex.delta(swapped) == -base
+            ok &= delta(swapped) == -base
         anti += 1
 
     sp = 0
     while sp < 20:
         config = simplex.random_config(rng, 2, 3)
         try:
-            base = simplex.delta(config)
+            base = delta(config)
         except simplex.DegenerateSimplexError:
             continue
         for _ in range(10):
-            a = simplex.random_symplectic(rng, 2)
-            moved = [simplex.apply_matrix(a, v) for v in config]
+            a = random_symplectic(rng, 2)
+            moved = linalg.mat_mul(config, linalg.mat_transpose(a))
             try:
-                ok &= simplex.delta(moved) == base
+                ok &= delta(moved) == base
             except simplex.DegenerateSimplexError:
                 ok = False
         sp += 1
@@ -425,9 +422,8 @@ def test_criterion_09_simplex_identity():
         config = simplex.random_config(rng, 2, 3)
         w = (F(811), F(-977))
         try:
-            lhs = simplex.delta(config)
-            rhs = simplex.as_coboundary(
-                lambda *pts: simplex.delta_w(w, pts), config)
+            lhs = delta(config)
+            rhs = as_coboundary(lambda *pts: delta([w, *pts]), config)
         except simplex.DegenerateSimplexError:
             continue
         ok &= lhs == rhs

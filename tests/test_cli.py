@@ -10,7 +10,8 @@ import pytest
 
 import weylhh
 from weylhh import cli, descent, simplex
-from weylhh.cli import build_parser, main
+from weylhh.cli import _suite, build_parser, main
+from weylhh.hochschild import Report
 from weylhh.poly import Poly, Y
 from weylhh.scalars import Scalar
 from weylhh.weyl import WeylElement
@@ -174,6 +175,8 @@ def test_failed_route_agreement_exits_1(capsys, monkeypatch):
     assert payload["ok"] is False
     assert payload["first_failure"] == "route-agreement-n1"
     assert [s["name"] for s in payload["suites"] if not s["ok"]] == ["route-agreement-n1"]
+    failure = payload["suites"][4]["detail"]["first_failure"]
+    assert re.fullmatch(r"unit square on \(.+\): residual .+ at degree \d+", failure)
 
 
 def test_verify_all_small(capsys):
@@ -371,8 +374,16 @@ SMASH_THETA = ["smash", "theta", "--group", PRESET, "--degree", "2"]
     ([*SMASH_THETA, "--gamma", json.dumps({"kappa": "1"}),
       "--args", json.dumps({"n": 2, "args": []})],
      "cochain of arity 2 got 0 arguments"),
+    # The args payload's n is read as every command reads it, and must be
+    # the preset's.
+    ([*SMASH_THETA, "--gamma", json.dumps({"kappa": "1"}),
+      "--args", json.dumps({"n": 1, "args": [{"1": Y1}, {"1": Y2}]})],
+     "group preset dimension does not match args"),
+    ([*SMASH_THETA, "--gamma", json.dumps({"kappa": "1"}),
+      "--args", json.dumps({"args": [{"1": Y1}, {"1": Y2}]})],
+     "n must be an integer in 1..256, got None"),
 ], ids=["group-without-preset", "float-scalar", "non-object-argument",
-        "arity-mismatch"])
+        "arity-mismatch", "args-n-differs", "args-without-n"])
 def test_smash_rejects_malformed_input(capsys, argv, message):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -448,11 +459,10 @@ def test_smallest_sizes_check_every_suite(capsys):
 
 
 def test_suite_that_checked_nothing_is_not_ok():
-    from weylhh.cli import _suite
-
-    assert not _suite("empty", 0, 0)["ok"]
-    assert _suite("one", 1, 1)["ok"]
-    assert not _suite("failed", 2, 1)["ok"]
+    assert not _suite("empty", Report(0, 0))["ok"]
+    assert _suite("one", Report(0, 0, checked=1, passed=1))["ok"]
+    failed = _suite("failed", Report(0, 0, checked=2, passed=1, first_failure="x"))
+    assert not failed["ok"] and failed["detail"] == {"first_failure": "x"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -304,47 +304,55 @@ def test_flipped_convention_is_detected(sym1):
 # -- the operator index against a term-by-term reference -----------------------
 
 
-def reference_apply(symbol, args):
-    """The cocycle by walking every term of the operator Poly products.
+def reference_apply(symbol, tuples):
+    """The cocycle on each tuple by walking every term of the operator Poly products.
 
     Independent of the packed index: each operator is det(p_1..p_2n) times
     its pair factors as a Poly, and each of its terms is matched against the
     argument coefficients, weighted by the factorials of its copy exponents.
+    Operators are built once per (ambient, mono) within one call, so a mutant
+    of _det_operator or _pair_operator installed before it is what they read.
     """
-    ambient = args[0].ambient
-    m = 2 * ambient.n
-    degrees = [a.degree() for a in args]
-    out = Poly.zero()
-    for mono, coeff in symbol_coeffs(symbol).items():
-        need = [1] * (m + 1)  # need[0], the output, is not read
-        for (i, j), count in mono:
-            need[i] += count
-            need[j] += count
-        if any(need[mu] > degrees[mu - 1] for mu in range(1, m + 1)):
-            continue
-        op = ffs._det_operator(ambient)
-        for pair, count in mono:
-            for _ in range(count):
-                op = op * ffs._pair_operator(ambient, *pair)
-        for op_mono, op_coeff in op.triple_terms().items():
-            # Copies alternate between the banks, two to each block of m
-            # indices: copy 1 on z_1..z_m, copy 2 on y_{m+1}..y_{2m}, ...
-            output = [t for t in op_mono if t[0] == Y and t[1] <= m]
-            alphas = {mu: [] for mu in range(1, m + 1)}
-            for bank, idx, e in op_mono:
-                if bank == Z or idx > m:
-                    block, j = divmod(idx - 1, m)
-                    alphas[2 * block + (bank == Z)].append((Y, j + 1, e))
-            value = coeff * op_coeff
-            for mu, arg in enumerate(args, start=1):
-                c = arg.poly.triple_terms().get(tuple(alphas[mu]))
-                if c is None:
-                    break
-                weight = prod(factorial(e) for _, _, e in alphas[mu])
-                value = value * c.scale_fraction(weight)
-            else:
-                out = out + Poly.monomial(output, value)
-    return WeylElement(out, ambient)
+    coeffs = symbol_coeffs(symbol)
+    ops = {}
+    for args in tuples:
+        ambient = args[0].ambient
+        m = 2 * ambient.n
+        degrees = [a.degree() for a in args]
+        arg_terms = [a.poly.triple_terms() for a in args]
+        out = Poly.zero()
+        for mono, coeff in coeffs.items():
+            need = [1] * (m + 1)  # need[0], the output, is not read
+            for (i, j), count in mono:
+                need[i] += count
+                need[j] += count
+            if any(need[mu] > degrees[mu - 1] for mu in range(1, m + 1)):
+                continue
+            if (ambient, mono) not in ops:
+                op = ffs._det_operator(ambient)
+                for pair, count in mono:
+                    for _ in range(count):
+                        op = op * ffs._pair_operator(ambient, *pair)
+                ops[ambient, mono] = op.triple_terms()
+            for op_mono, op_coeff in ops[ambient, mono].items():
+                # Copies alternate between the banks, two to each block of m
+                # indices: copy 1 on z_1..z_m, copy 2 on y_{m+1}..y_{2m}, ...
+                output = [t for t in op_mono if t[0] == Y and t[1] <= m]
+                alphas = {mu: [] for mu in range(1, m + 1)}
+                for bank, idx, e in op_mono:
+                    if bank == Z or idx > m:
+                        block, j = divmod(idx - 1, m)
+                        alphas[2 * block + (bank == Z)].append((Y, j + 1, e))
+                value = coeff * op_coeff
+                for mu, terms in enumerate(arg_terms, start=1):
+                    c = terms.get(tuple(alphas[mu]))
+                    if c is None:
+                        break
+                    weight = prod(factorial(e) for _, _, e in alphas[mu])
+                    value = value * c.scale_fraction(weight)
+                else:
+                    out = out + Poly.monomial(output, value)
+        yield WeylElement(out, ambient)
 
 
 def _oracle_tuples(rng, sym, count, max_degree, terms):
@@ -366,12 +374,14 @@ def test_apply_matches_reference_contraction_n1(sym1):
     symbol = cached_symbol(1, 8)
     nonzero = 0
     for sym in (sym1, skew):
-        for args in _oracle_tuples(rng, sym, 12, 4, terms=4):
+        tuples = _oracle_tuples(rng, sym, 12, 4, terms=4)
+        for args, want in zip(tuples, reference_apply(symbol, tuples)):
             value = ffs_apply(symbol, args)
-            assert value == reference_apply(symbol, args)
+            assert value == want
             nonzero += not value.is_zero()
-    for args in _oracle_tuples(rng, sym1, 12, 4, terms=4):
-        assert ffs_hypercube_n1(args) == reference_apply(symbol, args)
+    tuples = _oracle_tuples(rng, sym1, 12, 4, terms=4)
+    for args, want in zip(tuples, reference_apply(symbol, tuples)):
+        assert ffs_hypercube_n1(args) == want
     assert nonzero >= 12
 
 
@@ -379,9 +389,10 @@ def test_apply_matches_reference_contraction_n2(sym2):
     rng = random.Random(202)
     symbol = cached_symbol(2, 8)
     nonzero = 0
-    for args in _oracle_tuples(rng, sym2, 8, 2, terms=8):
+    tuples = _oracle_tuples(rng, sym2, 8, 2, terms=8)
+    for args, want in zip(tuples, reference_apply(symbol, tuples)):
         value = ffs_apply(symbol, args)
-        assert value == reference_apply(symbol, args)
+        assert value == want
         nonzero += not value.is_zero()
     assert nonzero >= 4
 

@@ -33,6 +33,8 @@ from weylhh.sampling import monomials_upto
 from weylhh.scalars import ONE, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, involution, star
 
+from oracles import delta, theta_equation_defects
+
 
 def install(monkeypatch, module, name, old, new, owner=None, also=()):
     """Replace owner.name (owner defaults to module) by its source with old
@@ -368,10 +370,10 @@ def test_delta_without_orientation_factor(monkeypatch):
     # Dropping (-1)^dim flips every odd dimension: the positively oriented
     # segment from -1 to 1 reads -1.  Dimension 2 cannot see it.
     segment = [(Fraction(-1),), (Fraction(1),)]
-    assert simplex.delta(segment) == 1
+    assert delta(segment) == 1
     install(monkeypatch, simplex, "_sign_rule",
             "return -sign if dim % 2 else sign", "return sign")
-    assert simplex.delta(segment) == -1
+    assert delta(segment) == -1
 
 
 def test_delta_cofactor_without_sign(monkeypatch):
@@ -442,7 +444,7 @@ def test_theta_exponent_q_index(monkeypatch):
         g = groups.GroupElement.from_rows(
             [[x if isinstance(x, Scalar) else Scalar.of(x) for x in row] for row in rows])
         ambient = SymplecticData.canonical(g.size // 2)
-        return all(d.is_zero() for d in groups.theta_equation_defects(ambient, g, 8))
+        return all(d.is_zero() for d in theta_equation_defects(ambient, g, 8))
 
     i, half = Scalar.of(0, 1), Scalar.of(Fraction(1, 2))
     hidden = [[[i, 0], [0, -i]], [[2, 0], [0, half]], [[0, i], [i, 0]],

@@ -5,9 +5,9 @@ import pytest
 
 from weylhh import linalg
 from weylhh.errors import DegenerateSimplexError, NonGenericConfigError
-from weylhh.simplex import (apply_matrix, as_coboundary, delta, delta_w, fuzz,
-                            non_invariance_witness, random_config,
-                            random_symplectic, standard_form, tid_check)
+from weylhh.simplex import fuzz, random_config, tid_check
+
+from oracles import as_coboundary, delta, random_symplectic, standard_form
 
 F = Fraction
 
@@ -164,7 +164,7 @@ def test_sp_invariance_sampled():
             config = random_config(rng, dim, dim + 1)
             try:
                 before = delta(config)
-                after = delta([apply_matrix(a, v) for v in config])
+                after = delta(linalg.mat_mul(config, at))
             except DegenerateSimplexError:
                 continue
             assert before == after
@@ -231,7 +231,7 @@ def test_delta_is_coboundary_of_delta_w():
         w = (F(997), F(631))
         try:
             lhs = delta(config)
-            rhs = as_coboundary(lambda *pts: delta_w(w, pts), config)
+            rhs = as_coboundary(lambda *pts: delta([w, *pts]), config)
         except DegenerateSimplexError:
             continue
         assert lhs == rhs
@@ -255,7 +255,7 @@ def test_tid_termwise_sp_invariance():
     while done < 10:
         config = random_config(rng, 2, 4)
         a = random_symplectic(rng, 2)
-        moved = [apply_matrix(a, v) for v in config]
+        moved = linalg.mat_mul(config, linalg.mat_transpose(a))
         try:
             originals = [delta(config[:k] + config[k + 1:]) for k in range(4)]
             transformed = [delta(moved[:k] + moved[k + 1:]) for k in range(4)]
@@ -266,11 +266,13 @@ def test_tid_termwise_sp_invariance():
 
 
 def test_non_invariance_witness_pinned():
-    w, config, rotate = non_invariance_witness()
-    before = delta_w(w, config)
-    after = delta_w(w, [apply_matrix(rotate, v) for v in config])
-    assert before == 1
-    assert after == 0
+    # delta with w prepended is not symplectically invariant: the triangle
+    # (w, v0, v1) straddles the origin; after the quarter-turn it does not.
+    w = (F(10), F(0))
+    config = [(F(-5), F(1)), (F(-5), F(-1))]
+    rotate = ((F(0), F(1)), (F(-1), F(0)))
+    assert delta([w, *config]) == 1
+    assert delta([w, *linalg.mat_mul(config, linalg.mat_transpose(rotate))]) == 0
 
 
 def test_nongeneric_resample_signal():
