@@ -35,8 +35,9 @@ combination of its arguments' term degrees, reads the symbol at that need,
 asks each operator for the lcm of the argument keys (_operator_for caches
 the product grouped by copy part, once per bound) and looks each summed key
 up; monomial_table reads the symbol at every need within its slot degree,
-walks each operator's full-box product once and adds its terms straight
-into the rows of their copy parts, caching nothing.
+walks each operator's full-box product once from its coefficient, adds its
+terms straight into the rows of their copy parts and finishes that need's
+rows before the next need, so that equal values share one object.
 
 A second, independent route for n = 1 integrates over the unit square after
 the substitution u_1 = t_0 t_1, u_2 = t_0 (Jacobian t_0); the two must agree
@@ -63,7 +64,7 @@ from .hochschild import Cochain
 from .linalg import mat_det, perm_sign
 from .poly import (MAX_EXPONENT, Poly, Y, Z, index_mask, mono_degree,
                    mono_divides, mono_factorial, mono_lcm, rename)
-from .scalars import I, Scalar
+from .scalars import I, ONE, Scalar
 from .weyl import SymplecticData, WeylElement, involution
 
 Pair = Tuple[int, int]
@@ -268,9 +269,11 @@ class PackedOperator:
 _op_cache: Dict[tuple, PackedOperator] = {}
 
 
-def _operator_product(ambient: SymplecticData, mono: WMono, bound: int) -> Poly:
-    """det(p_1..p_2n) times the W factors of a symbol monomial, walked one
-    Poly product at a time: the terms whose copy part divides bound."""
+def _operator_product(ambient: SymplecticData, mono: WMono, bound: int,
+                      coeff: Scalar = ONE) -> Poly:
+    """coeff times det(p_1..p_2n) times the W factors of a symbol monomial,
+    walked one Poly product at a time: the terms whose copy part divides
+    bound.  coeff is the walk's starting factor, so it costs no product."""
     box = bound | index_mask(2 * ambient.n, Y)  # the output fields are never pruned
 
     def inside(p: Poly) -> Poly:
@@ -278,7 +281,7 @@ def _operator_product(ambient: SymplecticData, mono: WMono, bound: int) -> Poly:
 
     # Copy parts only grow along the walk, so a term dropped outside the box
     # feeds no term inside it.
-    product = Poly.one()
+    product = Poly.const(coeff)
     for pair, count in mono:
         factor = inside(_pair_operator(ambient, *pair))
         for _ in range(count):
@@ -406,35 +409,37 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
 
     A fold of the operator products: the copy part of an operator term is
     the one tuple of basis monomials (one per slot) it pairs with, and it
-    contributes the symbol coefficient times the term, times the factorials
-    of the copy exponents.  Each full-box product is walked once, added
-    into its rows and dropped; nothing is cached.  Absent keys mean the
-    value is zero; ffs_apply on the same tuple agrees entry by entry.
+    contributes the term, walked from the symbol coefficient, times the
+    factorials of the copy exponents.  Every term walked for need has copy
+    slot degrees need, so a need's rows become entries before the next
+    need is walked.  Equal values share one Poly and equal key ints one int
+    (a map local to the call).  Absent keys mean the value is zero;
+    ffs_apply on the same tuple agrees entry by entry.
     """
     m = 2 * symbol.n
     out_mask = index_mask(m, Y)
-    rows: Dict[int, Dict[int, Scalar]] = {}
+    copies = [_copy(mu, symbol.n) for mu in range(1, m + 1)]
+    shared: Dict[object, object] = {}  # a key int, or a value's terms, to its one object
+    table: Dict[tuple, Poly] = {}
     for need in itertools.product(range(1, slot_degree + 1), repeat=m):
         if sum(need) > symbol.budget:
             continue
         box = _full_box(need, symbol.n)
+        rows: Dict[int, Dict[int, Scalar]] = {}
         for mono, coeff in symbol.terms(need):
-            for k, c in _operator_product(ambient, mono, box).terms.items():
+            for k, c in _operator_product(ambient, mono, box, coeff).terms.items():
                 out = k & out_mask
                 row = rows.setdefault(k - out, {})
-                c = coeff * c
                 prev = row.get(out)
                 row[out] = c if prev is None else prev + c
-    copies = [_copy(mu, symbol.n) for mu in range(1, m + 1)]
-    table: Dict[tuple, Poly] = {}
-    while rows:  # popping frees each row as its table entry is made
-        copy_key, row = rows.popitem()
-        key = tuple(rename(copy_key, bank, Y, -offset) & out_mask
-                    for bank, offset in copies)
-        weight = mono_factorial(copy_key)
-        poly = Poly({out: c.scale_fraction(weight) for out, c in row.items() if c})
-        if poly:
-            table[key] = poly
+        while rows:  # popping frees each row as its table entry is made
+            copy_key, row = rows.popitem()
+            weight = mono_factorial(copy_key)
+            terms = {out: c.scale_fraction(weight) for out, c in row.items() if c}
+            if terms:
+                key = tuple(shared.setdefault(k, k) for k in (
+                    rename(copy_key, bank, Y, -offset) & out_mask for bank, offset in copies))
+                table[key] = shared.setdefault(frozenset(terms.items()), Poly(terms))
     return table
 
 

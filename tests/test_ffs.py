@@ -458,8 +458,10 @@ def test_operator_memo_builds_each_key_once(monkeypatch, sym1):
 def test_monomial_table_matches_apply_and_caches_nothing(sym1):
     # At n = 1 and slot degree 3 the table holds every basis pair, the unit
     # included (an absent key means zero), and equals ffs_apply on each.  It
-    # folds each operator product into its rows, so the operator cache is
-    # the same object with the same entries after it.
+    # walks each need's operator products into that need's rows and makes
+    # them entries before the next need, so the operator cache is the same
+    # object with the same entries after it (the other memos and the shared
+    # values: test_monomial_table_invariants).
     symbol = cached_symbol(1, 6)
     cache = ffs._op_cache
     before = len(cache)
@@ -473,6 +475,50 @@ def test_monomial_table_matches_apply_and_caches_nothing(sym1):
         assert table.get(key, Poly.zero()) == value
         nonzero += not value.is_zero()
     assert nonzero == len(table) >= 40
+
+
+@pytest.mark.parametrize("n, slot_degree, distinct", [(2, 2, 1169), (1, 3, 42)])
+def test_monomial_table_invariants(monkeypatch, n, slot_degree, distinct):
+    # What the fold relies on and promises.  Every operator term walked for
+    # a need (through that need's full box) has copy slot degrees exactly
+    # that need, so the need's rows are complete once its W-monomials are
+    # walked.  Equal values are one object, and none is zero.  The call
+    # adds no _op_cache entry and leaves every value memo but the symbol's
+    # coefficients and index as it found them; the operator factors are
+    # per-ambient constants, read here first.
+    sym = SymplecticData.canonical(n)
+    m = 2 * n
+    ffs._det_operator(sym)
+    for i, j in itertools.combinations(range(m + 1), 2):
+        ffs._pair_operator(sym, i, j)
+    cache = ffs._op_cache
+    entries = dict(cache)
+    kept = [memo for memo in ffs.MEMOIZED
+            if memo not in (ffs._coefficient, ffs._monos_for)]
+    before = [memo.cache_info()[1:] for memo in kept]  # misses, maxsize, currsize
+    copies = [ffs._copy(mu, n) for mu in range(1, m + 1)]
+    out_mask = ffs.index_mask(m, Y)
+    walked = []
+    product = ffs._operator_product
+
+    def checked(ambient, mono, bound, *coeff):
+        op = product(ambient, mono, bound, *coeff)
+        need = slot_degrees(mono, m)
+        assert bound == ffs._full_box(need, n)
+        for k in op.terms:
+            assert [mono_degree(ffs.rename(k, bank, Y, -offset) & out_mask)
+                    for bank, offset in copies] == need
+        walked.append(len(op.terms))
+        return op
+
+    monkeypatch.setattr(ffs, "_operator_product", checked)
+    table = ffs.monomial_table(cached_symbol(n, m * slot_degree), sym, slot_degree)
+    assert sum(walked) > len(table) > 0
+    assert all(table.values())
+    values = {frozenset(v.terms.items()) for v in table.values()}
+    assert len({id(v) for v in table.values()}) == len(values) == distinct
+    assert ffs._op_cache is cache and cache == entries
+    assert [memo.cache_info()[1:] for memo in kept] == before
 
 
 def test_monomial_table_skips_slots_past_the_budget(sym1):

@@ -42,6 +42,10 @@ CASES = {
                      "--group", HIGHER_SPIN, "--gamma", '{"kappa":"1"}',
                      "--args", "{payloads}/smash_args.json", "--degree", "2"],
                     []),
+    "smash_theta_degree0": (["--format", "json", "smash", "theta",
+                             "--group", HIGHER_SPIN, "--gamma", '{"1":"1"}',
+                             "--args", '{"n":2,"args":[]}', "--degree", "0"],
+                            []),
     "simplex_fuzz": (["--format", "json", "simplex", "fuzz", "--dim", "2",
                       "--count", "1000", "--seed", "7", "--report", "out.json"],
                      ["out.json"]),

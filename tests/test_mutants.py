@@ -254,11 +254,23 @@ def test_det_operator_without_det_pi(monkeypatch):
 
 
 def test_table_fold_without_coefficient(monkeypatch, sym1):
-    # Each operator term folded into its row without the symbol coefficient
-    # of its W-monomial: already wrong at n = 1 with slot degree 3, against
-    # ffs_apply on every basis pair.
+    # Each operator product walked without the symbol coefficient of its
+    # W-monomial as its starting factor: already wrong at n = 1 with slot
+    # degree 3, against ffs_apply on every basis pair.
     assert table_matches_apply(sym1, 3)
-    install(monkeypatch, ffs, "monomial_table", "c = coeff * c", "c = c")
+    install(monkeypatch, ffs, "monomial_table",
+            "_operator_product(ambient, mono, box, coeff)",
+            "_operator_product(ambient, mono, box)")
+    assert not table_matches_apply(sym1, 3)
+
+
+def test_table_value_shared_by_its_keys_alone(monkeypatch, sym1):
+    # Values shared by their output keys alone, without their coefficients:
+    # a row takes the first value seen with its monomials, already wrong at
+    # n = 1 with slot degree 3.
+    assert table_matches_apply(sym1, 3)
+    install(monkeypatch, ffs, "monomial_table", "frozenset(terms.items())",
+            "frozenset(terms)")
     assert not table_matches_apply(sym1, 3)
 
 

@@ -22,7 +22,6 @@ UNREACHED = {
     "pickling, which no command does": {"scalars.Scalar.__reduce__"},
     "the mutation harness empties the value memos with it": {"ffs.clear_memos"},
     "the sweep-n2 benchmark workload's oracle": {"ffs.monomial_table", "ffs._full_box"},
-    "smash theta --degree 0": {"groups.theta_cocycle.ev0"},
     "small constructors": {"groups.GroupElement.identity", "weyl.WeylElement.const",
                            "weyl.WeylElement.zero"},
     "value equality; a command tests a difference by is_zero":
