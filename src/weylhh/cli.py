@@ -20,9 +20,7 @@ import json
 import os
 import random
 import sys
-import traceback
-from dataclasses import asdict, dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from . import __version__
 from .errors import BudgetError, WeylhhError
@@ -43,8 +41,7 @@ from . import sampling, simplex
 ENV_SEED = "WEYLHH_SEED"
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     n: Optional[int] = None
     seed: int = 0
@@ -53,10 +50,10 @@ class RunConfig:
     budget: str = "auto"
     out: Optional[str] = None
     format: str = "text"
-    extra: dict = field(default_factory=dict)
+    extra: Optional[dict] = None
 
     def to_json(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v not in (None, {}, "")}
+        return {k: v for k, v in self._asdict().items() if v not in (None, {}, "")}
 
 
 def _default_seed() -> int:
@@ -443,7 +440,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
-        traceback.print_exc()
+        sys.__excepthook__(*sys.exc_info())  # the interpreter's own traceback
         return 4
 
 

@@ -32,9 +32,8 @@ sampled arguments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetError
 from .forms import FormElement, ext_d, form_star, homotopy_s
@@ -119,8 +118,7 @@ def auto_budget(args: Sequence[WeylElement], n: int) -> int:
     return sum(a.degree() for a in args) + 2 * n + DEFAULT_BUDGET_MARGIN
 
 
-@dataclass
-class DescentTrace:
+class DescentTrace(NamedTuple):
     """The audited ladder: cochains xi_top .. xi_0 plus the resulting cocycle."""
 
     generator: GaussianGenerator

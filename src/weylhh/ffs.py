@@ -54,10 +54,9 @@ formula's w(p_1, p_2), so the two coincide where det(pi) = 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import factorial
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import InsufficientExpansionError
 from .hochschild import Cochain
@@ -104,8 +103,7 @@ def _linear_factor(i: int, j: int, nvars: int) -> Dict[Tuple[int, ...], int]:
     return {m: c for m, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class FFSSymbol:
+class FFSSymbol(NamedTuple):
     """The symbol for argument tuples of total degree <= budget: a read of
     the per-n coefficient index by per-slot derivative degrees."""
 

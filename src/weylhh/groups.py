@@ -26,7 +26,6 @@ dimension calculator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -40,10 +39,19 @@ from .scalars import I, ONE, ZERO, Scalar
 from .weyl import Matrix, SymplecticData, WeylElement, star
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    matrix: Matrix
-    label: str = field(default="", compare=False)
+    __slots__ = ("matrix", "label")  # equality and hashing read the matrix alone
+
+    def __init__(self, matrix: Matrix, label: str = ""):
+        self.matrix, self.label = matrix, label
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash(self.matrix)
 
     @staticmethod
     def from_rows(rows, label: str = "") -> "GroupElement":
@@ -176,12 +184,10 @@ class FiniteGroup:
         return iter(self.elements)
 
 
-@dataclass
 class ClassFunction:
-    group: FiniteGroup
-    values: Dict[GroupElement, Scalar]
-
-    def __post_init__(self):
+    def __init__(self, group: FiniteGroup, values: Dict[GroupElement, Scalar]):
+        self.group = group
+        self.values = values
         for g in self.group:
             self.values.setdefault(g, ZERO)
         for g in self.group:

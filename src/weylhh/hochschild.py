@@ -19,9 +19,8 @@ rest in d2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import factorial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import AmbientMismatchError
 from .linalg import perm_sign
@@ -99,22 +98,20 @@ def hochschild_d2(f: Cochain) -> Cochain:
 # -- verification -----------------------------------------------------------
 
 
-@dataclass
-class SampleSpec:
+class SampleSpec(NamedTuple):
     seed: int
     count: int
     max_degree: int
     group: object = None
 
 
-@dataclass
 class Report:
-    seed: int
-    degree_bound: int
-    checked: int = 0
-    passed: int = 0
-    first_failure: Optional[str] = None
-    detail: dict = field(default_factory=dict)
+    def __init__(self, seed: int, degree_bound: int, checked: int = 0,
+                 passed: int = 0, first_failure: Optional[str] = None,
+                 detail: Optional[dict] = None):
+        self.seed, self.degree_bound = seed, degree_bound
+        self.checked, self.passed, self.first_failure = checked, passed, first_failure
+        self.detail = {} if detail is None else detail
 
     def record(self, context: Callable[[], str], residual) -> Optional[str]:
         """Count one check that residual vanishes.  A failure names context()
@@ -164,8 +161,7 @@ def verify_cocycle(f: Cochain, samples: SampleSpec) -> Report:
 # -- chains and the pairing ---------------------------------------------------
 
 
-@dataclass
-class Chain:
+class Chain(NamedTuple):
     """A formal sum of (coefficient element) x (wedge of algebra elements)."""
 
     terms: List[Tuple[WeylElement, Tuple[WeylElement, ...]]]

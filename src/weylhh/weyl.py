@@ -17,7 +17,6 @@ WeylElement carrying a truncation marker: every stored term of total degree
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -35,18 +34,15 @@ def _y_keys(size: int) -> Tuple[int, ...]:
     return (0,) + tuple(1 << _offset(Y, j) for j in range(1, size + 1))
 
 
-@dataclass(frozen=True)
 class SymplecticData:
     """The bivector pi, with n and the two-form omega = pi^-1 (omega . pi = 1)
     read off it.  The one constructor refuses a pi that is not 2n x 2n, not
     antisymmetric or singular.  Equality and hashing read pi alone."""
 
-    pi: Matrix
-    n: int = field(init=False, compare=False)
-    omega: Matrix = field(init=False, compare=False)
+    __slots__ = ("pi", "n", "omega")
 
-    def __post_init__(self):
-        pi = linalg.mat_from_rows(self.pi)
+    def __init__(self, pi):
+        pi = linalg.mat_from_rows(pi)
         size = len(pi)
         if size % 2 or any(len(r) != size for r in pi):
             raise ValueError("pi must be 2n x 2n")
@@ -56,7 +52,15 @@ class SymplecticData:
             omega = linalg.mat_inverse(pi, ONE, ZERO)
         except ZeroDivisionError:
             raise ValueError("pi must be nondegenerate") from None
-        self.__dict__.update(pi=pi, n=size // 2, omega=omega)  # frozen: no setattr
+        self.pi, self.n, self.omega = pi, size // 2, omega
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.pi == other.pi
+
+    def __hash__(self):
+        return hash(self.pi)
 
     @staticmethod
     @lru_cache(maxsize=None)

@@ -242,8 +242,9 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(weylhh.cli, "cmd_star", broken)
     code = main(["star", json.dumps({"n": 1, "a": Y1, "b": Y2})])
     assert code == 4
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "Traceback" in err and "RuntimeError: kernel bug" in err
+    assert out == ""
 
 
 # -- malformed input exits 2 (usage error), never 1 (a failed identity) --------

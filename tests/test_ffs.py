@@ -11,8 +11,8 @@ import pytest
 from weylhh import ffs
 from weylhh.cli import main
 from weylhh.errors import InsufficientExpansionError
-from weylhh.ffs import (cached_symbol, ffs_apply, ffs_build, ffs_cocycle,
-                        ffs_hypercube_n1, simplex_moment)
+from weylhh.ffs import (FFSSymbol, cached_symbol, ffs_apply, ffs_build,
+                        ffs_cocycle, ffs_hypercube_n1, simplex_moment)
 from weylhh.hochschild import Chain, SampleSpec, pair_chain, verify_cocycle
 from weylhh.poly import Poly, Y, Z, mono_degree, mono_divides, mono_lcm
 from weylhh.sampling import monomials_upto, random_weyl
@@ -60,6 +60,13 @@ def symbol_coeffs(symbol):
             for need in itertools.product(range(1, symbol.budget + 1), repeat=m)
             if sum(need) <= symbol.budget
             for mono, coeff in symbol.terms(need)}
+
+
+def test_symbols_equal_by_value():
+    # Symbols built apart from one (n, budget) are equal and one key.
+    a, b = FFSSymbol(2, 8), FFSSymbol(2, 8)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != FFSSymbol(2, 6)
 
 
 def test_symbol_order_one_coefficient():

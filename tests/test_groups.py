@@ -40,6 +40,16 @@ def test_group_element_checks(preset, sym2):
         GroupElement.diagonal([-ONE, ONE]).twist_pairs()
 
 
+def test_group_elements_equal_by_matrix_alone():
+    # A label names an element and takes no part in equality: elements that
+    # differ only in label are equal, hash equal and are one dict key.
+    a = GroupElement.diagonal([-ONE, -ONE], "kappa")
+    b = GroupElement.diagonal([-ONE, -ONE], "minus one")
+    assert a == b and hash(a) == hash(b)
+    assert len({a: 1, b: 2}) == 1 and {a: "entry"}[b] == "entry"
+    assert a != GroupElement.identity(2)
+
+
 @pytest.mark.parametrize("build", [
     lambda sym, g: make_zeta_g(sym, g),
     lambda sym, g: theta_element(sym, g, 4),

@@ -5,9 +5,10 @@ import pytest
 from weylhh.errors import AmbientMismatchError
 from weylhh.forms import FormElement, form_star
 from weylhh.groups import group_twist
-from weylhh.hochschild import (Chain, Cochain, SampleSpec, constant_cochain,
-                               hochschild_d, hochschild_d1, hochschild_d2,
-                               pair_chain, verify_cocycle, wedge_eval)
+from weylhh.hochschild import (Chain, Cochain, Report, SampleSpec,
+                               constant_cochain, hochschild_d, hochschild_d1,
+                               hochschild_d2, pair_chain, verify_cocycle,
+                               wedge_eval)
 from weylhh.poly import Poly, Z, mono_degree
 from weylhh.sampling import cocycle_tuples, random_form, random_weyl, weyl_tuples
 from weylhh.scalars import Scalar
@@ -230,3 +231,9 @@ def test_report_that_checked_nothing_is_not_ok(sym1):
     empty = verify_cocycle(f, SampleSpec(seed=0, count=0, max_degree=1))
     assert empty.checked == 0 and not empty.ok
     assert verify_cocycle(f, SampleSpec(seed=0, count=1, max_degree=1)).ok
+
+
+def test_reports_do_not_share_detail():
+    first, second = Report(0, 0), Report(0, 0)
+    first.detail["lines"] = []
+    assert second.detail == {} and "detail" not in second.to_json()

@@ -3,10 +3,14 @@ function to get round one.
 
 Read from the source with `ast`, so nothing is imported.  The module-level
 graph of package imports must be acyclic.  A function may import a package
-module only where the one listed exception says why.
+module only where the one listed exception says why.  A fresh interpreter
+that imports the package loads none of the standard-library modules in
+UNNEEDED.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weylhh"
@@ -16,6 +20,11 @@ MODULES = {p.stem for p in SRC.glob("*.py")}
 # elements, but groups imports hochschild, whose verify_cocycle samples
 # through sampling: at module top this import would close a cycle.
 ALLOWED = {("sampling", "random_smash", "groups")}
+
+# Modules no run computes with: dataclasses loads inspect (and with it ast,
+# dis and tokenize), and an internal error's traceback is printed by the
+# interpreter's own hook.
+UNNEEDED = {"dataclasses", "inspect", "traceback"}
 
 
 def _targets(node):
@@ -85,3 +94,14 @@ def test_no_function_imports_a_package_module_but_the_named_one():
         hoisted = {m: set(ts) for m, ts in graph.items()}
         hoisted[module].add(target)
         assert _cycle(hoisted) is not None
+
+
+def test_import_loads_no_unneeded_module():
+    # The sweep-n2 benchmark's modules first, then the command line's; -S
+    # keeps site-packages' start-up hooks out of sys.modules.
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r})\n"
+            f"import weylhh.descent, weylhh.ffs; print(sorted({UNNEEDED!r} & set(sys.modules)))\n"
+            f"import weylhh.cli; print(sorted({UNNEEDED!r} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "[]\n[]\n", run.stdout
