@@ -222,6 +222,9 @@ class SuffixCache:
                               f"the sum of the slot degree bounds {bounds}")
         self._cache: Dict[tuple, FormElement] = {}
         self._final: Dict[tuple, Dict[int, Poly]] = {}
+        # What a miss stores takes its key ints and coefficients from here
+        # (Poly.pooled), so the cache holds each distinct one once.
+        self._pool: Dict[object, object] = {}
         # The caps of a tail of c arguments: the r = arity - c slots still to
         # come consume at most their bound less one z's each beyond the one
         # their homotopy adds.
@@ -243,6 +246,7 @@ class SuffixCache:
         got = self._cache.get(key)
         if got is None:
             got = self._contract(args)
+            got.components = {i: p.pooled(self._pool) for i, p in got.components.items()}
             self._cache[key] = got
         return got
 
@@ -288,7 +292,8 @@ class SuffixCache:
         """The key of y^gamma -> (i^|gamma| / gamma!) ((pi D)^gamma f)|_{z=0}
         for the head slot's multi-indices, cut to what the head keeps of the
         target degree; zero entries are left out."""
-        return {key: r.scale(coeff) for key, _, r, coeff, _
+        return {self._pool.setdefault(key, key): r.scale(coeff).pooled(self._pool)
+                for key, _, r, coeff, _
                 in _walk(self._head_left, f, self.gen.ambient, (0, self.target))}
 
 

@@ -410,14 +410,16 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
     contributes the term, walked from the symbol coefficient, times the
     factorials of the copy exponents.  Every term walked for need has copy
     slot degrees need, so a need's rows become entries before the next
-    need is walked.  Equal values share one Poly and equal key ints one int
-    (a map local to the call).  Absent keys mean the value is zero;
-    ffs_apply on the same tuple agrees entry by entry.
+    need is walked.  Equal values share one Poly, and equal key ints and
+    coefficients one object (Poly.pooled, through a map local to the call).
+    Absent keys mean the value is zero; ffs_apply on the same tuple agrees
+    entry by entry.
     """
     m = 2 * symbol.n
     out_mask = index_mask(m, Y)
     copies = [_copy(mu, symbol.n) for mu in range(1, m + 1)]
-    shared: Dict[object, object] = {}  # a key int, or a value's terms, to its one object
+    # A key int, a coefficient or a value's terms, to its one object.
+    shared: Dict[object, object] = {}
     table: Dict[tuple, Poly] = {}
     for need in itertools.product(range(1, slot_degree + 1), repeat=m):
         if sum(need) > symbol.budget:
@@ -437,7 +439,11 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
             if terms:
                 key = tuple(shared.setdefault(k, k) for k in (
                     rename(copy_key, bank, Y, -offset) & out_mask for bank, offset in copies))
-                table[key] = shared.setdefault(frozenset(terms.items()), Poly(terms))
+                frozen = frozenset(terms.items())
+                value = shared.get(frozen)
+                if value is None:
+                    value = shared[frozen] = Poly(terms).pooled(shared)
+                table[key] = value
     return table
 
 

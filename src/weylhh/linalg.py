@@ -1,4 +1,5 @@
-"""Small exact linear algebra over any exact field (Scalar or Fraction).
+"""Small exact linear algebra over any exact field: Scalar in the package,
+Fraction in the tests' oracles.
 
 Entries only need +, -, *, / and truthiness for the zero test; matrices are
 tuples of tuples and never mutated in place.  Determinant, rank, inverse and
@@ -6,7 +7,7 @@ left null space all read one Gauss-Jordan elimination, row_reduce.  The one
 exception is int_det, the fraction-free (Bareiss) determinant of an integer
 matrix.  It stays apart because its divisions are exact and it never leaves
 the integers: simplex.tid_check needs only the signs of determinants, and there
-Fraction arithmetic would cost more than the elimination itself.
+field arithmetic would cost more than the elimination itself.
 """
 
 from __future__ import annotations

@@ -281,6 +281,13 @@ class Poly:
                         out[m] = s
         return out
 
+    def pooled(self, pool: Dict[object, object]) -> "Poly":
+        """self, term for term, with each key int and coefficient the pool's
+        one object equal to it (pool.setdefault(x, x)): what a cache keeps
+        holds each distinct value once."""
+        get = pool.setdefault
+        return Poly({get(m, m): get(c, c) for m, c in self.terms.items()})
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
 

@@ -8,9 +8,7 @@ A scalar is (re_num + im_num*i) / den, stored as the integer triple
 Every value has exactly one such triple (zero is (0, 0, 1)), so equality and
 hashing are those of the triple: structural, with no normalisation at compare
 time.  Each operation does plain integer arithmetic and restores the form with
-one three-way gcd; it builds no Fractions.  `.re` and `.im` hand out the parts
-as Fractions for readers; the JSON form reduces each part on its own, exactly
-as a Fraction prints.
+one three-way gcd.  The JSON form and the text reduce each part on its own.
 
 This is the coefficient field for every other module; nothing downstream
 touches floating point.  Values are immutable tuples.
@@ -18,11 +16,7 @@ touches floating point.  Values are immutable tuples.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Union
-
-RationalLike = Union[int, Fraction]
 
 _new = tuple.__new__
 
@@ -46,9 +40,16 @@ def _canonical(re: int, im: int, den: int) -> "Scalar":
 
 
 def _rational_parts(x) -> tuple:
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, x.denominator
+    num, den = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    if isinstance(num, int) and isinstance(den, int):
+        return num, den
     raise ValueError(f"scalar part must be an int or a Fraction, got {x!r}")
+
+
+def fraction_text(num: int, den: int) -> str:
+    """num/den for den > 0, in lowest terms: "n/d", or "n" for a whole number."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _json_integer(x) -> int:
@@ -74,17 +75,18 @@ def _unordered(self, other):
 
 
 class Scalar(tuple):
-    """(re_num + im_num*i) / den as its canonical integer triple."""
+    """(re_num + im_num*i) / den as its canonical integer triple.  Scalar(re, im)
+    takes each part as an int or a value with int numerator and denominator."""
 
     __slots__ = ()
 
-    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0) -> "Scalar":
+    def __new__(cls, re=0, im=0) -> "Scalar":
         rn, rd = _rational_parts(re)
         in_, id_ = _rational_parts(im)
         return _reduced(rn * id_, in_ * rd, rd * id_)
 
     @staticmethod
-    def of(re: RationalLike = 0, im: RationalLike = 0) -> "Scalar":
+    def of(re=0, im=0) -> "Scalar":
         return Scalar(re, im)
 
     @staticmethod
@@ -92,14 +94,6 @@ class Scalar(tuple):
         if not isinstance(num, int) or not isinstance(den, int):
             raise ValueError(f"rational({num!r}, {den!r}) needs integers")
         return _canonical(num, 0, den)
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self[0], self[2])
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self[1], self[2])
 
     def __add__(self, other: "Scalar") -> "Scalar":
         a1, b1, d1 = self
@@ -164,15 +158,10 @@ class Scalar(tuple):
     # Tuple repetition and ordering mean nothing for a field element.
     __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
-    def scale_fraction(self, f: RationalLike, den: int = 1) -> "Scalar":
-        """self * f / den for an int or Fraction f and an int den.
-
-        The one rational scaling path: callers scaling by k or 1/k! pass
-        integers and no Fraction is built.
-        """
+    def scale_fraction(self, num: int, den: int = 1) -> "Scalar":
+        """self * num / den for ints num and den: the one rational scaling
+        path (callers scale by k or 1/k!)."""
         a, b, d = self
-        num = f.numerator
-        den *= f.denominator
         if den > 0:
             return _reduced(a * num, b * num, d * den)
         if den == 0:
@@ -186,19 +175,19 @@ class Scalar(tuple):
         return self[0] != 0 or self[1] != 0
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if re == 0:
-            return f"{im}i"
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{abs(im)}i"
+        a, b, d = self
+        if not b:
+            return fraction_text(a, d)
+        if not a:
+            return f"{fraction_text(b, d)}i"
+        sign = "+" if b > 0 else "-"
+        return f"{fraction_text(a, d)}{sign}{fraction_text(abs(b), d)}i"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
     def __reduce__(self):
-        return (Scalar, (self.re, self.im))
+        return (_reduced, tuple(self))
 
     def to_json(self) -> dict:
         a, b, d = self

@@ -7,7 +7,9 @@ coordinates, read off integer determinants once one common denominator is
 cleared, so the only undefined inputs are the genuine null sets: degenerate
 simplices and origins sitting exactly on a facet.  Those raise instead of
 guessing; the fuzzer treats them as a resample signal.  One sign rule,
-_sign_rule, turns the minors of a simplex into its value.
+_sign_rule, turns the minors of a simplex into its value.  The fuzzer draws
+rational points on the grid 1/GRID and holds each coordinate as its integer
+multiple of 1/GRID, a positive homothety that keeps every sign.
 
 The alternating-sum coboundary over point tuples makes delta a top cocycle:
 for any 2n+2 generic points the signed sum of the 2n+2 facet values cancels
@@ -21,15 +23,17 @@ pins a witness for that non-invariance.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import List, Sequence, Tuple
 
 from . import linalg
 from .errors import DegenerateSimplexError, NonGenericConfigError
+from .scalars import fraction_text
 
-Point = Tuple[Fraction, ...]
+# Coordinates are ints, or exact rationals with int numerator and denominator.
+Point = Tuple[int, ...]
+GRID = 840  # lcm(1..8): random_config's draws a/b, b <= 8, are ints over GRID
 
 
 def _integer_rows(points: Sequence[Point], count: int) -> List[List[int]]:
@@ -98,7 +102,9 @@ def tid_check(points: Sequence[Point]) -> bool:
 
 
 def random_config(rng: random.Random, dim: int, count: int) -> List[Point]:
-    return [tuple(Fraction(rng.randint(-100, 100), rng.randint(1, 8)) for _ in range(dim))
+    """count points with coordinates a/b, -100 <= a <= 100 and 1 <= b <= 8,
+    each held as the int a/b * GRID."""
+    return [tuple(rng.randint(-100, 100) * (GRID // rng.randint(1, 8)) for _ in range(dim))
             for _ in range(count)]
 
 
@@ -126,7 +132,7 @@ def fuzz(dim: int, count: int, seed: int) -> dict:
             else:
                 failed += 1
                 if first_failure is None:
-                    first_failure = [[str(c) for c in p] for p in config]
+                    first_failure = [[fraction_text(c, GRID) for c in p] for p in config]
             break
         else:
             raise NonGenericConfigError("could not sample a generic configuration")

@@ -45,6 +45,12 @@ def random_symplectic(rng, dim):
     return mat
 
 
+def parts(s):
+    """The real and imaginary parts of a Scalar, as Fractions."""
+    re_num, im_num, den = s
+    return Fraction(re_num, den), Fraction(im_num, den)
+
+
 def standard_form(dim):
     """The block form matrix J with J[i][n+i] = 1 and J[n+i][i] = -1."""
     n = dim // 2

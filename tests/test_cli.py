@@ -1,6 +1,5 @@
 import json
 import os
-import random
 import re
 import shlex
 import subprocess
@@ -159,8 +158,10 @@ def test_failed_fuzz_identity_exits_1(capsys, monkeypatch):
     report = payload["report"]
     assert payload["ok"] is False
     assert (report["passed"], report["failed"], report["count"]) == (0, 5, 5)
-    first = simplex.random_config(random.Random(9), 2, 4)
-    assert report["first_failure"] == [[str(c) for c in p] for p in first]
+    # The first configuration seed 9 draws, each coordinate a/b in lowest
+    # terms (the text these reports have always printed).
+    assert report["first_failure"] == [["3", "-32/3"], ["-53", "-7/4"], ["27", "-15"],
+                                       ["86/7", "-57/8"]]
 
 
 def test_failed_route_agreement_exits_1(capsys, monkeypatch):

@@ -517,6 +517,40 @@ def test_degree_one_sweep_n3():
     assert len(table) == 720
 
 
+def one_object_each(values) -> bool:
+    """Whether equal values among those held are one object."""
+    seen = {}
+    return all(seen.setdefault(v, v) is v for v in values)
+
+
+def held(polys):
+    """Every key int and coefficient of the polys, repeats included."""
+    return [x for p in polys for term in p.terms.items() for x in term]
+
+
+def test_caches_hold_one_object_per_key_and_coefficient(sym2):
+    # What a SuffixCache keeps (its tails, its z = 0 tables and their
+    # gamma keys) and monomial_table's values hold each distinct key int and
+    # coefficient once, where the values alone repeat them; every value
+    # still equals the symbol route's.
+    table = monomial_table(cached_symbol(2, 8), sym2, 2)
+    y = [WeylElement.generator(j, sym2) for j in range(1, 5)]
+    monos = [y[0], y[2] * y[3], y[1] * y[1]]
+    zeta = make_zeta(sym2)
+    for budget in (12, 14):
+        cache = SuffixCache(zeta, budget, 2)
+        for tup in itertools.product(monos, repeat=4):
+            value = cache.value(tup)
+            key = tuple(next(iter(a.poly.terms)) for a in tup)
+            assert table.get(key, Poly.zero()).truncate(value.truncation) == value.poly
+        kept = held(p for tail in cache._cache.values() for p in tail.components.values())
+        kept += held(p for entries in cache._final.values() for p in entries.values())
+        kept += [g for entries in cache._final.values() for g in entries]
+        assert len(kept) > 2 * len(set(kept)) and one_object_each(kept)
+    values = held(table.values())
+    assert len(values) > 2 * len(set(values)) and one_object_each(values)
+
+
 @pytest.mark.parametrize("moved, pairing",
                          [(1, frac(1, 2)), (2, frac(1, 24)), (3, frac(1, 720))])
 def test_twisted_cocycles_n3(moved, pairing):

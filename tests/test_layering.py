@@ -22,9 +22,10 @@ MODULES = {p.stem for p in SRC.glob("*.py")}
 ALLOWED = {("sampling", "random_smash", "groups")}
 
 # Modules no run computes with: dataclasses loads inspect (and with it ast,
-# dis and tokenize), and an internal error's traceback is printed by the
-# interpreter's own hook.
-UNNEEDED = {"dataclasses", "inspect", "traceback"}
+# dis and tokenize), an internal error's traceback is printed by the
+# interpreter's own hook, and a Scalar is its own integer triple, so fractions
+# (which loads decimal and numbers) has no reader.
+UNNEEDED = {"dataclasses", "inspect", "traceback", "fractions", "decimal", "numbers"}
 
 
 def _targets(node):

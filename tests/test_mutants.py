@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import pytest
 
-from weylhh import (descent, ffs, forms, groups, hochschild, linalg, poly, simplex,
-                    weyl)
+from weylhh import (descent, ffs, forms, groups, hochschild, linalg, poly, scalars,
+                    simplex, weyl)
 from weylhh.descent import SuffixCache, descend, make_zeta
 from weylhh.errors import BudgetError, NonGenericConfigError
 from weylhh.ffs import cached_symbol, ffs_apply
@@ -106,6 +106,18 @@ def uniform_cache_agrees(sym, a, b) -> bool:
     via_cache = SuffixCache(make_zeta(sym), budget, slot).value((a, b))
     f = ffs_apply(cached_symbol(sym.n, a.degree() + b.degree()), [a, b])
     return f.restrict(via_cache.truncation) == via_cache
+
+
+def cache_sweep_agrees(sym, slot) -> bool:
+    """Every pair of monomials of degree <= slot through one SuffixCache,
+    against the simplex-symbol value."""
+    cache = SuffixCache(make_zeta(sym), 2 * slot + 2 * sym.n + 4, slot)
+    for a, b in itertools.product(monomials_upto(sym, slot), repeat=2):
+        value = cache.value((a, b))
+        f = ffs_apply(cached_symbol(sym.n, a.degree() + b.degree()), [a, b])
+        if f.restrict(value.truncation) != value:
+            return False
+    return True
 
 
 def shared_generator_agrees(sym, calls) -> bool:
@@ -412,6 +424,27 @@ def test_tid_minor_by_facet_position(monkeypatch):
         simplex.fuzz(2, 1, seed=0)
 
 
+def test_fraction_text_without_gcd(monkeypatch):
+    # Each part printed over its denominator unreduced: a failing fuzz names
+    # its first configuration in 840ths, and 1/4 + i/2 prints as 1/4+2/4i.
+    # Checked against the text Fractions print.
+    monkeypatch.setattr(simplex, "tid_check", lambda config: False)
+    # The first configuration seed 9 draws.
+    first = [(3, Fraction(-32, 3)), (-53, Fraction(-7, 4)), (27, -15),
+             (Fraction(86, 7), Fraction(-57, 8))]
+
+    def texts():
+        return (simplex.fuzz(2, 1, seed=9)["first_failure"],
+                str(Scalar.of(Fraction(1, 4), Fraction(1, 2))))
+
+    want = ([[str(c) for c in p] for p in first], f"{Fraction(1, 4)}+{Fraction(1, 2)}i")
+    assert texts() == want
+    install(monkeypatch, scalars, "fraction_text", "g = gcd(num, den)", "g = 1",
+            also=(simplex,))
+    got = texts()
+    assert got[0] != want[0] and got[1] != want[1]
+
+
 def test_conjugate_without_inverse(monkeypatch, d8):
     # h g h for h g h^-1 agrees on every involution, so only a group with an
     # element of order 4 shows it: in D8, S kappa squares to -1, which joins
@@ -543,6 +576,16 @@ def test_suffix_cache_slot_cap_too_small(monkeypatch, sym1):
     install(monkeypatch, descent, "__init__",
             "sum(bounds[:r]) - r ", "sum(bounds[:r]) - 2 * r ", owner=SuffixCache)
     assert not uniform_cache_agrees(sym1, a, b)
+
+
+def test_pool_entry_without_imaginary_part(monkeypatch, sym1):
+    # Each coefficient a cache keeps pooled under its real part and
+    # denominator alone: a later one that differs only in its imaginary
+    # part is stored as the first one's object.  The pairs of degree <= 2
+    # at n = 1 show it.
+    assert cache_sweep_agrees(sym1, 2)
+    install(monkeypatch, poly, "pooled", "get(c, c)", "get(c[::2], c)", owner=Poly)
+    assert not cache_sweep_agrees(sym1, 2)
 
 
 def test_d2_without_twist(monkeypatch, sym1):

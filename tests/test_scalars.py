@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 
 from weylhh.scalars import I, ONE, ZERO, Scalar
 
+from oracles import parts
+
 
 def test_basic_products():
     assert (ONE + I) * (ONE - I) == Scalar.of(2)
@@ -45,8 +47,9 @@ def test_field_axioms_sampled():
 
 def test_lowest_terms_invariant():
     s = Scalar.of(Fraction(2, 4), Fraction(-6, 8))
-    assert s.re.denominator == 2 and s.re.numerator == 1
-    assert s.im.denominator == 4 and s.im.numerator == -3
+    re, im = parts(s)
+    assert re.denominator == 2 and re.numerator == 1
+    assert im.denominator == 4 and im.numerator == -3
 
 
 def test_pow():
@@ -75,7 +78,7 @@ def build(ref):
 def assert_matches(x, ref):
     re_num, im_num, den = x
     assert den > 0 and gcd(re_num, im_num, den) == 1
-    assert (x.re, x.im) == ref
+    assert parts(x) == ref
 
 
 def ref_mul(a, b):
@@ -120,7 +123,7 @@ def test_pow_matches_reference(a, k):
 @given(pairs, fractions, small_ints, nonzero_ints)
 def test_scale_fraction_matches_reference(a, f, k, den):
     x = build(a)
-    assert_matches(x.scale_fraction(f), (a[0] * f, a[1] * f))
+    assert_matches(x.scale_fraction(f.numerator, f.denominator), (a[0] * f, a[1] * f))
     assert_matches(x.scale_fraction(k), (a[0] * k, a[1] * k))
     q = Fraction(k, den)
     assert_matches(x.scale_fraction(k, den), (a[0] * q, a[1] * q))
@@ -132,7 +135,7 @@ def test_scale_fraction_matches_reference(a, f, k, den):
 def test_equal_values_are_equal_and_hash_equal(a, b, k):
     x, y = build(a), build(b)
     routes = [x, (x + y) - y, x.scale_fraction(k).scale_fraction(1, k),
-              Scalar(x.re, x.im), Scalar.from_json(x.to_json()),
+              Scalar(*parts(x)), Scalar.from_json(x.to_json()),
               pickle.loads(pickle.dumps(x))]
     for r in routes:
         assert r == x and hash(r) == hash(x)
@@ -147,6 +150,26 @@ def test_json_matches_reference_bytes(a):
     assert json.dumps(x.to_json()) == json.dumps(ref)
     assert Scalar.from_json(x.to_json()) == x
     assert str(x) == str(Scalar.of(a[0], a[1]))
+
+
+def ref_text(ref):
+    """A Scalar's text as the Fractions of its parts print: "re", "imi" or
+    "re+imi" / "re-|im|i"."""
+    re, im = ref
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+@given(pairs, small_ints)
+def test_text_matches_fraction_rendering(a, k):
+    re, im = abs(a[0]), abs(a[1])
+    zero = Fraction(0)
+    for ref in (a, (Fraction(k), zero), (zero, im), (zero, -im), (-re, zero),
+                (-re, im), (re, -im), (-re, -im)):
+        assert str(build(ref)) == ref_text(ref)
 
 
 @given(pairs, small_ints, nonzero_ints, small_ints, nonzero_ints)
