@@ -290,7 +290,7 @@ def cmd_descent_eval(ns) -> int:
             entries = [_scalar_from(x) for x in _list_from(spec, "diag")]
             if len(entries) != 2 * ambient.n:
                 raise ValueError(f"diag must have {2 * ambient.n} entries")
-            gen = make_zeta_g(ambient, GroupElement.diagonal(entries, "g"))
+            gen = make_zeta_g(ambient, GroupElement.diagonal(entries))
     else:
         gen = make_zeta(ambient)
     d = auto_budget(args, ambient.n) if ns.budget == "auto" else int(ns.budget)
@@ -303,7 +303,8 @@ def cmd_descent_eval(ns) -> int:
         report = verify_descent(trace, seed=_default_seed())
         with open(ns.trace, "w") as fh:
             json.dump({"budget": d,
-                       "lines": [xi.label for xi in trace.xis],
+                       "lines": ["xi_top"] + [f"xi_{k}" for k in
+                                              range(len(trace.xis) - 2, -1, -1)],
                        "verification": report.to_json()}, fh, indent=2)
         payload["trace"] = ns.trace
         payload["trace_ok"] = report.ok

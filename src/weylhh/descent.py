@@ -66,12 +66,11 @@ class GaussianGenerator:
     """prefactor . exp(quad), expandable to any finite degree."""
 
     def __init__(self, ambient: SymplecticData, quad: Poly,
-                 prefactor: FormElement, twist: Callable, label: str = ""):
+                 prefactor: FormElement, twist: Callable):
         self.ambient = ambient
         self.quad = quad
         self.prefactor = prefactor
         self.twist = twist
-        self.label = label
         self._expansions: Dict[int, FormElement] = {}
         self._suffix_caches: Dict[Tuple[int, Tuple[int, ...]], SuffixCache] = {}
 
@@ -107,8 +106,7 @@ def make_zeta(ambient: SymplecticData) -> GaussianGenerator:
     """The untwisted generator: exp(2i w(z,y)) vol_dz, involution-twisted dual."""
     quad = _omega_bilinear(ambient, _vector(Z, ambient), _vector(Y, ambient))
     quad = quad.scale(Scalar.of(0, 2))
-    return GaussianGenerator(ambient, quad, FormElement.top_dz(ambient),
-                             involution, label="zeta")
+    return GaussianGenerator(ambient, quad, FormElement.top_dz(ambient), involution)
 
 
 # -- the descent value --------------------------------------------------------
@@ -174,8 +172,7 @@ def descent_cocycle(gen: GaussianGenerator, budget: Optional[int] = None) -> Coc
     def ev(*args):
         return descend(gen, args, budget=budget)
 
-    return Cochain(gen.form_degree, gen.ambient, gen.twist, ev,
-                   label=f"tau[{gen.label}]")
+    return Cochain(gen.form_degree, gen.ambient, gen.twist, ev)
 
 
 class SuffixCache:
@@ -307,14 +304,11 @@ def build_trace(gen: GaussianGenerator, budget: int) -> DescentTrace:
         raise ValueError("a generator of form degree 0 has no descent ladder")
     ambient = gen.ambient
     expanded = gen.expand(budget)
-    xi = constant_cochain(homotopy_s(expanded), ambient, gen.twist,
-                          label="xi_top")
+    xi = constant_cochain(homotopy_s(expanded), ambient, gen.twist)
     xis = [xi]
-    for step in range(1, p):
-        nxt = hochschild_d(xi).map_values(
-            lambda v: -homotopy_s(v), label=f"xi_{p - 1 - step}")
-        xis.append(nxt)
-        xi = nxt
+    for _ in range(1, p):
+        xi = hochschild_d(xi).map_values(lambda v: -homotopy_s(v))
+        xis.append(xi)
     cocycle = descent_cocycle(gen, budget=budget)
     return DescentTrace(gen, budget, xis, cocycle)
 

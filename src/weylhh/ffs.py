@@ -35,7 +35,7 @@ combination of its arguments' term degrees, reads the symbol at that need,
 asks each operator for the lcm of the argument keys (_operator_for caches
 the product grouped by copy part, once per bound) and looks each summed key
 up; monomial_table reads the symbol at every need within its slot degree,
-walks each operator's full-box product once from its coefficient, adds its
+walks each operator's product whole, once, from its coefficient, adds its
 terms straight into the rows of their copy parts and finishes that need's
 rows before the next need, so that equal values share one object.
 
@@ -56,13 +56,13 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache, reduce
 from math import factorial
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InsufficientExpansionError
 from .hochschild import Cochain
 from .linalg import mat_det, perm_sign
-from .poly import (MAX_EXPONENT, Poly, Y, Z, index_mask, mono_degree,
-                   mono_divides, mono_factorial, mono_lcm, rename)
+from .poly import (Poly, Y, Z, index_mask, mono_degree, mono_divides,
+                   mono_factorial, mono_lcm, rename)
 from .scalars import I, ONE, Scalar
 from .weyl import SymplecticData, WeylElement, involution
 
@@ -267,14 +267,17 @@ class PackedOperator:
 _op_cache: Dict[tuple, PackedOperator] = {}
 
 
-def _operator_product(ambient: SymplecticData, mono: WMono, bound: int,
+def _operator_product(ambient: SymplecticData, mono: WMono, bound: Optional[int],
                       coeff: Scalar = ONE) -> Poly:
     """coeff times det(p_1..p_2n) times the W factors of a symbol monomial,
-    walked one Poly product at a time: the terms whose copy part divides
-    bound.  coeff is the walk's starting factor, so it costs no product."""
-    box = bound | index_mask(2 * ambient.n, Y)  # the output fields are never pruned
+    walked one Poly product at a time from coeff (so it costs no product):
+    the terms whose copy part divides bound, or all of them if bound is None."""
+    # The output fields are never pruned.
+    box = None if bound is None else bound | index_mask(2 * ambient.n, Y)
 
     def inside(p: Poly) -> Poly:
+        if box is None:
+            return p
         return Poly({k: c for k, c in p.terms.items() if mono_divides(k, box)})
 
     # Copy parts only grow along the walk, so a term dropped outside the box
@@ -324,15 +327,6 @@ def clear_memos() -> None:
         memo.cache_clear()
 
 
-def _full_box(need: Sequence[int], n: int) -> int:
-    """The copy key with need[mu - 1] on every field of slot mu: every copy
-    key of an operator with these slot degrees divides it.  Fields are
-    capped at MAX_EXPONENT, which no product field passes."""
-    ones = index_mask(2 * n, Y) // MAX_EXPONENT
-    return sum(rename(ones * min(d, MAX_EXPONENT), Y, *_copy(mu, n))
-               for mu, d in enumerate(need, start=1))
-
-
 def _slot_terms(args: Sequence[WeylElement]) -> List[Dict[int, list]]:
     """Per argument, its terms by degree as (key on its copy, coeff * alpha!)."""
     n = len(args) // 2
@@ -377,8 +371,8 @@ def _evaluate(args: Sequence[WeylElement],
     """Contract each (W-monomial, coefficient) of terms_at(need), for every
     combination need of the arguments' term degrees; the determinant takes one
     derivative from each slot, so a constant term meets no operator."""
-    if any(a.truncation is not None for a in args):
-        raise InsufficientExpansionError("arguments must be exact polynomials")
+    if any(a.truncation is not None for a in args):  # a usage error: no budget mends it
+        raise ValueError("arguments must be exact polynomials")
     ambient = args[0].ambient
     slots = _slot_terms(args)
     acc: Dict[int, Scalar] = {}
@@ -424,10 +418,9 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
     for need in itertools.product(range(1, slot_degree + 1), repeat=m):
         if sum(need) > symbol.budget:
             continue
-        box = _full_box(need, symbol.n)
         rows: Dict[int, Dict[int, Scalar]] = {}
         for mono, coeff in symbol.terms(need):
-            for k, c in _operator_product(ambient, mono, box, coeff).terms.items():
+            for k, c in _operator_product(ambient, mono, None, coeff).terms.items():
                 out = k & out_mask
                 row = rows.setdefault(k - out, {})
                 prev = row.get(out)
@@ -452,7 +445,7 @@ def ffs_cocycle(sym: SymplecticData):
     def ev(*args):
         return ffs_apply(cached_symbol(sym.n, sum(a.degree() for a in args)), args)
 
-    return Cochain(2 * sym.n, sym, involution, ev, label=f"tau_{2 * sym.n}")
+    return Cochain(2 * sym.n, sym, involution, ev)
 
 
 # -- independent unit-square route for n = 1 ---------------------------------

@@ -343,9 +343,7 @@ def make_zeta_g(ambient: SymplecticData, g: GroupElement) -> GaussianGenerator:
                              sector_volume(u_rows, ambient.omega, k).items()}, ambient)
     if k > 0 and prefactor.is_zero():
         raise ValueError("degenerate twisted prefactor; g is not usable here")
-    label = g.label or "g"
-    return GaussianGenerator(ambient, quad, prefactor, group_twist(matrix),
-                             label=f"zeta_{label}")
+    return GaussianGenerator(ambient, quad, prefactor, group_twist(matrix))
 
 
 def theta_element(ambient: SymplecticData, g: GroupElement,
@@ -408,7 +406,7 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
             one = WeylElement.one(ambient).scale(gamma(group.identity))
             return SmashElement(group, ambient, {group.identity: one})
 
-        return Cochain(0, ambient, untwisted, ev0, label="theta_0")
+        return Cochain(0, ambient, untwisted, ev0)
 
     taus = {}
     for g in group:
@@ -433,7 +431,7 @@ def theta_cocycle(group: FiniteGroup, ambient: SymplecticData,
                 value = value + SmashElement(group, ambient, {target: weyl})
         return value
 
-    return Cochain(degree, ambient, untwisted, ev, label=f"theta_{degree}")
+    return Cochain(degree, ambient, untwisted, ev)
 
 
 # -- the four-dimensional higher-spin preset ------------------------------------

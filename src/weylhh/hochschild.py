@@ -38,40 +38,37 @@ class Cochain:
     """A p-cochain as an evaluator plus its right twist."""
 
     def __init__(self, arity: int, ambient: SymplecticData, twist: Callable,
-                 fn: Callable, label: str = ""):
+                 fn: Callable):
         self.arity = arity
         self.ambient = ambient
         self.twist = twist
         self.fn = fn
-        self.label = label
 
     def __call__(self, *args):
         if len(args) != self.arity:
             raise ValueError(f"cochain of arity {self.arity} got {len(args)} arguments")
         return self.fn(*args)
 
-    def map_values(self, op: Callable, label: str = "") -> "Cochain":
+    def map_values(self, op: Callable) -> "Cochain":
         return Cochain(self.arity, self.ambient, self.twist,
-                       lambda *args: op(self.fn(*args)), label=label or self.label)
+                       lambda *args: op(self.fn(*args)))
 
 
-def constant_cochain(value, ambient: SymplecticData, twist: Callable,
-                     label: str = "") -> Cochain:
-    return Cochain(0, ambient, twist, lambda: value, label=label)
+def constant_cochain(value, ambient: SymplecticData, twist: Callable) -> Cochain:
+    return Cochain(0, ambient, twist, lambda: value)
 
 
 def hochschild_d(f: Cochain) -> Cochain:
     """Full differential d1 + d2; arity goes up by one."""
     d1, d2 = hochschild_d1(f), hochschild_d2(f)
     return Cochain(f.arity + 1, f.ambient, f.twist,
-                   lambda *args: d1.fn(*args) + d2.fn(*args),
-                   label=f"d({f.label})")
+                   lambda *args: d1.fn(*args) + d2.fn(*args))
 
 
 def hochschild_d1(f: Cochain) -> Cochain:
     """First piece only: a_1 * f(a_2, ..., a_{p+1})."""
     return Cochain(f.arity + 1, f.ambient, f.twist,
-                   lambda *args: args[0] * f(*args[1:]), label=f"d1({f.label})")
+                   lambda *args: args[0] * f(*args[1:]))
 
 
 def hochschild_d2(f: Cochain) -> Cochain:
@@ -92,7 +89,7 @@ def hochschild_d2(f: Cochain) -> Cochain:
             return -last
         return total + last if p % 2 else total - last
 
-    return Cochain(p + 1, f.ambient, f.twist, ev, label=f"d2({f.label})")
+    return Cochain(p + 1, f.ambient, f.twist, ev)
 
 
 # -- verification -----------------------------------------------------------

@@ -104,16 +104,8 @@ class WeylElement:
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def const(c: Scalar, ambient: SymplecticData) -> "WeylElement":
-        return WeylElement(Poly.const(c), ambient)
-
-    @staticmethod
     def one(ambient: SymplecticData) -> "WeylElement":
         return WeylElement(Poly.one(), ambient)
-
-    @staticmethod
-    def zero(ambient: SymplecticData) -> "WeylElement":
-        return WeylElement(Poly.zero(), ambient)
 
     @staticmethod
     def generator(j: int, ambient: SymplecticData) -> "WeylElement":

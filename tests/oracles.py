@@ -12,8 +12,9 @@ construction) are the undressed ones from the forms module.
 
 from fractions import Fraction
 
-from weylhh import forms, groups, linalg, simplex
+from weylhh import ffs, forms, groups, linalg, simplex
 from weylhh.hochschild import Cochain
+from weylhh.poly import MAX_EXPONENT, Y, index_mask, rename
 from weylhh.scalars import Scalar
 from weylhh.weyl import WeylElement, bform, involution, monomials_upto, star
 
@@ -43,6 +44,15 @@ def random_symplectic(rng, dim):
                 shear[i][n + j] = shear[j][n + i] = c
         mat = linalg.mat_mul(mat, linalg.mat_transpose(shear) if kind else shear)
     return mat
+
+
+def full_box(need, n):
+    """The copy key with need[mu - 1] on every field of slot mu: every copy
+    key of an operator with these slot degrees divides it.  Fields are
+    capped at MAX_EXPONENT, which no product field passes."""
+    ones = index_mask(2 * n, Y) // MAX_EXPONENT
+    return sum(rename(ones * min(d, MAX_EXPONENT), Y, *ffs._copy(mu, n))
+               for mu, d in enumerate(need, start=1))
 
 
 def parts(s):
@@ -81,13 +91,13 @@ def invariance_defect(gen, j, degree):
 def cochain_ext_d(f):
     """Exterior differential on form-valued cochains, (-1)^arity dressed."""
     sign = Scalar.of((-1) ** f.arity)
-    return f.map_values(lambda v: forms.ext_d(v).scale(sign), label=f"extd({f.label})")
+    return f.map_values(lambda v: forms.ext_d(v).scale(sign))
 
 
 def cochain_s(f):
     """Contraction homotopy on form-valued cochains, (-1)^arity dressed."""
     sign = Scalar.of((-1) ** f.arity)
-    return f.map_values(lambda v: forms.homotopy_s(v).scale(sign), label=f"s({f.label})")
+    return f.map_values(lambda v: forms.homotopy_s(v).scale(sign))
 
 
 def theta_equation_defects(ambient, g, truncation):
@@ -121,4 +131,4 @@ def conjugate_cochain(group, f, h):
     def ev(*args):
         return group.act(h, f(*(group.act(hinv, a) for a in args)))
 
-    return Cochain(f.arity, f.ambient, f.twist, ev, label=f"{f.label}^{h}")
+    return Cochain(f.arity, f.ambient, f.twist, ev)

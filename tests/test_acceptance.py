@@ -328,14 +328,14 @@ def test_criterion_08_higher_spin_example():
         got = theta2(x1, x2)
         coeff = unbarred(WeylElement(tau2(a1, a2).poly, sym1))
         want = star(coeff, star(barred(b1), barred(b2))).scale(Scalar.of(-1))
-        lhs = got.terms.get(labels["kappa"], WeylElement.zero(ambient))
+        lhs = got.terms.get(labels["kappa"], WeylElement(Poly(), ambient))
         factor_ok &= set(got.terms) <= {labels["kappa"]}
         factor_ok &= lhs == want.restrict(lhs.truncation)
         # mirrored identity for the barred reflection
         got_b = theta2bar(x1, x2)
         coeff_b = barred(WeylElement(tau2(b1, b2).poly, sym1))
         want_b = star(unbarred(star(a1, a2)), coeff_b).scale(Scalar.of(-1))
-        lhs_b = got_b.terms.get(labels["kappabar"], WeylElement.zero(ambient))
+        lhs_b = got_b.terms.get(labels["kappabar"], WeylElement(Poly(), ambient))
         factor_ok &= lhs_b == want_b.restrict(lhs_b.truncation)
     ok &= factor_ok
 
@@ -348,7 +348,7 @@ def test_criterion_08_higher_spin_example():
         xs = [SmashElement.embed(c, group) for c in tup]
         got = theta4(*xs)
         want = tau4(*tup)
-        lhs = got.terms.get(labels["kappakappabar"], WeylElement.zero(ambient))
+        lhs = got.terms.get(labels["kappakappabar"], WeylElement(Poly(), ambient))
         theta4_ok &= lhs == want.restrict(lhs.truncation)
         theta4_ok &= set(got.terms) <= {labels["kappakappabar"]}
     ok &= theta4_ok

@@ -485,15 +485,18 @@ def test_python_dash_m_runs_the_cli(capsys, argv):
 
 
 def test_readme_command_lines_parse():
-    # Every line of the README's "Command line" block is a command the
-    # parser accepts, with each [optional part] given and S, N, D filled in.
+    # Every line of the README's "Command line" block, and the command of
+    # its oscillator section, is a command the parser accepts, with each
+    # [optional part] given and S, N, D filled in.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md")) as fh:
         readme = fh.read()
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
-    block = block.split("```", 1)[0].replace("\\\n", " ")
-    lines = [line for line in block.splitlines() if line.strip()]
-    assert len(lines) == 7
+
+    blocks = [readme.split(section, 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+              for section in ("## Command line", "## Vasiliev's deformed oscillators")]
+    lines = [line for block in blocks
+             for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert len(lines) == 8
     fill = {"S": "0", "N": "1", "D": "0"}
     for line in lines:
         line = re.sub(r"\[(-[^\]]*)\]", r"\1", line)

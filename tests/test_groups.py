@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -310,7 +311,7 @@ def test_theta2_factorization(preset, rng):
         coeff = unbarred(WeylElement(tau2(a1, a2).poly, sym1))
         want_weyl = star(coeff, star(barred(b1), barred(b2))).scale(Scalar.of(-1))
         assert set(got.terms) <= {kappa}
-        lhs = got.terms.get(kappa, WeylElement.zero(ambient))
+        lhs = got.terms.get(kappa, WeylElement(Poly(), ambient))
         t = lhs.truncation
         assert lhs == want_weyl.restrict(t)
 
@@ -398,6 +399,40 @@ def test_kleinian_theta_cocycles(kleinian, sym1, name):
         if cls[0].moved_rank() == 2:
             gamma = ClassFunction.indicator(group, cls)
             assert verify_cocycle(theta_cocycle(group, sym1, gamma, 2), spec).ok
+
+
+def commutator_terms(group, ambient, g, i, j):
+    """theta(y_i, y_j) - theta(y_j, y_i) for gamma = 1_g, the first-order
+    term of [y_i, y_j] in a * b + nu theta(a, b), as {h: polynomial}."""
+    theta = theta_cocycle(group, ambient, ClassFunction.indicator(group, [g]), 2)
+    y_i, y_j = (SmashElement.embed(WeylElement.generator(k, ambient), group) for k in (i, j))
+    return {h: a.poly for h, a in (theta(y_i, y_j) - theta(y_j, y_i)).terms.items()}
+
+
+@pytest.mark.parametrize("name, pair", [("kappa", (1, 2)), ("kappabar", (3, 4))])
+def test_vasiliev_deformed_oscillators(preset, name, pair):
+    # -g on g's own spinor sector and 0 on the other five pairs: to first
+    # order [y_1, y_2] = 2i(1 + (i nu / 2) kappa), kappa the Klein operator.
+    group, ambient, labels = preset
+    g = labels[name]
+    for i, j in itertools.combinations(range(1, 5), 2):
+        want = {g: Poly.const(-ONE)} if (i, j) == pair else {}
+        assert commutator_terms(group, ambient, g, i, j) == want
+
+
+@pytest.mark.parametrize("name, moved", [("Z2", 1), ("Z3", 2), ("Z4", 3), ("Z6", 5)])
+def test_kleinian_deformed_oscillators(kleinian, sym1, name, moved):
+    # Exactly -det((1 - g)/2) g, one constant term, for each g of moved rank
+    # 2, although theta is a series there; the determinant is computed here,
+    # not read off the package's prefactor.
+    group = (FiniteGroup([GroupElement.identity(2), GroupElement.diagonal([-ONE, -ONE])])
+             if name == "Z2" else kleinian[name])
+    sector = [g for g in group if g.moved_rank() == 2]
+    assert len(sector) == moved
+    for g in sector:
+        one_minus = linalg.mat_sub(linalg.identity(2, ONE, ZERO), g.matrix)
+        det = linalg.mat_det([[c * frac(1, 2) for c in row] for row in one_minus])
+        assert commutator_terms(group, sym1, g, 1, 2) == {g: Poly.const(-det)}
 
 
 @pytest.mark.parametrize("name, order, classes",

@@ -1,24 +1,27 @@
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from weylhh.errors import AmbientMismatchError
 from weylhh.forms import FormElement, form_star
-from weylhh.groups import group_twist
+from weylhh.groups import GroupElement, group_twist, higher_spin_preset, twisted_cycle
 from weylhh.hochschild import (Chain, Cochain, Report, SampleSpec,
                                constant_cochain, hochschild_d, hochschild_d1,
                                hochschild_d2, pair_chain, verify_cocycle,
                                wedge_eval)
 from weylhh.poly import Poly, Z, mono_degree
-from weylhh.sampling import cocycle_tuples, random_form, random_weyl, weyl_tuples
-from weylhh.scalars import Scalar
+from weylhh.sampling import (cocycle_tuples, monomials_upto, random_form, random_weyl,
+                             weyl_tuples)
+from weylhh.scalars import ONE, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, involution, star
 
 from oracles import cochain_ext_d, cochain_s
 
 
-def dual_cochain(sym, arity, fn, label=""):
-    return Cochain(arity, sym, involution, fn, label)
+def dual_cochain(sym, arity, fn):
+    return Cochain(arity, sym, involution, fn)
 
 
 def template_form_cochain(rng, sym, arity):
@@ -149,7 +152,7 @@ def test_wedge_eval_convention(sym1):
 def test_pair_chain_values(sym1):
     from weylhh.ffs import ffs_cocycle
 
-    zero = dual_cochain(sym1, 2, lambda a, b: WeylElement.zero(sym1))
+    zero = dual_cochain(sym1, 2, lambda a, b: WeylElement(Poly(), sym1))
     y1 = WeylElement.generator(1, sym1)
     y2 = WeylElement.generator(2, sym1)
     c2 = Chain([(WeylElement.one(sym1), (y1, y2))])
@@ -158,22 +161,47 @@ def test_pair_chain_values(sym1):
     assert pair_chain(tau, c2) == Scalar.of(Fraction(1, 2))
 
 
-def test_coboundaries_pair_to_zero(sym1, rng):
-    # normalized (2n-1)-cochains have coboundaries invisible to the basis cycle
-    y1 = WeylElement.generator(1, sym1)
-    y2 = WeylElement.generator(2, sym1)
-    c2 = Chain([(WeylElement.one(sym1), (y1, y2))])
-    for _ in range(10):
-        m = random_weyl(rng, sym1, 3)
+def certificate_chain(kind, n):
+    """(ambient, right twist, chain): the volume chain (1, (y_1, ..., y_2n)),
+    or twisted_cycle for -1 or a preset element, with its sector's twist."""
+    sym = SymplecticData.canonical(n)
+    if kind == "volume":
+        gens = tuple(WeylElement.generator(j, sym) for j in range(1, 2 * n + 1))
+        return sym, involution, Chain([(WeylElement.one(sym), gens)])
+    g = GroupElement.diagonal([-ONE, -ONE]) if kind == "-1" else higher_spin_preset()[2][kind]
+    return sym, group_twist(g.matrix), twisted_cycle(sym, g, truncation=8)
 
-        def gamma_fn(a, m=m):
-            # normalized: kill the unit argument before multiplying
-            stripped = WeylElement(a.poly - Poly.const(a.poly.constant_term()),
-                                   sym1)
-            return star(stripped, m)
 
-        gamma = dual_cochain(sym1, 1, gamma_fn)
-        assert pair_chain(hochschild_d(gamma), c2) == Scalar.of(0)
+def stripped_products(rng, sym, arity):
+    """(a_1 - a_1(0)) * ... * (a_p - a_p(0)) * m for a random m."""
+    m = random_weyl(rng, sym, 3)
+    return lambda *args: reduce(star, [WeylElement(a.poly - Poly.const(a.poly.constant_term()),
+                                                   sym) for a in args] + [m])
+
+
+def monomial_maps(rng, sym, arity):
+    """L_1(a_1) * ... * L_p(a_p), each L_k a random linear map on the monomials
+    of degree 1 and 2, zero on the unit and above degree 2."""
+    keys = [k for b in monomials_upto(sym, 2) if b.degree() for k in b.poly.terms]
+    maps = [{k: random_weyl(rng, sym, 2) for k in keys} for _ in range(arity)]
+    return lambda *args: reduce(star, [
+        sum((L[k].scale(c) for k, c in a.poly.terms.items() if k in L), WeylElement(Poly(), sym))
+        for L, a in zip(maps, args)])
+
+
+@pytest.mark.parametrize("kind, n", [("volume", 1), ("volume", 2), ("-1", 1), ("kappa", 2),
+                                     ("kappabar", 2), ("kappakappabar", 2)])
+@pytest.mark.parametrize("family", [stripped_products, monomial_maps])
+def test_coboundaries_pair_to_zero(kind, n, family):
+    # A pairing certifies a cocycle only against a cycle: the coboundary of
+    # every normalized cochain with the chain's twist pairs to zero with it
+    # (kappakappabar is -1 at n = 2).
+    sym, twist, chain = certificate_chain(kind, n)
+    arity = len(chain.terms[0][1]) - 1
+    rng = random.Random(f"{kind} {n} {family.__name__}")
+    for _ in range(3):
+        beta = Cochain(arity, sym, twist, family(rng, sym, arity))
+        assert pair_chain(hochschild_d(beta), chain) == Scalar.of(0)
 
 
 def test_verify_cocycle_on_coboundary(sym1, rng):

@@ -271,9 +271,20 @@ def test_table_fold_without_coefficient(monkeypatch, sym1):
     # degree 3, against ffs_apply on every basis pair.
     assert table_matches_apply(sym1, 3)
     install(monkeypatch, ffs, "monomial_table",
-            "_operator_product(ambient, mono, box, coeff)",
-            "_operator_product(ambient, mono, box)")
+            "_operator_product(ambient, mono, None, coeff)",
+            "_operator_product(ambient, mono, None)")
     assert not table_matches_apply(sym1, 3)
+
+
+def test_unbounded_walk_pruned_to_unit_fields(monkeypatch, sym1):
+    # The unbounded walk pruned to copy fields of at most 1, as if the box
+    # of a need of ones bounded every need: the table loses each term that
+    # pairs with a square, first seen at n = 1 with slot degree 2.
+    assert table_matches_apply(sym1, 2)
+    install(monkeypatch, ffs, "_operator_product", "return p\n",
+            "return Poly({k: c for k, c in p.terms.items() if mono_divides(k, "
+            "index_mask(2 * ambient.n, Y) | (index_mask(8, Y) | index_mask(8, Z)) // 255)})\n")
+    assert not table_matches_apply(sym1, 2)
 
 
 def test_table_value_shared_by_its_keys_alone(monkeypatch, sym1):
