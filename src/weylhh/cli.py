@@ -115,8 +115,9 @@ def _parse_args_payload(obj: dict) -> tuple:
 
 
 def _group_element(labels: dict, name):
-    """The group element a label names; an unknown label is a usage error."""
-    if name not in labels:
+    """The group element a label names; an unknown label, or one that is not
+    a string, is a usage error."""
+    if not isinstance(name, str) or name not in labels:
         raise ValueError(f"unknown group label {name!r}; known labels: "
                          + ", ".join(labels))
     return labels[name]

@@ -41,8 +41,7 @@ from .hochschild import Cochain, Report, constant_cochain, hochschild_d
 from .poly import Poly, Y, Z, mono_divides, mono_factorial
 from .sampling import weyl_tuples
 from .scalars import ONE, Scalar
-from .weyl import (SymplecticData, WeylElement, _min_trunc, _walk, _y_keys,
-                   involution)
+from .weyl import SymplecticData, WeylElement, _min_trunc, _walk, involution
 
 DEFAULT_BUDGET_MARGIN = 4
 
@@ -229,7 +228,7 @@ class SuffixCache:
         self._caps = [(z, self.target + z) for z in z_caps]
         # `_z0_table`'s left factor, read for its support: every monomial up
         # to the head slot's bound.
-        ys = _y_keys(2 * gen.ambient.n)
+        ys = gen.ambient.ykeys
         self._head_left = Poly(
             {sum(c): ONE for c in combinations_with_replacement(ys, bounds[0])})
 

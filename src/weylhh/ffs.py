@@ -47,8 +47,7 @@ exponential series (_exp_coefficient) over integer polynomials keyed by
 exponent tuples (in u_1 .. u_2n, or in t_0, t_1), integrated in closed form
 (the simplex moment, or 1/((a+1)(b+1)) for t_0^a t_1^b over the square), and
 apply them through one evaluator (_evaluate).  Both take their prefactor from
-_det_operator; at n = 1 it is det(pi) / pi^{12} times W_12, the square
-formula's w(p_1, p_2), so the two coincide where det(pi) = 1.
+_det_operator; at n = 1 it is W_12, the square formula's w(p_1, p_2).
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InsufficientExpansionError
 from .hochschild import Cochain
-from .linalg import mat_det, perm_sign
+from .linalg import perm_sign
 from .poly import (Poly, Y, Z, index_mask, mono_degree, mono_divides,
                    mono_factorial, mono_lcm, rename)
 from .scalars import I, ONE, Scalar
@@ -222,14 +221,13 @@ def _sum_monomials(monomials) -> Poly:
 def _det_operator(sym: SymplecticData) -> Poly:
     """det(p_1 .. p_{2n}) as a polynomial in the derivative symbols.
 
-    With p_mu^a = pi^{ab} d/dy_mu^b it is det(pi) times
+    With p_mu^a = pi^{ab} d/dy_mu^b and det(pi) = 1 it is
     sum_sigma sign(sigma) prod_mu d/dy_mu^sigma(mu): one monomial per
     permutation.
     """
-    det = mat_det(sym.pi)
     return _sum_monomials(
         ([_copy_var(mu, k, sym.n) for mu, k in enumerate(perm, start=1)],
-         det if perm_sign(perm) > 0 else -det)
+         ONE if perm_sign(perm) > 0 else -ONE)
         for perm in itertools.permutations(range(1, 2 * sym.n + 1)))
 
 
@@ -314,8 +312,8 @@ def _operator_for(ambient: SymplecticData, mono: WMono,
 
 
 # The package's value memos, which keep results a code change can alter, are
-# _op_cache and these lru_caches (weyl's _y_keys, _foreign and canonical keep
-# constants; tests/test_memos.py checks that no other lru_cache exists).
+# _op_cache and these lru_caches (weyl's SymplecticData.canonical keeps one
+# constant per n; tests/test_memos.py checks that no other lru_cache exists).
 MEMOIZED = (_monos_for, _coefficient, _det_operator, _pair_operator)
 
 

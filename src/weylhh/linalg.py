@@ -2,12 +2,12 @@
 Fraction in the tests' oracles.
 
 Entries only need +, -, *, / and truthiness for the zero test; matrices are
-tuples of tuples and never mutated in place.  Determinant, rank, inverse and
-left null space all read one Gauss-Jordan elimination, row_reduce.  The one
-exception is int_det, the fraction-free (Bareiss) determinant of an integer
-matrix.  It stays apart because its divisions are exact and it never leaves
-the integers: simplex.tid_check needs only the signs of determinants, and there
-field arithmetic would cost more than the elimination itself.
+tuples of tuples and never mutated in place.  Rank, inverse and left null
+space all read one Gauss-Jordan elimination, row_reduce, which keeps no
+determinant.  The one determinant is int_det, the fraction-free (Bareiss)
+determinant of an integer matrix: its divisions are exact and it never leaves
+the integers, and simplex.tid_check needs only the signs of determinants,
+where field arithmetic would cost more than the elimination itself.
 """
 
 from __future__ import annotations
@@ -55,27 +55,23 @@ def row_reduce(a, width=None):
     """Gauss-Jordan elimination on the first width columns (all by default).
 
     Columns past width (an augmented right side) are carried along.  Returns
-    (rows, rank, det): the reduced rows, whose first rank rows each hold a
-    pivot 1 with its column zero in every other row; the rank; and, for a
-    square leading block, its determinant (zero when singular).
+    (rows, rank): the reduced rows, whose first rank rows each hold a pivot 1
+    with its column zero in every other row, and the rank.
     """
     rows = [list(r) for r in a]
     if not rows:
-        return rows, 0, None
+        return rows, 0
     n_rows = len(rows)
     width = len(rows[0]) if width is None else width
-    rank = swaps = 0
-    det = None
+    rank = 0
     for col in range(width):
         pivot_row = next((r for r in range(rank, n_rows) if rows[r][col]), None)
         if pivot_row is None:
             continue
         if pivot_row != rank:
             rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            swaps += 1
         prow = rows[rank]
         pivot = prow[col]
-        det = pivot if det is None else det * pivot
         tail = prow[col:] = [x / pivot for x in prow[col:]]
         for r, row in enumerate(rows):
             factor = row[col]
@@ -84,9 +80,7 @@ def row_reduce(a, width=None):
         rank += 1
         if rank == n_rows:
             break
-    if rank < width:
-        return rows, rank, rows[0][0] - rows[0][0]
-    return rows, rank, -det if swaps % 2 else det
+    return rows, rank
 
 
 def int_det(a) -> int:
@@ -116,10 +110,6 @@ def int_det(a) -> int:
     return sign * rows[-1][-1] if n else 1
 
 
-def mat_det(a):
-    return row_reduce(a)[2]
-
-
 def mat_rank(a) -> int:
     return row_reduce(a)[1]
 
@@ -128,7 +118,7 @@ def mat_inverse(a, one, zero) -> tuple:
     """Inverse of a square matrix; raises ZeroDivisionError when singular."""
     n = len(a)
     augmented = [list(r) + list(e) for r, e in zip(a, identity(n, one, zero))]
-    rows, rank, _ = row_reduce(augmented, n)
+    rows, rank = row_reduce(augmented, n)
     if rank < n:
         raise ZeroDivisionError("singular matrix")
     return tuple(tuple(r[n:]) for r in rows)
@@ -138,7 +128,7 @@ def left_null_space(a, one, zero) -> tuple:
     """Rows spanning {x : x a = 0}: those of row_reduce([a | 1]) past the rank."""
     width = len(a[0])
     augmented = [list(r) + list(e) for r, e in zip(a, identity(len(a), one, zero))]
-    rows, rank, _ = row_reduce(augmented, width)
+    rows, rank = row_reduce(augmented, width)
     return tuple(tuple(r[width:]) for r in rows[rank:])
 
 

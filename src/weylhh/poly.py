@@ -310,20 +310,17 @@ class Poly:
                 out[m - unit] = c if e == 1 else c.scale_fraction(e)
         return Poly(out)
 
-    def directional_diff(self, direction: Iterable[Tuple[str, int, Scalar]],
+    def directional_diff(self, index: int, banks: Sequence[str],
                          caps: Optional[Tuple[int, int]] = None) -> "Poly":
-        """sum c d/dv self over the (bank, index, c) of direction, in one pass.
+        """sum d/dv self over the variables v at index in each of banks, in
+        one pass.
 
         With caps = (z_cap, total_cap) only the output terms of Z-degree
         <= z_cap and total degree <= total_cap are made: a derivative lowers
         a term's total degree by one, and its Z-degree by one exactly when v
         is a Z variable.
         """
-        # A Scalar is the triple (re_num, im_num, den): a real c scales by
-        # re_num * exponent / den without a Scalar product, and only a
-        # non-real c is multiplied in.
-        parts = [(_offset(bank, index), bank == Z, c[0], c[2], c if c[1] else None)
-                 for bank, index, c in direction if c]
+        parts = [(_offset(bank, index), bank == Z) for bank in banks]
         out: Dict[int, Scalar] = {}
         for m, cm in self.terms.items():
             # need: how many Z's this term's derivative must drop to fit z_cap.
@@ -333,12 +330,11 @@ class Poly:
                 need = sum(b[1::2]) - caps[0]
                 if need > 1 or sum(b) > caps[1] + 1:
                     continue
-            for off, in_z, num, den, c in parts:
+            for off, in_z in parts:
                 e = (m >> off) & MAX_EXPONENT
                 if not e or in_z < need:
                     continue
-                d = (cm.scale_fraction(num * e, den) if c is None
-                     else (cm * c).scale_fraction(e))
+                d = cm if e == 1 else cm.scale_fraction(e)
                 k = m - (1 << off)
                 s = out.get(k)
                 if s is None:

@@ -1,9 +1,11 @@
 """The Weyl algebra: its ambient, the star product, involution, supertrace
 and the bilinear form built from it.
 
-The ambient (SymplecticData) is one datum, a nondegenerate antisymmetric
-bivector pi; n and the two-form omega = pi^-1 are read off it.  Elements are
-polynomials in the Y bank under the exponential-bidifferential star product
+The ambient (SymplecticData) is one datum per n: the canonical bivector pi,
+with pi^{2k-1,2k} = 1 = -pi^{2k,2k-1}, and the two-form omega = pi^-1 = -pi.
+Every other symplectic form is a linear change of generators (apply_matrix),
+so it adds no cocycle, class or pairing.  Elements are polynomials in the Y
+bank under the exponential-bidifferential star product
 
     a * b = a exp( i <-d_j  pi^{jk} ->d_k ) b ,
 
@@ -20,7 +22,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from . import linalg
 from .errors import AmbientMismatchError, BudgetError
 from .poly import MAX_INDEX, Poly, Y, Z, _offset, index_mask, mono_degree
 from .scalars import I, ONE, ZERO, Scalar
@@ -28,54 +29,37 @@ from .scalars import I, ONE, ZERO, Scalar
 Matrix = Tuple[Tuple[Scalar, ...], ...]
 
 
-@lru_cache(maxsize=None)
-def _y_keys(size: int) -> Tuple[int, ...]:
-    """The key of y_j at index j, for j <= size (0 at index 0)."""
-    return (0,) + tuple(1 << _offset(Y, j) for j in range(1, size + 1))
-
-
 class SymplecticData:
-    """The bivector pi, with n and the two-form omega = pi^-1 (omega . pi = 1)
-    read off it.  The one constructor refuses a pi that is not 2n x 2n, not
-    antisymmetric or singular.  Equality and hashing read pi alone."""
+    """The canonical ambient of rank n: pi, omega = -pi, the key of y_j at
+    index j of ykeys (0 at index 0), and the bits foreign to it, all but
+    y_1 .. y_2n.  Equality and hashing read n."""
 
-    __slots__ = ("pi", "n", "omega")
+    __slots__ = ("n", "pi", "omega", "ykeys", "foreign")
 
-    def __init__(self, pi):
-        pi = linalg.mat_from_rows(pi)
-        size = len(pi)
-        if size % 2 or any(len(r) != size for r in pi):
-            raise ValueError("pi must be 2n x 2n")
-        if any(pi[i][j] != -pi[j][i] for i in range(size) for j in range(i, size)):
-            raise ValueError("pi must be antisymmetric")
-        try:
-            omega = linalg.mat_inverse(pi, ONE, ZERO)
-        except ZeroDivisionError:
-            raise ValueError("pi must be nondegenerate") from None
-        self.pi, self.n, self.omega = pi, size // 2, omega
+    def __init__(self, n: int):
+        size = 2 * n
+        self.n = n
+        self.ykeys = (0,) + tuple(1 << _offset(Y, j) for j in range(1, size + 1))
+        self.foreign = ~index_mask(size, Y)
+        # Row j's one entry sits at its partner j ^ 1 (0-based): + for the
+        # first of a pair, - for the second.
+        self.pi = tuple(tuple((-ONE if j % 2 else ONE) if k == j ^ 1 else ZERO
+                              for k in range(size)) for j in range(size))
+        self.omega = tuple(tuple(-c for c in row) for row in self.pi)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or self.pi == other.pi
+        return self is other or self.n == other.n
 
     def __hash__(self):
-        return hash(self.pi)
+        return hash(self.n)
 
     @staticmethod
     @lru_cache(maxsize=None)
     def canonical(n: int) -> "SymplecticData":
-        """Block form pi^{2k-1,2k} = 1 = -pi^{2k,2k-1}; a constant per n."""
-        pi = [[ZERO] * (2 * n) for _ in range(2 * n)]
-        for k in range(n):
-            pi[2 * k][2 * k + 1], pi[2 * k + 1][2 * k] = ONE, -ONE
-        return SymplecticData(pi)
-
-
-@lru_cache(maxsize=None)
-def _foreign(n: int) -> int:
-    """The bits no key of a Weyl element over n may set: all but y_1 .. y_2n."""
-    return ~index_mask(2 * n, Y)
+        """The ambient of rank n; a constant per n."""
+        return SymplecticData(n)
 
 
 class WeylElement:
@@ -89,7 +73,7 @@ class WeylElement:
 
     def __init__(self, poly: Poly, ambient: SymplecticData,
                  truncation: Optional[int] = None):
-        foreign = _foreign(ambient.n)
+        foreign = ambient.foreign
         if any(m & foreign for m in poly.terms):
             if poly.has_bank(Z):
                 raise ValueError("WeylElement must involve only Y-bank variables")
@@ -229,10 +213,11 @@ def star(a: WeylElement, b: WeylElement) -> WeylElement:
 def _walk(p: Poly, q: Poly, sym: SymplecticData,
           caps: Optional[Tuple[int, int]] = None):
     """The star expansion of p against q, one multi-index gamma at a time:
-    yields the key of y^gamma, d_y^gamma p, (pi D)^gamma q and i^|gamma| /
-    gamma!, whose products sum to p * q, and whether d_y^gamma p mixes
-    degrees under a cut (below).  D acts in Y, and in Z when q has Z
-    variables.  The gammas form a tree, pruned as soon as either side dies.
+    yields the key of y^gamma, d_y^gamma p, the unsigned right derivative
+    and the coefficient whose product is i^|gamma| / gamma! (pi D)^gamma q,
+    the products summing to p * q, and whether d_y^gamma p mixes degrees
+    under a cut (below).  D acts in Y, and in Z when q has Z variables.  The
+    gammas form a tree, pruned as soon as either side dies.
 
     With caps = (z_cap, total_cap) and p without Z, only what can make a
     term of Z-degree <= z_cap and total degree <= total_cap is kept.  Below
@@ -248,11 +233,8 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
     """
     if p.is_zero() or q.is_zero():
         return
-    ykeys = _y_keys(2 * sym.n)
+    ykeys = sym.ykeys
     banks = (Y, Z) if q.has_bank(Z) else (Y,)
-    # Row j of pi D, sum_k pi^{jk} D_k, as a Poly.directional_diff direction.
-    rows = [[(bank, k, c) for k, c in enumerate(row, 1) for bank in banks]
-            for row in sym.pi]
     # Per node: the degrees of its left factor, or None for no cut.
     degrees = None if caps is None else set(map(mono_degree, p.terms))
     stack = [(1, 0, p, q, ONE, degrees)]
@@ -262,6 +244,9 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
         if cut:
             yield key, dp, cut, coeff, degrees is not None and len(degrees) > 1
         for j in range(j0, len(ykeys)):
+            # Row j of pi D is +-D at j's partner in its pair (2k - 1, 2k),
+            # + for odd j; the sign goes into the node coefficient.
+            partner = j + 1 if j % 2 else j - 1
             ck, cp, cq, cc = key, dp, dq, coeff
             order = 0
             while True:
@@ -269,18 +254,18 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
                 if cp.is_zero():
                     break
                 if caps is None:
-                    cq = cq.directional_diff(rows[j - 1])
+                    cq = cq.directional_diff(partner, banks)
                 else:
                     degrees = set(map(mono_degree, cp.terms))
                     slack = max(degrees)
-                    cq = cq.directional_diff(rows[j - 1],
+                    cq = cq.directional_diff(partner, banks,
                                              (caps[0] + slack, caps[1] + slack))
                     degrees = degrees if slack else None
                 if cq.is_zero():
                     break
                 order += 1
                 ck += ykeys[j]
-                cc = (cc * I).scale_fraction(1, order)
+                cc = (cc * (I if j % 2 else -I)).scale_fraction(1, order)
                 stack.append((j + 1, ck, cp, cq, cc, degrees))
 
 

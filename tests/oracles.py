@@ -10,6 +10,7 @@ anticommute with d2.  Value-level operators (used by the descent
 construction) are the undressed ones from the forms module.
 """
 
+import itertools
 from fractions import Fraction
 
 from weylhh import ffs, forms, groups, linalg, simplex
@@ -29,6 +30,35 @@ def delta(points):
 def as_coboundary(phi, points):
     """Alternating sum of the integer-valued phi over the facets of the points."""
     return sum((-1) ** k * phi(*(points[:k] + points[k + 1:])) for k in range(len(points)))
+
+
+def cycle_sign(perm):
+    """(-1)^(n - number of cycles), counted by walking each cycle."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def leibniz_det(a):
+    """The determinant of a square matrix over any exact field, as the signed
+    sum of its n! permutation products."""
+    n = len(a)
+    total = None
+    for perm in itertools.permutations(range(n)):
+        term = a[0][perm[0]]
+        for i in range(1, n):
+            term = term * a[i][perm[i]]
+        if cycle_sign(perm) < 0:
+            term = -term
+        total = term if total is None else total + term
+    return total
 
 
 def random_symplectic(rng, dim):
@@ -132,3 +162,14 @@ def conjugate_cochain(group, f, h):
         return group.act(h, f(*(group.act(hinv, a) for a in args)))
 
     return Cochain(f.arity, f.ambient, f.twist, ev)
+
+
+def commutator_terms(group, ambient, members, i, j):
+    """theta(y_i, y_j) - theta(y_j, y_i) for gamma the indicator of members,
+    the first-order term of [y_i, y_j] in a * b + nu theta(a, b), as
+    {h: polynomial}; theta is read off groups at call time."""
+    gamma = groups.ClassFunction.indicator(group, members)
+    theta = groups.theta_cocycle(group, ambient, gamma, 2)
+    y_i, y_j = (groups.SmashElement.embed(WeylElement.generator(k, ambient), group)
+                for k in (i, j))
+    return {h: a.poly for h, a in (theta(y_i, y_j) - theta(y_j, y_i)).terms.items()}

@@ -1,9 +1,11 @@
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -398,6 +400,17 @@ def test_descent_twist_names_unknown_label(capsys):
     assert capsys.readouterr().err == f"error: unknown group label 'zzz'; {KNOWN_LABELS}\n"
 
 
+def test_descent_twist_element_that_is_no_label_exits_2(capsys):
+    # A list or object names no label: a usage error, not an unhashable-key
+    # crash (exit 4).
+    for element in (["kappa"], {"kappa": 1}):
+        code = main(["descent", "eval", "--args", json.dumps({"n": 2, "args": [Y1] * 4}),
+                     "--twist", json.dumps({"preset": "higher-spin-4d", "element": element})])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown group label {element!r}; {KNOWN_LABELS}\n")
+
+
 @pytest.mark.parametrize("gamma", [{"kappa": 1},
                                    {"kappa": {"re": ["1", "1"], "im": ["0", "1"]}}])
 def test_smash_theta_gamma_scalar_forms(capsys, gamma):
@@ -504,3 +517,105 @@ def test_readme_command_lines_parse():
         argv = shlex.split(line)
         assert argv[0] == "weylhh"
         build_parser().parse_args(argv[1:])
+
+
+# -- the JSON boundary as a property -------------------------------------------
+
+GOLDEN_PAYLOADS = os.path.join(os.path.dirname(__file__), "golden", "payloads")
+JUNK = [None, True, 0, -1, 256, 513, 10**30, "x", "1/2", 1.5, [], {},
+        ["Y", 1], ["W", 1, 1], ["Y", 0, 1]]
+
+
+def _nodes(obj, path=()):
+    """Every path into a JSON value, the root first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _mutate(rng, obj):
+    """A copy of obj with one node replaced by junk, deleted, or (a list
+    entry) duplicated."""
+    obj = json.loads(json.dumps(obj))
+    path = rng.choice(list(_nodes(obj)))
+    junk = json.loads(json.dumps(rng.choice(JUNK)))
+    if not path:
+        return junk
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    kind = rng.randrange(3)
+    if kind == 0:
+        parent[key] = junk
+    elif kind == 1:
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, parent[key])
+    else:
+        parent[key] = [parent[key], parent[key]]
+    return obj
+
+
+def _load_payload(name):
+    with open(os.path.join(GOLDEN_PAYLOADS, name)) as fh:
+        return json.load(fh)
+
+
+# (argv with one "{}" slot, the JSON value mutated into it): each golden
+# payload in its command, and each spec flag around an unmutated payload.
+BOUNDARY_CASES = [
+    (["star", "{}"], "star.json"),
+    (["ffs", "eval", "--args", "{}"], "ffs_args.json"),
+    (["descent", "eval", "--args", "{}", "--budget", "auto"], "descent_args.json"),
+    (["smash", "theta", "--group", PRESET, "--gamma", json.dumps({"kappa": "1"}),
+      "--args", "{}", "--degree", "2"], "smash_args.json"),
+    (["smash", "dims", "--group", "{}"], {"preset": "higher-spin-4d"}),
+    (["smash", "theta", "--group", "{}", "--gamma", json.dumps({"kappa": "1"}),
+      "--args", os.path.join(GOLDEN_PAYLOADS, "smash_args.json"), "--degree", "2"],
+     {"preset": "higher-spin-4d"}),
+    (["smash", "theta", "--group", PRESET, "--gamma", "{}",
+      "--args", os.path.join(GOLDEN_PAYLOADS, "smash_args.json"), "--degree", "2"],
+     {"kappa": "1", "S": "1/2"}),
+    (["descent", "eval", "--args", os.path.join(GOLDEN_PAYLOADS, "descent_args.json"),
+      "--twist", "{}", "--budget", "auto"], {"diag": ["-1", "-1"]}),
+    (["descent", "eval", "--args", json.dumps({"n": 2, "args": [Y1, Y2, Y1, Y2]}),
+      "--twist", "{}", "--budget", "auto"], {"preset": "higher-spin-4d", "element": "kappa"}),
+]
+
+
+def test_json_boundary_exits_0_or_2(capsys):
+    # Every mutation of a golden payload or spec is run or refused: exit 0,
+    # or exit 2 with a one-line message and no traceback (3 only where the
+    # command takes --budget), each within a time cap.  Each payload also
+    # meets every junk "n", and a payload without an int n in 1..256 is
+    # refused for its n before anything is built over it.
+    rng = random.Random(48)
+    calls = []
+    for argv, source in BOUNDARY_CASES:
+        payload = isinstance(source, str)
+        value = _load_payload(source) if payload else source
+        if payload:
+            calls += [(argv, True, dict(value, n=junk)) for junk in JUNK]
+        calls += [(argv, payload, _mutate(rng, value)) for _ in range(24)]
+    codes = []
+    for argv, payload, value in calls:
+        call = [json.dumps(value) if a == "{}" else a for a in argv]
+        start = time.perf_counter()
+        try:
+            code = main(call)
+        except SystemExit as exc:
+            code = exc.code
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in ({0, 2, 3} if "--budget" in argv else {0, 2}), (call, err)
+        assert elapsed < 0.5, (call, elapsed)
+        if code == 2:
+            assert err.count("\n") == 1 and "Traceback" not in err, (call, err)
+        n = value.get("n") if isinstance(value, dict) else None
+        if payload and isinstance(value, dict) and not (type(n) is int and 1 <= n <= 256):
+            assert code == 2 and "n must be an integer in 1..256" in err, (call, err)
+        codes.append(code)
+    assert codes.count(0) and codes.count(2)

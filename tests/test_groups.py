@@ -17,7 +17,8 @@ from weylhh.sampling import random_smash, random_weyl
 from weylhh.scalars import I, ONE, ZERO, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, star
 
-from oracles import conjugate_by, conjugate_cochain, theta_equation_defects
+from oracles import (commutator_terms, conjugate_by, conjugate_cochain, leibniz_det,
+                     theta_equation_defects)
 
 
 def frac(a, b):
@@ -401,14 +402,6 @@ def test_kleinian_theta_cocycles(kleinian, sym1, name):
             assert verify_cocycle(theta_cocycle(group, sym1, gamma, 2), spec).ok
 
 
-def commutator_terms(group, ambient, g, i, j):
-    """theta(y_i, y_j) - theta(y_j, y_i) for gamma = 1_g, the first-order
-    term of [y_i, y_j] in a * b + nu theta(a, b), as {h: polynomial}."""
-    theta = theta_cocycle(group, ambient, ClassFunction.indicator(group, [g]), 2)
-    y_i, y_j = (SmashElement.embed(WeylElement.generator(k, ambient), group) for k in (i, j))
-    return {h: a.poly for h, a in (theta(y_i, y_j) - theta(y_j, y_i)).terms.items()}
-
-
 @pytest.mark.parametrize("name, pair", [("kappa", (1, 2)), ("kappabar", (3, 4))])
 def test_vasiliev_deformed_oscillators(preset, name, pair):
     # -g on g's own spinor sector and 0 on the other five pairs: to first
@@ -417,22 +410,30 @@ def test_vasiliev_deformed_oscillators(preset, name, pair):
     g = labels[name]
     for i, j in itertools.combinations(range(1, 5), 2):
         want = {g: Poly.const(-ONE)} if (i, j) == pair else {}
-        assert commutator_terms(group, ambient, g, i, j) == want
+        assert commutator_terms(group, ambient, [g], i, j) == want
 
 
-@pytest.mark.parametrize("name, moved", [("Z2", 1), ("Z3", 2), ("Z4", 3), ("Z6", 5)])
+@pytest.mark.parametrize("name, moved", [("Z2", 1), ("Z3", 2), ("Z4", 3), ("Z6", 5),
+                                         ("Q8", 7)])
 def test_kleinian_deformed_oscillators(kleinian, sym1, name, moved):
-    # Exactly -det((1 - g)/2) g, one constant term, for each g of moved rank
-    # 2, although theta is a series there; the determinant is computed here,
-    # not read off the package's prefactor.
+    # Exactly -det((1 - g)/2) g for each g of a class of moved rank 2, one
+    # constant term each, although theta is a series there; the determinant
+    # is the oracle's, not read off the package's prefactor.  In Q8 the
+    # classes {i, -i}, {j, -j} and {k, -k} give -1/2 on each member, and
+    # {-1} gives -1.
     group = (FiniteGroup([GroupElement.identity(2), GroupElement.diagonal([-ONE, -ONE])])
              if name == "Z2" else kleinian[name])
-    sector = [g for g in group if g.moved_rank() == 2]
-    assert len(sector) == moved
-    for g in sector:
-        one_minus = linalg.mat_sub(linalg.identity(2, ONE, ZERO), g.matrix)
-        det = linalg.mat_det([[c * frac(1, 2) for c in row] for row in one_minus])
-        assert commutator_terms(group, sym1, g, 1, 2) == {g: Poly.const(-det)}
+    classes = [cls for cls in group.conjugacy_classes() if cls[0].moved_rank() == 2]
+    assert sum(map(len, classes)) == moved
+    for cls in classes:
+        want = {}
+        for g in cls:
+            one_minus = linalg.mat_sub(linalg.identity(2, ONE, ZERO), g.matrix)
+            det = leibniz_det([[c * frac(1, 2) for c in row] for row in one_minus])
+            if name == "Q8":
+                assert det == (ONE if len(cls) == 1 else frac(1, 2))
+            want[g] = Poly.const(-det)
+        assert commutator_terms(group, sym1, cls, 1, 2) == want
 
 
 @pytest.mark.parametrize("name, order, classes",

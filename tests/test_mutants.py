@@ -33,7 +33,7 @@ from weylhh.sampling import monomials_upto
 from weylhh.scalars import ONE, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, involution, star
 
-from oracles import delta, theta_equation_defects
+from oracles import commutator_terms, delta, theta_equation_defects
 
 
 def install(monkeypatch, module, name, old, new, owner=None, also=()):
@@ -143,8 +143,8 @@ def derivative_work(sym):
     real = Poly.directional_diff
     counts = [0, 0]
 
-    def counted(self, direction, caps=None):
-        out = real(self, direction, caps)
+    def counted(self, *args):
+        out = real(self, *args)
         counts[0] += 1
         counts[1] += len(out.terms)
         return out
@@ -251,18 +251,16 @@ def test_pair_factor_without_power(monkeypatch, sym1):
     assert not routes_agree(sym1, a, b)
 
 
-def test_det_operator_without_det_pi(monkeypatch):
-    # The determinant operator without its det(pi) factor.  Every canonical
-    # ambient has det(pi) = 1, so only a rescaled bivector shows it: with
-    # pi^{12} = 2 (det 4) both routes give 2 on (y1, y2).
-    skew = SymplecticData([[Scalar.of(0), Scalar.of(2)],
-                           [Scalar.of(-2), Scalar.of(0)]])
-    a, b = y(skew, 1), y(skew, 0, 1)
-    assert routes_agree(skew, a, b)
-    assert descend(make_zeta(skew), [a, b]).poly == Poly.const(Scalar.of(2))
-    install(monkeypatch, ffs, "_det_operator", "det = mat_det(sym.pi)",
-            "det = Scalar.of(1)")
-    assert not routes_agree(skew, a, b)
+def test_det_operator_without_det_pi(monkeypatch, sym1):
+    # det(pi) = 1 leaves each permutation's sign as its coefficient; every
+    # sign +1 turns the determinant into the permanent.  (y1, y2) reads only
+    # the identity permutation and agrees; (y2, y1) reads the odd one.
+    a, b = y(sym1, 1), y(sym1, 0, 1)
+    assert routes_agree(sym1, a, b) and routes_agree(sym1, b, a)
+    install(monkeypatch, ffs, "_det_operator", "ONE if perm_sign(perm) > 0 else -ONE",
+            "ONE")
+    assert routes_agree(sym1, a, b)
+    assert not routes_agree(sym1, b, a)
 
 
 def test_table_fold_without_coefficient(monkeypatch, sym1):
@@ -324,7 +322,8 @@ def test_star_coefficient_without_factorial(monkeypatch, sym1):
     # total degree 4.
     a, b, c = y(sym1, 2), y(sym1, 0, 1), y(sym1, 0, 1)
     assert associative(a, b, c)
-    install(monkeypatch, weyl, "_walk", "(cc * I).scale_fraction(1, order)", "cc * I")
+    install(monkeypatch, weyl, "_walk", "(cc * (I if j % 2 else -I)).scale_fraction(1, order)",
+            "cc * (I if j % 2 else -I)")
     assert not associative(a, b, c)
 
 
@@ -491,6 +490,21 @@ def test_theta_group_part_order_swapped(monkeypatch, kleinian):
     assert theta_cocycles_hold(kleinian["Z6"]) and theta_cocycles_hold(preset)
 
 
+def test_theta_scaled_by_gamma_of_inverse(monkeypatch, kleinian, sym1):
+    # Sector g scaled by gamma(g^-1) for gamma(g): equal wherever g = g^-1,
+    # as on the preset, and for every class function of Q8, whose classes
+    # hold each element's inverse.  On Z3 the indicator of g then scales g's
+    # sector by 0, a cocycle still, so only the commutator pin shows it.
+    group = kleinian["Z3"]
+    g = next(h for h in group if h.moved_rank() == 2)
+    want = {g: Poly.const(Scalar.rational(-3, 4))}
+    assert commutator_terms(group, sym1, [g], 1, 2) == want
+    install(monkeypatch, groups, "theta_cocycle", "tau(*twisted).scale(gamma(g))",
+            "tau(*twisted).scale(gamma(group.inverse(g)))")
+    assert theta_cocycles_hold(group)
+    assert commutator_terms(group, sym1, [g], 1, 2) != want
+
+
 def test_theta_exponent_q_index(monkeypatch):
     # The exponent w(y, A^-1 y) read with A^-1 transposed, which swaps the
     # index each entry pairs: a symmetric A^-1, as for every diagonal g and
@@ -610,11 +624,11 @@ def test_d2_without_twist(monkeypatch, sym1):
 
 
 def test_star_kernel_without_z_derivative(monkeypatch, sym1):
-    # Rows of pi D that skip the Z bank turn the shifted form product into
-    # the plain one, so the descent value no longer matches the symbol.
+    # Right derivatives that skip the Z bank turn the shifted form product
+    # into the plain one, so the descent value no longer matches the symbol.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    install(monkeypatch, weyl, "_walk", "for bank in banks", "for bank in banks[:1]",
+    install(monkeypatch, weyl, "_walk", "banks = (Y, Z) if", "banks = (Y,) if",
             also=(descent,))
     assert not routes_agree(sym1, a, b)
 
@@ -661,8 +675,8 @@ def test_z0_table_without_factorial(monkeypatch, sym1):
     # entry on, which a head of degree 2 reads.
     a, b = y(sym1, 2), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    install(monkeypatch, weyl, "_walk",
-            "(cc * I).scale_fraction(1, order)", "cc * I", owner=descent)
+    install(monkeypatch, weyl, "_walk", "(cc * (I if j % 2 else -I)).scale_fraction(1, order)",
+            "cc * (I if j % 2 else -I)", owner=descent)
     assert not routes_agree(sym1, a, b)
 
 

@@ -91,7 +91,10 @@ def test_diff_returns_canonical_monomials(terms, var):
 
 def test_degree_queries():
     p = Poly.monomial([(Y, 1, 2), (Z, 3, 1)]) + Poly.monomial([(Z, 1, 5)])
-    assert p.degree() == 5
+    assert p.degree() == 5 and Poly().degree() == 0
+    # truncate keeps the terms of degree <= its bound, and self when all are.
+    assert p.truncate(3) == Poly.monomial([(Y, 1, 2), (Z, 3, 1)])
+    assert p.truncate(5) is p and p.truncate(None) is p and not p.truncate(2)
     assert p.has_bank(Z) and not Poly.monomial([(Y, 1, 2)]).has_bank(Z)
 
 
@@ -123,6 +126,11 @@ def test_json_shape_matches_contract():
         "coeff": {"re": ["1", "2"], "im": ["1", "1"]},
         "exps": [["Y", 1, 2], ["Z", 3, 1]],
     }]}
+    # Terms in graded-lex order: by degree, then Y before Z, then index.
+    terms = (Poly.variable(Z, 1) + Poly.variable(Y, 2) + y(1, 2)).to_json()["terms"]
+    assert [t["exps"] for t in terms] == [[["Y", 2, 1]], [["Z", 1, 1]], [["Y", 1, 2]]]
+    assert str(p + Poly.monomial([(Y, 2, 1)], Scalar.of(0, -1)) + Poly.one()) == (
+        "(1) + (-1i)y2 + (1/2+1i)y1^2z3")
 
 
 def test_no_zero_terms_stored():
@@ -214,6 +222,9 @@ def test_product_up_to_255_fits():
 def test_rename_past_last_index_is_refused():
     key = next(iter(y(MAX_INDEX).terms))
     assert rename(key, Y, Z, 0) == next(iter(Poly.variable(Z, MAX_INDEX).terms))
+    # The last field's top bit is the key's last bit, and still inside it.
+    top = next(iter(Poly.monomial([(Y, MAX_INDEX, 255)]).terms))
+    assert rename(top, Y, Z, 0) == next(iter(Poly.monomial([(Z, MAX_INDEX, 255)]).terms))
     with pytest.raises(ValueError, match=f"renamed past {MAX_INDEX}"):
         rename(key, Y, Y, 1)
 

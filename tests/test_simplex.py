@@ -7,7 +7,7 @@ from weylhh import linalg
 from weylhh.errors import DegenerateSimplexError, NonGenericConfigError
 from weylhh.simplex import fuzz, random_config, tid_check
 
-from oracles import as_coboundary, delta, random_symplectic, standard_form
+from oracles import as_coboundary, delta, leibniz_det, random_symplectic, standard_form
 
 F = Fraction
 
@@ -29,12 +29,13 @@ def test_degenerate_and_boundary_are_errors():
 
 
 def reference_delta(points):
-    """delta by one Fraction elimination of [points as columns; ones | e_last]:
-    the barycentric coordinates of the origin, and det M for the sign."""
+    """delta by one Fraction elimination of [points as columns; ones | e_last]
+    for the barycentric coordinates of the origin, and det M by Leibniz's
+    formula for the sign."""
     dim = len(points[0])
     rows = [[p[i] for p in points] + [F(0)] for i in range(dim)]
     rows.append([F(1)] * (dim + 2))
-    reduced, rank, det = linalg.row_reduce(rows, dim + 1)
+    reduced, rank = linalg.row_reduce(rows, dim + 1)
     if rank <= dim:
         raise DegenerateSimplexError("degenerate simplex")
     bary = [r[-1] for r in reduced]
@@ -42,7 +43,7 @@ def reference_delta(points):
         raise DegenerateSimplexError("origin lies on a facet")
     if any(b < 0 for b in bary):
         return 0
-    sign = 1 if det > 0 else -1
+    sign = 1 if leibniz_det([r[:dim + 1] for r in rows]) > 0 else -1
     return -sign if dim % 2 else sign
 
 
