@@ -198,7 +198,8 @@ class SuffixCache:
     that table of y-polynomials with their coefficients, keyed by y^gamma,
     so a head costs one product per entry dividing one of its monomials and
     no star kernel.  Only the table reads the longest suffixes' s(tail), so
-    those are not kept in `_cache`.
+    those are not kept in `_cache`.  A zero value is the cache's one zero
+    element, built once through the checked constructor like every other.
     """
 
     def __init__(self, gen: GaussianGenerator, budget: int,
@@ -231,6 +232,7 @@ class SuffixCache:
         ys = gen.ambient.ykeys
         self._head_left = Poly(
             {sum(c): ONE for c in combinations_with_replacement(ys, bounds[0])})
+        self._zero = WeylElement(Poly(), gen.ambient, self.target)
 
     def _check_slot(self, k: int, arg: WeylElement) -> None:
         if arg.degree() > self.bounds[k]:
@@ -271,6 +273,8 @@ class SuffixCache:
             # Only the table reads this suffix's s(tail), so it is not cached.
             table = self._z0_table(self._contract(rest).component(()))
             self._final[key] = table
+        if not table:
+            return self._zero
         # The head's products, summed into one term map; no term above the
         # target degree is made.
         out: Dict[int, Scalar] = {}
@@ -282,6 +286,8 @@ class SuffixCache:
                     top = top or mono_factorial(m)
                     d = c.scale_fraction(top // mono_factorial(m - g))
                     Poly({m - g: d}).mul_into(r, out, (0, self.target))
+        if not out:
+            return self._zero
         return WeylElement(Poly(out), self.gen.ambient, self.target)
 
     def _z0_table(self, f: Poly) -> Dict[int, Poly]:
@@ -312,7 +318,7 @@ def build_trace(gen: GaussianGenerator, budget: int) -> DescentTrace:
     return DescentTrace(gen, budget, xis, cocycle)
 
 
-def verify_descent(trace: DescentTrace, seed: int = 0, count: int = 3,
+def verify_descent(trace: DescentTrace, seed: int, count: int = 3,
                    max_degree: int = 1) -> Report:
     """Replay the descent identities on sampled arguments, exactly to budget."""
     gen = trace.generator

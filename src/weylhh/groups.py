@@ -130,6 +130,8 @@ class FiniteGroup:
 
     def __init__(self, elements: Sequence[GroupElement]):
         self.elements = list(elements)
+        for g in self.elements:
+            g.check_symplectic(SymplecticData.canonical(g.size // 2))
         self._by_matrix = {g.matrix: g for g in self.elements}
         if len(self._by_matrix) != len(self.elements):
             raise ValueError("duplicate group elements")

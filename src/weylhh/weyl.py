@@ -41,11 +41,16 @@ class SymplecticData:
         self.n = n
         self.ykeys = (0,) + tuple(1 << _offset(Y, j) for j in range(1, size + 1))
         self.foreign = ~index_mask(size, Y)
-        # Row j's one entry sits at its partner j ^ 1 (0-based): + for the
-        # first of a pair, - for the second.
-        self.pi = tuple(tuple((-ONE if j % 2 else ONE) if k == j ^ 1 else ZERO
-                              for k in range(size)) for j in range(size))
-        self.omega = tuple(tuple(-c for c in row) for row in self.pi)
+        # Row j's one entry sits at its partner j ^ 1 (0-based): in pi, + for
+        # the first of a pair and - for the second; omega's is its negative.
+        pi, omega = [], []
+        for j in range(size):
+            row = [ZERO] * size
+            row[j ^ 1] = -ONE if j % 2 else ONE
+            pi.append(tuple(row))
+            row[j ^ 1] = -row[j ^ 1]
+            omega.append(tuple(row))
+        self.pi, self.omega = tuple(pi), tuple(omega)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -70,6 +70,9 @@ def test_descend_identity_twist(sym1, sym2):
         one = WeylElement.one(sym)
         assert descend(zg, []) == one.restrict(auto_budget([], sym.n))
         assert descend(zg, [], budget=0) == one.restrict(0)
+        with pytest.raises(BudgetError, match=r"^budget -1 is below 0, the argument "
+                                              r"degrees \[\] less one per homotopy$"):
+            descend(zg, [], budget=-1)
         assert descent_cocycle(zg)() == one.restrict(auto_budget([], sym.n))
         with pytest.raises(ValueError, match="takes 0 arguments"):
             descend(zg, [one])
@@ -181,6 +184,14 @@ def test_trace_identities(sym1):
     trace = build_trace(make_zeta(sym1), budget=8)
     report = verify_descent(trace, seed=5, count=3, max_degree=2)
     assert report.ok, report.detail
+
+
+def test_trace_identities_n2(sym2):
+    # At n = 2 the ladder has four rungs, so its bottom xi_0 is the last of
+    # them, not the second as at n = 1.
+    trace = build_trace(make_zeta(sym2), budget=6)
+    report = verify_descent(trace, seed=5, count=1, max_degree=1)
+    assert report.ok and report.checked == 5, report.detail
 
 
 def test_trace_identities_twisted(sym1):
@@ -483,14 +494,17 @@ def test_descend_matches_reference_chain(case):
 
 def test_descend_reuses_generator_caches(sym1):
     # A second descend with the same degree profile and suffix reads the
-    # caches the first built: no new cache, no new tail or table entry, and
-    # the value a fresh generator gives.
+    # caches the first built (one at the budget, one for the budget+2
+    # recheck, each raised by the two homotopies): no new cache, no new
+    # tail or table entry, and the value a fresh generator gives.
     a1, a2, b = (WeylElement(Poly.monomial([(Y, 1, 2)]), sym1),
                  WeylElement(Poly.monomial([(Y, 1, 1), (Y, 2, 1)]), sym1),
                  WeylElement.generator(2, sym1))
     zeta = make_zeta(sym1)
     descend(zeta, [a1, b])
     caches = dict(zeta._suffix_caches)
+    d = auto_budget([a1, b], 1)
+    assert sorted(caches) == [(d + 2, (2, 1)), (d + 4, (2, 1))]
     sizes = [(len(c._cache), len(c._final)) for c in caches.values()]
     value = descend(zeta, [a2, b])
     assert zeta._suffix_caches == caches and len(caches) == 2

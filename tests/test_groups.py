@@ -477,6 +477,14 @@ def test_group_construction_refusals():
     quarter = GroupElement.diagonal([Scalar.of(0, 1), Scalar.of(0, -1)], "i")
     with pytest.raises(ValueError, match="not closed under products"):
         FiniteGroup([one, quarter])
+    # The swap sends omega to -omega: a group of it would have a degree-1
+    # class ({0: 1, 1: 1}) that no symplectic group has.  A 3 x 3 matrix
+    # has no canonical omega at all.
+    swap = integer_element([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="does not preserve the symplectic form"):
+        FiniteGroup([one, swap])
+    with pytest.raises(ValueError, match="matrix is 3 x 3, not 2n x 2n"):
+        FiniteGroup([GroupElement.identity(3)])
 
 
 def test_non_semisimple_refusals(sym2):

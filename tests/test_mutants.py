@@ -193,6 +193,29 @@ def hit_work(sym):
     return tuple(counts)
 
 
+def hit_builds(sym):
+    """The WeylElement constructions of hit_work's second pass, and the
+    nonzero values among them: a zero value is the cache's one zero
+    element, so only a nonzero value builds one."""
+    real = WeylElement.__init__
+    counts = [0]
+
+    def init(self, *args):
+        counts[0] += 1
+        real(self, *args)
+
+    pairs = list(itertools.product(monomials_upto(sym, 2), repeat=2))
+    cache = SuffixCache(make_zeta(sym), 8, 2)
+    for pair in pairs:
+        cache.value(pair)
+    WeylElement.__init__ = init
+    try:
+        values = [cache.value(pair) for pair in pairs]
+    finally:
+        WeylElement.__init__ = real
+    return counts[0], sum(not v.is_zero() for v in values)
+
+
 def dz_anticommute(sym) -> bool:
     """dz1 dz2 = -dz2 dz1."""
     dz1, dz2 = FormElement.dz([1], sym), FormElement.dz([2], sym)
@@ -730,6 +753,17 @@ def test_element_key_not_memoized(monkeypatch, sym1):
     install(monkeypatch, weyl, "key", "if self._key is None:", "if True:",
             owner=WeylElement)
     assert hit_work(sym1) != (0, 0)
+
+
+def test_zero_value_built_per_hit(monkeypatch, sym1):
+    # Products that leave nothing return the cache's zero element; one
+    # built afresh equals it, so every value oracle passes and only the
+    # work shows it: of the 36 hits, 13 are nonzero, 6 read an empty table
+    # and 17 a table whose products cancel or fall past the target.
+    assert hit_builds(sym1) == (13, 13)
+    install(monkeypatch, descent, "value", "if not out:", "if False:", owner=SuffixCache)
+    assert cache_sweep_agrees(sym1, 2)
+    assert hit_builds(sym1) == (30, 13)
 
 
 def cut_at_target(monkeypatch):

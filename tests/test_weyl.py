@@ -20,6 +20,9 @@ def test_canonical_data_valid():
     for n in (1, 2, 3):
         sym = SymplecticData.canonical(n)
         assert sym.n == n
+        assert sym.pi == tuple(
+            tuple((ONE if j % 2 == 0 else -ONE) if k == j ^ 1 else ZERO
+                  for k in range(2 * n)) for j in range(2 * n))
         assert linalg.mat_mul(sym.omega, sym.pi) == linalg.identity(2 * n, ONE, ZERO)
         assert sym.omega == tuple(tuple(-c for c in row) for row in sym.pi)
 
