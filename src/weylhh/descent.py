@@ -224,7 +224,7 @@ class SuffixCache:
         self._pool: Dict[object, object] = {}
         # The caps of a tail of c arguments: the r = arity - c slots still to
         # come consume at most their bound less one z's each beyond the one
-        # their homotopy adds.
+        # their homotopy adds.  The last, (0, target), cuts the z = 0 table.
         z_caps = [sum(bounds[:r]) - r for r in range(self.arity, -1, -1)]
         self._caps = [(z, self.target + z) for z in z_caps]
         # `_z0_table`'s left factor, read for its support: every monomial up
@@ -285,7 +285,7 @@ class SuffixCache:
                     # d_y^gamma y^alpha = alpha! / (alpha - gamma)! y^(alpha - gamma)
                     top = top or mono_factorial(m)
                     d = c.scale_fraction(top // mono_factorial(m - g))
-                    Poly({m - g: d}).mul_into(r, out, (0, self.target))
+                    Poly({m - g: d}).mul_into(r, out, self.target)
         if not out:
             return self._zero
         return WeylElement(Poly(out), self.gen.ambient, self.target)
@@ -296,7 +296,7 @@ class SuffixCache:
         target degree; zero entries are left out."""
         return {self._pool.setdefault(key, key): r.scale(coeff).pooled(self._pool)
                 for key, _, r, coeff, _
-                in _walk(self._head_left, f, self.gen.ambient, (0, self.target))}
+                in _walk(self._head_left, f, self.gen.ambient, self._caps[-1])}
 
 
 # -- the audited trace --------------------------------------------------------

@@ -66,18 +66,18 @@ class GroupElement:
 
     @staticmethod
     def identity(size: int) -> "GroupElement":
-        return GroupElement(linalg.identity(size, ONE, ZERO), "1")
+        return GroupElement(linalg.identity(size), "1")
 
     @property
     def size(self) -> int:
         return len(self.matrix)
 
     def is_identity(self) -> bool:
-        return self.matrix == linalg.identity(self.size, ONE, ZERO)
+        return self.matrix == linalg.identity(self.size)
 
     def moved_rank(self) -> int:
         """rank(1 - g), twice the number of eigen-pairs the twist moves."""
-        ident = linalg.identity(self.size, ONE, ZERO)
+        ident = linalg.identity(self.size)
         return linalg.mat_rank(linalg.mat_sub(ident, self.matrix))
 
     def twist_pairs(self) -> int:
@@ -98,14 +98,14 @@ class GroupElement:
         """Q = K (L K)^-1 L for kernel and left-kernel bases K, L of 1 - g: the
         projector onto ker(1 - g) along im(1 - g).  On linear forms, as rows
         x -> x Q, it keeps the part g fixes and drops the part g moves."""
-        one_minus = linalg.mat_sub(linalg.identity(self.size, ONE, ZERO), self.matrix)
-        left = linalg.left_null_space(one_minus, ONE, ZERO)
+        one_minus = linalg.mat_sub(linalg.identity(self.size), self.matrix)
+        left = linalg.left_null_space(one_minus)
         if not left:
-            return linalg.identity(self.size, ZERO, ZERO)  # the zero matrix
+            return ((ZERO,) * self.size,) * self.size
         kernel = linalg.mat_transpose(
-            linalg.left_null_space(linalg.mat_transpose(one_minus), ONE, ZERO))
+            linalg.left_null_space(linalg.mat_transpose(one_minus)))
         try:
-            middle = linalg.mat_inverse(linalg.mat_mul(left, kernel), ONE, ZERO)
+            middle = linalg.mat_inverse(linalg.mat_mul(left, kernel))
         except ZeroDivisionError:
             raise ValueError("g is not semisimple: ker(1 - g) meets im(1 - g)") from None
         return linalg.mat_mul(kernel, linalg.mat_mul(middle, left))
@@ -340,7 +340,7 @@ def make_zeta_g(ambient: SymplecticData, g: GroupElement) -> GaussianGenerator:
     # pairing is det((1 - g)/2) on the moved sector over (2k)!.
     half = Scalar.rational(1, 2)
     u_rows = [[c * half for c in row]
-              for row in linalg.mat_sub(linalg.identity(size, ONE, ZERO), matrix)]
+              for row in linalg.mat_sub(linalg.identity(size), matrix)]
     prefactor = FormElement({idx: Poly.const(c) for idx, c in
                              sector_volume(u_rows, ambient.omega, k).items()}, ambient)
     if k > 0 and prefactor.is_zero():
@@ -358,9 +358,8 @@ def theta_element(ambient: SymplecticData, g: GroupElement,
     = 0.  The test suite checks it against its defining star equations;
     ValueError unless g preserves omega."""
     g.check_symplectic(ambient)
-    a = linalg.mat_sub(linalg.identity(g.size, ONE, ZERO),
-                       linalg.mat_sub(g.matrix, g.fixed_projector()))
-    a_inv = linalg.mat_inverse(a, ONE, ZERO)
+    a = linalg.mat_sub(linalg.identity(g.size), linalg.mat_sub(g.matrix, g.fixed_projector()))
+    a_inv = linalg.mat_inverse(a)
     y = _vector(Y, ambient)
     exponent = _omega_bilinear(ambient, y, [v.linear_subst(Y, a_inv) for v in y])
     if exponent.is_zero():
@@ -373,7 +372,7 @@ def twisted_cycle(ambient: SymplecticData, g: GroupElement, truncation: int):
     """Theta (x) the moved sector's volume (sector_volume over the moved
     parts y_j - y_j Q of the generators), as a pairing chain."""
     theta = theta_element(ambient, g, truncation)
-    moved = linalg.mat_sub(linalg.identity(g.size, ONE, ZERO), g.fixed_projector())
+    moved = linalg.mat_sub(linalg.identity(g.size), g.fixed_projector())
     volume = sector_volume(moved, ambient.omega, g.twist_pairs())
     return Chain([(theta.scale(c), tuple(WeylElement.generator(j, ambient) for j in idx))
                   for idx, c in volume.items()])

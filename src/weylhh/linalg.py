@@ -1,8 +1,11 @@
-"""Small exact linear algebra over any exact field: Scalar in the package,
-Fraction in the tests' oracles.
+"""Small exact linear algebra: Scalar in the package, Fraction in the tests'
+oracles.
 
-Entries only need +, -, *, / and truthiness for the zero test; matrices are
-tuples of tuples and never mutated in place.  Rank, inverse and left null
+mat_mul, mat_sub, mat_transpose, row_reduce and mat_rank work over any exact
+field: entries only need +, -, *, / and truthiness for the zero test.
+identity is the Scalar identity (ONE and ZERO), and mat_inverse and
+left_null_space augment by it, so those two take Scalar matrices.  Matrices
+are tuples of tuples and never mutated in place.  Rank, inverse and left null
 space all read one Gauss-Jordan elimination, row_reduce, which keeps no
 determinant.  The one determinant is int_det, the fraction-free (Bareiss)
 determinant of an integer matrix: its divisions are exact and it never leaves
@@ -14,14 +17,16 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .scalars import ONE, ZERO
+
 
 def mat_from_rows(rows) -> tuple:
     return tuple(tuple(r) for r in rows)
 
 
-def identity(size: int, one, zero) -> tuple:
+def identity(size: int) -> tuple:
     return tuple(
-        tuple(one if i == j else zero for j in range(size))
+        tuple(ONE if i == j else ZERO for j in range(size))
         for i in range(size)
     )
 
@@ -114,20 +119,20 @@ def mat_rank(a) -> int:
     return row_reduce(a)[1]
 
 
-def mat_inverse(a, one, zero) -> tuple:
+def mat_inverse(a) -> tuple:
     """Inverse of a square matrix; raises ZeroDivisionError when singular."""
     n = len(a)
-    augmented = [list(r) + list(e) for r, e in zip(a, identity(n, one, zero))]
+    augmented = [list(r) + list(e) for r, e in zip(a, identity(n))]
     rows, rank = row_reduce(augmented, n)
     if rank < n:
         raise ZeroDivisionError("singular matrix")
     return tuple(tuple(r[n:]) for r in rows)
 
 
-def left_null_space(a, one, zero) -> tuple:
+def left_null_space(a) -> tuple:
     """Rows spanning {x : x a = 0}: those of row_reduce([a | 1]) past the rank."""
     width = len(a[0])
-    augmented = [list(r) + list(e) for r, e in zip(a, identity(len(a), one, zero))]
+    augmented = [list(r) + list(e) for r, e in zip(a, identity(len(a)))]
     rows, rank = row_reduce(augmented, width)
     return tuple(tuple(r[width:]) for r in rows[rank:])
 

@@ -15,10 +15,12 @@ multiplying two monomials adds their keys (Monagan-Pearce packing), a
 derivative subtracts one unit from a field, and the total degree and the
 z-degree are byte sums.  Every key sum is made in Poly.mul_into (behind
 Poly.__mul__), whose one guard refuses a field that would reach 256 with a
-ValueError instead of letting it carry into its neighbour, and which is the
-one place a product is cut to caps.  No other module reads the layout: they
-use mono_degree, mono_z_degree, mono_factorial, mono_divides, mono_lcm,
-rename and index_mask.
+ValueError instead of letting it carry into its neighbour, and which cuts a
+product to a total degree.  A product is cut in z only through its right
+factor (Poly.capped and directional_diff's caps, in weyl._walk), since every
+cut left factor is free of z.  No other module reads the layout: they use
+mono_degree, mono_z_degree, mono_factorial, mono_divides, mono_lcm, rename
+and index_mask.
 
 A polynomial is a map from keys to nonzero Scalar coefficients.  Values are
 treated as immutable after construction, so one value may be read from
@@ -208,10 +210,6 @@ class Poly:
             return 0
         return max(map(mono_degree, self.terms))
 
-    def has_bank(self, bank: str) -> bool:
-        mask = _BANK_MASK[bank]
-        return any(m & mask for m in self.terms)
-
     def constant_term(self) -> Scalar:
         return self.terms.get(0, ZERO)
 
@@ -250,10 +248,10 @@ class Poly:
         return Poly(self.mul_into(other, {}))
 
     def mul_into(self, other: "Poly", out: Dict[int, Scalar],
-                 caps: Optional[Tuple[int, int]] = None) -> Dict[int, Scalar]:
+                 max_degree: Optional[int] = None) -> Dict[int, Scalar]:
         """Add the terms of self * other to the term map out, and return it;
-        with caps = (z_cap, total_cap), only those of Z-degree <= z_cap and
-        total degree <= total_cap, each cut before its coefficient is made."""
+        with max_degree, only those of total degree up to it, each cut before
+        its coefficient is made."""
         # Only a factor with a field of 128 or more can make a sum carry, so
         # the exact test runs just for the terms where one does.
         high = any(m & _HIGH for m in other.terms)
@@ -265,10 +263,9 @@ class Poly:
                     raise ValueError(
                         f"{Poly({m1: c1})} times {Poly({m2: c2})} overflows "
                         f"the {_BITS}-bit exponent field")
-                if caps is not None:
-                    b = m.to_bytes((m.bit_length() + 7) >> 3, "little")
-                    if sum(b) > caps[1] or sum(b[1::2]) > caps[0]:
-                        continue
+                if (max_degree is not None
+                        and sum(m.to_bytes((m.bit_length() + 7) >> 3, "little")) > max_degree):
+                    continue
                 c = c1 * c2
                 s = out.get(m)
                 if s is None:
@@ -310,17 +307,16 @@ class Poly:
                 out[m - unit] = c if e == 1 else c.scale_fraction(e)
         return Poly(out)
 
-    def directional_diff(self, index: int, banks: Sequence[str],
+    def directional_diff(self, index: int,
                          caps: Optional[Tuple[int, int]] = None) -> "Poly":
-        """sum d/dv self over the variables v at index in each of banks, in
-        one pass.
+        """d/dy_index self + d/dz_index self, in one pass.
 
         With caps = (z_cap, total_cap) only the output terms of Z-degree
         <= z_cap and total degree <= total_cap are made: a derivative lowers
-        a term's total degree by one, and its Z-degree by one exactly when v
-        is a Z variable.
+        a term's total degree by one, and its Z-degree by one exactly when it
+        is the z derivative.
         """
-        parts = [(_offset(bank, index), bank == Z) for bank in banks]
+        parts = ((_offset(Y, index), False), (_offset(Z, index), True))
         out: Dict[int, Scalar] = {}
         for m, cm in self.terms.items():
             # need: how many Z's this term's derivative must drop to fit z_cap.
@@ -351,14 +347,6 @@ class Poly:
         """Evaluate all variables of the bank at 0."""
         mask = _BANK_MASK[bank]
         return Poly({m: c for m, c in self.terms.items() if not m & mask})
-
-    def flip_signs(self, banks: Sequence[str]) -> "Poly":
-        """Substitute v -> -v for every variable of the given banks."""
-        mask = 0
-        for bank in banks:
-            mask |= _BANK_MASK[bank]
-        return Poly({m: -c if mono_degree(m & mask) % 2 else c
-                     for m, c in self.terms.items()})
 
     def linear_subst(self, bank: str, matrix: Sequence[Sequence[Scalar]]) -> "Poly":
         """Substitute v_j -> sum_k matrix[j][k] * v_k within one bank.

@@ -21,8 +21,8 @@ from .scalars import Scalar
 from .weyl import SymplecticData, WeylElement, monomials_upto
 
 
-def random_scalar(rng: random.Random, span: int = 3) -> Scalar:
-    s = Scalar.of(rng.randint(-span, span), rng.randint(-span, span))
+def random_scalar(rng: random.Random) -> Scalar:
+    s = Scalar.of(rng.randint(-3, 3), rng.randint(-3, 3))
     return s if not s.is_zero() else Scalar.of(1)
 
 
@@ -41,11 +41,10 @@ def random_weyl(rng: random.Random, sym: SymplecticData, max_degree: int,
     return WeylElement(poly, sym)
 
 
-def random_form_poly(rng: random.Random, sym: SymplecticData, max_degree: int,
-                     terms: int = 3) -> Poly:
+def random_form_poly(rng: random.Random, sym: SymplecticData, max_degree: int) -> Poly:
     size = 2 * sym.n
     poly = Poly.zero()
-    for _ in range(rng.randint(1, terms)):
+    for _ in range(rng.randint(1, 3)):
         deg = rng.randint(0, max_degree)
         exps = {}
         for _ in range(deg):

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .errors import AmbientMismatchError, BudgetError
-from .poly import MAX_INDEX, Poly, Y, Z, _offset, index_mask, mono_degree
+from .poly import MAX_INDEX, Poly, Y, _offset, index_mask, mono_degree, mono_z_degree
 from .scalars import I, ONE, ZERO, Scalar
 
 Matrix = Tuple[Tuple[Scalar, ...], ...]
@@ -80,7 +80,7 @@ class WeylElement:
                  truncation: Optional[int] = None):
         foreign = ambient.foreign
         if any(m & foreign for m in poly.terms):
-            if poly.has_bank(Z):
+            if any(map(mono_z_degree, poly.terms)):
                 raise ValueError("WeylElement must involve only Y-bank variables")
             raise ValueError("variable index exceeds 2n")
         if truncation is not None:
@@ -221,7 +221,7 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
     yields the key of y^gamma, d_y^gamma p, the unsigned right derivative
     and the coefficient whose product is i^|gamma| / gamma! (pi D)^gamma q,
     the products summing to p * q, and whether d_y^gamma p mixes degrees
-    under a cut (below).  D acts in Y, and in Z when q has Z variables.  The
+    under a cut (below).  D = d_y + d_z, which is d_y on a q without Z.  The
     gammas form a tree, pruned as soon as either side dies.
 
     With caps = (z_cap, total_cap) and p without Z, only what can make a
@@ -233,13 +233,13 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
     the yielded right factor is cut to (z_cap, total_cap less that degree):
     the root's q is cut, a derived leaf (D = 0) is made inside the caps.
     Where the left factor has several degrees, the products of its higher
-    ones may pass the caps, and the flag says so: the caller cuts those
-    products as it sums them (Poly.mul_into with the caps).
+    ones may pass the total cap, and the flag says so: the caller cuts those
+    products to total_cap as it sums them (Poly.mul_into).  They never pass
+    z_cap, since p has no Z and the right factor is cut to it.
     """
     if p.is_zero() or q.is_zero():
         return
     ykeys = sym.ykeys
-    banks = (Y, Z) if q.has_bank(Z) else (Y,)
     # Per node: the degrees of its left factor, or None for no cut.
     degrees = None if caps is None else set(map(mono_degree, p.terms))
     stack = [(1, 0, p, q, ONE, degrees)]
@@ -259,12 +259,11 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
                 if cp.is_zero():
                     break
                 if caps is None:
-                    cq = cq.directional_diff(partner, banks)
+                    cq = cq.directional_diff(partner)
                 else:
                     degrees = set(map(mono_degree, cp.terms))
                     slack = max(degrees)
-                    cq = cq.directional_diff(partner, banks,
-                                             (caps[0] + slack, caps[1] + slack))
+                    cq = cq.directional_diff(partner, (caps[0] + slack, caps[1] + slack))
                     degrees = degrees if slack else None
                 if cq.is_zero():
                     break
@@ -288,14 +287,15 @@ def _star_kernel(p: Poly, q: Poly, sym: SymplecticData,
             else:
                 dq = dq.scale(coeff)
         # The right factor is cut for the left's lowest degree: the products
-        # of its higher ones are cut to the caps as they are summed.
-        dp.mul_into(dq, acc, caps if mixed else None)
+        # of its higher ones are cut to the total cap as they are summed.
+        dp.mul_into(dq, acc, caps[1] if mixed else None)
     return Poly(acc)
 
 
 def involution(a: WeylElement) -> WeylElement:
-    """The automorphism a(y) -> a(-y)."""
-    return WeylElement(a.poly.flip_signs([Y]), a.ambient, a.truncation)
+    """The automorphism a(y) -> a(-y): the terms of odd degree change sign."""
+    return WeylElement(Poly({m: -c if mono_degree(m) % 2 else c
+                             for m, c in a.poly.terms.items()}), a.ambient, a.truncation)
 
 
 def supertrace(a: WeylElement) -> Scalar:

@@ -64,7 +64,7 @@ def leibniz_det(a):
 def random_symplectic(rng, dim):
     """A product of four random symmetric shears, each keeping standard_form(dim)."""
     n = dim // 2
-    mat = linalg.identity(dim, Fraction(1), Fraction(0))
+    mat = [[Fraction(i == j) for j in range(dim)] for i in range(dim)]
     for _ in range(4):
         kind = rng.randrange(2)
         shear = [[Fraction(i == j) for j in range(dim)] for i in range(dim)]

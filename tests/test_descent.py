@@ -17,7 +17,7 @@ from weylhh.hochschild import (SampleSpec, hochschild_d, pair_chain, verify_cocy
                                wedge_eval)
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import monomials_upto, random_scalar, random_weyl
-from weylhh.scalars import I, ONE, ZERO, Scalar
+from weylhh.scalars import I, ZERO, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, _star_kernel, supertrace
 
 from oracles import invariance_defect, leibniz_det, theta_equation_defects
@@ -605,7 +605,7 @@ MIXER = integer_rows([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [1, 0, 0, 1]])
     ([[1, 1], [-1, 0]], frac(1, 8)),  # Z6
     ([[0, I], [I, 0]], frac(1, 4)),  # in Q8
     (Z3_PLUS_ONE, frac(3, 8)),
-    (linalg.mat_mul(linalg.mat_inverse(MIXER, ONE, ZERO),
+    (linalg.mat_mul(linalg.mat_inverse(MIXER),
                     linalg.mat_mul(integer_rows(Z3_PLUS_ONE), MIXER)), frac(3, 8)),
 ])
 def test_twisted_pairing_is_det_over_factorial(rows, pairing):
@@ -620,7 +620,7 @@ def test_twisted_pairing_is_det_over_factorial(rows, pairing):
     g = GroupElement.from_rows(integer_rows(rows), "g")
     sym = SymplecticData.canonical(g.size // 2)
     half_moved = [[c * HALF + q for c, q in zip(r, rq)] for r, rq in zip(
-        linalg.mat_sub(linalg.identity(g.size, ONE, ZERO), g.matrix),
+        linalg.mat_sub(linalg.identity(g.size), g.matrix),
         g.fixed_projector())]
     assert leibniz_det(half_moved).scale_fraction(1, 2) == pairing  # k = 1: (2k)! = 2
     tau = twisted_cocycle(sym, g)

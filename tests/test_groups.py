@@ -170,7 +170,7 @@ def test_dihedral_group_table(d8, sym2):
     assert len(group.elements) == 8
     assert [len(cls) for cls in group.conjugacy_classes()] == [1, 2, 2, 2, 1]
     for a in group:
-        inv = linalg.mat_inverse(a.matrix, ONE, ZERO)
+        inv = linalg.mat_inverse(a.matrix)
         assert group.inverse(a).matrix == inv
         for b in group:
             ab = linalg.mat_mul(a.matrix, b.matrix)
@@ -209,7 +209,7 @@ THETA_CASES = {
     "diag(1, 1, i, -i)": GroupElement.diagonal([ONE, ONE, I, -I]),
     "Z3 + 1": Z3_PLUS_ONE,
     "S^-1 (Z3 + 1) S": GroupElement(linalg.mat_mul(
-        linalg.mat_inverse(MIXER.matrix, ONE, ZERO),
+        linalg.mat_inverse(MIXER.matrix),
         linalg.mat_mul(Z3_PLUS_ONE.matrix, MIXER.matrix))),
 }
 
@@ -232,8 +232,8 @@ def test_theta_equations(kleinian, case):
         ambient = SymplecticData.canonical(g.size // 2)
         g.check_symplectic(ambient)
         q = g.fixed_projector()
-        one_minus = linalg.mat_sub(linalg.identity(g.size, ONE, ZERO), g.matrix)
-        zero = linalg.identity(g.size, ZERO, ZERO)
+        one_minus = linalg.mat_sub(linalg.identity(g.size), g.matrix)
+        zero = ((ZERO,) * g.size,) * g.size
         assert linalg.mat_mul(q, q) == q
         assert linalg.mat_mul(q, one_minus) == linalg.mat_mul(one_minus, q) == zero
         assert all(d.is_zero() for d in theta_equation_defects(ambient, g, truncation=10))
@@ -428,7 +428,7 @@ def test_kleinian_deformed_oscillators(kleinian, sym1, name, moved):
     for cls in classes:
         want = {}
         for g in cls:
-            one_minus = linalg.mat_sub(linalg.identity(2, ONE, ZERO), g.matrix)
+            one_minus = linalg.mat_sub(linalg.identity(2), g.matrix)
             det = leibniz_det([[c * frac(1, 2) for c in row] for row in one_minus])
             if name == "Q8":
                 assert det == (ONE if len(cls) == 1 else frac(1, 2))

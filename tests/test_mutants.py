@@ -546,8 +546,8 @@ def test_theta_exponent_q_index(monkeypatch):
     shown = [[[0, 1], [-1, -1]], [[0, 1], [-1, 0]], [[1, 1], [-1, 0]],
              [[0, 1, 0, 0], [-1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]
     assert all(defects_vanish(rows) for rows in hidden + shown)
-    install(monkeypatch, groups, "theta_element", "a_inv = linalg.mat_inverse(a, ONE, ZERO)",
-            "a_inv = linalg.mat_transpose(linalg.mat_inverse(a, ONE, ZERO))")
+    install(monkeypatch, groups, "theta_element", "a_inv = linalg.mat_inverse(a)",
+            "a_inv = linalg.mat_transpose(linalg.mat_inverse(a))")
     assert all(defects_vanish(rows) for rows in hidden)
     assert not any(defects_vanish(rows) for rows in shown)
 
@@ -651,8 +651,8 @@ def test_star_kernel_without_z_derivative(monkeypatch, sym1):
     # into the plain one, so the descent value no longer matches the symbol.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    install(monkeypatch, weyl, "_walk", "banks = (Y, Z) if", "banks = (Y,) if",
-            also=(descent,))
+    install(monkeypatch, poly, "directional_diff", "(_offset(Z, index), True)", "",
+            owner=Poly)
     assert not routes_agree(sym1, a, b)
 
 
@@ -767,9 +767,8 @@ def test_zero_value_built_per_hit(monkeypatch, sym1):
 
 
 def cut_at_target(monkeypatch):
-    """Poly.mul_into cutting at < total cap instead of <= it."""
-    install(monkeypatch, poly, "mul_into", "sum(b) > caps[1]", "sum(b) >= caps[1]",
-            owner=Poly)
+    """Poly.mul_into cutting at < max_degree instead of <= it."""
+    install(monkeypatch, poly, "mul_into", "> max_degree", ">= max_degree", owner=Poly)
 
 
 def test_head_product_cut_at_target(monkeypatch, sym1):
@@ -799,20 +798,20 @@ def test_descend_recheck_skipped(monkeypatch, sym1):
 
 
 def test_product_z_cut_inclusive(monkeypatch, sym1):
-    # A cut product keeps the terms of Z-degree <= z_cap; cutting at < z_cap
-    # drops every head product, whose z_cap is 0, so the descent value on
-    # (y1, y2) is lost.
+    # A product is cut in z through its right factor, which keeps the terms
+    # of Z-degree <= z_cap; cutting at < z_cap empties every z = 0 table,
+    # whose z_cap is 0, so the descent value on (y1, y2) is lost.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    install(monkeypatch, poly, "mul_into", "sum(b[1::2]) > caps[0]",
-            "sum(b[1::2]) >= caps[0]", owner=Poly)
+    install(monkeypatch, poly, "capped", "sum(b[1::2]) <= z_cap",
+            "sum(b[1::2]) < z_cap", owner=Poly)
     assert not routes_agree(sym1, a, b)
 
 
 def test_star_kernel_mixed_products_uncut(monkeypatch, sym1):
     # Where the left factor mixes degrees its right factor is cut only for
-    # the lowest, so the products of the higher ones must be cut as they
-    # are summed.  The root of y1 + y1^2 + y2 mixes degrees 1 and 2, so
+    # the lowest, so the products of the higher ones must be cut to the
+    # total cap as they are summed.  The root of y1 + y1^2 + y2 mixes degrees 1 and 2, so
     # under the caps (1, 3) its right factor keeps y1 z1, and y1^2 y1 z1
     # passes the total cap.
     p = (y(sym1, 1) + y(sym1, 2) + y(sym1, 0, 1)).poly
@@ -823,6 +822,6 @@ def test_star_kernel_mixed_products_uncut(monkeypatch, sym1):
         return kernel(p, q, sym1, (1, 3)) == kernel(p, q, sym1).capped(1, 3)
 
     assert cut_is_capped()
-    install(monkeypatch, weyl, "_star_kernel", "caps if mixed else None", "None",
+    install(monkeypatch, weyl, "_star_kernel", "caps[1] if mixed else None", "None",
             also=(forms,))
     assert not cut_is_capped()

@@ -5,7 +5,8 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from weylhh.poly import MAX_INDEX, Poly, Y, Z, mono_divides, mono_lcm, rename
+from weylhh.poly import (MAX_INDEX, Poly, Y, Z, mono_divides, mono_lcm, mono_z_degree,
+                         rename)
 from weylhh.scalars import Scalar
 
 
@@ -68,16 +69,24 @@ def test_derivatives_commute_sampled():
 
 
 _var = st.tuples(st.sampled_from((Y, Z)), st.integers(1, 3))
-_polys = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
-                            st.lists(st.tuples(_var, st.integers(1, 3)), max_size=4)),
-                  max_size=5)
 
 
-@given(_polys, _var)
-def test_diff_returns_canonical_monomials(terms, var):
-    p = Poly.zero()
-    for re, im, factors in terms:
-        p = p + Poly.monomial([(b, i, e) for (b, i), e in factors], Scalar.of(re, im))
+def _polys(var):
+    """Polynomials of up to 5 terms, each of up to 4 factors drawn from var."""
+    term = st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                     st.lists(st.tuples(var, st.integers(1, 3)), max_size=4))
+
+    def build(terms):
+        p = Poly.zero()
+        for re, im, factors in terms:
+            p = p + Poly.monomial([(b, i, e) for (b, i), e in factors], Scalar.of(re, im))
+        return p
+
+    return st.lists(term, max_size=5).map(build)
+
+
+@given(_polys(_var), _var)
+def test_diff_returns_canonical_monomials(p, var):
     bank, index = var
     got = p.diff(bank, index)
     want = Poly.zero()
@@ -89,13 +98,23 @@ def test_diff_returns_canonical_monomials(terms, var):
     assert got == want
 
 
+@given(_polys(st.tuples(st.just(Y), st.integers(1, 3))), _polys(_var), _polys(_var),
+       st.integers(-1, 12))
+def test_cut_product_is_truncated_product(p, q, r, d):
+    # mul_into cuts by total degree alone (its cut left factors carry no z),
+    # keeping the terms of degree <= d, and sums onto the terms out holds.
+    assert Poly(p.mul_into(q, {}, d)) == (p * q).truncate(d)
+    assert Poly(p.mul_into(q, dict(r.terms), d)) == r + (p * q).truncate(d)
+
+
 def test_degree_queries():
     p = Poly.monomial([(Y, 1, 2), (Z, 3, 1)]) + Poly.monomial([(Z, 1, 5)])
     assert p.degree() == 5 and Poly().degree() == 0
     # truncate keeps the terms of degree <= its bound, and self when all are.
     assert p.truncate(3) == Poly.monomial([(Y, 1, 2), (Z, 3, 1)])
     assert p.truncate(5) is p and p.truncate(None) is p and not p.truncate(2)
-    assert p.has_bank(Z) and not Poly.monomial([(Y, 1, 2)]).has_bank(Z)
+    assert sorted(map(mono_z_degree, p.terms)) == [1, 5]
+    assert mono_z_degree(next(iter(y(1, 2).terms))) == 0
 
 
 def test_linear_subst_flip():
