@@ -4,9 +4,9 @@ A Gaussian generator is a closed top-degree-on-its-sector form
 
     prefactor . exp(Q)
 
-with Q a quadratic exponent coupling z to y.  The untwisted generator has
-Q = 2i w(z, y) and the full dz-volume prefactor; the twisted ones, one per
-group element, are built in the groups module (`make_zeta_g`).
+with Q a quadratic exponent coupling z to y.  `sector_generator` builds each
+one from a linear symplectic g: the untwisted one (`make_zeta`) is (-1)^n
+times g = -1's, and groups.make_zeta_g checks g before building its own.
 
 The cocycle itself is the alternation
 
@@ -15,7 +15,8 @@ The cocycle itself is the alternation
 computed on a degree-D expansion of exp(Q), certified to total degree
 D + p - sum(deg a_i).  One rule cuts every level: with r arguments still
 to come, only terms of z-degree <= sum_{i<r}(deg a_i - 1) and total degree
-<= that plus the certified degree can reach the value.  Each star product,
+<= that plus the certified degree can reach the value (every term of Q
+carries a z, so exp(Q) is expanded to twice the z cap).  Each star product,
 and the closing z = 0 projection, reads one derivative walk (`weyl._walk`)
 that cuts every derivative to those caps as it is made.  Every public entry
 point recomputes at D+2 and insists the certified parts agree.
@@ -36,25 +37,22 @@ from itertools import combinations_with_replacement
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetError
-from .forms import FormElement, ext_d, form_star, homotopy_s
+from .forms import FormElement, ext_d, form_star, homotopy_s, sector_volume
 from .hochschild import Cochain, Report, constant_cochain, hochschild_d
 from .poly import Poly, Y, Z, mono_divides, mono_factorial
 from .sampling import weyl_tuples
-from .scalars import ONE, Scalar
+from .scalars import I, ONE, ZERO, Scalar
 from .weyl import SymplecticData, WeylElement, _min_trunc, _walk, involution
 
 DEFAULT_BUDGET_MARGIN = 4
 
 
 def _omega_bilinear(sym: SymplecticData, left: List[Poly], right: List[Poly]) -> Poly:
-    out = Poly.zero()
-    size = 2 * sym.n
-    for j in range(size):
-        for k in range(size):
-            c = sym.omega[j][k]
-            if not c.is_zero() and not right[k].is_zero():
-                out = out + (left[j] * right[k]).scale(c)
-    return out
+    """omega(left, right); the canonical omega pairs row j only with j ^ 1."""
+    out: Dict[int, Scalar] = {}
+    for j, row in enumerate(sym.omega):
+        left[j].scale(row[j ^ 1]).mul_into(right[j ^ 1], out)
+    return Poly(out)
 
 
 def _vector(bank: str, sym: SymplecticData) -> List[Poly]:
@@ -62,23 +60,17 @@ def _vector(bank: str, sym: SymplecticData) -> List[Poly]:
 
 
 class GaussianGenerator:
-    """prefactor . exp(quad), expandable to any finite degree."""
+    """prefactor . exp(quad), a form of degree 2k expandable to any finite degree."""
 
     def __init__(self, ambient: SymplecticData, quad: Poly,
-                 prefactor: FormElement, twist: Callable):
+                 prefactor: FormElement, twist: Callable, form_degree: int):
         self.ambient = ambient
         self.quad = quad
         self.prefactor = prefactor
         self.twist = twist
+        self.form_degree = form_degree
         self._expansions: Dict[int, FormElement] = {}
         self._suffix_caches: Dict[Tuple[int, Tuple[int, ...]], SuffixCache] = {}
-
-    @property
-    def form_degree(self) -> int:
-        degs = self.prefactor.degrees()
-        if len(degs) != 1:
-            raise ValueError("prefactor must be homogeneous in form degree")
-        return degs.pop()
 
     def expand(self, degree: int) -> FormElement:
         """All terms of (y,z)-degree <= degree, marked with that truncation."""
@@ -101,11 +93,32 @@ class GaussianGenerator:
         return cache
 
 
+def sector_generator(ambient: SymplecticData, rows: Sequence[Dict[int, Scalar]],
+                     k: int, twist: Callable, sign: Scalar) -> GaussianGenerator:
+    """sign times the generator of the sector g moves, from g's nonzero
+    entries (rows[j] maps l to g_jl, 0-based) and k = rank(1 - g)/2:
+    Q = i w(z, y + (z - y)^g) and the sector volume of u = (dz - dz^g)/2,
+    which carries det((1 - g)/2) on the moved sector into the pairing."""
+    y, z = _vector(Y, ambient), _vector(Z, ambient)
+    half = Scalar.rational(1, 2)
+    shifted, ones = [], []
+    for j, row in enumerate(rows):
+        shifted.append(sum(((z[l] - y[l]).scale(c) for l, c in row.items()), y[j]))
+        u = {(l + 1,): -c * half for l, c in row.items()}
+        ones.append({**u, (j + 1,): u.get((j + 1,), ZERO) + half})
+    quad = _omega_bilinear(ambient, z, shifted).scale(I)
+    prefactor = FormElement({idx: Poly.const(c * sign) for idx, c in
+                             sector_volume(ones, k).items()}, ambient)
+    return GaussianGenerator(ambient, quad, prefactor, twist, 2 * k)
+
+
 def make_zeta(ambient: SymplecticData) -> GaussianGenerator:
-    """The untwisted generator: exp(2i w(z,y)) vol_dz, involution-twisted dual."""
-    quad = _omega_bilinear(ambient, _vector(Z, ambient), _vector(Y, ambient))
-    quad = quad.scale(Scalar.of(0, 2))
-    return GaussianGenerator(ambient, quad, FormElement.top_dz(ambient), involution)
+    """The untwisted generator exp(2i w(z,y)) vol_dz, involution-twisted:
+    (-1)^n times the -1 sector's, whose u = dz has the volume
+    prod_l (-dz_(2l-1) dz_(2l)) = (-1)^n vol_dz."""
+    minus = [{j: -ONE} for j in range(2 * ambient.n)]
+    return sector_generator(ambient, minus, ambient.n, involution,
+                            Scalar.of((-1) ** ambient.n))
 
 
 # -- the descent value --------------------------------------------------------
@@ -252,10 +265,11 @@ class SuffixCache:
         """tail(args), computed afresh at this level (shorter tails cached)."""
         caps = self._caps[len(args)]
         if not args:
-            # Expanded to this level's total cap, budget - arity.
-            gen = self.gen.expand(caps[1])
+            # Q^m has z-degree >= m and degree 2m: the powers past the z cap
+            # are cut whole.
+            gen = self.gen.expand(min(caps[1], 2 * caps[0]))
             chain = FormElement({i: p.capped(*caps) for i, p in gen.components.items()},
-                                gen.ambient, gen.truncation)
+                                gen.ambient, caps[1])
         else:
             self._check_slot(-len(args), args[0])
             chain = form_star(args[0], self.tail(args[1:]), caps)

@@ -22,9 +22,9 @@ total (y,z)-degree <= D and certifies them; operations propagate the bound
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from bisect import bisect
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .linalg import perm_sign
 from .poly import Poly, Z, mono_z_degree
 from .scalars import ONE, Scalar
 from .weyl import (SymplecticData, WeylElement, _check_ambient, _min_trunc,
@@ -37,22 +37,30 @@ def wedge_merge(i1: DzIndex, i2: DzIndex) -> Optional[Tuple[int, DzIndex]]:
     """Merge two increasing index tuples; None when they share an index.
 
     Returns (sign, merged) with the sign of the permutation sorting the
-    concatenation.
+    concatenation: both parts are sorted, so its inversions are the pairs
+    of an index of i1 above an index of i2, counted by bisection.
     """
-    if set(i1) & set(i2):
+    if not set(i1).isdisjoint(i2):
         return None
-    merged = i1 + i2
-    return perm_sign(merged), tuple(sorted(merged))
+    odd = sum(len(i1) - bisect(i1, b) for b in i2) % 2
+    return -1 if odd else 1, tuple(sorted(i1 + i2))
 
 
-def wedge_expand(factors: Iterable[Dict[DzIndex, Scalar]]) -> Dict[DzIndex, Scalar]:
-    """The wedge product of constant-coefficient forms, each given as a map
-    from dz index tuples to nonzero coefficients."""
+def wedge_expand(factors: Sequence[Dict[DzIndex, Scalar]],
+                 degree: int) -> Dict[DzIndex, Scalar]:
+    """The degree-`degree` part of the wedge product of constant-coefficient
+    forms, each given as a map from dz index tuples to coefficients.
+    A partial product that the factors still to come cannot raise to that
+    degree is dropped."""
+    tops = [max(map(len, factor), default=0) for factor in factors]
     pieces: Dict[DzIndex, Scalar] = {(): ONE}
-    for factor in factors:
+    for i, factor in enumerate(factors):
+        rest = sum(tops[i + 1:])
         nxt: Dict[DzIndex, Scalar] = {}
         for part, coeff in pieces.items():
             for idx, c in factor.items():
+                if not degree - rest <= len(part) + len(idx) <= degree:
+                    continue
                 merged = wedge_merge(part, idx)
                 if merged is None:
                     continue
@@ -68,6 +76,17 @@ def wedge_expand(factors: Iterable[Dict[DzIndex, Scalar]]) -> Dict[DzIndex, Scal
                     nxt[nidx] = add
         pieces = nxt
     return pieces
+
+
+def sector_volume(ones: Sequence[Dict[DzIndex, Scalar]], k: int) -> Dict[DzIndex, Scalar]:
+    """The k-th wedge power, over k!, of sum_{i<j} omega_ij r^i r^j for the
+    canonical omega and the one-forms r^i = ones[i]: omega pairs each row only
+    with its partner, so that is sum_l tau_l, tau_l = -r^(2l-1) r^(2l).  The
+    tau_l commute and square to zero, so the power over k! is the degree-2k
+    part of prod_l (1 + tau_l)."""
+    factors = [{(): ONE, **wedge_expand([{i: -c for i, c in first.items()}, second], 2)}
+               for first, second in zip(ones[::2], ones[1::2])]
+    return wedge_expand(factors, 2 * k)
 
 
 class FormElement:
@@ -104,17 +123,10 @@ class FormElement:
     def dz(indices: Iterable[int], ambient: SymplecticData) -> "FormElement":
         return FormElement({tuple(indices): Poly.one()}, ambient)
 
-    @staticmethod
-    def top_dz(ambient: SymplecticData) -> "FormElement":
-        return FormElement.dz(range(1, 2 * ambient.n + 1), ambient)
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.components
-
-    def degrees(self) -> set:
-        return {len(idx) for idx in self.components}
 
     def component(self, idx: DzIndex) -> Poly:
         return self.components.get(tuple(idx), Poly.zero())

@@ -8,10 +8,11 @@ so composing actions matches the group product and the crossed product
 is associative for any finite subgroup, abelian or not.
 
 The twisted sector lives here too.  The g-twisted generator (`make_zeta_g`)
-is a Gaussian generator of the descent module with Q = i w(z, y + (z-y)^g)
-and a 2k-form prefactor supported on the sector where g moves points,
-k = rank(1-g)/2.  The prefactor is normalized as the k-th wedge power,
-divided by k!, of the two-form sum_{i<j} w_ij u^i u^j in u = (dz - dz^g)/2.
+checks g and is built by the descent module's one generator builder
+(`descent.sector_generator`): Q = i w(z, y + (z-y)^g) and a 2k-form
+prefactor supported on the sector where g moves points, k = rank(1-g)/2.
+The prefactor is normalized as the k-th wedge power, divided by k!, of the
+two-form sum_{i<j} w_ij u^i u^j in u = (dz - dz^g)/2 (forms.sector_volume).
 With this scale the pairing of the resulting cocycle against its dual cycle
 comes out exactly det((1 - g)/2) / (2k)!, the determinant taken on the moved
 sector: 1/(2k)! where g acts there as -1, and another constant elsewhere
@@ -26,15 +27,15 @@ dimension calculator.
 from __future__ import annotations
 
 import itertools
-from math import factorial
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import linalg
-from .descent import GaussianGenerator, _omega_bilinear, _vector, descent_cocycle
+from .descent import (GaussianGenerator, _omega_bilinear, _vector, descent_cocycle,
+                      sector_generator)
 from .errors import AmbientMismatchError
-from .forms import FormElement, wedge_expand
+from .forms import sector_volume
 from .hochschild import Chain, Cochain, untwisted
-from .poly import Poly, Y, Z
+from .poly import Y
 from .scalars import I, ONE, ZERO, Scalar
 from .weyl import Matrix, SymplecticData, WeylElement, star
 
@@ -305,47 +306,16 @@ def group_twist(matrix) -> Callable:
     return lambda a: a.apply_matrix(matrix)
 
 
-def sector_volume(rows, form, k: int) -> Dict[Tuple[int, ...], Scalar]:
-    """The k-th wedge power, over k!, of sum_{i<j} form_ij r^i r^j for the
-    one-forms r^i = sum_l rows[i][l] e^(l+1), keyed by index tuples."""
-    ones = [{(l + 1,): c for l, c in enumerate(row) if not c.is_zero()} for row in rows]
-    two_form: Dict[Tuple[int, ...], Scalar] = {}
-    for i, j in itertools.combinations(range(len(ones)), 2):
-        w = form[i][j]
-        if w.is_zero():
-            continue
-        for idx, c in wedge_expand([ones[i], ones[j]]).items():
-            two_form[idx] = two_form.get(idx, ZERO) + w * c
-    two_form = {idx: c for idx, c in two_form.items() if not c.is_zero()}
-    scale = Scalar.rational(1, factorial(k))
-    return {idx: c * scale for idx, c in wedge_expand([two_form] * k).items()}
-
-
 def make_zeta_g(ambient: SymplecticData, g: GroupElement) -> GaussianGenerator:
-    """The g-twisted generator; ValueError unless g preserves omega."""
+    """The g-twisted generator (`descent.sector_generator`); ValueError
+    unless g preserves omega and moves a sector with a nonzero volume."""
     g.check_symplectic(ambient)
-    matrix = g.matrix
-    size = 2 * ambient.n
     k = g.twist_pairs()
-
-    y = _vector(Y, ambient)
-    z = _vector(Z, ambient)
-    moved = [(zz - yy).linear_subst(Y, matrix).linear_subst(Z, matrix)
-             for zz, yy in zip(z, y)]
-    quad = _omega_bilinear(ambient, z, [yy + mm for yy, mm in zip(y, moved)])
-    quad = quad.scale(Scalar.of(0, 1))
-
-    # Prefactor: the sector volume of u = (dz - dz^g)/2, row i of (1 - g)/2
-    # expressed through dz.  u carries (1 - g)/2 into the prefactor, so the
-    # pairing is det((1 - g)/2) on the moved sector over (2k)!.
-    half = Scalar.rational(1, 2)
-    u_rows = [[c * half for c in row]
-              for row in linalg.mat_sub(linalg.identity(size), matrix)]
-    prefactor = FormElement({idx: Poly.const(c) for idx, c in
-                             sector_volume(u_rows, ambient.omega, k).items()}, ambient)
-    if k > 0 and prefactor.is_zero():
+    rows = [{l: c for l, c in enumerate(row) if not c.is_zero()} for row in g.matrix]
+    gen = sector_generator(ambient, rows, k, group_twist(g.matrix), ONE)
+    if k > 0 and gen.prefactor.is_zero():
         raise ValueError("degenerate twisted prefactor; g is not usable here")
-    return GaussianGenerator(ambient, quad, prefactor, group_twist(matrix))
+    return gen
 
 
 def theta_element(ambient: SymplecticData, g: GroupElement,
@@ -373,7 +343,8 @@ def twisted_cycle(ambient: SymplecticData, g: GroupElement, truncation: int):
     parts y_j - y_j Q of the generators), as a pairing chain."""
     theta = theta_element(ambient, g, truncation)
     moved = linalg.mat_sub(linalg.identity(g.size), g.fixed_projector())
-    volume = sector_volume(moved, ambient.omega, g.twist_pairs())
+    ones = [{(l + 1,): c for l, c in enumerate(row) if not c.is_zero()} for row in moved]
+    volume = sector_volume(ones, g.twist_pairs())
     return Chain([(theta.scale(c), tuple(WeylElement.generator(j, ambient) for j in idx))
                   for idx, c in volume.items()])
 

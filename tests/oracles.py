@@ -12,11 +12,12 @@ construction) are the undressed ones from the forms module.
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 from weylhh import ffs, forms, groups, linalg, simplex
 from weylhh.hochschild import Cochain
 from weylhh.poly import MAX_EXPONENT, Y, index_mask, rename
-from weylhh.scalars import Scalar
+from weylhh.scalars import ONE, ZERO, Scalar
 from weylhh.weyl import WeylElement, bform, involution, monomials_upto, star
 
 
@@ -59,6 +60,36 @@ def leibniz_det(a):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def kfold_sector_volume(rows, form, k):
+    """The k-th wedge power, over k!, of sum_{i<j} form_ij r^i r^j for the
+    one-forms r^i = sum_l rows[i][l] e^(l+1), keyed by index tuples: the
+    product of k two-forms made whole, exponential in k.  Its wedge signs
+    come from cycle_sign, not from the forms module."""
+    def wedge(a, b):
+        out = {}
+        for i1, c1 in a.items():
+            for i2, c2 in b.items():
+                merged = i1 + i2
+                if len(set(merged)) < len(merged):
+                    continue
+                order = sorted(range(len(merged)), key=merged.__getitem__)
+                c = c1 * c2 if cycle_sign(order) > 0 else -(c1 * c2)
+                key = tuple(sorted(merged))
+                out[key] = out.get(key, ZERO) + c
+        return {idx: c for idx, c in out.items() if not c.is_zero()}
+
+    ones = [{(l + 1,): c for l, c in enumerate(row) if not c.is_zero()} for row in rows]
+    two_form = {}
+    for i, j in itertools.combinations(range(len(ones)), 2):
+        for idx, c in wedge(ones[i], ones[j]).items():
+            two_form[idx] = two_form.get(idx, ZERO) + form[i][j] * c
+    power = {(): ONE}
+    for _ in range(k):
+        power = wedge(power, {idx: c for idx, c in two_form.items() if not c.is_zero()})
+    scale = Scalar.rational(1, factorial(k))
+    return {idx: c * scale for idx, c in power.items()}
 
 
 def random_symplectic(rng, dim):

@@ -1,12 +1,14 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylhh import descent, linalg
-from weylhh.descent import (GaussianGenerator, SuffixCache, auto_budget,
+from weylhh.descent import (SuffixCache, auto_budget,
                             build_trace, descend, descent_cocycle, make_zeta,
                             verify_descent)
 from weylhh.errors import BudgetError
@@ -80,14 +82,6 @@ def test_descend_identity_twist(sym1, sym2):
             build_trace(zg, 4)
 
 
-def test_mixed_form_degree_prefactor_is_refused(sym1):
-    # A 0-form plus a 2-form has no one arity.
-    prefactor = FormElement({(): Poly.one(), (1, 2): Poly.one()}, sym1)
-    gen = GaussianGenerator(sym1, Poly.zero(), prefactor, lambda a: a)
-    with pytest.raises(ValueError, match="prefactor must be homogeneous in form degree"):
-        gen.form_degree
-
-
 def test_twisted_generator_reflection(sym1):
     minus = GroupElement.diagonal([Scalar.of(-1), Scalar.of(-1)], "-1")
     zg = make_zeta_g(sym1, minus)
@@ -126,6 +120,42 @@ def test_descend_generators(sym1):
     assert v.poly == Poly.const(frac(1, 2))
     v_swapped = descend(z, [y2, y1])
     assert v_swapped.poly == Poly.const(frac(-1, 2))
+
+
+def test_volume_chain_value_through_rank_six():
+    # (y1 .. y2n) has a z cap of 0 at every level, so each suffix cache
+    # expands the generator to its prefactor alone, not to the budget: the
+    # value 1/(2n)! for n = 3 .. 6 takes well under a second together
+    # (expanded to the budget, n = 5 took 30 s).
+    start = time.process_time()
+    for n in range(3, 7):
+        sym = SymplecticData.canonical(n)
+        gens = [WeylElement.generator(j, sym) for j in range(1, 2 * n + 1)]
+        assert descend(make_zeta(sym), gens).poly == Poly.const(frac(1, factorial(2 * n)))
+    assert time.process_time() - start < 1
+
+
+def test_minus_sector_is_the_untwisted_cocycle_up_to_sign(sym1, sym2):
+    # The FFS symbol is a second route for the -1 sector: its descent value
+    # times (-1)^n equals ffs_apply on criterion 06's n = 1 pairs (every
+    # monomial pair of total degree <= 6) and on a sample of n = 2
+    # 4-tuples of slot degree 1 or 2.
+    minus1 = make_zeta_g(sym1, GroupElement.diagonal([Scalar.of(-1)] * 2, "-1"))
+    monos = monomials_upto(sym1, 6)
+    pairs = [(a, b) for a, b in itertools.product(monos, repeat=2)
+             if a.degree() + b.degree() <= 6]
+    for a, b in pairs:
+        d = descend(minus1, [a, b])
+        f = ffs_apply(cached_symbol(1, 8), [a, b])
+        assert f.restrict(d.truncation) == -d
+    minus2 = make_zeta_g(sym2, GroupElement.diagonal([Scalar.of(-1)] * 4, "-1"))
+    rng = random.Random("minus-sector-n2")
+    monos = monomials_upto(sym2, 2)[1:]  # a unit argument gives 0
+    for _ in range(60):
+        tup = [rng.choice(monos) for _ in range(4)]
+        d = descend(minus2, tup)
+        f = ffs_apply(cached_symbol(2, 8), tup)
+        assert f.restrict(d.truncation) == d
 
 
 def test_descend_unit_argument_kills(sym1, rng):
@@ -431,7 +461,7 @@ def reference_chain_value(gen, args, degree):
                         gen.ambient, degree)
     for k in range(len(args) - 1, -1, -1):
         value = form_star(args[k], homotopy_s(value), (z_caps[k], target + z_caps[k]))
-    assert value.degrees() <= {0}
+    assert set(value.components) <= {()}
     poly = value.component(()).set_bank_zero(Z)
     return WeylElement(poly, gen.ambient, value.truncation)
 

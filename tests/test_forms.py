@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from weylhh.errors import BudgetError
 from weylhh.forms import (FormElement, ext_d, form_star, homotopy_s, proj_p,
-                          wedge_merge)
+                          sector_volume, wedge_expand, wedge_merge)
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import random_form, random_weyl
 from weylhh.scalars import Scalar
@@ -17,6 +17,29 @@ def test_wedge_merge():
     assert wedge_merge((2,), (1,)) == (-1, (1, 2))
     assert wedge_merge((1,), (1,)) is None
     assert wedge_merge((2, 4), (1, 3)) == (-1, (1, 2, 3, 4))
+
+
+def test_wedge_expand_keeps_one_degree():
+    # (1 + dz1 + dz2)(1 - dz1 + 2 dz2): the degree-1 part is 3 dz2, where
+    # dz1 cancels, and the degree-2 part 2 dz1 dz2 - dz2 dz1 = 3 dz1 dz2.
+    one = Scalar.of(1)
+    first = {(): one, (1,): one, (2,): one}
+    second = {(): one, (1,): -one, (2,): Scalar.of(2)}
+    assert wedge_expand([first, second], 0) == {(): one}
+    assert wedge_expand([first, second], 1) == {(2,): Scalar.of(3)}
+    assert wedge_expand([first, second], 2) == {(1, 2): Scalar.of(3)}
+    assert wedge_expand([first, second], 3) == {}
+
+
+def test_sector_volume_orientation():
+    # The -1 sector's u = dz at n = 1 and 2: prod_l (-dz_(2l-1) dz_(2l)),
+    # so -vol at n = 1 and +vol at n = 2; k = 1 at n = 2 sums the two tau_l.
+    one = Scalar.of(1)
+    dz = [{(j,): one} for j in range(1, 5)]
+    assert sector_volume(dz[:2], 1) == {(1, 2): -one}
+    assert sector_volume(dz, 2) == {(1, 2, 3, 4): one}
+    assert sector_volume(dz, 1) == {(1, 2): -one, (3, 4): -one}
+    assert sector_volume(dz, 0) == {(): one}
 
 
 def test_unit_and_exterior_signs(sym1):
@@ -120,6 +143,9 @@ def test_truncation_certificate_shrinks(sym1):
     out = form_star(quadratic, series)
     assert out.truncation == 2
     assert all(p.degree() <= 2 for p in out.components.values())
+    # A zero factor has degree 0 and costs nothing; d costs one degree.
+    assert form_star(FormElement({}, sym1), series).truncation == 4
+    assert ext_d(series).truncation == 3
 
 
 @pytest.mark.parametrize("idx", [(0, 1), (-3,), (3,), (2, 1), (1, 1)])

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from weylhh import linalg
 from weylhh.descent import descent_cocycle
 from weylhh.errors import AmbientMismatchError
 from weylhh.ffs import ffs_cocycle
+from weylhh.forms import FormElement, sector_volume
 from weylhh.groups import (ClassFunction, FiniteGroup, GroupElement,
                            SmashElement, afls_dims, higher_spin_preset,
                            make_zeta_g, theta_cocycle, theta_element,
@@ -17,8 +20,8 @@ from weylhh.sampling import random_smash, random_weyl
 from weylhh.scalars import I, ONE, ZERO, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, star
 
-from oracles import (commutator_terms, conjugate_by, conjugate_cochain, leibniz_det,
-                     theta_equation_defects)
+from oracles import (commutator_terms, conjugate_by, conjugate_cochain,
+                     kfold_sector_volume, leibniz_det, theta_equation_defects)
 
 
 def frac(a, b):
@@ -500,3 +503,54 @@ def test_non_semisimple_refusals(sym2):
         twisted_cycle(sym2, shear, truncation=4)
     with pytest.raises(ValueError, match="degenerate twisted prefactor"):
         make_zeta_g(sym2, shear)
+
+
+def one_forms(rows):
+    """Row i as the one-form {(l + 1,): rows[i][l]} over its nonzero entries."""
+    return [{(l + 1,): c for l, c in enumerate(row) if not c.is_zero()} for row in rows]
+
+
+def test_sector_volume_matches_kfold_power(preset, kleinian, d8):
+    # The degree-2k part of prod_l (1 + tau_l) against the k-fold wedge
+    # power over k! that it replaced: on the rows of u = (1 - g)/2 (the
+    # generator's) and of 1 - Q (the dual cycle's) for every element of the
+    # preset, the Kleinian groups and D8 and for diagonal and mixing cases,
+    # and on random rows at n <= 3 for every k <= n.
+    half = frac(1, 2)
+    diagonals = [GroupElement.diagonal([Scalar.of(e) for e in entries]) for entries in
+                 ([-1, -1], [2, Fraction(1, 2)], [3, Fraction(1, 3)], [-1, -1, -1, -1, 1, 1])]
+    elements = [*preset[0], *d8[0], *THETA_CASES.values(), *diagonals,
+                *(g for group in kleinian.values() for g in group)]
+    for g in elements:
+        omega = SymplecticData.canonical(g.size // 2).omega
+        ident = linalg.identity(g.size)
+        u = [[c * half for c in row] for row in linalg.mat_sub(ident, g.matrix)]
+        moved = linalg.mat_sub(ident, g.fixed_projector())
+        k = g.twist_pairs()
+        for rows in (u, moved):
+            assert sector_volume(one_forms(rows), k) == kfold_sector_volume(rows, omega, k)
+    rng = random.Random("sector-volume")
+    for n in (1, 2, 3):
+        omega = SymplecticData.canonical(n).omega
+        for _ in range(3):
+            rows = [[Scalar.of(rng.randint(-2, 2), rng.randint(-1, 1)) if rng.random() < 0.5
+                     else ZERO for _ in range(2 * n)] for _ in range(2 * n)]
+            for k in range(n + 1):
+                assert sector_volume(one_forms(rows), k) == kfold_sector_volume(rows, omega, k)
+
+
+def test_minus_sector_builds_at_rank_24():
+    # The -1 sector at n = 24: its generator and its dual cycle are built in
+    # time polynomial in n (the k-fold wedge power took 5 s at n = 16).
+    # Its volume is prod_l (-dz_(2l-1) dz_(2l)), (+1) vol_dz at even n.
+    sym = SymplecticData.canonical(24)
+    minus = GroupElement.diagonal([-ONE] * 48, "-1")
+    start = time.process_time()
+    gen = make_zeta_g(sym, minus)
+    assert time.process_time() - start < 1
+    assert gen.form_degree == 48 and gen.prefactor == FormElement.dz(range(1, 49), sym)
+    start = time.process_time()
+    cycle = twisted_cycle(sym, minus, 4)
+    assert time.process_time() - start < 1
+    gens = tuple(WeylElement.generator(j, sym) for j in range(1, 49))
+    assert [(theta.poly, args) for theta, args in cycle.terms] == [(Poly.one(), gens)]

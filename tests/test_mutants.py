@@ -72,9 +72,10 @@ def homotopy_identity_holds(a: FormElement) -> bool:
 
 
 def routes_agree(sym, *args, budget=None) -> bool:
-    """The descent value against the simplex-symbol value (descend is read
-    off its module, so a mutant of it installed there is the one run)."""
-    d = descent.descend(make_zeta(sym), list(args), budget=budget)
+    """The descent value against the simplex-symbol value (descend and
+    make_zeta are read off their module, so a mutant of either installed
+    there is the one run)."""
+    d = descent.descend(descent.make_zeta(sym), list(args), budget=budget)
     f = ffs_apply(cached_symbol(sym.n, sum(a.degree() for a in args)), args)
     return f.restrict(d.truncation) == d
 
@@ -358,11 +359,23 @@ def test_overflow_guard_removed(monkeypatch):
 
 
 def test_perm_sign_always_even(monkeypatch, sym1):
-    # Every permutation even: the dz wedge loses its sign on the first swap.
-    assert dz_anticommute(sym1)
+    # Every permutation even: the determinant operator becomes the
+    # permanent.  (y1, y2) meets only the even permutation and agrees;
+    # (y2, y1) reads the odd one.
+    y1, y2 = y(sym1, 1), y(sym1, 0, 1)
+    assert routes_agree(sym1, y1, y2) and routes_agree(sym1, y2, y1)
     install(monkeypatch, linalg, "perm_sign",
             "-1 if sum(x > y for x, y in combinations(items, 2)) % 2 else 1", "1",
-            also=(forms,))
+            also=(ffs, hochschild))
+    assert routes_agree(sym1, y1, y2)
+    assert not routes_agree(sym1, y2, y1)
+
+
+def test_wedge_sign_always_even(monkeypatch, sym1):
+    # The wedge's sign read as even for every merge: dz loses its sign on
+    # the first swap.
+    assert dz_anticommute(sym1)
+    install(monkeypatch, forms, "wedge_merge", "-1 if odd else 1", "1")
     assert not dz_anticommute(sym1)
 
 
@@ -562,8 +575,8 @@ def test_twisted_prefactor_without_half(monkeypatch, sym1):
                           groups.twisted_cycle(sym1, minus, 4))
 
     assert pairing() == Scalar.of(Fraction(1, 2))
-    install(monkeypatch, groups, "make_zeta_g", "half = Scalar.rational(1, 2)",
-            "half = Scalar.rational(1, 1)")
+    install(monkeypatch, descent, "sector_generator", "half = Scalar.rational(1, 2)",
+            "half = Scalar.rational(1, 1)", also=(groups,))
     assert pairing() == Scalar.of(2)
 
 
@@ -825,3 +838,33 @@ def test_star_kernel_mixed_products_uncut(monkeypatch, sym1):
     install(monkeypatch, weyl, "_star_kernel", "caps[1] if mixed else None", "None",
             also=(forms,))
     assert not cut_is_capped()
+
+
+def test_generator_expanded_to_z_cap(monkeypatch, sym1):
+    # Every term of Q carries a z, so Q^m has z-degree at least m and
+    # degree 2m: a level of z cap c needs the expansion to degree 2c.  Cut
+    # at c, it loses the powers past c/2.  (y1, y2) has a z cap of 0 and
+    # reads only the prefactor; (y1^2, y2^2) has 2 and loses Q^2.
+    a, b = y(sym1, 2), y(sym1, 0, 2)
+    assert routes_agree(sym1, y(sym1, 1), y(sym1, 0, 1)) and routes_agree(sym1, a, b)
+    install(monkeypatch, descent, "_contract", "min(caps[1], 2 * caps[0])",
+            "min(caps[1], caps[0])", owner=SuffixCache)
+    assert routes_agree(sym1, y(sym1, 1), y(sym1, 0, 1))
+    assert not routes_agree(sym1, a, b)
+
+
+def test_zeta_without_sign(monkeypatch, sym1, sym2):
+    # The -1 sector's generator without the (-1)^n that makes it the
+    # untwisted one negates every value at odd n: (y1, y2) gives -1/2 for
+    # 1/2.  At n = 2 the sign is 1 and the mutant is the real code, so no
+    # oracle there can catch it; at n = 3, (y1 .. y6) gives -1/720.
+    y1, y2 = y(sym1, 1), y(sym1, 0, 1)
+    gens2 = [WeylElement.generator(j, sym2) for j in (1, 2, 3, 4)]
+    sym3 = SymplecticData.canonical(3)
+    gens3 = [WeylElement.generator(j, sym3) for j in range(1, 7)]
+    assert routes_agree(sym1, y1, y2) and routes_agree(sym2, *gens2)
+    assert descend(descent.make_zeta(sym3), gens3).poly == Poly.const(Scalar.of(Fraction(1, 720)))
+    install(monkeypatch, descent, "make_zeta", "Scalar.of((-1) ** ambient.n)", "ONE")
+    assert not routes_agree(sym1, y1, y2)
+    assert routes_agree(sym2, *gens2)
+    assert descend(descent.make_zeta(sym3), gens3).poly == Poly.const(Scalar.of(Fraction(-1, 720)))

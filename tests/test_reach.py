@@ -22,7 +22,7 @@ UNREACHED = {
     "pickling, which no command does": {"scalars.Scalar.__reduce__"},
     "the mutation harness empties the value memos with it": {"ffs.clear_memos"},
     "the sweep-n2 benchmark workload's oracle": {"ffs.monomial_table"},
-    "small constructors": {"groups.GroupElement.identity"},
+    "small constructors": {"groups.GroupElement.identity", "forms.FormElement.dz"},
     "value equality; a command tests a difference by is_zero":
         {"forms.FormElement.__eq__", "groups.SmashElement.__eq__"},
     "group elements are canonical: a command's dict lookups find the key "
