@@ -26,7 +26,8 @@ operator is its W factors times the determinant (both factor kinds memoised
 per argument), walked one Poly product at a time (_operator_product)
 inside a divisibility box: only the terms whose copy part divides the
 caller's bound.  One low mask splits each of its int monomial keys (see
-poly) into the output part and the copy part: the per-slot derivative
+poly) into the output part, whose degree is the monomial's number of W_0j
+factors (_output_degree), and the copy part: the per-slot derivative
 multi-index alpha, which pairs only with the argument terms y^alpha_mu
 (weighted by alpha_mu!).  Copy parts only grow along the walk, so dropping
 the terms outside the box after every product loses nothing inside it.
@@ -37,7 +38,9 @@ the product grouped by copy part, once per bound) and looks each summed key
 up; monomial_table reads the symbol at every need within its slot degree,
 walks each operator's product whole, once, from its coefficient, adds its
 terms straight into the rows of their copy parts and finishes that need's
-rows before the next need, so that equal values share one object.
+rows before the next need, so that equal values share one object; one
+shift per slot moves a copy part's fields back onto y_1..y_2n, and the
+slot's degree is the need's.
 
 A second, independent route for n = 1 integrates over the unit square after
 the substitution u_1 = t_0 t_1, u_2 = t_0 (Jacobian t_0); the two must agree
@@ -60,8 +63,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import InsufficientExpansionError
 from .hochschild import Cochain
 from .linalg import perm_sign
-from .poly import (Poly, Y, Z, index_mask, mono_degree, mono_divides,
-                   mono_factorial, mono_lcm, rename)
+from .poly import (DEGREES, Poly, Y, Z, _offset, index_mask, mono_degree, mono_divides,
+                   mono_factorial, mono_lcm, rename, variable_key)
 from .scalars import I, ONE, Scalar
 from .weyl import SymplecticData, WeylElement, involution
 
@@ -203,18 +206,16 @@ def _copy(mu: int, n: int) -> Tuple[str, int]:
     return (Z if mu % 2 else Y), mu // 2 * 2 * n
 
 
-def _copy_var(mu: int, j: int, n: int) -> Tuple[str, int, int]:
-    """Derivative symbol d/dy_mu^j encoded as a variable on copy mu."""
+def _copy_var(mu: int, j: int, n: int) -> int:
+    """The key of the derivative symbol d/dy_mu^j, a variable on copy mu."""
     bank, offset = _copy(mu, n)
-    return (bank, offset + j, 1)
+    return variable_key(bank, offset + j)
 
 
 def _sum_monomials(monomials) -> Poly:
-    """The sum of (triples, coeff) monomials with distinct keys."""
-    terms: Dict[int, Scalar] = {}
-    for triples, c in monomials:
-        terms.update(Poly.monomial(triples, c).terms)
-    return Poly(terms)
+    """The sum of (variable keys, coeff) monomials, each a product of
+    distinct variables (so its key is the keys' sum), with distinct keys."""
+    return Poly({sum(keys): c for keys, c in monomials if not c.is_zero()})
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +243,7 @@ def _pair_operator(sym: SymplecticData, i: int, j: int) -> Poly:
     W_{ij} = (pi^T w pi)^{ab} d/dy_i^a d/dy_j^b = pi^{ab} d/dy_i^a d/dy_j^b.
     """
     if i == 0:
-        return _sum_monomials(([(Y, k, 1), _copy_var(j, k, sym.n)], -I)
+        return _sum_monomials(([variable_key(Y, k), _copy_var(j, k, sym.n)], -I)
                               for k in range(1, 2 * sym.n + 1))
     return _sum_monomials(([_copy_var(i, a, sym.n), _copy_var(j, b, sym.n)], c)
                           for a, row in enumerate(sym.pi, start=1)
@@ -270,8 +271,9 @@ def _operator_product(ambient: SymplecticData, mono: WMono, bound: Optional[int]
     """coeff times det(p_1..p_2n) times the W factors of a symbol monomial,
     walked one Poly product at a time from coeff (so it costs no product):
     the terms whose copy part divides bound, or all of them if bound is None."""
-    # The output fields are never pruned.
-    box = None if bound is None else bound | index_mask(2 * ambient.n, Y)
+    # The output fields are never pruned, and the full degree fields let no
+    # key borrow from them.
+    box = None if bound is None else bound | index_mask(2 * ambient.n, Y) | DEGREES
 
     def inside(p: Poly) -> Poly:
         if box is None:
@@ -288,6 +290,12 @@ def _operator_product(ambient: SymplecticData, mono: WMono, bound: Optional[int]
     return inside(product * inside(_det_operator(ambient)))
 
 
+def _output_degree(mono: WMono) -> int:
+    """The degree of the output part of every term of mono's operator: each
+    W_0j factor brings one y, and no other factor any."""
+    return sum(count for (i, _), count in mono if not i)
+
+
 def _operator_for(ambient: SymplecticData, mono: WMono,
                   bound: int) -> PackedOperator:
     """The operator product for a symbol monomial, grouped by the copy part
@@ -302,9 +310,10 @@ def _operator_for(ambient: SymplecticData, mono: WMono,
     if op is not None:
         return op
     out_mask = index_mask(2 * ambient.n, Y)
+    degree = _output_degree(mono)
     groups: Dict[int, list] = {}
     for k, c in _operator_product(ambient, mono, bound).terms.items():
-        out = k & out_mask
+        out = k & out_mask | degree
         groups.setdefault(k - out, []).extend((out, c))
     op = PackedOperator({k: tuple(v) for k, v in groups.items()})
     _op_cache[key] = op
@@ -409,7 +418,9 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
     """
     m = 2 * symbol.n
     out_mask = index_mask(m, Y)
-    copies = [_copy(mu, symbol.n) for mu in range(1, m + 1)]
+    # One right shift moves copy mu's fields onto y_1 .. y_2n.
+    shifts = [_offset(bank, offset + 1) - _offset(Y, 1)
+              for bank, offset in (_copy(mu, symbol.n) for mu in range(1, m + 1))]
     # A key int, a coefficient or a value's terms, to its one object.
     shared: Dict[object, object] = {}
     table: Dict[tuple, Poly] = {}
@@ -418,18 +429,21 @@ def monomial_table(symbol: FFSSymbol, ambient: SymplecticData,
             continue
         rows: Dict[int, Dict[int, Scalar]] = {}
         for mono, coeff in symbol.terms(need):
+            degree = _output_degree(mono)
             for k, c in _operator_product(ambient, mono, None, coeff).terms.items():
-                out = k & out_mask
+                out = k & out_mask | degree
                 row = rows.setdefault(k - out, {})
                 prev = row.get(out)
                 row[out] = c if prev is None else prev + c
         while rows:  # popping frees each row as its table entry is made
             copy_key, row = rows.popitem()
             weight = mono_factorial(copy_key)
-            terms = {out: c.scale_fraction(weight) for out, c in row.items() if c}
+            terms = {out: c if weight == 1 else c.scale_fraction(weight)
+                     for out, c in row.items() if c}
             if terms:
+                # Slot mu's basis monomial: copy mu's fields, of degree need[mu - 1].
                 key = tuple(shared.setdefault(k, k) for k in (
-                    rename(copy_key, bank, Y, -offset) & out_mask for bank, offset in copies))
+                    copy_key >> shift & out_mask | d for shift, d in zip(shifts, need)))
                 frozen = frozenset(terms.items())
                 value = shared.get(frozen)
                 if value is None:

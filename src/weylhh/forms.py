@@ -254,7 +254,7 @@ def homotopy_s(a: FormElement) -> FormElement:
         weighted = Poly({m: c.scale_fraction(1, q + mono_z_degree(m))
                          for m, c in poly.terms.items()})
         for r, i in enumerate(idx):
-            part = weighted * Poly.variable(Z, i, -ONE if r % 2 else ONE)
+            part = (-weighted if r % 2 else weighted).times_variable(Z, i)
             rest = idx[:r] + idx[r + 1:]
             out[rest] = out.get(rest, Poly.zero()) + part
     t = None if a.truncation is None else a.truncation + 1

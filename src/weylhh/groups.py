@@ -35,7 +35,7 @@ from .descent import (GaussianGenerator, _omega_bilinear, _vector, descent_cocyc
 from .errors import AmbientMismatchError
 from .forms import sector_volume
 from .hochschild import Chain, Cochain, untwisted
-from .poly import Y
+from .poly import Y, linear_images
 from .scalars import I, ONE, ZERO, Scalar
 from .weyl import Matrix, SymplecticData, WeylElement, star
 
@@ -90,9 +90,16 @@ class GroupElement:
     def check_symplectic(self, ambient: SymplecticData) -> None:
         if self.size != 2 * ambient.n:
             raise ValueError(f"matrix is {self.size} x {self.size}, not 2n x 2n, n = {ambient.n}")
-        lhs = linalg.mat_mul(linalg.mat_transpose(self.matrix),
-                             linalg.mat_mul(ambient.omega, self.matrix))
-        if lhs != ambient.omega:
+        # g^T omega g, sum_j g_ja omega_j(j^1) g_(j^1)b: canonical omega has its
+        # one entry per row at j ^ 1, and g's zero entries are skipped.
+        g, omega = self.matrix, ambient.omega
+        lhs = [[ZERO] * self.size for _ in g]
+        for j, row in enumerate(g):
+            for a, x in enumerate(row):
+                if not x.is_zero():
+                    x = x * omega[j][j ^ 1]
+                    lhs[a] = [s + x * y for s, y in zip(lhs[a], g[j ^ 1])]
+        if tuple(map(tuple, lhs)) != omega:
             raise ValueError("matrix does not preserve the symplectic form")
 
     def fixed_projector(self) -> Matrix:
@@ -318,20 +325,21 @@ def make_zeta_g(ambient: SymplecticData, g: GroupElement) -> GaussianGenerator:
     return gen
 
 
-def theta_element(ambient: SymplecticData, g: GroupElement,
+def theta_element(ambient: SymplecticData, g: GroupElement, projector: Matrix,
                   truncation: int) -> WeylElement:
-    """The exponential coefficient of the dual twisted cycle.
+    """The exponential coefficient of the dual twisted cycle, for g and its
+    fixed projector Q = g.fixed_projector().
 
-    exp(-i w(y, A^-1 y)) with A = 1 - g + Q, Q = g.fixed_projector(), is the
-    Cayley form -(i/2) w(y, C y) with C = (1 + g)(1 - g)^-1 on the moved
-    sector and 0 on the fixed one: C = 2 A^-1 - 1 - Q and w(y, y) = w(y, Q y)
-    = 0.  The test suite checks it against its defining star equations;
-    ValueError unless g preserves omega."""
+    exp(-i w(y, A^-1 y)) with A = 1 - g + Q is the Cayley form
+    -(i/2) w(y, C y) with C = (1 + g)(1 - g)^-1 on the moved sector and 0
+    on the fixed one: C = 2 A^-1 - 1 - Q and w(y, y) = w(y, Q y) = 0.  The
+    test suite checks it against its defining star equations; ValueError
+    unless g preserves omega."""
     g.check_symplectic(ambient)
-    a = linalg.mat_sub(linalg.identity(g.size), linalg.mat_sub(g.matrix, g.fixed_projector()))
+    a = linalg.mat_sub(linalg.identity(g.size), linalg.mat_sub(g.matrix, projector))
     a_inv = linalg.mat_inverse(a)
-    y = _vector(Y, ambient)
-    exponent = _omega_bilinear(ambient, y, [v.linear_subst(Y, a_inv) for v in y])
+    # The image of y_j under y -> A^-1 y is row j of A^-1.
+    exponent = _omega_bilinear(ambient, _vector(Y, ambient), linear_images(Y, a_inv))
     if exponent.is_zero():
         # Reflection-only sectors: the series terminates, the element is exact.
         return WeylElement.one(ambient)
@@ -341,8 +349,9 @@ def theta_element(ambient: SymplecticData, g: GroupElement,
 def twisted_cycle(ambient: SymplecticData, g: GroupElement, truncation: int):
     """Theta (x) the moved sector's volume (sector_volume over the moved
     parts y_j - y_j Q of the generators), as a pairing chain."""
-    theta = theta_element(ambient, g, truncation)
-    moved = linalg.mat_sub(linalg.identity(g.size), g.fixed_projector())
+    projector = g.fixed_projector()
+    theta = theta_element(ambient, g, projector, truncation)
+    moved = linalg.mat_sub(linalg.identity(g.size), projector)
     ones = [{(l + 1,): c for l, c in enumerate(row) if not c.is_zero()} for row in moved]
     volume = sector_volume(ones, g.twist_pairs())
     return Chain([(theta.scale(c), tuple(WeylElement.generator(j, ambient) for j in idx))

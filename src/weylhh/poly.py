@@ -9,18 +9,33 @@ Every integral the package needs has a closed form (the homotopy weight
 1/(k+q), the simplex and unit-square moments), so no integration variable is
 ever introduced.
 
-A monomial is one int key with an 8-bit exponent field per variable: y_i owns
-field 2(i-1) and z_i field 2(i-1)+1, field f being bits [8f, 8f+8).  So
-multiplying two monomials adds their keys (Monagan-Pearce packing), a
-derivative subtracts one unit from a field, and the total degree and the
-z-degree are byte sums.  Every key sum is made in Poly.mul_into (behind
-Poly.__mul__), whose one guard refuses a field that would reach 256 with a
-ValueError instead of letting it carry into its neighbour, and which cuts a
-product to a total degree.  A product is cut in z only through its right
-factor (Poly.capped and directional_diff's caps, in weyl._walk), since every
-cut left factor is free of z.  No other module reads the layout: they use
-mono_degree, mono_z_degree, mono_factorial, mono_divides, mono_lcm, rename
-and index_mask.
+A monomial is one int key.  Its two low 18-bit fields hold the total
+degree (bits [0, 18)) and the Z-degree (bits [18, 36)); above them each
+variable has an 8-bit exponent field: y_i owns field 2(i-1) and z_i field
+2(i-1)+1, field f being bits [36 + 8f, 36 + 8f + 8).  With 8-bit exponents
+a degree is at most 2 * 512 * 255 < 2^18, so a degree field never carries.
+
+Who keeps the degrees: a variable's key (variable_key) is a unit in its
+exponent field and in its degrees, so the sum of two keys is the key of
+their product, both degrees summed, and a difference is a quotient
+(Monagan-Pearce packing).  Every key sum of a product is made in
+Poly.mul_into (behind Poly.__mul__) or Poly.times_variable, whose guards
+refuse an exponent field that would reach 256 with a ValueError instead of
+letting it carry into its neighbour; mul_into also cuts a product to a
+total degree.  Poly.diff and directional_diff subtract the variable's key.
+So mono_degree, mono_z_degree and every cap test (mul_into's cut, truncate,
+capped, directional_diff's caps) are a mask and a compare.  A product is
+cut in z only through its right factor (capped and directional_diff's
+caps, in weyl._walk), since every cut left factor is free of z.
+
+Who strips and recomputes them: index_mask and the bank masks keep
+exponent fields and no degree (DEGREES is both degree fields), so a key
+split by a mask has lost its degrees.  _key, mono_lcm, rename and
+linear_subst rebuild them from the exponent fields; ffs's split of an
+operator key puts back its known output degree.  No other module reads the
+layout: they use mono_degree, mono_z_degree, mono_factorial, mono_divides,
+mono_lcm, rename, variable_key, index_mask, DEGREES and _offset (a field's
+lowest bit).
 
 A polynomial is a map from keys to nonzero Scalar coefficients.  Values are
 treated as immutable after construction, so one value may be read from
@@ -37,7 +52,7 @@ from __future__ import annotations
 
 from itertools import zip_longest
 from math import factorial, prod
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -49,13 +64,19 @@ Mono = Tuple[Tuple[str, int, int], ...]
 _BITS = 8
 MAX_EXPONENT = (1 << _BITS) - 1
 MAX_INDEX = 512
-_KEY_BITS = 2 * _BITS * MAX_INDEX
-# The lowest bit of every field but the first: a key sum that sets one of
-# these bits beyond what its operands had there carried out of a field.
-_CARRIES = sum(1 << (_BITS * f) for f in range(1, 2 * MAX_INDEX + 1))
-# The highest bit of every field: two fields below 128 cannot carry.
+# The width of each degree field: no degree passes 2 * MAX_INDEX * 255 < 2^18.
+_DEG_BITS = 18
+_DEGREE = (1 << _DEG_BITS) - 1
+# The lowest bit of the first exponent field; the two degree fields below it.
+_LOW = 2 * _DEG_BITS
+DEGREES = (1 << _LOW) - 1
+_FIELD_BITS = 2 * _BITS * MAX_INDEX
+# The lowest bit of every exponent field but the first: a key sum that sets
+# one of these bits beyond what its operands had there carried out of a field.
+_CARRIES = sum(1 << (_LOW + _BITS * f) for f in range(1, 2 * MAX_INDEX + 1))
+# The highest bit of every exponent field: two fields below 128 cannot carry.
 _HIGH = _CARRIES >> 1
-_BANK_MASK = {Y: sum(MAX_EXPONENT << (2 * _BITS * i) for i in range(MAX_INDEX))}
+_BANK_MASK = {Y: sum(MAX_EXPONENT << (_LOW + 2 * _BITS * i) for i in range(MAX_INDEX))}
 _BANK_MASK[Z] = _BANK_MASK[Y] << _BITS
 
 
@@ -64,21 +85,34 @@ def _offset(bank: str, index: int) -> int:
     if bank not in _BANK_MASK or not 1 <= index <= MAX_INDEX:
         raise ValueError(f"no variable {bank!r}{index!r}: banks are Y and Z, "
                          f"indices 1..{MAX_INDEX}")
-    return _BITS * (2 * (index - 1) + (bank == Z))
+    return _LOW + _BITS * (2 * (index - 1) + (bank == Z))
+
+
+def variable_key(bank: str, index: int) -> int:
+    """The key of one variable: a unit in its field and in its degrees."""
+    return (1 << _offset(bank, index)) + ((bank == Z) << _DEG_BITS) + 1
 
 
 def _bytes(key: int) -> bytes:
+    """The exponent fields of a key, field 0 first."""
+    key >>= _LOW
     return key.to_bytes((key.bit_length() + 7) >> 3, "little")
+
+
+def _with_degrees(fields: int) -> int:
+    """The key whose exponent fields are `fields` (field 0 at bit 0)."""
+    b = fields.to_bytes((fields.bit_length() + 7) >> 3, "little")
+    return fields << _LOW | sum(b[1::2]) << _DEG_BITS | sum(b)
 
 
 def mono_degree(key: int) -> int:
     """Total degree of a monomial key."""
-    return sum(_bytes(key))
+    return key & _DEGREE
 
 
 def mono_z_degree(key: int) -> int:
     """Degree of a monomial key in the Z bank."""
-    return sum(_bytes(key)[1::2])
+    return key >> _DEG_BITS & _DEGREE
 
 
 def mono_factorial(key: int) -> int:
@@ -88,17 +122,18 @@ def mono_factorial(key: int) -> int:
 
 def mono_divides(a: int, b: int) -> bool:
     """Whether monomial key a divides b: every field of a is at most b's."""
-    # b - a borrows out of a field exactly where a's field is the larger,
-    # and the borrow shows as a carry of d + a = b (out of the top field,
-    # as a negative d).
+    # b - a borrows out of an exponent field wherever a's field is the
+    # larger, and nowhere when every field of a (and so each of its degrees)
+    # is at most b's; a borrow shows as a carry of d + a = b (out of the top
+    # field, as a negative d).
     d = b - a
     return d >= 0 and not (d ^ a ^ b) & _CARRIES
 
 
 def mono_lcm(a: int, b: int) -> int:
     """The least common multiple of two monomial keys: their fieldwise maximum."""
-    return int.from_bytes(
-        bytes(map(max, zip_longest(_bytes(a), _bytes(b), fillvalue=0))), "little")
+    return _with_degrees(int.from_bytes(
+        bytes(map(max, zip_longest(_bytes(a), _bytes(b), fillvalue=0))), "little"))
 
 
 def rename(key: int, src: str, dst: str, offset: int) -> int:
@@ -106,29 +141,34 @@ def rename(key: int, src: str, dst: str, offset: int) -> int:
     the dst-bank variable of index i + offset; those renamed below index 1
     are dropped."""
     bits = 2 * _BITS * offset + _BITS * ((dst == Z) - (src == Z))
-    key &= _BANK_MASK[src]
+    fields = (key & _BANK_MASK[src]) >> _LOW
     if bits < 0:
-        return key >> -bits
-    key <<= bits
-    if key.bit_length() > _KEY_BITS:
+        return _with_degrees(fields >> -bits)
+    fields <<= bits
+    if fields.bit_length() > _FIELD_BITS:
         raise ValueError(f"variable index renamed past {MAX_INDEX}")
-    return key
+    return _with_degrees(fields)
 
 
 def index_mask(count: int, bank: str) -> int:
-    """The fields of the bank's variables of index 1..count."""
-    return _BANK_MASK[bank] & ((1 << (2 * _BITS * count)) - 1)
+    """The exponent fields of the bank's variables of index 1..count (no
+    degree field)."""
+    return _BANK_MASK[bank] & ((1 << (_LOW + 2 * _BITS * count)) - 1)
 
 
 def _key(triples: Iterable[Tuple[str, int, int]]) -> int:
     exps: Dict[int, int] = {}
+    degree = z_degree = 0
     for bank, index, exp in triples:
         off = _offset(bank, index)
         exps[off] = exps.get(off, 0) + exp
+        degree += exp
+        if bank == Z:
+            z_degree += exp
     for e in exps.values():
         if not 0 <= e <= MAX_EXPONENT:
             raise ValueError(f"exponent {e} does not fit an {_BITS}-bit field")
-    return sum(e << off for off, e in exps.items())
+    return sum(e << off for off, e in exps.items()) + (z_degree << _DEG_BITS) + degree
 
 
 def _triples(key: int) -> Mono:
@@ -136,6 +176,13 @@ def _triples(key: int) -> Mono:
     b = _bytes(key)
     return (tuple((Y, i, e) for i, e in enumerate(b[0::2], start=1) if e)
             + tuple((Z, i, e) for i, e in enumerate(b[1::2], start=1) if e))
+
+
+def linear_images(bank: str, matrix: Sequence[Sequence[Scalar]]) -> List["Poly"]:
+    """The image sum_k matrix[j][k] * v_k of each variable v_j of the bank,
+    in row order (indices 1-based against the rows and columns)."""
+    return [Poly({variable_key(bank, k): c for k, c in enumerate(row, start=1)
+                  if not c.is_zero()}) for row in matrix]
 
 
 def _graded_lex(triples: Mono) -> tuple:
@@ -188,7 +235,7 @@ class Poly:
     def variable(bank: str, index: int, coeff: Scalar = ONE) -> "Poly":
         if coeff.is_zero():
             return Poly()
-        return Poly({1 << _offset(bank, index): coeff})
+        return Poly({variable_key(bank, index): coeff})
 
     @staticmethod
     def monomial(triples: Iterable[Tuple[str, int, int]], coeff: Scalar = ONE) -> "Poly":
@@ -263,8 +310,7 @@ class Poly:
                     raise ValueError(
                         f"{Poly({m1: c1})} times {Poly({m2: c2})} overflows "
                         f"the {_BITS}-bit exponent field")
-                if (max_degree is not None
-                        and sum(m.to_bytes((m.bit_length() + 7) >> 3, "little")) > max_degree):
+                if max_degree is not None and m & _DEGREE > max_degree:
                     continue
                 c = c1 * c2
                 s = out.get(m)
@@ -297,9 +343,9 @@ class Poly:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, bank: str, index: int) -> "Poly":
-        """Partial derivative: lower the variable's field by one."""
-        off = _offset(bank, index)
-        unit = 1 << off
+        """Partial derivative: lower the variable's field and its degrees by one."""
+        unit = variable_key(bank, index)
+        off = unit.bit_length() - 1  # its field's unit is the key's top bit
         out: Dict[int, Scalar] = {}
         for m, c in self.terms.items():
             e = (m >> off) & MAX_EXPONENT
@@ -316,22 +362,23 @@ class Poly:
         a term's total degree by one, and its Z-degree by one exactly when it
         is the z derivative.
         """
-        parts = ((_offset(Y, index), False), (_offset(Z, index), True))
+        ky, kz = variable_key(Y, index), variable_key(Z, index)
+        # The unit of a variable's field is its key's top bit.
+        parts = ((ky.bit_length() - 1, ky, False), (kz.bit_length() - 1, kz, True))
         out: Dict[int, Scalar] = {}
         for m, cm in self.terms.items():
             # need: how many Z's this term's derivative must drop to fit z_cap.
             need = 0
             if caps is not None:
-                b = m.to_bytes((m.bit_length() + 7) >> 3, "little")
-                need = sum(b[1::2]) - caps[0]
-                if need > 1 or sum(b) > caps[1] + 1:
+                need = (m >> _DEG_BITS & _DEGREE) - caps[0]
+                if need > 1 or m & _DEGREE > caps[1] + 1:
                     continue
-            for off, in_z in parts:
+            for off, unit, in_z in parts:
                 e = (m >> off) & MAX_EXPONENT
                 if not e or in_z < need:
                     continue
                 d = cm if e == 1 else cm.scale_fraction(e)
-                k = m - (1 << off)
+                k = m - unit
                 s = out.get(k)
                 if s is None:
                     out[k] = d
@@ -353,12 +400,10 @@ class Poly:
 
         Indices are 1-based against the matrix rows/columns.
         """
-        images = [Poly({1 << _offset(bank, k): c for k, c in enumerate(row, start=1)
-                        if not c.is_zero()}) for row in matrix]
-        mask = _BANK_MASK[bank]
+        images = linear_images(bank, matrix)
         out = Poly()
         for m, c in self.terms.items():
-            moved = m & mask
+            moved = rename(m, bank, bank, 0)  # the bank's part, with its degrees
             factor = Poly({m - moved: c})
             for _, i, e in _triples(moved):
                 for _ in range(e):
@@ -368,20 +413,24 @@ class Poly:
 
     def truncate(self, max_degree: Optional[int]) -> "Poly":
         """Drop every term of total degree above max_degree; self when none is."""
-        if max_degree is None or all(mono_degree(m) <= max_degree for m in self.terms):
+        if max_degree is None or all(m & _DEGREE <= max_degree for m in self.terms):
             return self
-        return Poly({m: c for m, c in self.terms.items()
-                     if mono_degree(m) <= max_degree})
+        return Poly({m: c for m, c in self.terms.items() if m & _DEGREE <= max_degree})
 
     def capped(self, z_cap: int, total_cap: int) -> "Poly":
         """The terms of Z-degree <= z_cap and total degree <= total_cap."""
-        out: Dict[int, Scalar] = {}
-        for m, c in self.terms.items():
-            # _bytes inlined: the capped kernel cuts every node through here.
-            b = m.to_bytes((m.bit_length() + 7) >> 3, "little")
-            if sum(b) <= total_cap and sum(b[1::2]) <= z_cap:
-                out[m] = c
-        return Poly(out)
+        return Poly({m: c for m, c in self.terms.items()
+                     if m & _DEGREE <= total_cap and m >> _DEG_BITS & _DEGREE <= z_cap})
+
+    def times_variable(self, bank: str, index: int) -> "Poly":
+        """self times one variable, a key sum per term; ValueError, as in
+        mul_into, where its exponent field would reach 256."""
+        unit = variable_key(bank, index)
+        off = unit.bit_length() - 1
+        if any(m >> off & MAX_EXPONENT == MAX_EXPONENT for m in self.terms):
+            raise ValueError(f"{self} times {bank.lower()}{index} overflows "
+                             f"the {_BITS}-bit exponent field")
+        return Poly({m + unit: c for m, c in self.terms.items()})
 
     def lowest_term(self) -> Tuple[int, "Poly"]:
         """The first term of a nonzero self in graded-lex order, and its degree."""

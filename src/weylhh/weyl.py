@@ -19,28 +19,32 @@ WeylElement carrying a truncation marker: every stored term of total degree
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import List, Optional, Tuple
 
 from .errors import AmbientMismatchError, BudgetError
-from .poly import MAX_INDEX, Poly, Y, _offset, index_mask, mono_degree, mono_z_degree
+from .poly import (DEGREES, MAX_EXPONENT, MAX_INDEX, Poly, Y, _offset, index_mask,
+                   mono_degree, mono_z_degree, variable_key)
 from .scalars import I, ONE, ZERO, Scalar
 
 Matrix = Tuple[Tuple[Scalar, ...], ...]
 
 
 class SymplecticData:
-    """The canonical ambient of rank n: pi, omega = -pi, the key of y_j at
-    index j of ykeys (0 at index 0), and the bits foreign to it, all but
-    y_1 .. y_2n.  Equality and hashing read n."""
+    """The canonical ambient of rank n: pi, omega = -pi, the key of y_j and
+    its exponent field at index j of ykeys and yfields (0 at index 0), and
+    the bits foreign to it, all but those of y_1 .. y_2n and the degree
+    fields.  Equality and hashing read n."""
 
-    __slots__ = ("n", "pi", "omega", "ykeys", "foreign")
+    __slots__ = ("n", "pi", "omega", "ykeys", "yfields", "foreign")
 
     def __init__(self, n: int):
         size = 2 * n
         self.n = n
-        self.ykeys = (0,) + tuple(1 << _offset(Y, j) for j in range(1, size + 1))
-        self.foreign = ~index_mask(size, Y)
+        self.ykeys = (0,) + tuple(variable_key(Y, j) for j in range(1, size + 1))
+        self.yfields = (0,) + tuple(MAX_EXPONENT << _offset(Y, j) for j in range(1, size + 1))
+        self.foreign = ~(index_mask(size, Y) | DEGREES)
         # Row j's one entry sits at its partner j ^ 1 (0-based): in pi, + for
         # the first of a pair and - for the second; omega's is its negative.
         pi, omega = [], []
@@ -222,7 +226,9 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
     and the coefficient whose product is i^|gamma| / gamma! (pi D)^gamma q,
     the products summing to p * q, and whether d_y^gamma p mixes degrees
     under a cut (below).  D = d_y + d_z, which is d_y on a q without Z.  The
-    gammas form a tree, pruned as soon as either side dies.
+    gammas form a tree, pruned as soon as either side dies: a node takes
+    the derivatives only of the variables its left factor holds (the OR of
+    its keys).
 
     With caps = (z_cap, total_cap) and p without Z, only what can make a
     term of Z-degree <= z_cap and total degree <= total_cap is kept.  Below
@@ -239,7 +245,7 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
     """
     if p.is_zero() or q.is_zero():
         return
-    ykeys = sym.ykeys
+    ykeys, yfields = sym.ykeys, sym.yfields
     # Per node: the degrees of its left factor, or None for no cut.
     degrees = None if caps is None else set(map(mono_degree, p.terms))
     stack = [(1, 0, p, q, ONE, degrees)]
@@ -248,7 +254,10 @@ def _walk(p: Poly, q: Poly, sym: SymplecticData,
         cut = dq if degrees is None else dq.capped(caps[0], caps[1] - min(degrees))
         if cut:
             yield key, dp, cut, coeff, degrees is not None and len(degrees) > 1
+        support = reduce(or_, dp.terms)
         for j in range(j0, len(ykeys)):
+            if not support & yfields[j]:
+                continue
             # Row j of pi D is +-D at j's partner in its pair (2k - 1, 2k),
             # + for odd j; the sign goes into the node coefficient.
             partner = j + 1 if j % 2 else j - 1

@@ -165,8 +165,8 @@ def theta_equation_defects(ambient, g, truncation):
     """Residuals of Theta's star equations for each generator y_j: of
     Theta * v + (v o g) * Theta for its moved part v = y_j - y_j Q, and of
     Theta * w - w * Theta for its fixed part w = y_j Q."""
-    theta = groups.theta_element(ambient, g, truncation)
     fixed = g.fixed_projector()
+    theta = groups.theta_element(ambient, g, fixed, truncation)
     out = []
     for j in range(1, g.size + 1):
         w = WeylElement.generator(j, ambient).apply_matrix(fixed)

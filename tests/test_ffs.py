@@ -14,7 +14,7 @@ from weylhh.errors import InsufficientExpansionError
 from weylhh.ffs import (FFSSymbol, cached_symbol, ffs_apply, ffs_build,
                         ffs_cocycle, ffs_hypercube_n1, simplex_moment)
 from weylhh.hochschild import Chain, SampleSpec, pair_chain, verify_cocycle
-from weylhh.poly import Poly, Y, Z, mono_degree, mono_divides, mono_lcm
+from weylhh.poly import Poly, Y, Z, _triples, mono_degree, mono_divides, mono_lcm
 from weylhh.sampling import monomials_upto, random_weyl
 from weylhh.scalars import I, Scalar
 from weylhh.weyl import SymplecticData, WeylElement
@@ -495,7 +495,6 @@ def test_monomial_table_invariants(monkeypatch, n, slot_degree, distinct):
             if memo not in (ffs._coefficient, ffs._monos_for)]
     before = [memo.cache_info()[1:] for memo in kept]  # misses, maxsize, currsize
     copies = [ffs._copy(mu, n) for mu in range(1, m + 1)]
-    out_mask = ffs.index_mask(m, Y)
     walked = []
     product = ffs._operator_product
 
@@ -504,7 +503,9 @@ def test_monomial_table_invariants(monkeypatch, n, slot_degree, distinct):
         need = slot_degrees(mono, m)
         assert bound is None
         for k in op.terms:
-            assert [mono_degree(ffs.rename(k, bank, Y, -offset) & out_mask)
+            # Slot mu's degree: the exponent sum over copy mu's 2n variables.
+            exps = _triples(k)
+            assert [sum(e for b, i, e in exps if b == bank and offset < i <= offset + m)
                     for bank, offset in copies] == need
         walked.append(len(op.terms))
         return op

@@ -98,6 +98,17 @@ def test_homotopy_examples(sym1):
     assert homotopy_s(FormElement.from_poly(Poly.variable(Y, 1), sym1)).is_zero()
 
 
+def test_homotopy_refuses_exponent_past_field(sym1):
+    # s multiplies by z1 as a key sum: z1^255 dz1 would carry z1's field
+    # into its neighbour's, so it is refused; z1^254 dz1 still fits.
+    top = FormElement({(1,): Poly.monomial([(Z, 1, 255)])}, sym1)
+    with pytest.raises(ValueError, match="overflows"):
+        homotopy_s(top)
+    got = homotopy_s(FormElement({(1,): Poly.monomial([(Z, 1, 254)])}, sym1))
+    assert got == FormElement.from_poly(
+        Poly.monomial([(Z, 1, 255)], Scalar.of(Fraction(1, 255))), sym1)
+
+
 def test_s_squared_zero(rng):
     for _ in range(50):
         n = rng.choice((1, 2))

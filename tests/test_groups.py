@@ -57,7 +57,7 @@ def test_group_elements_equal_by_matrix_alone():
 
 @pytest.mark.parametrize("build", [
     lambda sym, g: make_zeta_g(sym, g),
-    lambda sym, g: theta_element(sym, g, 4),
+    lambda sym, g: theta_element(sym, g, g.fixed_projector(), 4),
     lambda sym, g: twisted_cycle(sym, g, 4),
 ], ids=["make_zeta_g", "theta_element", "twisted_cycle"])
 @pytest.mark.parametrize("entries, message", [
@@ -194,7 +194,7 @@ def test_dihedral_group_table(d8, sym2):
 def test_theta_element_reflection_sectors(preset, sym1):
     # lambda = -1 sectors have vanishing exponent: the element is exactly 1
     minus = GroupElement.diagonal([Scalar.of(-1), Scalar.of(-1)], "-1")
-    theta = theta_element(sym1, minus, truncation=6)
+    theta = theta_element(sym1, minus, minus.fixed_projector(), truncation=6)
     assert theta == WeylElement.one(sym1)
 
 

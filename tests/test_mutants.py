@@ -305,7 +305,8 @@ def test_unbounded_walk_pruned_to_unit_fields(monkeypatch, sym1):
     assert table_matches_apply(sym1, 2)
     install(monkeypatch, ffs, "_operator_product", "return p\n",
             "return Poly({k: c for k, c in p.terms.items() if mono_divides(k, "
-            "index_mask(2 * ambient.n, Y) | (index_mask(8, Y) | index_mask(8, Z)) // 255)})\n")
+            "index_mask(2 * ambient.n, Y) | DEGREES "
+            "| (index_mask(8, Y) | index_mask(8, Z)) // 255)})\n")
     assert not table_matches_apply(sym1, 2)
 
 
@@ -339,6 +340,17 @@ def test_diff_without_exponent(monkeypatch, sym1):
     install(monkeypatch, poly, "diff",
             "c if e == 1 else c.scale_fraction(e)", "c", owner=Poly)
     assert not associative(a, b, c)
+
+
+def test_diff_without_degree_unit(monkeypatch, sym1):
+    # A derivative that lowers the exponent field but not the degree fields
+    # leaves keys that name no monomial: the star walk's left derivative of
+    # y1 is the constant with degree 1, so the descent value on (y1, y2)
+    # no longer equals the symbol's.
+    a, b = y(sym1, 1), y(sym1, 0, 1)
+    assert routes_agree(sym1, a, b)
+    install(monkeypatch, poly, "diff", "out[m - unit]", "out[m - (1 << off)]", owner=Poly)
+    assert not routes_agree(sym1, a, b)
 
 
 def test_star_coefficient_without_factorial(monkeypatch, sym1):
@@ -431,8 +443,8 @@ def test_linear_subst_reads_columns(monkeypatch):
                 == p.linear_subst(Y, linalg.mat_mul(upper, lower)))
 
     assert composes()
-    install(monkeypatch, poly, "linear_subst", "for row in matrix]",
-            "for row in zip(*matrix)]", owner=Poly)
+    install(monkeypatch, poly, "linear_images", "for row in matrix]",
+            "for row in zip(*matrix)]", also=(groups,))
     assert not composes()
 
 
@@ -664,7 +676,7 @@ def test_star_kernel_without_z_derivative(monkeypatch, sym1):
     # into the plain one, so the descent value no longer matches the symbol.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    install(monkeypatch, poly, "directional_diff", "(_offset(Z, index), True)", "",
+    install(monkeypatch, poly, "directional_diff", "(kz.bit_length() - 1, kz, True)", "",
             owner=Poly)
     assert not routes_agree(sym1, a, b)
 
@@ -816,8 +828,8 @@ def test_product_z_cut_inclusive(monkeypatch, sym1):
     # whose z_cap is 0, so the descent value on (y1, y2) is lost.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    install(monkeypatch, poly, "capped", "sum(b[1::2]) <= z_cap",
-            "sum(b[1::2]) < z_cap", owner=Poly)
+    install(monkeypatch, poly, "capped", "m >> _DEG_BITS & _DEGREE <= z_cap",
+            "m >> _DEG_BITS & _DEGREE < z_cap", owner=Poly)
     assert not routes_agree(sym1, a, b)
 
 

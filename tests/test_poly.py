@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from weylhh.poly import (MAX_INDEX, Poly, Y, Z, mono_divides, mono_lcm, mono_z_degree,
-                         rename)
+from weylhh.poly import (MAX_INDEX, Poly, Y, Z, _triples, mono_degree, mono_divides,
+                         mono_factorial, mono_lcm, mono_z_degree, rename)
 from weylhh.scalars import Scalar
+from weylhh.weyl import SymplecticData, WeylElement
 
 
 def y(i, e=1):
@@ -302,3 +303,73 @@ def test_mono_divides_and_lcm_against_exponents():
         assert mono_divides(a, b) == all(ea[v] <= eb[v] for v in variables)
         assert mono_lcm(a, b) == key(*[(bank, i, max(ea[bank, i], eb[bank, i]))
                                        for bank, i in variables])
+
+
+# Monomials as exponent maps over a few variables of both banks, the last
+# index among them, with exponents up to the field's top.
+_DEGREE_VARS = [(Y, 1), (Z, 1), (Y, 2), (Z, 3), (Y, 7), (Y, MAX_INDEX), (Z, MAX_INDEX)]
+_exps = st.dictionaries(st.sampled_from(_DEGREE_VARS), st.integers(1, 255), max_size=4)
+
+
+def _mono(exps):
+    return key(*[(bank, i, e) for (bank, i), e in exps.items()])
+
+
+@given(_exps, _exps, st.sampled_from(_DEGREE_VARS[:5]), st.integers(-3, 3))
+def test_degree_fields_against_triples(ea, eb, var, offset):
+    a, b = _mono(ea), _mono(eb)
+    assert mono_degree(a) == sum(ea.values())
+    assert mono_z_degree(a) == sum(e for (bank, _), e in ea.items() if bank == Z)
+    assert _triples(a) == tuple(sorted(((bank, i, e) for (bank, i), e in ea.items()),
+                                       key=lambda t: (t[0] == Z, t[1])))
+    assert mono_factorial(a) == prod(map(factorial, ea.values()))
+    both = set(ea) | set(eb)
+    assert mono_divides(a, b) == all(ea.get(v, 0) <= eb.get(v, 0) for v in both)
+    assert mono_lcm(a, b) == _mono({v: max(ea.get(v, 0), eb.get(v, 0)) for v in both})
+
+    # A product key is the key sum, and its fields are the sums of its factors'.
+    total = {v: ea.get(v, 0) + eb.get(v, 0) for v in both}
+    if max(total.values(), default=0) <= 255:
+        (ab,) = (Poly({a: Scalar.of(1)}) * Poly({b: Scalar.of(1)})).terms
+        assert ab == a + b == _mono(total)
+        assert mono_degree(ab) == mono_degree(a) + mono_degree(b)
+        assert mono_z_degree(ab) == mono_z_degree(a) + mono_z_degree(b)
+
+    # Each derivative lowers the exponent and the degree fields with it.
+    bank, i = var
+    e = ea.get(var, 0)
+    lowered = {**ea, var: e - 1}
+    want = Poly({_mono(lowered): Scalar.of(e)}) if e else Poly()
+    got = Poly({a: Scalar.of(1)}).diff(bank, i)
+    assert got == want
+    for k in got.terms:
+        assert (mono_degree(k), mono_z_degree(k)) == (mono_degree(a) - 1,
+                                                      mono_z_degree(a) - (bank == Z))
+    partner = (Y if bank == Z else Z, i)
+    ep = ea.get(partner, 0)
+    both_ways = want + (Poly({_mono({**ea, partner: ep - 1}): Scalar.of(ep)}) if ep else Poly())
+    assert Poly({a: Scalar.of(1)}).directional_diff(i) == both_ways
+
+    # rename moves one bank's fields and recomputes both degrees.
+    for src, dst in ((Y, Z), (Z, Y), (Y, Y)):
+        moved = {(dst, j + offset): x for (bank, j), x in ea.items()
+                 if bank == src and 1 <= j + offset}
+        if max((j for _, j in moved), default=0) > MAX_INDEX:
+            with pytest.raises(ValueError, match="renamed past"):
+                rename(a, src, dst, offset)
+        else:
+            assert rename(a, src, dst, offset) == _mono(moved)
+
+
+@given(_exps)
+def test_weyl_element_refuses_z_and_indices_past_2n(exps):
+    sym = SymplecticData.canonical(2)
+    poly = Poly({_mono(exps): Scalar.of(1)})
+    if any(bank == Z for bank, _ in exps):
+        with pytest.raises(ValueError, match="only Y-bank"):
+            WeylElement(poly, sym)
+    elif any(i > 4 for _, i in exps):
+        with pytest.raises(ValueError, match="exceeds 2n"):
+            WeylElement(poly, sym)
+    else:
+        assert WeylElement(poly, sym).poly == poly

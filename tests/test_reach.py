@@ -23,6 +23,8 @@ UNREACHED = {
     "the mutation harness empties the value memos with it": {"ffs.clear_memos"},
     "the sweep-n2 benchmark workload's oracle": {"ffs.monomial_table"},
     "small constructors": {"groups.GroupElement.identity", "forms.FormElement.dz"},
+    "fixed_projector's kernel basis, for a g that fixes a vector: the one "
+    "twisted cycle a command builds is g = -1's": {"linalg.mat_transpose"},
     "value equality; a command tests a difference by is_zero":
         {"forms.FormElement.__eq__", "groups.SmashElement.__eq__"},
     "group elements are canonical: a command's dict lookups find the key "
