@@ -12,11 +12,12 @@ consumes one on each of i and j; the determinant consumes one per argument.
 So every operator term of a W-monomial has the same per-slot derivative
 degrees need, and only argument terms of exactly those degrees meet it.  The
 symbol is indexed by need: a W-monomial with given need is fixed by its
-slot-pair counts (_monos_for lists them), and its coefficient is computed the
-first time some symbol reads it.  Every memo here is keyed by exactly its
-function's arguments and none has a policy of its own.  The expansion order
-needed for a tuple of arguments is bounded by their total degree, and the
-symbol refuses (loudly) to be applied beyond the budget it was built for.
+slot-pair counts (_monos_for places them pair by pair, within what both slots
+still have left), and its coefficient is computed the first time some symbol
+reads it.  Every memo here is keyed by exactly its function's arguments and
+none has a policy of its own.  The expansion order needed for a tuple of
+arguments is bounded by their total degree, and the symbol refuses (loudly)
+to be applied beyond the budget it was built for.
 
 Applying the symbol happens on disjoint variable copies: the output lives on
 y_1..y_2n and argument mu on its own copy of 2n variables (see _copy), and a
@@ -25,12 +26,14 @@ bookkeeping against the argument coefficients.  Each symbol monomial's
 operator is its W factors times the determinant (both factor kinds memoised
 per argument), walked one Poly product at a time (_operator_product)
 inside a divisibility box: only the terms whose copy part divides the
-caller's bound.  One low mask splits each of its int monomial keys (see
-poly) into the output part, whose degree is the monomial's number of W_0j
-factors (_output_degree), and the copy part: the per-slot derivative
-multi-index alpha, which pairs only with the argument terms y^alpha_mu
-(weighted by alpha_mu!).  Copy parts only grow along the walk, so dropping
-the terms outside the box after every product loses nothing inside it.
+caller's bound.  The determinant is a wedge of one-forms built inside the
+box, one term on degree-one arguments.  One low mask splits each of its int
+monomial keys (see poly) into the output part, whose degree is the
+monomial's number of W_0j factors (_output_degree), and the copy part: the
+per-slot derivative multi-index alpha, which pairs only with the argument
+terms y^alpha_mu (weighted by alpha_mu!).  Copy parts only grow along the
+walk, so dropping the terms outside the box after every product loses
+nothing inside it.
 ffs_apply renames each argument key onto its copy and, for every
 combination of its arguments' term degrees, reads the symbol at that need,
 asks each operator for the lcm of the argument keys (_operator_for caches
@@ -61,8 +64,8 @@ from math import factorial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InsufficientExpansionError
+from .forms import wedge_expand
 from .hochschild import Cochain
-from .linalg import perm_sign
 from .poly import (DEGREES, Poly, Y, Z, _offset, index_mask, mono_degree, mono_divides,
                    mono_factorial, mono_lcm, rename, variable_key)
 from .scalars import I, ONE, Scalar
@@ -141,19 +144,17 @@ def _monos_for(m: int, need: Tuple[int, ...]) -> Tuple[WMono, ...]:
     what is left on slot k: c_0k = need_k - 1 - sum_j c_kj >= 0.
     """
     inner = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    left = [d - 1 for d in need]
-    found = []
-    for counts in itertools.product(*(range(min(left[i - 1], left[j - 1]) + 1)
-                                      for i, j in inner)):
-        rest = list(left)
-        for (i, j), c in zip(inner, counts):
-            rest[i - 1] -= c
-            rest[j - 1] -= c
-        if min(rest) >= 0:
-            found.append(tuple(rest) + counts)
+    placed = [(tuple(d - 1 for d in need), ())]
+    for i, j in inner:
+        # The pair's count fits within what both of its slots have left, so
+        # every placement extends to a monomial (with its later counts 0).
+        placed = [(tuple(x - c * (k in (i, j)) for k, x in enumerate(left, start=1)),
+                   counts + (c,))
+                  for left, counts in placed
+                  for c in range(min(left[i - 1], left[j - 1]) + 1)]
     pairs = [(0, k) for k in range(1, m + 1)] + inner
     return tuple(tuple((pair, c) for pair, c in zip(pairs, counts) if c)
-                 for counts in sorted(found))
+                 for counts in sorted(left + counts for left, counts in placed))
 
 
 def _exp_coefficient(mono: WMono, start: Dict[Tuple[int, ...], int],
@@ -212,24 +213,21 @@ def _copy_var(mu: int, j: int, n: int) -> int:
     return variable_key(bank, offset + j)
 
 
-def _sum_monomials(monomials) -> Poly:
-    """The sum of (variable keys, coeff) monomials, each a product of
-    distinct variables (so its key is the keys' sum), with distinct keys."""
-    return Poly({sum(keys): c for keys, c in monomials if not c.is_zero()})
-
-
 @lru_cache(maxsize=None)
-def _det_operator(sym: SymplecticData) -> Poly:
-    """det(p_1 .. p_{2n}) as a polynomial in the derivative symbols.
+def _det_operator(sym: SymplecticData, box: Optional[int]) -> Poly:
+    """det(p_1 .. p_{2n}) as a polynomial in the derivative symbols: the
+    terms whose copy part divides box, or all of them if box is None.
 
-    With p_mu^a = pi^{ab} d/dy_mu^b and det(pi) = 1 it is
-    sum_sigma sign(sigma) prod_mu d/dy_mu^sigma(mu): one monomial per
-    permutation.
+    With p_mu^a = pi^{ab} d/dy_mu^b and det(pi) = 1 it is the dz_1 .. dz_2n
+    coefficient of the wedge of the one-forms sum_k d/dy_mu^k dz_k, one per
+    slot mu, each keeping only the symbols that divide box: the slots lie on
+    disjoint copies, so every term of the wedge lies inside it.
     """
-    return _sum_monomials(
-        ([_copy_var(mu, k, sym.n) for mu, k in enumerate(perm, start=1)],
-         ONE if perm_sign(perm) > 0 else -ONE)
-        for perm in itertools.permutations(range(1, 2 * sym.n + 1)))
+    m = 2 * sym.n
+    slots = [{(k,): Poly({key: ONE}) for k in range(1, m + 1)
+              for key in [_copy_var(mu, k, sym.n)] if box is None or mono_divides(key, box)}
+             for mu in range(1, m + 1)]
+    return wedge_expand(slots, m).get(tuple(range(1, m + 1)), Poly())
 
 
 @lru_cache(maxsize=None)
@@ -240,14 +238,15 @@ def _pair_operator(sym: SymplecticData, i: int, j: int) -> Poly:
     (w . pi = -id, where the stored omega has omega . pi = +id); with that
     reading the cocycle identity holds exactly.  So
     W_{0j} = i y^k (w pi)_k^l d/dy_j^l = -i sum_k y^k d/dy_j^k, and
-    W_{ij} = (pi^T w pi)^{ab} d/dy_i^a d/dy_j^b = pi^{ab} d/dy_i^a d/dy_j^b.
+    W_{ij} = (pi^T w pi)^{ab} d/dy_i^a d/dy_j^b = pi^{ab} d/dy_i^a d/dy_j^b,
+    where the canonical pi pairs row a only with a ^ 1 (0-based).  Each term
+    is a product of two distinct variables, so its key is their keys' sum.
     """
     if i == 0:
-        return _sum_monomials(([variable_key(Y, k), _copy_var(j, k, sym.n)], -I)
-                              for k in range(1, 2 * sym.n + 1))
-    return _sum_monomials(([_copy_var(i, a, sym.n), _copy_var(j, b, sym.n)], c)
-                          for a, row in enumerate(sym.pi, start=1)
-                          for b, c in enumerate(row, start=1))
+        return Poly({variable_key(Y, k) + _copy_var(j, k, sym.n): -I
+                     for k in range(1, 2 * sym.n + 1)})
+    return Poly({_copy_var(i, a + 1, sym.n) + _copy_var(j, (a ^ 1) + 1, sym.n): row[a ^ 1]
+                 for a, row in enumerate(sym.pi)})
 
 
 class PackedOperator:
@@ -287,7 +286,7 @@ def _operator_product(ambient: SymplecticData, mono: WMono, bound: Optional[int]
         factor = inside(_pair_operator(ambient, *pair))
         for _ in range(count):
             product = inside(product * factor)
-    return inside(product * inside(_det_operator(ambient)))
+    return inside(product * _det_operator(ambient, box))
 
 
 def _output_degree(mono: WMono) -> int:

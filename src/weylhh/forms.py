@@ -23,7 +23,7 @@ total (y,z)-degree <= D and certifies them; operations propagate the bound
 from __future__ import annotations
 
 from bisect import bisect
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple, TypeVar
 
 from .poly import Poly, Z, mono_z_degree
 from .scalars import ONE, Scalar
@@ -31,6 +31,7 @@ from .weyl import (SymplecticData, WeylElement, _check_ambient, _min_trunc,
                    _star_kernel, _star_truncation)
 
 DzIndex = Tuple[int, ...]
+Ring = TypeVar("Ring", Scalar, Poly)
 
 
 def wedge_merge(i1: DzIndex, i2: DzIndex) -> Optional[Tuple[int, DzIndex]]:
@@ -46,17 +47,18 @@ def wedge_merge(i1: DzIndex, i2: DzIndex) -> Optional[Tuple[int, DzIndex]]:
     return -1 if odd else 1, tuple(sorted(i1 + i2))
 
 
-def wedge_expand(factors: Sequence[Dict[DzIndex, Scalar]],
-                 degree: int) -> Dict[DzIndex, Scalar]:
-    """The degree-`degree` part of the wedge product of constant-coefficient
-    forms, each given as a map from dz index tuples to coefficients.
-    A partial product that the factors still to come cannot raise to that
-    degree is dropped."""
+def wedge_expand(factors: Sequence[Dict[DzIndex, Ring]], degree: int) -> Dict[DzIndex, Ring]:
+    """The degree-`degree` part of the wedge product of one or more forms
+    whose coefficients commute (Scalar or Poly), each given as a map from dz
+    index tuples to coefficients.  The product starts from the first factor,
+    so it needs no unit.  A partial product that the factors still to come
+    cannot raise to that degree is dropped."""
     tops = [max(map(len, factor), default=0) for factor in factors]
-    pieces: Dict[DzIndex, Scalar] = {(): ONE}
-    for i, factor in enumerate(factors):
+    pieces = {idx: c for idx, c in factors[0].items()
+              if degree - sum(tops[1:]) <= len(idx) <= degree}
+    for i, factor in enumerate(factors[1:], start=1):
         rest = sum(tops[i + 1:])
-        nxt: Dict[DzIndex, Scalar] = {}
+        nxt: Dict[DzIndex, Ring] = {}
         for part, coeff in pieces.items():
             for idx, c in factor.items():
                 if not degree - rest <= len(part) + len(idx) <= degree:

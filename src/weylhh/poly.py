@@ -138,13 +138,11 @@ def mono_lcm(a: int, b: int) -> int:
 
 def rename(key: int, src: str, dst: str, offset: int) -> int:
     """The src-bank part of a monomial key with each variable v_i renamed to
-    the dst-bank variable of index i + offset; those renamed below index 1
-    are dropped."""
-    bits = 2 * _BITS * offset + _BITS * ((dst == Z) - (src == Z))
-    fields = (key & _BANK_MASK[src]) >> _LOW
-    if bits < 0:
-        return _with_degrees(fields >> -bits)
-    fields <<= bits
+    the dst-bank variable of index i + offset, for an offset >= 0."""
+    if offset < 0:
+        raise ValueError(f"rename offset {offset} is negative")
+    fields = (key & _BANK_MASK[src]) >> (_LOW + _BITS * (src == Z))
+    fields <<= 2 * _BITS * offset + _BITS * (dst == Z)
     if fields.bit_length() > _FIELD_BITS:
         raise ValueError(f"variable index renamed past {MAX_INDEX}")
     return _with_degrees(fields)

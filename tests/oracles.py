@@ -10,13 +10,15 @@ anticommute with d2.  Value-level operators (used by the descent
 construction) are the undressed ones from the forms module.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import factorial
 
 from weylhh import ffs, forms, groups, linalg, simplex
 from weylhh.hochschild import Cochain
-from weylhh.poly import MAX_EXPONENT, Y, index_mask, rename
+from weylhh.poly import (DEGREES, MAX_EXPONENT, Poly, Y, index_mask, mono_divides, mono_lcm,
+                         rename)
 from weylhh.scalars import ONE, ZERO, Scalar
 from weylhh.weyl import WeylElement, bform, involution, monomials_upto, star
 
@@ -92,6 +94,40 @@ def kfold_sector_volume(rows, form, k):
     return {idx: c * scale for idx, c in power.items()}
 
 
+def permutation_det(sym, box):
+    """det(p_1 .. p_2n) as the signed sum of its (2n)! permutation terms
+    prod_mu d/dy_mu^sigma(mu), kept where the term's key divides box (all
+    of them for None).  Its signs come from cycle_sign."""
+    m = 2 * sym.n
+    terms = {}
+    for perm in itertools.permutations(range(m)):
+        key = sum(ffs._copy_var(mu, k + 1, sym.n) for mu, k in enumerate(perm, start=1))
+        if box is None or mono_divides(key, box):
+            terms[key] = ONE if cycle_sign(perm) > 0 else -ONE
+    return Poly(terms)
+
+
+def filtered_monos(m, need):
+    """The W-monomials of ffs._monos_for(m, need) by filtering a full product:
+    every vector of slot-pair counts c_ij (1 <= i < j <= m) up to what both
+    slots hold, kept where each c_0k = need_k - 1 - sum_j c_kj is >= 0, in
+    the lexicographic order of (c_01 .. c_0m, c_12 .. c_(m-1)m)."""
+    inner = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    left = [d - 1 for d in need]
+    found = []
+    for counts in itertools.product(*(range(min(left[i - 1], left[j - 1]) + 1)
+                                      for i, j in inner)):
+        rest = list(left)
+        for (i, j), c in zip(inner, counts):
+            rest[i - 1] -= c
+            rest[j - 1] -= c
+        if min(rest) >= 0:
+            found.append(tuple(rest) + counts)
+    pairs = [(0, k) for k in range(1, m + 1)] + inner
+    return tuple(tuple((pair, c) for pair, c in zip(pairs, counts) if c)
+                 for counts in sorted(found))
+
+
 def random_symplectic(rng, dim):
     """A product of four random symmetric shears, each keeping standard_form(dim)."""
     n = dim // 2
@@ -114,6 +150,16 @@ def full_box(need, n):
     ones = index_mask(2 * n, Y) // MAX_EXPONENT
     return sum(rename(ones * min(d, MAX_EXPONENT), Y, *ffs._copy(mu, n))
                for mu, d in enumerate(need, start=1))
+
+
+def copy_box(args):
+    """The box ffs._operator_product builds for args: the lcm of each
+    argument's keys on its copy, with the output fields and the degrees."""
+    n = len(args) // 2
+    bound = sum(functools.reduce(mono_lcm, [rename(k, Y, *ffs._copy(mu, n))
+                                            for k in a.poly.terms])
+                for mu, a in enumerate(args, start=1))
+    return bound | index_mask(2 * n, Y) | DEGREES
 
 
 def parts(s):

@@ -3,6 +3,7 @@ import functools
 import io
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import factorial, prod
 
@@ -16,10 +17,10 @@ from weylhh.ffs import (FFSSymbol, cached_symbol, ffs_apply, ffs_build,
 from weylhh.hochschild import Chain, SampleSpec, pair_chain, verify_cocycle
 from weylhh.poly import Poly, Y, Z, _triples, mono_degree, mono_divides, mono_lcm
 from weylhh.sampling import monomials_upto, random_weyl
-from weylhh.scalars import I, Scalar
+from weylhh.scalars import I, ONE, Scalar
 from weylhh.weyl import SymplecticData, WeylElement
 
-from oracles import full_box
+from oracles import copy_box, filtered_monos, full_box, permutation_det
 
 
 def halves(x, den):
@@ -149,6 +150,57 @@ def test_monos_for_matches_eager_enumeration(n, limit):
     for need in needs:
         assert ffs._monos_for(m, need) == tuple(by_need.pop(need, ())), need
     assert not by_need
+
+
+def test_monos_for_matches_filtered_product():
+    # Placing each slot pair's count within what both of its slots have
+    # left lists what filtering the full product of count ranges keeps, in
+    # its order.  At m = 8 with every need 2 that product has 2^28 vectors
+    # and keeps 764, the matchings of K_8.
+    for m in (2, 4, 6):
+        for need in itertools.product(range(4), repeat=m):
+            if sum(need) <= 12:
+                assert ffs._monos_for(m, need) == filtered_monos(m, need), need
+    assert len(ffs._monos_for(8, (2,) * 8)) == 764
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_det_operator_matches_permutation_sum(n):
+    # The wedge built inside a box against the signed permutation sum cut
+    # to it: whole, and in the boxes of random argument tuples.
+    sym = SymplecticData.canonical(n)
+    assert ffs._det_operator(sym, None) == permutation_det(sym, None)
+    rng = random.Random(n)
+    sizes = set()
+    for _ in range(20):
+        box = copy_box([random_weyl(rng, sym, 2) for _ in range(2 * n)])
+        det = ffs._det_operator(sym, box)
+        assert det == permutation_det(sym, box)
+        sizes.add(len(det.terms))
+    assert 0 in sizes and len(sizes) > 2
+
+
+def test_det_operator_in_degree_one_box():
+    # In the box of (y_1 .. y_12) each slot holds one derivative symbol, so
+    # the wedge has one term, the identity's, of the 12! the whole
+    # determinant has.
+    sym = SymplecticData.canonical(6)
+    gens = [WeylElement.generator(j, sym) for j in range(1, 13)]
+    identity = sum(ffs._copy_var(mu, mu, 6) for mu in range(1, 13))
+    assert ffs._det_operator(sym, copy_box(gens)) == Poly({identity: ONE})
+
+
+def test_volume_value_through_rank_eight():
+    # Every operator's determinant is built in its box, so on (y_1 .. y_2n)
+    # the symbol gives 1/(2n)! for n = 4 .. 8 well under a second together;
+    # a determinant of (2n)! terms would take most of a minute at n = 5.
+    start = time.process_time()
+    for n in range(4, 9):
+        sym = SymplecticData.canonical(n)
+        gens = [WeylElement.generator(j, sym) for j in range(1, 2 * n + 1)]
+        value = ffs_apply(cached_symbol(n, 2 * n), gens)
+        assert value.poly == Poly.const(Scalar.rational(1, factorial(2 * n)))
+    assert time.process_time() - start < 1
 
 
 @pytest.mark.parametrize("n, budget", [(1, 10), (2, 8)])
@@ -329,7 +381,7 @@ def reference_apply(symbol, tuples):
             if any(need[mu] > degrees[mu - 1] for mu in range(1, m + 1)):
                 continue
             if (ambient, mono) not in ops:
-                op = ffs._det_operator(ambient)
+                op = ffs._det_operator(ambient, None)
                 for pair, count in mono:
                     for _ in range(count):
                         op = op * ffs._pair_operator(ambient, *pair)
@@ -486,7 +538,7 @@ def test_monomial_table_invariants(monkeypatch, n, slot_degree, distinct):
     # per-ambient constants, read here first.
     sym = SymplecticData.canonical(n)
     m = 2 * n
-    ffs._det_operator(sym)
+    ffs._det_operator(sym, None)
     for i, j in itertools.combinations(range(m + 1), 2):
         ffs._pair_operator(sym, i, j)
     cache = ffs._op_cache

@@ -31,6 +31,10 @@ CASES = {
                   "--args", "{payloads}/ffs_args.json"], []),
     "descent_eval": (["--format", "json", "descent", "eval",
                       "--args", "{payloads}/descent_args.json"], []),
+    "ffs_eval_n6": (["--format", "json", "ffs", "eval",
+                     "--args", "{payloads}/volume_n6_args.json"], []),
+    "descent_eval_n6": (["--format", "json", "descent", "eval",
+                         "--args", "{payloads}/volume_n6_args.json"], []),
     "descent_eval_twisted": (["--format", "json", "descent", "eval",
                               "--args", "{payloads}/descent_args.json",
                               "--twist", '{"diag":["-1","-1"]}',

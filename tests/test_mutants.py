@@ -26,14 +26,15 @@ from weylhh.descent import SuffixCache, descend, make_zeta
 from weylhh.errors import BudgetError, NonGenericConfigError
 from weylhh.ffs import cached_symbol, ffs_apply
 from weylhh.forms import FormElement, ext_d, proj_p
-from weylhh.hochschild import (SampleSpec, constant_cochain, hochschild_d,
+from weylhh.hochschild import (Chain, SampleSpec, constant_cochain, hochschild_d,
                                pair_chain, verify_cocycle)
 from weylhh.poly import Poly, Y, Z
 from weylhh.sampling import monomials_upto
 from weylhh.scalars import ONE, Scalar
 from weylhh.weyl import SymplecticData, WeylElement, involution, star
 
-from oracles import commutator_terms, delta, theta_equation_defects
+from oracles import (commutator_terms, copy_box, delta, filtered_monos,
+                     theta_equation_defects)
 
 
 def install(monkeypatch, module, name, old, new, owner=None, also=()):
@@ -84,6 +85,13 @@ def square_route_agrees(a, b) -> bool:
     """The unit-square value against the simplex-symbol value (n = 1)."""
     f = ffs_apply(cached_symbol(1, a.degree() + b.degree()), [a, b])
     return ffs.ffs_hypercube_n1([a, b]) == f
+
+
+def det_terms_in_degree_one_box(n) -> int:
+    """The number of terms of the determinant built in the box of (y_1 .. y_2n)."""
+    sym = SymplecticData.canonical(n)
+    gens = [WeylElement.generator(j, sym) for j in range(1, 2 * n + 1)]
+    return len(ffs._det_operator(sym, copy_box(gens)).terms)
 
 
 def table_matches_apply(sym, slot_degree) -> bool:
@@ -275,16 +283,26 @@ def test_pair_factor_without_power(monkeypatch, sym1):
     assert not routes_agree(sym1, a, b)
 
 
-def test_det_operator_without_det_pi(monkeypatch, sym1):
-    # det(pi) = 1 leaves each permutation's sign as its coefficient; every
-    # sign +1 turns the determinant into the permanent.  (y1, y2) reads only
-    # the identity permutation and agrees; (y2, y1) reads the odd one.
+def test_det_operator_without_last_symbol(monkeypatch, sym1):
+    # Each slot's one-form without d/dy^2n dz_2n: the wedge of 2n one-forms
+    # on 2n - 1 dz's is zero, so the determinant vanishes and (y1, y2),
+    # which the symbol's determinant term alone evaluates, reads 0 for 1/2.
     a, b = y(sym1, 1), y(sym1, 0, 1)
-    assert routes_agree(sym1, a, b) and routes_agree(sym1, b, a)
-    install(monkeypatch, ffs, "_det_operator", "ONE if perm_sign(perm) > 0 else -ONE",
-            "ONE")
     assert routes_agree(sym1, a, b)
-    assert not routes_agree(sym1, b, a)
+    install(monkeypatch, ffs, "_det_operator", "for k in range(1, m + 1)",
+            "for k in range(1, m)")
+    assert not routes_agree(sym1, a, b)
+
+
+def test_det_operator_without_box(monkeypatch):
+    # Every slot keeps all 2n symbols whatever the box: the values stay
+    # right, since _operator_product cuts the product to the box, but the
+    # determinant in the box of (y1 .. y4) has the 4! permutation terms for
+    # the one the test_ffs pin at n = 6 asks for.
+    assert det_terms_in_degree_one_box(2) == 1
+    install(monkeypatch, ffs, "_det_operator",
+            " if box is None or mono_divides(key, box)", "")
+    assert det_terms_in_degree_one_box(2) == 24
 
 
 def test_table_fold_without_coefficient(monkeypatch, sym1):
@@ -371,16 +389,15 @@ def test_overflow_guard_removed(monkeypatch):
 
 
 def test_perm_sign_always_even(monkeypatch, sym1):
-    # Every permutation even: the determinant operator becomes the
-    # permanent.  (y1, y2) meets only the even permutation and agrees;
-    # (y2, y1) reads the odd one.
-    y1, y2 = y(sym1, 1), y(sym1, 0, 1)
-    assert routes_agree(sym1, y1, y2) and routes_agree(sym1, y2, y1)
+    # Every permutation even: wedge_eval symmetrizes where it should
+    # antisymmetrize, and the cocycle's pairing with the volume chain
+    # (1, (y1, y2)) reads 0 for 1/2.
+    volume = Chain([(WeylElement.one(sym1), (y(sym1, 1), y(sym1, 0, 1)))])
+    assert pair_chain(ffs.ffs_cocycle(sym1), volume) == Scalar.rational(1, 2)
     install(monkeypatch, linalg, "perm_sign",
             "-1 if sum(x > y for x, y in combinations(items, 2)) % 2 else 1", "1",
-            also=(ffs, hochschild))
-    assert routes_agree(sym1, y1, y2)
-    assert not routes_agree(sym1, y2, y1)
+            also=(hochschild,))
+    assert pair_chain(ffs.ffs_cocycle(sym1), volume).is_zero()
 
 
 def test_wedge_sign_always_even(monkeypatch, sym1):
@@ -626,6 +643,16 @@ def test_monomial_index_leaves_no_determinant_derivative(monkeypatch, sym1):
     assert routes_agree(sym1, a, b)
     install(monkeypatch, ffs, "_monos_for", "d - 1 for d in need", "d - 2 for d in need")
     assert not routes_agree(sym1, a, b)
+
+
+def test_monomial_index_pair_count_short_by_one(monkeypatch):
+    # A slot pair's count placed below what both slots have left, never at
+    # it: at m = 2 with need (2, 2), W_12 is lost and only W_01 W_02 stays,
+    # against the filtered product of count ranges.
+    assert ffs._monos_for(2, (2, 2)) == filtered_monos(2, (2, 2))
+    install(monkeypatch, ffs, "_monos_for", "min(left[i - 1], left[j - 1]) + 1",
+            "min(left[i - 1], left[j - 1])")
+    assert ffs._monos_for(2, (2, 2)) == filtered_monos(2, (2, 2))[1:]
 
 
 def test_chain_value_z_cap_too_small(monkeypatch, sym1):
