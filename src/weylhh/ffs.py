@@ -3,9 +3,9 @@
 The symbol is a polynomial in pairing symbols W_{ij} = omega(p_i, p_j),
 0 <= i < j <= 2n, where p_0 multiplies by i*y and p_mu (mu >= 1) applies
 pi-twisted derivatives to the mu-th argument on its own variable copy.  The
-exponential is expanded to a finite order with each u-monomial integrated
-exactly over the ordered simplex 0 <= u_1 <= ... <= u_{2n} <= 1, and the
-whole thing is multiplied by det(p_1, ..., p_{2n}).
+exponential is expanded to a finite order, each coefficient integrated
+exactly over the ordered simplex 0 <= u_1 <= ... <= u_{2n} <= 1 one
+variable at a time, and multiplied by det(p_1, ..., p_{2n}).
 
 Each W_{0j} consumes one derivative on argument j; each W_{ij} with i >= 1
 consumes one on each of i and j; the determinant consumes one per argument.
@@ -47,65 +47,30 @@ slot's degree is the need's.
 
 A second, independent route for n = 1 integrates over the unit square after
 the substitution u_1 = t_0 t_1, u_2 = t_0 (Jacobian t_0); the two must agree
-exactly.  The routes differ only in that substitution and in their moments:
-both read the W-monomials of _monos_for, take each coefficient from one
-exponential series (_exp_coefficient) over integer polynomials keyed by
-exponent tuples (in u_1 .. u_2n, or in t_0, t_1), integrated in closed form
-(the simplex moment, or 1/((a+1)(b+1)) for t_0^a t_1^b over the square), and
-apply them through one evaluator (_evaluate).  Both take their prefactor from
-_det_operator; at n = 1 it is W_12, the square formula's w(p_1, p_2).
+exactly.  The simplex route integrates one variable at a time; the square
+route expands each product whole and takes its moments, 1/((a+1)(b+1)) for
+t_0^a t_1^b.  They share no integration code: only the W-monomials
+(_monos_for, through _nonzero_terms), the evaluator _evaluate and the
+prefactor _det_operator (W_12 at n = 1, the square formula's w(p_1, p_2)).
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache, reduce
-from math import factorial
+from math import factorial, lcm, prod
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InsufficientExpansionError
 from .forms import wedge_expand
 from .hochschild import Cochain
 from .poly import (DEGREES, Poly, Y, Z, _offset, index_mask, mono_degree, mono_divides,
-                   mono_factorial, mono_lcm, rename, variable_key)
+                   mono_factorial, mono_lcm, mono_support, rename, variable_key)
 from .scalars import I, ONE, Scalar
 from .weyl import SymplecticData, WeylElement, involution
 
 Pair = Tuple[int, int]
 WMono = Tuple[Tuple[Pair, int], ...]
-
-
-def simplex_moment(exponents: Sequence[int]) -> Scalar:
-    """Exact integral of u_1^a1 ... u_m^am over 0 <= u_1 <= ... <= u_m <= 1."""
-    den = 1
-    prefix = 0
-    for k, a in enumerate(exponents, start=1):
-        prefix += a
-        den *= prefix + k
-    return Scalar.rational(1, den)
-
-
-def _u_mul(p1: Dict[Tuple[int, ...], int],
-           p2: Dict[Tuple[int, ...], int]) -> Dict[Tuple[int, ...], int]:
-    """Product of two integer polynomials keyed by exponent tuples."""
-    out: Dict[Tuple[int, ...], int] = {}
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
-
-def _linear_factor(i: int, j: int, nvars: int) -> Dict[Tuple[int, ...], int]:
-    """1 + 2 u_i - 2 u_j as a u-polynomial (u_0 = 0 is absent)."""
-    zero = (0,) * nvars
-    out = {zero: 1}
-    if i >= 1:
-        m = tuple(1 if k == i - 1 else 0 for k in range(nvars))
-        out[m] = out.get(m, 0) + 2
-    m = tuple(1 if k == j - 1 else 0 for k in range(nvars))
-    out[m] = out.get(m, 0) - 2
-    return {m: c for m, c in out.items() if c}
 
 
 class FFSSymbol(NamedTuple):
@@ -157,30 +122,39 @@ def _monos_for(m: int, need: Tuple[int, ...]) -> Tuple[WMono, ...]:
                  for counts in sorted(left + counts for left, counts in placed))
 
 
-def _exp_coefficient(mono: WMono, start: Dict[Tuple[int, ...], int],
-                     factor: Callable[[Pair], Dict[Tuple[int, ...], int]],
-                     moment: Callable[[Tuple[int, ...]], Scalar]) -> Scalar:
-    """The exp series' coefficient of mono: i^order / prod count! times the
-    integral, by moment, of start times each pair's factor to its count."""
-    poly = start
-    denom = 1
-    for pair, count in mono:
-        f = factor(pair)
-        for _ in range(count):
-            poly = _u_mul(poly, f)
-        denom *= factorial(count)
-    total = Scalar.of(0)
-    for m, c in poly.items():
-        total = total + moment(m).scale_fraction(c)
-    return (total * (I ** sum(c for _, c in mono))).scale_fraction(1, denom)
-
-
 @lru_cache(maxsize=None)
 def _coefficient(mono: WMono, m: int) -> Scalar:
-    """The symbol coefficient of one W-monomial in 2n = m slots; it depends
-    on neither the budget nor the arguments."""
-    return _exp_coefficient(mono, {(0,) * m: 1},
-                            lambda pair: _linear_factor(*pair, m), simplex_moment)
+    """The symbol coefficient of one W-monomial in 2n = m slots, independent
+    of budget and arguments: i^order / prod count! times the simplex integral
+    of each factor 1 + 2 u_i - 2 u_j (u_0 = 0) to its count.  Step k
+    multiplies in the factors whose lowest variable is u_k and integrates u_k
+    from 0 to u_{k+1} (to 1 at k = m), so the integrand is integers keyed by
+    the exponents of u_k .. u_m, over one denominator reduced at the end."""
+    poly: Dict[Tuple[int, ...], int] = {(0,) * m: 1}
+    den = prod(factorial(count) for _, count in mono)
+    for k in range(1, m + 1):
+        for (i, j), count in mono:
+            if (i or j) != k:
+                continue
+            for _ in range(count):
+                out = dict(poly)
+                for e, c in poly.items():
+                    if i:  # then u_i is u_k, at index 0
+                        key = (e[0] + 1,) + e[1:]
+                        out[key] = out.get(key, 0) + 2 * c
+                    key = e[:j - k] + (e[j - k] + 1,) + e[j - k + 1:]
+                    out[key] = out.get(key, 0) - 2 * c
+                poly = out
+        # u_k^a integrates to u_{k+1}^(a+1) / (a + 1): over step, its lcm.
+        step = lcm(*(e[0] + 1 for e in poly))
+        den *= step
+        out = {}
+        for e, c in poly.items():
+            if c:
+                key = (e[1] + e[0] + 1,) + e[2:] if k < m else ()
+                out[key] = out.get(key, 0) + c * (step // (e[0] + 1))
+        poly = out
+    return I ** sum(count for _, count in mono) * Scalar.rational(poly.get((), 0), den)
 
 
 def ffs_build(n: int, degree_budget: int) -> FFSSymbol:
@@ -286,7 +260,9 @@ def _operator_product(ambient: SymplecticData, mono: WMono, bound: Optional[int]
         factor = inside(_pair_operator(ambient, *pair))
         for _ in range(count):
             product = inside(product * factor)
-    return inside(product * _det_operator(ambient, box))
+    # The wedge reads only which symbols divide the box: one build per support.
+    det = _det_operator(ambient, None if box is None else mono_support(box))
+    return inside(product * det)
 
 
 def _output_degree(mono: WMono) -> int:
@@ -462,6 +438,17 @@ def ffs_cocycle(sym: SymplecticData):
 # -- independent unit-square route for n = 1 ---------------------------------
 
 
+def _u_mul(p1: Dict[Tuple[int, ...], int],
+           p2: Dict[Tuple[int, ...], int]) -> Dict[Tuple[int, ...], int]:
+    """Product of two integer polynomials keyed by exponent tuples."""
+    out: Dict[Tuple[int, ...], int] = {}
+    for m1, c1 in p1.items():
+        for m2, c2 in p2.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
 # Each pair's factor after the substitution, keyed by (a, b) of t0^a t1^b.
 _SQUARE_FACTORS = {(0, 1): {(0, 0): 1, (1, 1): -2}, (0, 2): {(0, 0): 1, (1, 0): -2},
                    (1, 2): {(0, 0): 1, (1, 0): -2, (1, 1): 2}}
@@ -480,7 +467,15 @@ def ffs_hypercube_n1(args: Sequence[WeylElement]) -> WeylElement:
         raise ValueError("the unit-square route is specific to n = 1")
 
     def coefficient(mono: WMono) -> Scalar:
-        return _exp_coefficient(mono, {(1, 0): 1}, _SQUARE_FACTORS.__getitem__,
-                                lambda t: Scalar.rational(1, (t[0] + 1) * (t[1] + 1)))
+        poly = {(1, 0): 1}
+        denom = 1
+        for pair, count in mono:
+            for _ in range(count):
+                poly = _u_mul(poly, _SQUARE_FACTORS[pair])
+            denom *= factorial(count)
+        total = Scalar.of(0)
+        for (a, b), c in poly.items():
+            total = total + Scalar.rational(c, (a + 1) * (b + 1))
+        return (total * I ** sum(c for _, c in mono)).scale_fraction(1, denom)
 
     return _evaluate(args, lambda need: _nonzero_terms(2, need, coefficient))

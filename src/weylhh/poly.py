@@ -34,8 +34,8 @@ split by a mask has lost its degrees.  _key, mono_lcm, rename and
 linear_subst rebuild them from the exponent fields; ffs's split of an
 operator key puts back its known output degree.  No other module reads the
 layout: they use mono_degree, mono_z_degree, mono_factorial, mono_divides,
-mono_lcm, rename, variable_key, index_mask, DEGREES and _offset (a field's
-lowest bit).
+mono_support, mono_lcm, rename, variable_key, index_mask, DEGREES and
+_offset (a field's lowest bit).
 
 A polynomial is a map from keys to nonzero Scalar coefficients.  Values are
 treated as immutable after construction, so one value may be read from
@@ -128,6 +128,11 @@ def mono_divides(a: int, b: int) -> bool:
     # field, as a negative d).
     d = b - a
     return d >= 0 and not (d ^ a ^ b) & _CARRIES
+
+
+def mono_support(key: int) -> int:
+    """The key with each nonzero exponent field set to 1, its degrees kept."""
+    return int.from_bytes(bytes(map(bool, _bytes(key))), "little") << _LOW | key & DEGREES
 
 
 def mono_lcm(a: int, b: int) -> int:

@@ -13,13 +13,13 @@ construction) are the undressed ones from the forms module.
 import functools
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from weylhh import ffs, forms, groups, linalg, simplex
 from weylhh.hochschild import Cochain
 from weylhh.poly import (DEGREES, MAX_EXPONENT, Poly, Y, index_mask, mono_divides, mono_lcm,
                          rename)
-from weylhh.scalars import ONE, ZERO, Scalar
+from weylhh.scalars import I, ONE, ZERO, Scalar
 from weylhh.weyl import WeylElement, bform, involution, monomials_upto, star
 
 
@@ -126,6 +126,38 @@ def filtered_monos(m, need):
     pairs = [(0, k) for k in range(1, m + 1)] + inner
     return tuple(tuple((pair, c) for pair, c in zip(pairs, counts) if c)
                  for counts in sorted(found))
+
+
+def simplex_moment(exponents):
+    """Exact integral of u_1^a1 ... u_m^am over 0 <= u_1 <= ... <= u_m <= 1."""
+    den = 1
+    prefix = 0
+    for k, a in enumerate(exponents, start=1):
+        prefix += a
+        den *= prefix + k
+    return Scalar.rational(1, den)
+
+
+def expanded_coefficient(mono, m):
+    """The symbol coefficient of a W-monomial by the whole expansion: the
+    product of its factors 1 + 2 u_i - 2 u_j (u_0 = 0) multiplied out in
+    u_1 .. u_m, then one simplex moment per u-monomial, times
+    i^order / prod count!."""
+    poly = {(0,) * m: 1}
+    for (i, j), count in mono:
+        slopes = ([(i - 1, 2)] if i else []) + [(j - 1, -2)]
+        for _ in range(count):
+            out = dict(poly)
+            for e, c in poly.items():
+                for at, s in slopes:
+                    key = tuple(x + (k == at) for k, x in enumerate(e))
+                    out[key] = out.get(key, 0) + s * c
+            poly = out
+    total = ZERO
+    for e, c in poly.items():
+        total = total + simplex_moment(e).scale_fraction(c)
+    order = sum(c for _, c in mono)
+    return (total * I ** order).scale_fraction(1, prod(factorial(c) for _, c in mono))
 
 
 def random_symplectic(rng, dim):

@@ -11,16 +11,18 @@ import pytest
 
 from weylhh import ffs
 from weylhh.cli import main
+from weylhh.descent import descend, make_zeta
 from weylhh.errors import InsufficientExpansionError
 from weylhh.ffs import (FFSSymbol, cached_symbol, ffs_apply, ffs_build,
-                        ffs_cocycle, ffs_hypercube_n1, simplex_moment)
+                        ffs_cocycle, ffs_hypercube_n1)
 from weylhh.hochschild import Chain, SampleSpec, pair_chain, verify_cocycle
 from weylhh.poly import Poly, Y, Z, _triples, mono_degree, mono_divides, mono_lcm
 from weylhh.sampling import monomials_upto, random_weyl
 from weylhh.scalars import I, ONE, Scalar
 from weylhh.weyl import SymplecticData, WeylElement
 
-from oracles import copy_box, filtered_monos, full_box, permutation_det
+from oracles import (copy_box, expanded_coefficient, filtered_monos, full_box, permutation_det,
+                     simplex_moment)
 
 
 def halves(x, den):
@@ -53,6 +55,22 @@ def test_moment_matches_brute_force_iterated_integration():
     for _ in range(20):
         exps = tuple(rng.randint(0, 3) for _ in range(rng.choice((2, 4))))
         assert simplex_moment(exps) == brute(exps)
+
+
+def test_iterated_integral_matches_expansion():
+    # The coefficients integrated one simplex variable at a time against the
+    # whole product expanded and integrated moment by moment: every
+    # monomial of every need up to 5 at m = 2, 3 at m = 4 and 2 at m = 6,
+    # and a seeded sample at m = 6 with need 3 (2,578 monomials) and at
+    # m = 8 with need 2 (764), where the expansion costs most.
+    rng = random.Random(57)
+    for m, top in ((2, 5), (4, 3), (6, 2)):
+        for need in itertools.product(range(1, top + 1), repeat=m):
+            for mono in ffs._monos_for(m, need):
+                assert ffs._coefficient(mono, m) == expanded_coefficient(mono, m), mono
+    for m, need, count in ((6, 3, 40), (8, 2, 100)):
+        for mono in rng.sample(ffs._monos_for(m, (need,) * m), count):
+            assert ffs._coefficient(mono, m) == expanded_coefficient(mono, m), mono
 
 
 def symbol_coeffs(symbol):
@@ -305,6 +323,36 @@ def test_hypercube_equals_simplex_route(sym1, rng):
         a = random_weyl(rng, sym1, 4)
         b = random_weyl(rng, sym1, 4)
         assert ffs_hypercube_n1([a, b]) == ffs_apply(symbol, [a, b])
+
+
+def degree_two_tuple(sym, seed):
+    """2n slots a (y_i y_j) + c y_k, with i < j, k and a, c drawn from the seed."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(2 * sym.n):
+        i, j = sorted(rng.sample(range(1, 2 * sym.n + 1), 2))
+        k = rng.randint(1, 2 * sym.n)
+        a, c = (Scalar.of(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(2))
+        out.append(WeylElement(Poly.monomial([(Y, i, 1), (Y, j, 1)]), sym).scale(a)
+                   + WeylElement.generator(k, sym).scale(c))
+    return out
+
+
+def test_degree_two_routes_agree_n3():
+    # At rank three and degree two the symbol reads coefficients with linear
+    # factors on all six simplex variables; descend's value is the oracle,
+    # exact on its certified truncation.  Every pair count is 1 at slot
+    # degree 2, so the 1/count! is left to the rank-one checks.  Each tuple
+    # has a matching (its value is nonzero); most random degree-two tuples
+    # lack one and read zero by both routes, which tests nothing.
+    sym3 = SymplecticData.canonical(3)
+    cyclic = [WeylElement(Poly.monomial([(Y, j, 1), (Y, j % 6 + 1, 1)]), sym3)
+              for j in range(1, 7)]
+    zeta = make_zeta(sym3)
+    for args in [degree_two_tuple(sym3, seed) for seed in (18, 19, 43)] + [cyclic]:
+        d = descend(zeta, args)
+        assert not d.is_zero()
+        assert ffs_apply(cached_symbol(3, 12), args).restrict(d.truncation) == d
 
 
 def test_both_routes_refuse_truncated_arguments(sym1):

@@ -29,6 +29,8 @@ CASES = {
     "star": (["--format", "json", "star", "{payloads}/star.json"], []),
     "ffs_eval": (["--format", "json", "ffs", "eval",
                   "--args", "{payloads}/ffs_args.json"], []),
+    "ffs_eval_cyclic_n3": (["--format", "json", "ffs", "eval",
+                            "--args", "{payloads}/cyclic_n3_args.json"], []),
     "descent_eval": (["--format", "json", "descent", "eval",
                       "--args", "{payloads}/descent_args.json"], []),
     "ffs_eval_n6": (["--format", "json", "ffs", "eval",

@@ -414,35 +414,58 @@ def test_square_integral_by_sum(monkeypatch, sym1):
     # already shows it.
     a, b = y(sym1, 1), y(sym1, 0, 1)
     assert square_route_agrees(a, b)
-    install(monkeypatch, ffs, "ffs_hypercube_n1",
-            "Scalar.rational(1, (t[0] + 1) * (t[1] + 1))", "Scalar.rational(1, t[0] + t[1] + 2)")
+    install(monkeypatch, ffs, "ffs_hypercube_n1", "(a + 1) * (b + 1)", "a + b + 2")
     assert not square_route_agrees(a, b)
 
 
+def count_pairs(sym1):
+    """Argument pairs whose symbol terms have a pair count above 1.
+
+    W^count without its 1/count!, in either route: the routes share no
+    series, so the unit-square route is the oracle of the simplex route's
+    and the other way round.  Every count is 1 on (y1, y2), so it agrees
+    there; (y1^3, y2^3) and (y1^2 y2, y1 y2^2) show it."""
+    return [(y(sym1, 3), y(sym1, 0, 3)), (y(sym1, 2, 1), y(sym1, 1, 2))]
+
+
 def test_exp_series_without_count_factorial(monkeypatch, sym1):
-    # W^count without its 1/count!: both ffs routes read the one exp series,
-    # so the square route shares the fault and still agrees with the symbol;
-    # descent is the oracle.  Every count is 1 on (y1, y2), so it agrees
-    # there; (y1^3, y2^3) and (y1^2 y2, y1 y2^2) read counts above 1 and show it.
-    pairs = [(y(sym1, 3), y(sym1, 0, 3)), (y(sym1, 2, 1), y(sym1, 1, 2))]
-    assert all(routes_agree(sym1, a, b) for a, b in pairs)
-    install(monkeypatch, ffs, "_exp_coefficient", "denom *= factorial(count)", "pass")
-    assert routes_agree(sym1, y(sym1, 1), y(sym1, 0, 1))
+    pairs = count_pairs(sym1)
     assert all(square_route_agrees(a, b) for a, b in pairs)
-    assert not any(routes_agree(sym1, a, b) for a, b in pairs)
+    install(monkeypatch, ffs, "_coefficient",
+            "den = prod(factorial(count) for _, count in mono)", "den = 1")
+    assert square_route_agrees(y(sym1, 1), y(sym1, 0, 1))
+    assert not any(square_route_agrees(a, b) for a, b in pairs)
+
+
+def test_square_series_without_count_factorial(monkeypatch, sym1):
+    pairs = count_pairs(sym1)
+    assert all(square_route_agrees(a, b) for a, b in pairs)
+    install(monkeypatch, ffs, "ffs_hypercube_n1", "denom *= factorial(count)", "pass")
+    assert square_route_agrees(y(sym1, 1), y(sym1, 0, 1))
+    assert not any(square_route_agrees(a, b) for a, b in pairs)
 
 
 def test_linear_factor_slope_halved(monkeypatch, sym1):
-    # 1 + 2 u_i - u_j for 1 + 2 u_i - 2 u_j changes every coefficient with
-    # a W factor: (y1^2, y2) reads W01 once.  The symbol's coefficients are
-    # memoised, so the mutant is read only because installing it empties
-    # the memos; a test run before this one that filled them (tests/test_ffs.py
-    # does) would otherwise hide it.
+    # 1 + 2 u_i - u_j for 1 + 2 u_i - 2 u_j in the simplex integrand changes
+    # every coefficient with a W factor: (y1^2, y2) reads W01 once.  The
+    # symbol's coefficients are memoised, so the mutant is read only because
+    # installing it empties the memos; a test run before this one that
+    # filled them (tests/test_ffs.py does) would otherwise hide it.
     a, b = y(sym1, 2), y(sym1, 0, 1)
     assert routes_agree(sym1, a, b)
-    install(monkeypatch, ffs, "_linear_factor", "out[m] = out.get(m, 0) - 2",
-            "out[m] = out.get(m, 0) - 1")
+    install(monkeypatch, ffs, "_coefficient", "out.get(key, 0) - 2 * c",
+            "out.get(key, 0) - c")
     assert not routes_agree(sym1, a, b)
+
+
+def test_simplex_upper_limit_one(monkeypatch, sym1):
+    # Each u_k integrated up to 1 for u_{k+1}: the cube for the simplex, so
+    # already the volume term on (y1, y2) reads 1 for 1/2.
+    a, b = y(sym1, 1), y(sym1, 0, 1)
+    assert square_route_agrees(a, b)
+    install(monkeypatch, ffs, "_coefficient", "(e[1] + e[0] + 1,) + e[2:] if k < m else ()",
+            "e[1:]")
+    assert not square_route_agrees(a, b)
 
 
 def test_linear_subst_reads_columns(monkeypatch):
